@@ -27,7 +27,6 @@ from . import qpt as qp
 from . import spectral as sp
 from . import tomography as tg
 from .errors import ConfigError, ConvergenceError, KposimError, UsageError
-from .parallel import default_workers
 from .units import TWO_PI, angular_to_mhz, mhz_to_angular, ns_to_us, us_to_ns
 
 SYSTEM_KEYS = {"K_MHz", "P_MHz", "Delta_MHz", "beta_MHz", "Delta_d_MHz",
@@ -106,6 +105,15 @@ def load_config(path):
     return cfg
 
 
+def _write_map_csv(path, names, rows, cols, values):
+    """Write a (rows x cols) map as one CSV line per cell, row by row."""
+    io.write_csv(path, {
+        names[0]: np.repeat(rows, cols.size),
+        names[1]: np.tile(cols, rows.size),
+        names[2]: values.reshape(-1),
+    })
+
+
 # ---------------------------------------------------------------------------
 # experiment runners; each returns (summary, checks) where checks maps
 # summary scalar names to the tolerance used by --check
@@ -121,15 +129,11 @@ def _run_rabi(which):
         amp = mhz_to_angular(_finite(cfg["amplitude_MHz"], "amplitude_MHz"))
         det = _grid(cfg, "detuning_grid_MHz", "config", scale=TWO_PI)
         tus = ns_to_us(_grid(cfg, "time_grid_ns", "config"))
-        pmap = dyn.rabi_map(params, which, amp, det, tus,
-                            workers=opts["workers"])
+        pmap = dyn.rabi_map(params, which, amp, det, tus)
         dmhz = det / TWO_PI
         tns = us_to_ns(tus)
-        io.write_csv(os.path.join(out, "map.csv"), {
-            "detuning_MHz": np.repeat(dmhz, tns.size),
-            "time_ns": np.tile(tns, dmhz.size),
-            "p0": pmap.reshape(-1),
-        })
+        _write_map_csv(os.path.join(out, "map.csv"),
+                       ("detuning_MHz", "time_ns", "p0"), dmhz, tns, pmap)
         if opts["svg"]:
             io.svg_heatmap(os.path.join(out, "map.svg"), tns, dmhz, pmap,
                            title=f"rabi-{which}", xlabel="time (ns)",
@@ -238,8 +242,7 @@ def _run_relax(cfg, out, opts):
     tau = ns_to_us(_finite(cfg.get("tau_ramp_ns", 300.0), "tau_ramp_ns"))
     res = dyn.relaxation_experiment(params, params.kappa, waits,
                                     prepare=prepare, tau_ramp=tau,
-                                    rtol=opts["rtol"], atol=opts["atol"],
-                                    workers=opts["workers"])
+                                    rtol=opts["rtol"], atol=opts["atol"])
     pop_cols = {"wait_us": waits}
     plus_cat_run = res.populations["z"]
     for k, label in enumerate(fs.CARDINAL_LABELS):
@@ -279,11 +282,9 @@ def _run_quasi_surface(cfg, out, opts):
     pg = _grid(cfg, "p_over_K_grid", "config")
     dg = _grid(cfg, "delta_over_K_grid", "config")
     surf = sp.splitting_surface(params.K, pg, dg, params.dim)
-    io.write_csv(os.path.join(out, "surface.csv"), {
-        "P_over_K": np.repeat(pg, dg.size),
-        "Delta_over_K": np.tile(dg, pg.size),
-        "splitting_over_K": surf.reshape(-1),
-    })
+    _write_map_csv(os.path.join(out, "surface.csv"),
+                   ("P_over_K", "Delta_over_K", "splitting_over_K"),
+                   pg, dg, surf)
     if opts["svg"]:
         io.svg_heatmap(os.path.join(out, "surface.svg"), dg, pg, surf,
                        title="quasi-surface", xlabel="Delta/K",
@@ -310,15 +311,11 @@ def _run_cat_rabi(cfg, out, opts):
     if not isinstance(sym, bool):
         raise ConfigError("symmetrized must be a boolean")
     pmap = dyn.cat_rabi_map(params, det, tus, symmetrized=sym,
-                            workers=opts["workers"], rtol=opts["rtol"],
-                            atol=opts["atol"])
+                            rtol=opts["rtol"], atol=opts["atol"])
     dmhz = det / TWO_PI
     tns = us_to_ns(tus)
-    io.write_csv(os.path.join(out, "detuning_map.csv"), {
-        "detuning_MHz": np.repeat(dmhz, tns.size),
-        "time_ns": np.tile(tns, dmhz.size),
-        "parity": pmap.reshape(-1),
-    })
+    _write_map_csv(os.path.join(out, "detuning_map.csv"),
+                   ("detuning_MHz", "time_ns", "parity"), dmhz, tns, pmap)
     if opts["svg"]:
         io.svg_heatmap(os.path.join(out, "detuning_map.svg"), tns, dmhz, pmap,
                        title="cat-rabi", xlabel="time (ns)",
@@ -341,13 +338,9 @@ def _run_cat_rabi(cfg, out, opts):
     phig = _grid(cfg, "phi_grid_rad", "config", required=False)
     if phig is not None:
         phmap = dyn.cat_rabi_phase_map(params, phig, tus, symmetrized=sym,
-                                       workers=opts["workers"],
                                        rtol=opts["rtol"], atol=opts["atol"])
-        io.write_csv(os.path.join(out, "phase_map.csv"), {
-            "phi_rad": np.repeat(phig, tns.size),
-            "time_ns": np.tile(tns, phig.size),
-            "parity": phmap.reshape(-1),
-        })
+        _write_map_csv(os.path.join(out, "phase_map.csv"),
+                       ("phi_rad", "time_ns", "parity"), phig, tns, phmap)
         if opts["svg"]:
             io.svg_heatmap(os.path.join(out, "phase_map.svg"), tns, phig,
                            phmap, title="cat-rabi phase", xlabel="time (ns)",
@@ -374,15 +367,12 @@ def _run_cat_ramsey(cfg, out, opts):
     taus = ns_to_us(_grid(cfg, "tau_Z_grid_ns", "config"))
     cal = qp.calibrate_x2(params, rtol=opts["rtol"], atol=opts["atol"])
     pmap = dyn.cat_ramsey_map(params, dps, taus, cal["duration"],
-                              kappa=params.kappa, workers=opts["workers"],
-                              rtol=opts["rtol"], atol=opts["atol"])
+                              kappa=params.kappa, rtol=opts["rtol"],
+                              atol=opts["atol"])
     dmhz = dps / TWO_PI
     tns = us_to_ns(taus)
-    io.write_csv(os.path.join(out, "ramsey.csv"), {
-        "delta_peak_MHz": np.repeat(dmhz, tns.size),
-        "tau_Z_ns": np.tile(tns, dmhz.size),
-        "parity": pmap.reshape(-1),
-    })
+    _write_map_csv(os.path.join(out, "ramsey.csv"),
+                   ("delta_peak_MHz", "tau_Z_ns", "parity"), dmhz, tns, pmap)
     if opts["svg"]:
         io.svg_heatmap(os.path.join(out, "ramsey.svg"), tns, dmhz, pmap,
                        title="cat-ramsey", xlabel="tau_Z (ns)",
@@ -403,8 +393,8 @@ def _run_cat_ramsey(cfg, out, opts):
             p_b = params.with_(beta=float(b))
             cal_b = qp.calibrate_x2(p_b, rtol=opts["rtol"], atol=opts["atol"])
             row = dyn.cat_ramsey_map(p_b, dps, [tau_fix], cal_b["duration"],
-                                     kappa=0.0, workers=opts["workers"],
-                                     rtol=opts["rtol"], atol=opts["atol"])
+                                     kappa=0.0, rtol=opts["rtol"],
+                                     atol=opts["atol"])
             ripples.append(_ripple_metric(row[:, 0]))
         io.write_csv(os.path.join(out, "ripple.csv"), {
             "beta_MHz": betas / TWO_PI,
@@ -433,16 +423,12 @@ def _run_tls_compare(cfg, out, opts):
     tus = ns_to_us(_grid(cfg, "time_grid_ns", "config"))
     maps = {}
     for variant in ("symmetrized", "standard"):
-        maps[variant] = dyn.tls_rabi_map(variant, omega, det, tus,
-                                         workers=opts["workers"])
+        maps[variant] = dyn.tls_rabi_map(variant, omega, det, tus)
     dmhz = det / TWO_PI
     tns = us_to_ns(tus)
     for variant, m in maps.items():
-        io.write_csv(os.path.join(out, f"{variant}.csv"), {
-            "detuning_MHz": np.repeat(dmhz, tns.size),
-            "time_ns": np.tile(tns, dmhz.size),
-            "p_excited": m.reshape(-1),
-        })
+        _write_map_csv(os.path.join(out, f"{variant}.csv"),
+                       ("detuning_MHz", "time_ns", "p_excited"), dmhz, tns, m)
         if opts["svg"]:
             io.svg_heatmap(os.path.join(out, f"{variant}.svg"), tns, dmhz, m,
                            title=f"TLS {variant}", xlabel="time (ns)",
@@ -474,7 +460,7 @@ def _run_qpt(cfg, out, opts):
     res = qp.qpt_experiment(kind, params, kappa=params.kappa,
                             tau_ramp=tau_ramp, tau_Z=tau_Z,
                             detuning_offset=offset, rtol=opts["rtol"],
-                            atol=opts["atol"], workers=opts["workers"])
+                            atol=opts["atol"])
     io.write_chi_json(os.path.join(out, "chi.json"), res.chi)
     io.write_chi_csv(os.path.join(out, "chi.csv"), res.chi)
     if opts["svg"]:
@@ -549,7 +535,6 @@ def _run_wigner(cfg, out, opts):
         alphas = tg.grid_points(re, im)
         record = tg.simulate_ld_tomography(params, rho, alphas,
                                            pulse_duration=dur,
-                                           workers=opts["workers"],
                                            rtol=opts["rtol"],
                                            atol=opts["atol"])
         sigma = _finite(cfg.get("noise_sigma", 0.0), "noise_sigma")
@@ -586,11 +571,8 @@ def _run_wigner(cfg, out, opts):
                                  ns_to_us(_finite(tau_corr, "kerr_correct_ns")))
         wm = tg.wigner_ideal(wm_rho, re, im)
         summary["kerr_correct_ns"] = float(tau_corr)
-    io.write_csv(os.path.join(out, "wigner.csv"), {
-        "re": np.repeat(re, im.size),
-        "im": np.tile(im, re.size),
-        "W": wm.values.T.reshape(-1),
-    })
+    _write_map_csv(os.path.join(out, "wigner.csv"), ("re", "im", "W"),
+                   re, im, wm.values.T)
     if opts["svg"]:
         io.svg_heatmap(os.path.join(out, "wigner.svg"), re, im, wm.values,
                        title="wigner", xlabel="Re alpha", ylabel="Im alpha")
@@ -617,19 +599,18 @@ RUNNERS = {
 }
 
 
-def run_experiment(name, cfg, out_root, workers=None, svg=False, check=False,
+def run_experiment(name, cfg, out_root, svg=False, check=False,
                    rtol=dyn.DEFAULT_RTOL, atol=dyn.DEFAULT_ATOL):
     """Execute one experiment and write its artifacts; returns the summary."""
     runner = RUNNERS[name]
     out = io.ensure_dir(os.path.join(out_root, name))
-    opts = {"workers": workers, "svg": svg, "rtol": rtol, "atol": atol}
+    opts = {"svg": svg, "rtol": rtol, "atol": atol}
     summary, tolerances = runner(cfg, out, opts)
     if check:
         cfg2 = copy.deepcopy(cfg)
         cfg2.setdefault("system", {})["dim"] = 2 * cfg.get("system", {}).get("dim", 30)
         out2 = io.ensure_dir(os.path.join(out, "check"))
-        opts2 = {"workers": workers, "svg": False,
-                 "rtol": 0.5 * rtol, "atol": 0.5 * atol}
+        opts2 = {"svg": False, "rtol": 0.5 * rtol, "atol": 0.5 * atol}
         summary2, _ = runner(cfg2, out2, opts2)
         moves = {}
         for key, tol in tolerances.items():
@@ -659,8 +640,6 @@ def build_parser():
         p.add_argument("--out", default=None,
                        help="output root directory (default from config "
                             "out_dir, else ./out)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="parallel workers (default: available cores)")
         p.add_argument("--check", action="store_true",
                        help="re-run at doubled dim / halved tolerance and "
                             "verify summary stability")
@@ -675,9 +654,8 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         out_root = args.out or cfg.get("out_dir") or "out"
-        workers = args.workers if args.workers is not None else default_workers()
-        run_experiment(args.experiment, cfg, out_root, workers=workers,
-                       svg=args.svg, check=args.check)
+        run_experiment(args.experiment, cfg, out_root, svg=args.svg,
+                       check=args.check)
         return 0
     except (ConfigError, UsageError) as e:
         _emit_error(e, 2)

@@ -58,20 +58,6 @@ class Trajectory:
     def final_state(self):
         return self.states[-1]
 
-    def expect(self, operator):
-        """Expectation-value series ⟨O⟩(t), real part."""
-        return np.array([s.expect(operator) for s in self.states])
-
-    def population(self, n):
-        """Population of Fock level ``n`` along the trajectory."""
-        out = np.empty(len(self.states))
-        for i, s in enumerate(self.states):
-            if isinstance(s, fs.StateVector):
-                out[i] = abs(s.amplitudes[n]) ** 2
-            else:
-                out[i] = s.entries[n, n].real
-        return out
-
 
 def _ket_rhs(params, schedule):
     def rhs(t, y):
@@ -183,7 +169,7 @@ def propagate(params, schedule, initial, sample_times=None, kappa=None,
         y = initial.entries.astype(np.complex128).reshape(-1).copy()
     else:
         y = initial.amplitudes.astype(np.complex128).copy()
-    if (density and initial.dim != params.dim) or (not density and initial.dim != params.dim):
+    if initial.dim != params.dim:
         raise UsageError(
             f"state dimension {initial.dim} != params.dim {params.dim}")
 
@@ -261,7 +247,7 @@ def _rabi_column(args):
     return np.abs(amp) ** 2
 
 
-def rabi_map(params, which, amplitude, detuning_grid, time_grid, workers=None):
+def rabi_map(params, which, amplitude, detuning_grid, time_grid):
     """|0>-population map of a driven Rabi experiment.
 
     ``which='drive'``: linear drive of amplitude ``amplitude`` (rad/us) on
@@ -283,13 +269,12 @@ def rabi_map(params, which, amplitude, detuning_grid, time_grid, workers=None):
                 for d in det]
     else:
         raise UsageError(f"which must be 'drive' or 'pump', got {which!r}")
-    rows = parallel_map(_rabi_column, [(H, tg, psi0) for H in mats],
-                        workers=workers)
+    rows = parallel_map(_rabi_column, [(H, tg, psi0) for H in mats])
     return np.array(rows)
 
 
 def tls_rabi_map(variant, Omega_R, detuning_grid, time_grid, rtol=1e-10,
-                 atol=1e-12, workers=None):
+                 atol=1e-12):
     """Excited-state population map of the two-level comparison models.
 
     Integrates the 2x2 Hamiltonian of :func:`kposim.model.tls_rabi_hamiltonian`
@@ -326,13 +311,38 @@ def tls_rabi_map(variant, Omega_R, detuning_grid, time_grid, rtol=1e-10,
                 k += 1
         return out
 
-    rows = parallel_map(column, list(det), workers=workers)
+    rows = parallel_map(column, det)
     return np.array(rows)
 
 
+def _cat_parity_rows(params, drives, tg, beta, symmetrized, rtol, atol):
+    """<parity> at the times ``tg`` for each (detuning, phase) drive tone."""
+    if beta is None:
+        beta = params.beta
+    basis = md.cat_basis_from_model(params)
+    par = fs.parity_op(params.dim)
+
+    def column(drive):
+        d, phi = drive
+        if symmetrized:
+            # phase rides inside the modulation: a mixer conjugates the
+            # image tone's phase along with its detuning
+            seg = md.Segment(duration=tg[-1], pump=md.Constant(params.P_max),
+                             detuning=md.Constant(params.Delta),
+                             drive=md.Cosine(beta, d, phi))
+            sched = md.PulseSchedule((seg,))
+        else:
+            sched = md.drive_schedule(tg[-1], beta, d, phi, params.P_max,
+                                      params.Delta)
+        traj = propagate(params, sched, basis.plus_cat, sample_times=tg,
+                         kappa=0.0, rtol=rtol, atol=atol)
+        return [float(np.real(s.expect(par))) for s in traj.states]
+
+    return np.array(parallel_map(column, drives))
+
+
 def cat_rabi_map(params, detuning_grid, time_grid, beta=None, phi_d=0.0,
-                 symmetrized=True, workers=None, rtol=DEFAULT_RTOL,
-                 atol=DEFAULT_ATOL):
+                 symmetrized=True, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """Parity map of the driven stabilized cat vs drive detuning and time.
 
     Starts from the even qubit eigenstate with the pump held at P_max, adds
@@ -352,63 +362,23 @@ def cat_rabi_map(params, detuning_grid, time_grid, beta=None, phi_d=0.0,
     tg = np.asarray(time_grid, dtype=float)
     if det.size == 0 or tg.size == 0:
         raise UsageError("detuning_grid and time_grid must be nonempty")
-    if beta is None:
-        beta = params.beta
-    basis = md.cat_basis_from_model(params)
-    par = fs.parity_op(params.dim)
-
-    def column(d):
-        if symmetrized:
-            # phase rides inside the modulation: a mixer conjugates the
-            # image tone's phase along with its detuning
-            seg = md.Segment(duration=tg[-1], pump=md.Constant(params.P_max),
-                             detuning=md.Constant(params.Delta),
-                             drive=md.Cosine(beta, d, phi_d))
-            sched = md.PulseSchedule((seg,))
-        else:
-            sched = md.drive_schedule(tg[-1], beta, d, phi_d, params.P_max,
-                                      params.Delta)
-        traj = propagate(params, sched, basis.plus_cat, sample_times=tg,
-                         kappa=0.0, rtol=rtol, atol=atol)
-        return [float(np.real(s.expect(par))) for s in traj.states]
-
-    rows = parallel_map(column, list(det), workers=workers)
-    return np.array(rows)
+    return _cat_parity_rows(params, [(d, phi_d) for d in det], tg, beta,
+                            symmetrized, rtol, atol)
 
 
 def cat_rabi_phase_map(params, phi_grid, time_grid, beta=None, Delta_d=0.0,
-                       symmetrized=True, workers=None, rtol=DEFAULT_RTOL,
-                       atol=DEFAULT_ATOL):
+                       symmetrized=True, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """Parity map of the driven cat vs drive phase and time (fixed detuning)."""
     phis = np.asarray(phi_grid, dtype=float)
     tg = np.asarray(time_grid, dtype=float)
     if phis.size == 0 or tg.size == 0:
         raise UsageError("phi_grid and time_grid must be nonempty")
-    if beta is None:
-        beta = params.beta
-    basis = md.cat_basis_from_model(params)
-    par = fs.parity_op(params.dim)
-
-    def column(phi):
-        if symmetrized:
-            seg = md.Segment(duration=tg[-1], pump=md.Constant(params.P_max),
-                             detuning=md.Constant(params.Delta),
-                             drive=md.Cosine(beta, Delta_d, phi))
-            sched = md.PulseSchedule((seg,))
-        else:
-            sched = md.drive_schedule(tg[-1], beta, Delta_d, phi,
-                                      params.P_max, params.Delta)
-        traj = propagate(params, sched, basis.plus_cat, sample_times=tg,
-                         kappa=0.0, rtol=rtol, atol=atol)
-        return [float(np.real(s.expect(par))) for s in traj.states]
-
-    rows = parallel_map(column, list(phis), workers=workers)
-    return np.array(rows)
+    return _cat_parity_rows(params, [(Delta_d, phi) for phi in phis], tg,
+                            beta, symmetrized, rtol, atol)
 
 
 def cat_ramsey_map(params, delta_peak_grid, tau_Z_grid, x2_duration,
-                   beta=None, kappa=0.0, workers=None, rtol=DEFAULT_RTOL,
-                   atol=DEFAULT_ATOL):
+                   beta=None, kappa=0.0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """Parity after an X/2 - chirp - X/2 Ramsey sequence.
 
     Sweeps the chirp depth (rad/us) and gate time; ``x2_duration`` is the
@@ -438,7 +408,7 @@ def cat_ramsey_map(params, delta_peak_grid, tau_Z_grid, x2_duration,
         return float(np.real(out.expect(par)))
 
     pts = [(dp, tau) for dp in dps for tau in taus]
-    vals = parallel_map(point, pts, workers=workers)
+    vals = parallel_map(point, pts)
     return np.array(vals).reshape(dps.size, taus.size)
 
 
@@ -483,8 +453,7 @@ def _relaxation_run(args):
 
 
 def relaxation_experiment(params, kappa, wait_grid, prepare="ramp",
-                          tau_ramp=0.3, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-                          workers=None):
+                          tau_ramp=0.3, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
     """Hold each cat-Bloch cardinal preparation and track all six populations.
 
     ``prepare='ramp'`` builds |+Cat>, |+Coh>, |+iCat> by running the
@@ -517,7 +486,7 @@ def relaxation_experiment(params, kappa, wait_grid, prepare="ramp",
 
     jobs = [(params, kappa, wg, initial[lbl], basis, rtol, atol)
             for lbl in ("z", "x", "y")]
-    results = parallel_map(_relaxation_run, jobs, workers=workers)
+    results = parallel_map(_relaxation_run, jobs)
     populations = dict(zip(("z", "x", "y"), results))
     sums, diffs = {}, {}
     for lbl, pops in populations.items():

@@ -44,17 +44,12 @@ __all__ = [
     "ladder_ops",
     "number_op",
     "parity_op",
-    "kerr_op",
-    "pump_op",
-    "identity_op",
     "fock_state",
     "coherent_state",
     "cat_state",
     "displacement_op",
     "dag",
     "dm",
-    "expect",
-    "overlap",
     "state_fidelity",
     "assert_hermitian",
     "StateVector",
@@ -112,24 +107,6 @@ def parity_op(dim):
     dim = _check_dim(dim)
     signs = 1.0 - 2.0 * (np.arange(dim) % 2)
     return _readonly(np.diag(signs.astype(np.complex128)))
-
-
-def kerr_op(dim):
-    """The quartic ladder product ``adag adag a a = diag(n (n-1))``."""
-    dim = _check_dim(dim)
-    n = np.arange(dim, dtype=np.float64)
-    return _readonly(np.diag((n * (n - 1)).astype(np.complex128)))
-
-
-def pump_op(dim):
-    """Two-photon quadrature operator ``adag^2 + a^2``."""
-    a, adag = ladder_ops(dim)
-    return _readonly(adag @ adag + a @ a)
-
-
-def identity_op(dim):
-    dim = _check_dim(dim)
-    return _readonly(np.eye(dim, dtype=np.complex128))
 
 
 def dag(op):
@@ -262,26 +239,6 @@ def dm(psi):
     """Outer product |psi><psi| as a plain array."""
     amp = psi.amplitudes if isinstance(psi, StateVector) else np.asarray(psi)
     return np.outer(amp, amp.conj())
-
-
-def expect(op, state):
-    """Expectation value of ``op`` in a ket, density matrix, or raw array."""
-    op = np.asarray(op)
-    if isinstance(state, StateVector):
-        return state.expect(op)
-    if isinstance(state, DensityMatrix):
-        return state.expect(op)
-    arr = np.asarray(state)
-    if arr.ndim == 1:
-        return complex(np.vdot(arr, op @ arr))
-    return complex(np.trace(op @ arr))
-
-
-def overlap(psi, phi):
-    """Inner product ``<psi|phi>`` of two kets."""
-    a = psi.amplitudes if isinstance(psi, StateVector) else np.asarray(psi)
-    b = phi.amplitudes if isinstance(phi, StateVector) else np.asarray(phi)
-    return complex(np.vdot(a, b))
 
 
 def state_fidelity(rho, sigma):

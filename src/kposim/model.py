@@ -45,7 +45,6 @@ __all__ = [
     "ramp_schedule",
     "chirp_schedule",
     "drive_schedule",
-    "concat_schedules",
     "hamiltonian_at",
     "static_hamiltonian",
     "drive_frame_hamiltonian",
@@ -459,13 +458,6 @@ class PulseSchedule:
     def load(cls, path):
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-
-def concat_schedules(*schedules):
-    segs = ()
-    for sched in schedules:
-        segs = segs + tuple(sched.segments)
-    return PulseSchedule(segs)
 
 
 # ---------------------------------------------------------------------------

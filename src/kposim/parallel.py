@@ -1,36 +1,14 @@
-"""Deterministic fan-out helper for independent grid points.
+"""The one map that every grid sweep runs through.
 
-Results are collected by input index, so the output order never depends on
-scheduling; running with 1 worker or 32 gives identical output. Threads are
-used (the heavy lifting happens inside BLAS/LAPACK and the integrator, and
-worker tasks share read-only operator caches).
+Items run in input order in the calling thread, so exceptions propagate
+unchanged: the first failing item's exception is raised and no later item
+runs.  Sweeps call this function by name, rather than a plain list
+comprehension, so that an outside tracer can wrap the whole sweep.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 
-from .errors import UsageError
-
-
-def default_workers():
-    return max(os.cpu_count() or 1, 1)
-
-
-def parallel_map(fn, items, workers=None):
-    """Apply ``fn`` to each item, returning results in input order.
-
-    ``workers=None`` uses the available parallelism; ``workers=1`` runs
-    serially in the calling thread (exceptions propagate unchanged either
-    way — the first failing item's exception is raised).
-    """
-    items = list(items)
-    if workers is None:
-        workers = default_workers()
-    if workers < 1:
-        raise UsageError(f"workers must be >= 1, got {workers}")
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+def parallel_map(fn, items):
+    """Apply ``fn`` to each item, returning the results in input order."""
+    return [fn(item) for item in items]

@@ -280,7 +280,7 @@ def calibrate_x2(params, beta=None, rtol=1e-9, atol=1e-11):
                           options={"xatol": 1e-7, "maxiter": 80})
     if not res.success or res.fun > 0.2:
         raise CalibrationError(
-            f"x2 duration scan failed (best infidelity {res.badness if hasattr(res, 'badness') else res.fun:.3f})")
+            f"x2 duration scan failed (best infidelity {res.fun:.3f})")
     return {"duration": float(res.x), "beta": float(beta),
             "coupling": g, "infidelity": float(res.fun),
             "two_level_estimate": float(t0)}
@@ -378,7 +378,7 @@ class QptResult:
 
 def qpt_experiment(kind, params, kappa=None, tau_ramp=0.3, tau_Z=0.5,
                    detuning_offset=0.0, rtol=dyn.DEFAULT_RTOL,
-                   atol=dyn.DEFAULT_ATOL, workers=None):
+                   atol=dyn.DEFAULT_ATOL):
     """Run process tomography of the mapping or a cat-qubit gate.
 
     ``kind`` is 'mapping' (Fock qubit -> cat qubit via the counterdiabatic
@@ -451,7 +451,7 @@ def qpt_experiment(kind, params, kappa=None, tau_ramp=0.3, tau_Z=0.5,
                             rtol=rtol, atol=atol).final_state
         return effective_qubit(out, out_tag_basis)
 
-    outputs = parallel_map(run, kets, workers=workers)
+    outputs = parallel_map(run, kets)
     chi = chi_matrix(inputs, outputs)
     fid = process_fidelity(chi, ideal)
     return QptResult(kind=kind, chi=chi, ideal=ideal, fidelity=fid,

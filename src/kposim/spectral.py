@@ -50,8 +50,8 @@ class QuasiSpectrum:
 
     def qubit_states(self):
         i_even, i_odd = self.qubit_indices
-        return (fs.StateVector(self.states[:, i_even], check=False),
-                fs.StateVector(self.states[:, i_odd], check=False))
+        return (fs.StateVector(self.states[:, i_even]),
+                fs.StateVector(self.states[:, i_odd]))
 
 
 def _spectrum_once(K, P, Delta, dim):

@@ -210,8 +210,7 @@ def _linear_displacement_gain(duration, detuning):
 
 def simulate_ld_tomography(params, rho, alphas, pulse_duration=0.02,
                            amplitude_bound=None, detuning=None,
-                           pump_level=0.0, workers=None, rtol=1e-9,
-                           atol=1e-11):
+                           pump_level=0.0, rtol=1e-9, atol=1e-11):
     """Displaced-parity record under a finite-duration displacement pulse.
 
     For each target point the drive amplitude/phase is calibrated so the
@@ -255,7 +254,7 @@ def simulate_ld_tomography(params, rho, alphas, pulse_duration=0.02,
                             rtol=rtol, atol=atol).final_state
         return float(np.clip(np.real(out.expect(par)), -1.0, 1.0))
 
-    parities = np.array(parallel_map(one, list(drives), workers=workers))
+    parities = np.array(parallel_map(one, drives))
     return MeasurementRecord(al, parities,
                              pulse={"duration_us": pulse_duration,
                                     "detuning": detuning,

@@ -1,5 +1,7 @@
 """Propagation, Rabi maps, relaxation series, and curve fitting."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,42 @@ from kposim import fockspace as fs
 from kposim import model as md
 from kposim import units
 from kposim.errors import DegenerateDataError, FitError, UsageError
+from kposim.parallel import parallel_map
 
 import oracles as orc
 
 
 PARAMS = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=30)
+
+
+def test_parallel_map_runs_in_order_in_the_calling_thread():
+    seen = []
+
+    def fn(x):
+        seen.append((x, threading.get_ident()))
+        return 10 * x
+
+    assert parallel_map(fn, [3, 1, 2]) == [30, 10, 20]
+    caller = threading.get_ident()
+    assert seen == [(3, caller), (1, caller), (2, caller)]
+
+
+def test_parallel_map_raises_the_first_failure_and_stops():
+    class ItemError(Exception):
+        pass
+
+    ran = []
+
+    def fn(x):
+        ran.append(x)
+        if x >= 2:
+            raise ItemError(x)
+        return x
+
+    with pytest.raises(ItemError) as info:
+        parallel_map(fn, [0, 1, 2, 3, 4])
+    assert info.value.args == (2,)
+    assert ran == [0, 1, 2]
 
 
 def test_constant_diagonal_hamiltonian_exact_phases():

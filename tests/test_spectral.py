@@ -47,6 +47,19 @@ def test_eigenstates_have_definite_parity():
         assert abs(np.vdot(psi, pi @ psi).real) > 0.999
 
 
+def test_qubit_states_are_the_normalized_parity_pair():
+    spec = sp.quasienergies(K, P, DELTA, 30)
+    even, odd = spec.qubit_states()
+    pi = fs.parity_op(30)
+    assert even.norm() == pytest.approx(1.0, abs=1e-12)
+    assert odd.norm() == pytest.approx(1.0, abs=1e-12)
+    assert even.expect(pi).real == pytest.approx(1.0, abs=1e-12)
+    assert odd.expect(pi).real == pytest.approx(-1.0, abs=1e-12)
+    i_even, i_odd = spec.qubit_indices
+    assert np.array_equal(even.amplitudes, spec.states[:, i_even])
+    assert np.array_equal(odd.amplitudes, spec.states[:, i_odd])
+
+
 def test_dim_convergence_of_top_levels():
     s30 = sp.quasienergies(K, P, DELTA, 30, check_convergence=False)
     s40 = sp.quasienergies(K, P, DELTA, 40, check_convergence=False)
