@@ -12,6 +12,7 @@ frequency in MHz.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -59,15 +60,18 @@ class Trajectory:
         return self.states[-1]
 
 
-def _ket_rhs(params, schedule):
+# Both right-hand sides take ``hamiltonian``, a map t -> H(t): a static
+# segment passes a closure over its one H and builds none per evaluation.
+
+
+def _ket_rhs(hamiltonian):
     def rhs(t, y):
-        H = md.hamiltonian_at(params, schedule, t)
-        return -1j * (H @ y)
+        return -1j * (hamiltonian(t) @ y)
 
     return rhs
 
 
-def _lindblad_rhs(params, schedule, kappa):
+def _lindblad_rhs(params, hamiltonian, kappa):
     blk = md._blocks(params.dim)
     a = blk["a"]
     adag = blk["adag"]
@@ -76,7 +80,7 @@ def _lindblad_rhs(params, schedule, kappa):
 
     def rhs(t, y):
         rho = y.reshape(dim, dim)
-        H = md.hamiltonian_at(params, schedule, t)
+        H = hamiltonian(t)
         drho = -1j * (H @ rho - rho @ H)
         if kappa > 0.0:
             drho += kappa * (a @ rho @ adag)
@@ -96,41 +100,44 @@ def _solve_segment(rhs, y0, t0, t1, t_eval, rtol, atol):
         raise StiffnessError(
             f"integrator failed near t = {reached:.6f} us: {sol.message}",
             time=reached)
-    if len(t_eval):
-        samples = [sol.y[:, k] for k in range(sol.y.shape[1])]
-    else:
-        samples = []
-    # endpoint state: rerun tail if t1 was not among t_eval
-    if len(t_eval) and abs(t_eval[-1] - t1) < 1e-15:
-        y_end = samples[-1]
-        nfev = sol.nfev
-    else:
-        start = t_eval[-1] if len(t_eval) else t0
-        y_start = samples[-1] if len(t_eval) else y0
-        if abs(start - t1) < 1e-15:
-            y_end = y_start
-            nfev = sol.nfev
-        else:
-            sol2 = solve_ivp(rhs, (start, t1), y_start, method="DOP853",
-                             rtol=rtol, atol=atol)
-            if not sol2.success:
-                raise StiffnessError(
-                    f"integrator failed near t = {sol2.t[-1]:.6f} us: {sol2.message}",
-                    time=sol2.t[-1])
-            y_end = sol2.y[:, -1]
-            nfev = sol.nfev + sol2.nfev
-    return samples, y_end, nfev
+    if not len(t_eval):
+        # without t_eval the solver returns its own steps, ending at t1
+        return [], sol.y[:, -1], sol.nfev
+    samples = [sol.y[:, k] for k in range(sol.y.shape[1])]
+    if abs(t_eval[-1] - t1) < 1e-15:
+        return samples, samples[-1], sol.nfev
+    # the last sample falls short of t1: integrate the tail from it
+    sol2 = solve_ivp(rhs, (t_eval[-1], t1), samples[-1], method="DOP853",
+                     rtol=rtol, atol=atol)
+    if not sol2.success:
+        raise StiffnessError(
+            f"integrator failed near t = {sol2.t[-1]:.6f} us: {sol2.message}",
+            time=sol2.t[-1])
+    return samples, sol2.y[:, -1], sol.nfev + sol2.nfev
 
 
-def _static_ket_samples(H, y0, t0, t_points, t1):
-    """Exact e^{-iH(t-t0)} propagation for a constant Hermitian H."""
+def _exact_static(H, y0, t0, t_points, t1, dim, density):
+    """Exact propagation under a constant Hermitian H, from one eigh.
+
+    With H = V diag(E) V†, a ket becomes V (e^{-iE(t-t0)} ∘ V†ψ) and a
+    density matrix V (e^{-i(E_j-E_k)(t-t0)} ∘ V†ρV) V†.  Returns
+    (samples at ``t_points``, state at ``t1``) in the layout of ``y0``.
+    """
     evals, vecs = np.linalg.eigh(H)
-    c0 = vecs.conj().T @ y0
-    samples = []
-    for t in t_points:
-        samples.append(vecs @ (np.exp(-1j * evals * (t - t0)) * c0))
-    y_end = vecs @ (np.exp(-1j * evals * (t1 - t0)) * c0)
-    return samples, y_end
+    vecs_h = vecs.conj().T
+    if density:
+        c0 = vecs_h @ y0.reshape(dim, dim) @ vecs
+
+        def at(t):
+            u = np.exp(-1j * evals * (t - t0))
+            return (vecs @ (u[:, None] * c0 * u.conj()) @ vecs_h).reshape(-1)
+    else:
+        c0 = vecs_h @ y0
+
+        def at(t):
+            return vecs @ (np.exp(-1j * evals * (t - t0)) * c0)
+
+    return [at(t) for t in t_points], at(t1)
 
 
 def propagate(params, schedule, initial, sample_times=None, kappa=None,
@@ -145,6 +152,12 @@ def propagate(params, schedule, initial, sample_times=None, kappa=None,
     always included.  Norm/trace drift beyond 1e-8 raises
     :class:`AccuracyError`; integrator breakdown raises
     :class:`StiffnessError` with the time reached.
+
+    A static segment (see :meth:`kposim.model.Segment.is_static`) builds its
+    Hamiltonian once.  Without loss it is propagated exactly from one
+    ``eigh`` of that H; with loss, and for every driven segment, DOP853
+    integrates it.  ``meta["segments"]`` holds one ``{"solver", "nfev"}``
+    entry per segment and ``meta["nfev"]`` their sum.
     """
     if kappa is None:
         kappa = params.kappa
@@ -162,7 +175,8 @@ def propagate(params, schedule, initial, sample_times=None, kappa=None,
             f"[{t_s[0]}, {t_s[-1]}]")
     t_s = np.clip(t_s, 0.0, total)
 
-    density = kappa > 0.0 or isinstance(initial, fs.DensityMatrix)
+    lossy = kappa > 0.0
+    density = lossy or isinstance(initial, fs.DensityMatrix)
     if density:
         if isinstance(initial, fs.StateVector):
             initial = initial.to_density()
@@ -183,28 +197,38 @@ def propagate(params, schedule, initial, sample_times=None, kappa=None,
     else:
         t_pending = t_s
 
-    nfev_total = 0
+    dim = params.dim
+    seg_stats = []
     t_cursor = 0.0
-    for idx, seg in enumerate(schedule.segments):
+    for seg in schedule.segments:
         t0, t1 = t_cursor, t_cursor + seg.duration
         in_seg = t_pending[(t_pending > t0 + 1e-15) & (t_pending <= t1 + 1e-15)]
         # samples caught by the boundary tolerance must not leave the span
         in_seg = np.clip(in_seg, t0, t1)
-        if not density and seg.is_static():
+        static = seg.is_static()
+        if static:
             H = md.hamiltonian_at(params, schedule, 0.5 * (t0 + t1))
-            samples, y = _static_ket_samples(H, y, t0, in_seg, t1)
+            hamiltonian = lambda t: H  # noqa: E731
         else:
-            rhs = (_lindblad_rhs(params, schedule, kappa) if density
-                   else _ket_rhs(params, schedule))
+            hamiltonian = functools.partial(md.hamiltonian_at, params, schedule)
+        if static and not lossy:
+            samples, y = _exact_static(H, y, t0, in_seg, t1, dim, density)
+            solver, nfev = "eigh", 0
+        else:
+            rhs = (_lindblad_rhs(params, hamiltonian, kappa) if density
+                   else _ket_rhs(hamiltonian))
             samples, y, nfev = _solve_segment(rhs, y, t0, t1, in_seg, rtol, atol)
-            nfev_total += nfev
+            solver = "DOP853"
+        seg_stats.append({"solver": solver, "nfev": nfev})
         for t, ys in zip(in_seg, samples):
-            states.append(_freeze(ys, density, params.dim, t=t))
+            states.append(_freeze(ys, density, dim, t=t))
             times_out.append(t)
         t_cursor = t1
 
-    meta = {"rtol": rtol, "atol": atol, "nfev": nfev_total,
-            "kappa": kappa, "branch": "lindblad" if density else "unitary"}
+    meta = {"rtol": rtol, "atol": atol,
+            "nfev": sum(s["nfev"] for s in seg_stats), "kappa": kappa,
+            "branch": "lindblad" if density else "unitary",
+            "segments": seg_stats}
     return Trajectory(np.array(times_out), tuple(states), meta)
 
 

@@ -319,12 +319,17 @@ class Segment:
         return 0.5 * self.chirp.integral(t)
 
     def is_static(self):
-        """True when the Hamiltonian is constant over the whole segment."""
+        """True when the Hamiltonian is constant over the whole segment.
+
+        A drive that is on needs a still phase: a drive detuning advances
+        it, and a chirp's frame phase is subtracted from it.
+        """
         envs_const = all(
             e.is_constant() for e in (self.pump, self.pump_quad, self.detuning, self.chirp)
         )
+        phase_moves = self.drive_detuning != 0.0 or self.chirp.value(0.0) != 0.0
         drive_static = self.drive.is_constant() and (
-            self.drive.value(0.0) == 0.0 or self.drive_detuning == 0.0
+            self.drive.value(0.0) == 0.0 or not phase_moves
         )
         return envs_const and drive_static
 
@@ -576,7 +581,7 @@ def _blocks(dim):
     if dim not in _block_cache:
         a, adag = fs.ladder_ops(dim)
         n = np.arange(dim, dtype=np.float64)
-        _block_cache[dim] = {
+        blk = {
             "a": a,
             "adag": adag,
             "n_diag": n,
@@ -584,6 +589,14 @@ def _blocks(dim):
             "pump": adag @ adag + a @ a,
             "pump_quad": 1j * (adag @ adag - a @ a),
         }
+        # Hermiticity is checked once per block, not per assembly: every H
+        # is a real diagonal plus real multiples of the pump blocks and of
+        # the drive quadratures, since b (e^{-i theta} adag + e^{i theta} a)
+        # = b (cos theta (adag + a) - sin theta i(adag - a)).
+        for name, op in (("pump", blk["pump"]), ("pump_quad", blk["pump_quad"]),
+                         ("drive x", adag + a), ("drive p", 1j * (adag - a))):
+            fs.assert_hermitian(op, name=f"{name} block")
+        _block_cache[dim] = blk
     return _block_cache[dim]
 
 
@@ -595,10 +608,11 @@ def hamiltonian_at(params, schedule, t):
     the segment start, frame phase from earlier chirps subtracted).
     """
     seg, t_loc, idx = schedule.locate(t)
-    blk = _blocks(params.dim)
-    diag = (seg.detuning_value(t_loc) * blk["n_diag"]
-            - 0.5 * params.K * blk["kerr_diag"])
-    H = np.diag(diag.astype(np.complex128))
+    dim = params.dim
+    blk = _blocks(dim)
+    H = np.zeros((dim, dim), dtype=np.complex128)
+    H.flat[::dim + 1] = (seg.detuning_value(t_loc) * blk["n_diag"]
+                         - 0.5 * params.K * blk["kerr_diag"])
     p = seg.pump.value(t_loc)
     if p != 0.0:
         H += (0.5 * p) * blk["pump"]
@@ -610,7 +624,7 @@ def hamiltonian_at(params, schedule, t):
         theta = schedule.drive_phase_at(idx, t_loc)
         phase = np.exp(-1j * theta)
         H += b * (phase * blk["adag"] + np.conj(phase) * blk["a"])
-    return fs.assert_hermitian(H, name="assembled Hamiltonian")
+    return H
 
 
 def static_hamiltonian(K, P, Delta, dim):

@@ -10,6 +10,7 @@ recovered from parity records by projected least squares.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,8 +95,9 @@ class _DisplacementFactory:
         self.dim = dim
         g = 1j * (adag - a)
         q = adag + a
-        self._gl, self._gv = np.linalg.eigh(g)
-        self._ql, self._qv = np.linalg.eigh(q)
+        # read-only: one factory per dim is shared by every caller
+        self._gl, self._gv = map(fs._readonly, np.linalg.eigh(g))
+        self._ql, self._qv = map(fs._readonly, np.linalg.eigh(q))
 
     def real_shift(self, x):
         ph = np.exp(-1j * x * self._gl)
@@ -109,6 +111,12 @@ class _DisplacementFactory:
         """D(alpha) including the phase convention of the BCH splitting."""
         x, y = alpha.real, alpha.imag
         return np.exp(-1j * x * y) * (self.imag_shift(y) @ self.real_shift(x))
+
+
+@functools.lru_cache(maxsize=None)
+def _displacements(dim):
+    """The one :class:`_DisplacementFactory` of each Fock dimension."""
+    return _DisplacementFactory(dim)
 
 
 def _check_extent(re_grid, im_grid, dim):
@@ -130,7 +138,7 @@ def wigner_ideal(rho, re_grid, im_grid=None):
     rho_arr = fs._as_density_array(rho)
     dim = rho_arr.shape[0]
     _check_extent(re, im, dim)
-    disp = _DisplacementFactory(dim)
+    disp = _displacements(dim)
     signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     values = np.empty((im.size, re.size))
     for c, x in enumerate(re):
@@ -283,7 +291,7 @@ def ideal_record(rho, alphas):
         raise UsageError("alphas must be nonempty")
     rho_arr = fs._as_density_array(rho)
     dim = rho_arr.shape[0]
-    disp = _DisplacementFactory(dim)
+    disp = _displacements(dim)
     signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     parities = np.empty(al.size)
     for i, a in enumerate(al):
@@ -372,7 +380,7 @@ def reconstruct_density(record, dim, max_iters=200, tol=1e-10,
     if al.size < dim * dim:
         raise UsageError(
             f"need at least dim^2 = {dim * dim} points, got {al.size}")
-    disp = _DisplacementFactory(dim)
+    disp = _displacements(dim)
     signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     obs_flat = np.empty((al.size, dim * dim), dtype=complex)
     for i, a in enumerate(al):

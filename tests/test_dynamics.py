@@ -9,7 +9,8 @@ from kposim import dynamics as dyn
 from kposim import fockspace as fs
 from kposim import model as md
 from kposim import units
-from kposim.errors import DegenerateDataError, FitError, UsageError
+from kposim.errors import (AccuracyError, DegenerateDataError, FitError,
+                           UsageError)
 from kposim.parallel import parallel_map
 
 import oracles as orc
@@ -81,6 +82,114 @@ def test_lindblad_matches_rk4_oracle():
     # agreement is limited by the oracle's own fixed-step error (~3e-8 here)
     ref = orc.rk4_propagate_lindblad(p, sched, rho0.entries, 0.3, n_steps=8000)
     assert np.max(np.abs(out.entries - ref)) < 1e-7
+
+
+def _phased_drive_schedule(p, duration):
+    # constant drive at zero drive detuning with a nonzero phase: a static
+    # segment, and the shape of one displaced-parity tomography point
+    return md.drive_schedule(duration, p.beta, 0.0, 0.7, p.P_max, p.Delta)
+
+
+def test_exact_density_path_matches_the_ket_path_for_a_pure_state():
+    p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=16)
+    sched = _phased_drive_schedule(p, 0.4)
+    psi0 = md.cat_basis_from_model(p).plus_cat
+    times = np.linspace(0.0, 0.4, 6)
+    kets = dyn.propagate(p, sched, psi0, sample_times=times, kappa=0.0)
+    rhos = dyn.propagate(p, sched, psi0.to_density(), sample_times=times,
+                         kappa=0.0)
+    assert rhos.meta["branch"] == "lindblad"
+    assert rhos.meta["nfev"] == 0
+    for ket, rho in zip(kets.states, rhos.states):
+        outer = np.outer(ket.amplitudes, ket.amplitudes.conj())
+        assert np.max(np.abs(rho.entries - outer)) < 1e-12
+
+
+def test_exact_density_path_matches_expm_for_a_mixed_state():
+    from scipy.linalg import expm
+
+    p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=12)
+    sched = _phased_drive_schedule(p, 0.5)
+    rho0 = orc.random_density(12, np.random.default_rng(3))
+    times = np.array([0.05, 0.2, 0.35, 0.5])
+    traj = dyn.propagate(p, sched, fs.DensityMatrix(rho0), sample_times=times,
+                         kappa=0.0)
+    H = md.hamiltonian_at(p, sched, 0.25)
+    for t, rho in zip(times, traj.states):
+        u = expm(-1j * H * t)
+        assert np.max(np.abs(rho.entries - u @ rho0 @ u.conj().T)) < 1e-10
+
+
+def test_mixed_static_and_driven_schedule_matches_the_ket_path():
+    # driven ramp, static drive pulse, driven chirp, static hold
+    ramp = md.ramp_schedule(PARAMS.P_max, 0.3, PARAMS.Delta)
+    sched = (ramp.then(_phased_drive_schedule(PARAMS, 0.1))
+             .then(md.chirp_schedule(units.mhz_to_angular(1.0), 0.2,
+                                     PARAMS.P_max, PARAMS.Delta))
+             .then(md.hold_schedule(0.15, PARAMS.P_max, PARAMS.Delta)))
+    times = np.array([0.2, 0.35, 0.4, 0.5, 0.7, 0.75])
+    psi0 = fs.fock_state(0, 30)
+    kw = dict(sample_times=times, kappa=0.0, rtol=1e-10, atol=1e-12)
+    kets = dyn.propagate(PARAMS, sched, psi0, **kw)
+    rhos = dyn.propagate(PARAMS, sched, psi0.to_density(), **kw)
+    assert [s["solver"] for s in rhos.meta["segments"]] == \
+        ["DOP853", "eigh", "DOP853", "eigh"]
+    for ket, rho in zip(kets.states, rhos.states):
+        outer = np.outer(ket.amplitudes, ket.amplitudes.conj())
+        assert np.max(np.abs(rho.entries - outer)) < 1e-8
+
+
+def test_exact_density_path_checks_trace_and_positivity():
+    p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=8)
+    sched = _phased_drive_schedule(p, 0.2)
+    heavy = 1.1 * fs.fock_state(0, 8).to_density().entries
+    with pytest.raises(AccuracyError, match="trace"):
+        dyn.propagate(p, sched, fs.DensityMatrix(heavy, physical=False),
+                      sample_times=[0.1, 0.2], kappa=0.0)
+    negative = np.diag([1.05, -0.05, 0, 0, 0, 0, 0, 0]).astype(complex)
+    with pytest.raises(AccuracyError, match="negative population"):
+        dyn.propagate(p, sched, fs.DensityMatrix(negative, physical=False),
+                      sample_times=[0.1, 0.2], kappa=0.0)
+
+
+def test_meta_reports_the_solver_of_each_segment():
+    # one displaced-parity tomography point: a static density segment
+    p = md.SystemParams.from_mhz(3.1, 0.0, 1.0, 0.0, dim=12)
+    seg = md.Segment(duration=0.02, detuning=md.Constant(p.Delta),
+                     drive=md.Constant(40.0), drive_phase=-1.1)
+    point = dyn.propagate(p, md.PulseSchedule((seg,)),
+                          fs.fock_state(0, 12).to_density(), kappa=0.0)
+    assert point.meta["segments"] == [{"solver": "eigh", "nfev": 0}]
+    assert point.meta["nfev"] == 0
+    ramp = md.ramp_schedule(PARAMS.P_max, 0.3, PARAMS.Delta, hold=0.1)
+    traj = dyn.propagate(PARAMS, ramp, fs.fock_state(0, 30))
+    driven, hold = traj.meta["segments"]
+    assert driven["solver"] == "DOP853" and driven["nfev"] > 0
+    assert hold == {"solver": "eigh", "nfev": 0}
+    assert traj.meta["nfev"] == driven["nfev"]
+
+
+def test_sample_free_segment_is_integrated_once(monkeypatch):
+    # pulse - chirp - pulse Ramsey: the chirp carries no sample
+    x2 = md.drive_schedule(0.1, PARAMS.beta, 0.0, 0.0, PARAMS.P_max,
+                           PARAMS.Delta)
+    chirp = md.chirp_schedule(units.mhz_to_angular(1.0), 0.3, PARAMS.P_max,
+                              PARAMS.Delta)
+    sched = x2.then(chirp).then(x2)
+    calls = []
+    real_solve_ivp = dyn.solve_ivp
+
+    def counting(*args, **kwargs):
+        sol = real_solve_ivp(*args, **kwargs)
+        calls.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(dyn, "solve_ivp", counting)
+    psi0 = md.cat_basis_from_model(PARAMS).plus_cat
+    traj = dyn.propagate(PARAMS, sched, psi0, kappa=0.0)
+    assert len(calls) == 1
+    assert [s["nfev"] for s in traj.meta["segments"]] == [0, calls[0], 0]
+    assert traj.meta["nfev"] == calls[0]
 
 
 def test_unitary_norm_preserved():

@@ -161,6 +161,26 @@ def test_double_chirp_frame_phase_and_parity():
     assert abs(p_even1 - p_even0) < 1e-8
 
 
+def test_drive_under_a_constant_chirp_is_not_static():
+    # a constant chirp advances the frame phase, which the drive phase
+    # subtracts, so H(t) turns even at zero drive detuning
+    p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=12)
+    seg = md.Segment(duration=0.5, pump=md.Constant(p.P_max),
+                     detuning=md.Constant(p.Delta),
+                     chirp=md.Constant(units.mhz_to_angular(1.0)),
+                     drive=md.Constant(p.beta))
+    sched = md.PulseSchedule((seg,))
+    assert not seg.is_static()
+    assert md.Segment(duration=0.5, chirp=md.Constant(1.0)).is_static()
+    h_a = md.hamiltonian_at(p, sched, 0.1)
+    h_b = md.hamiltonian_at(p, sched, 0.4)
+    assert np.max(np.abs(h_a - h_b)) > 1.0
+    psi0 = fs.fock_state(0, 12)
+    out = dyn.propagate(p, sched, psi0, rtol=1e-10, atol=1e-12).final_state
+    ref = orc.expm_propagate(p, sched, psi0.amplitudes, n_steps=2000)
+    assert np.max(np.abs(out.amplitudes - ref)) < 1e-6
+
+
 def test_drive_two_level_leakage():
     # weak resonant drive on the Kerr ladder stays a |0>,|1> two-level system
     beta = 0.05 * PARAMS.K
