@@ -60,8 +60,8 @@ class Trajectory:
         return self.states[-1]
 
 
-# Both right-hand sides take ``hamiltonian``, a map t -> H(t): a static
-# segment passes a closure over its one H and builds none per evaluation.
+# The two lab-frame right-hand sides serve driven segments; ``hamiltonian``
+# maps t -> H(t).  Static segments go through :func:`_static_segment`.
 
 
 def _ket_rhs(hamiltonian):
@@ -116,28 +116,50 @@ def _solve_segment(rhs, y0, t0, t1, t_eval, rtol, atol):
     return samples, sol2.y[:, -1], sol.nfev + sol2.nfev
 
 
-def _exact_static(H, y0, t0, t_points, t1, dim, density):
-    """Exact propagation under a constant Hermitian H, from one eigh.
+def _static_segment(H, y0, t0, t_points, t1, dim, density, kappa, rtol,
+                    atol):
+    """Propagate a static segment in the eigenframe of its H, from one eigh.
 
-    With H = V diag(E) V†, a ket becomes V (e^{-iE(t-t0)} ∘ V†ψ) and a
-    density matrix V (e^{-i(E_j-E_k)(t-t0)} ∘ V†ρV) V†.  Returns
-    (samples at ``t_points``, state at ``t1``) in the layout of ``y0``.
+    With H = V diag(E) V† and Φ_jk = e^{-i(E_j-E_k)(t-t0)}, a ket is
+    V (e^{-iE(t-t0)} ∘ V†ψ) and a density matrix V (Φ ∘ σ) V†.  Without
+    loss σ = V†ρ(t0)V is constant; with loss DOP853 integrates only the
+    dissipator, dσ/dt = Φ* ∘ D̃(Φ ∘ σ) with ã = V†aV and ñ = V†nV, so
+    H's spectrum never sets the step; ``rtol`` and ``atol`` then bound σ, a
+    unitary change of basis of ρ.  Returns (samples at ``t_points``, state
+    at ``t1``, nfev) in the layout of ``y0``.
     """
     evals, vecs = np.linalg.eigh(H)
     vecs_h = vecs.conj().T
-    if density:
-        c0 = vecs_h @ y0.reshape(dim, dim) @ vecs
-
-        def at(t):
-            u = np.exp(-1j * evals * (t - t0))
-            return (vecs @ (u[:, None] * c0 * u.conj()) @ vecs_h).reshape(-1)
-    else:
+    if not density:
         c0 = vecs_h @ y0
 
         def at(t):
             return vecs @ (np.exp(-1j * evals * (t - t0)) * c0)
 
-    return [at(t) for t in t_points], at(t1)
+        return [at(t) for t in t_points], at(t1), 0
+
+    def lab(t, sigma):
+        u = np.exp(-1j * evals * (t - t0))
+        return (vecs @ (u[:, None] * sigma * u.conj()) @ vecs_h).reshape(-1)
+
+    c0 = vecs_h @ y0.reshape(dim, dim) @ vecs
+    if kappa <= 0.0:
+        return [lab(t, c0) for t in t_points], lab(t1, c0), 0
+    a = vecs_h @ md._blocks(dim)["a"] @ vecs
+    adag = a.conj().T
+    n = adag @ a
+
+    def rhs(t, y):
+        u = np.exp(-1j * evals * (t - t0))
+        phi = u[:, None] * u.conj()
+        rho = phi * y.reshape(dim, dim)
+        drho = kappa * (a @ rho @ adag) - (0.5 * kappa) * (n @ rho + rho @ n)
+        return (phi.conj() * drho).reshape(-1)
+
+    sigmas, sigma1, nfev = _solve_segment(rhs, c0.reshape(-1), t0, t1,
+                                          t_points, rtol, atol)
+    samples = [lab(t, sg.reshape(dim, dim)) for t, sg in zip(t_points, sigmas)]
+    return samples, lab(t1, sigma1.reshape(dim, dim)), nfev
 
 
 def propagate(params, schedule, initial, sample_times=None, kappa=None,
@@ -154,10 +176,12 @@ def propagate(params, schedule, initial, sample_times=None, kappa=None,
     :class:`StiffnessError` with the time reached.
 
     A static segment (see :meth:`kposim.model.Segment.is_static`) builds its
-    Hamiltonian once.  Without loss it is propagated exactly from one
-    ``eigh`` of that H; with loss, and for every driven segment, DOP853
-    integrates it.  ``meta["segments"]`` holds one ``{"solver", "nfev"}``
-    entry per segment and ``meta["nfev"]`` their sum.
+    Hamiltonian once and is propagated in the eigenframe of that H, from
+    one ``eigh``: exactly without loss (solver ``"eigh"``), and with loss
+    by DOP853 on the dissipator alone (``"eigenframe DOP853"``).  DOP853
+    integrates every driven segment in the lab frame (``"DOP853"``).
+    ``meta["segments"]`` holds one ``{"solver", "nfev"}`` entry per segment
+    and ``meta["nfev"]`` their sum.
     """
     if kappa is None:
         kappa = params.kappa
@@ -205,16 +229,13 @@ def propagate(params, schedule, initial, sample_times=None, kappa=None,
         in_seg = t_pending[(t_pending > t0 + 1e-15) & (t_pending <= t1 + 1e-15)]
         # samples caught by the boundary tolerance must not leave the span
         in_seg = np.clip(in_seg, t0, t1)
-        static = seg.is_static()
-        if static:
+        if seg.is_static():
             H = md.hamiltonian_at(params, schedule, 0.5 * (t0 + t1))
-            hamiltonian = lambda t: H  # noqa: E731
+            samples, y, nfev = _static_segment(H, y, t0, in_seg, t1, dim,
+                                               density, kappa, rtol, atol)
+            solver = "eigenframe DOP853" if lossy else "eigh"
         else:
             hamiltonian = functools.partial(md.hamiltonian_at, params, schedule)
-        if static and not lossy:
-            samples, y = _exact_static(H, y, t0, in_seg, t1, dim, density)
-            solver, nfev = "eigh", 0
-        else:
             rhs = (_lindblad_rhs(params, hamiltonian, kappa) if density
                    else _ket_rhs(hamiltonian))
             samples, y, nfev = _solve_segment(rhs, y, t0, t1, in_seg, rtol, atol)

@@ -139,6 +139,50 @@ def test_mixed_static_and_driven_schedule_matches_the_ket_path():
         assert np.max(np.abs(rho.entries - outer)) < 1e-8
 
 
+def test_lossy_static_segment_matches_liouvillian_expm_for_a_mixed_state():
+    # a phased constant drive breaks parity; the eigenframe path integrates
+    # only the dissipator
+    p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=10)
+    sched = _phased_drive_schedule(p, 0.5)
+    rho0 = orc.random_density(10, np.random.default_rng(5))
+    times = np.array([0.05, 0.2, 0.35, 0.5])
+    traj = dyn.propagate(p, sched, fs.DensityMatrix(rho0), sample_times=times,
+                         kappa=0.2)
+    assert traj.meta["segments"][0]["solver"] == "eigenframe DOP853"
+    ref = orc.expm_propagate_lindblad(p, sched, rho0, 0.2, times)
+    for rho, r in zip(traj.states, ref):
+        assert np.max(np.abs(rho.entries - r)) < 1e-8
+
+
+def test_lossy_pumped_hold_from_a_cat_matches_liouvillian_expm():
+    p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=10)
+    sched = md.hold_schedule(2.0, p.P_max, p.Delta)
+    rho0 = fs.cat_state(1.0, "even", 10).to_density().entries
+    times = np.linspace(0.25, 2.0, 8)
+    traj = dyn.propagate(p, sched, fs.DensityMatrix(rho0), sample_times=times,
+                         kappa=0.2)
+    ref = orc.expm_propagate_lindblad(p, sched, rho0, 0.2, times)
+    for rho, r in zip(traj.states, ref):
+        assert np.max(np.abs(rho.entries - r)) < 1e-8
+
+
+def test_lossy_static_and_driven_schedule_matches_liouvillian_expm():
+    # lossy hold, driven ramp, lossy hold; the tolerances are tightened so
+    # that the driven segment's lab-frame error stays clear of the bound
+    p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=6)
+    sched = md.hold_schedule(0.1, 0.0, p.Delta).then(
+        md.ramp_schedule(p.P_max, 0.3, p.Delta, hold=0.2))
+    rho0 = orc.random_density(6, np.random.default_rng(7))
+    times = np.array([0.05, 0.1, 0.25, 0.4, 0.5, 0.6])
+    traj = dyn.propagate(p, sched, fs.DensityMatrix(rho0), sample_times=times,
+                         kappa=0.2, rtol=1e-10, atol=1e-12)
+    assert [s["solver"] for s in traj.meta["segments"]] == \
+        ["eigenframe DOP853", "DOP853", "eigenframe DOP853"]
+    ref = orc.expm_propagate_lindblad(p, sched, rho0, 0.2, times, n_steps=160)
+    for rho, r in zip(traj.states, ref):
+        assert np.max(np.abs(rho.entries - r)) < 1e-8
+
+
 def test_exact_density_path_checks_trace_and_positivity():
     p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=8)
     sched = _phased_drive_schedule(p, 0.2)
@@ -167,15 +211,15 @@ def test_meta_reports_the_solver_of_each_segment():
     assert driven["solver"] == "DOP853" and driven["nfev"] > 0
     assert hold == {"solver": "eigh", "nfev": 0}
     assert traj.meta["nfev"] == driven["nfev"]
+    lossy = dyn.propagate(PARAMS.with_(dim=12),
+                          md.hold_schedule(0.5, PARAMS.P_max, PARAMS.Delta),
+                          fs.fock_state(0, 12), kappa=0.1)
+    (hold,) = lossy.meta["segments"]
+    assert hold["solver"] == "eigenframe DOP853" and hold["nfev"] > 0
+    assert lossy.meta["nfev"] == hold["nfev"]
 
 
-def test_sample_free_segment_is_integrated_once(monkeypatch):
-    # pulse - chirp - pulse Ramsey: the chirp carries no sample
-    x2 = md.drive_schedule(0.1, PARAMS.beta, 0.0, 0.0, PARAMS.P_max,
-                           PARAMS.Delta)
-    chirp = md.chirp_schedule(units.mhz_to_angular(1.0), 0.3, PARAMS.P_max,
-                              PARAMS.Delta)
-    sched = x2.then(chirp).then(x2)
+def _count_solves(monkeypatch):
     calls = []
     real_solve_ivp = dyn.solve_ivp
 
@@ -185,6 +229,17 @@ def test_sample_free_segment_is_integrated_once(monkeypatch):
         return sol
 
     monkeypatch.setattr(dyn, "solve_ivp", counting)
+    return calls
+
+
+def test_sample_free_segment_is_integrated_once(monkeypatch):
+    # pulse - chirp - pulse Ramsey: the chirp carries no sample
+    x2 = md.drive_schedule(0.1, PARAMS.beta, 0.0, 0.0, PARAMS.P_max,
+                           PARAMS.Delta)
+    chirp = md.chirp_schedule(units.mhz_to_angular(1.0), 0.3, PARAMS.P_max,
+                              PARAMS.Delta)
+    sched = x2.then(chirp).then(x2)
+    calls = _count_solves(monkeypatch)
     psi0 = md.cat_basis_from_model(PARAMS).plus_cat
     traj = dyn.propagate(PARAMS, sched, psi0, kappa=0.0)
     assert len(calls) == 1
