@@ -91,29 +91,21 @@ def _lindblad_rhs(params, hamiltonian, kappa):
 
 
 def _solve_segment(rhs, y0, t0, t1, t_eval, rtol, atol):
-    """Integrate one segment, returning (samples, y_end, nfev)."""
+    """Integrate one segment in one solve, returning (samples, y_end, nfev)."""
+    n = len(t_eval)
+    if n and abs(t_eval[-1] - t1) >= 1e-15:
+        # end the solve at t1 too; that point is not a sample
+        t_eval = np.append(t_eval, t1)
+    # without t_eval the solver returns its own steps, ending at t1
     sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853",
-                    t_eval=t_eval if len(t_eval) else None,
+                    t_eval=t_eval if n else None,
                     rtol=rtol, atol=atol, dense_output=False)
     if not sol.success:
         reached = sol.t[-1] if sol.t.size else t0
         raise StiffnessError(
             f"integrator failed near t = {reached:.6f} us: {sol.message}",
             time=reached)
-    if not len(t_eval):
-        # without t_eval the solver returns its own steps, ending at t1
-        return [], sol.y[:, -1], sol.nfev
-    samples = [sol.y[:, k] for k in range(sol.y.shape[1])]
-    if abs(t_eval[-1] - t1) < 1e-15:
-        return samples, samples[-1], sol.nfev
-    # the last sample falls short of t1: integrate the tail from it
-    sol2 = solve_ivp(rhs, (t_eval[-1], t1), samples[-1], method="DOP853",
-                     rtol=rtol, atol=atol)
-    if not sol2.success:
-        raise StiffnessError(
-            f"integrator failed near t = {sol2.t[-1]:.6f} us: {sol2.message}",
-            time=sol2.t[-1])
-    return samples, sol2.y[:, -1], sol.nfev + sol2.nfev
+    return [sol.y[:, k] for k in range(n)], sol.y[:, -1], sol.nfev
 
 
 def _static_segment(H, y0, t0, t_points, t1, dim, density, kappa, rtol,

@@ -247,6 +247,23 @@ def test_sample_free_segment_is_integrated_once(monkeypatch):
     assert traj.meta["nfev"] == calls[0]
 
 
+@pytest.mark.parametrize("lossy", [False, True])
+def test_segment_ending_after_its_last_sample_is_one_solve(monkeypatch, lossy):
+    # the only sample sits mid-segment; the solve still runs on to t1 in one
+    # call, for a driven ket segment and for a lossy static one
+    if lossy:
+        p, kappa, solver = PARAMS.with_(dim=12), 0.1, "eigenframe DOP853"
+        sched = md.hold_schedule(0.4, p.P_max, p.Delta)
+    else:
+        p, kappa, solver = PARAMS, 0.0, "DOP853"
+        sched = md.ramp_schedule(p.P_max, 0.3, p.Delta)
+    calls = _count_solves(monkeypatch)
+    traj = dyn.propagate(p, sched, fs.fock_state(0, p.dim),
+                         sample_times=[0.15], kappa=kappa)
+    assert traj.meta["segments"] == [{"solver": solver, "nfev": calls[0]}]
+    assert len(calls) == 1
+
+
 def test_unitary_norm_preserved():
     sched = md.ramp_schedule(PARAMS.P_max, 0.3, PARAMS.Delta)
     traj = dyn.propagate(PARAMS, sched, fs.fock_state(0, 30),
