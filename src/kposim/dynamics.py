@@ -216,18 +216,20 @@ def propagate(params, schedule, initial, sample_times=None, kappa=None,
     dim = params.dim
     seg_stats = []
     t_cursor = 0.0
-    for seg in schedule.segments:
+    for index, seg in enumerate(schedule.segments):
         t0, t1 = t_cursor, t_cursor + seg.duration
         in_seg = t_pending[(t_pending > t0 + 1e-15) & (t_pending <= t1 + 1e-15)]
         # samples caught by the boundary tolerance must not leave the span
         in_seg = np.clip(in_seg, t0, t1)
         if seg.is_static():
-            H = md.hamiltonian_at(params, schedule, 0.5 * (t0 + t1))
+            H = md.hamiltonian_at(params, schedule, 0.5 * (t0 + t1), index)
             samples, y, nfev = _static_segment(H, y, t0, in_seg, t1, dim,
                                                density, kappa, rtol, atol)
             solver = "eigenframe DOP853" if lossy else "eigh"
         else:
-            hamiltonian = functools.partial(md.hamiltonian_at, params, schedule)
+            # the segment's own envelopes, also at t1 where the next begins
+            hamiltonian = functools.partial(md.hamiltonian_at, params,
+                                            schedule, index=index)
             rhs = (_lindblad_rhs(params, hamiltonian, kappa) if density
                    else _ket_rhs(hamiltonian))
             samples, y, nfev = _solve_segment(rhs, y, t0, t1, in_seg, rtol, atol)

@@ -414,19 +414,21 @@ class PulseSchedule:
     def frame_phase_start(self, index):
         return float(self._frame_phases[index])
 
-    def locate(self, t):
+    def locate(self, t, index=None):
         """Map global time ``t`` to ``(segment, t_local, index)``.
 
         Boundaries belong to the segment that starts there, except the final
-        instant which belongs to the last segment.
+        instant which belongs to the last segment.  A given ``index`` keeps
+        ``t`` in that segment, both of its boundaries included.
         """
         total = self.total_duration
         if t < -1e-12 or t > total + 1e-12:
             raise ScheduleError(f"time {t} outside schedule [0, {total}]")
         t = min(max(t, 0.0), total)
-        idx = int(np.searchsorted(self._starts, t, side="right")) - 1
-        idx = min(idx, len(self.segments) - 1)
-        return self.segments[idx], t - float(self._starts[idx]), idx
+        if index is None:
+            index = int(np.searchsorted(self._starts, t, side="right")) - 1
+            index = min(index, len(self.segments) - 1)
+        return self.segments[index], t - float(self._starts[index]), index
 
     def drive_phase_at(self, index, t_local):
         """Drive phase argument ``Delta_d t + phi_d - phi_frame(t)``.
@@ -600,14 +602,16 @@ def _blocks(dim):
     return _block_cache[dim]
 
 
-def hamiltonian_at(params, schedule, t):
+def hamiltonian_at(params, schedule, t, index=None):
     """Dense Hamiltonian matrix H(t) (rad/us) for a schedule, Hermitian.
 
     Segment-local envelopes are evaluated exactly at ``t``; the drive phase
     follows :meth:`PulseSchedule.drive_phase_at` (oscillation referenced to
-    the segment start, frame phase from earlier chirps subtracted).
+    the segment start, frame phase from earlier chirps subtracted).  With
+    ``index`` the envelopes are those of that segment, also at its
+    boundaries (see :meth:`PulseSchedule.locate`).
     """
-    seg, t_loc, idx = schedule.locate(t)
+    seg, t_loc, idx = schedule.locate(t, index)
     dim = params.dim
     blk = _blocks(dim)
     H = np.zeros((dim, dim), dtype=np.complex128)

@@ -264,6 +264,18 @@ def test_segment_ending_after_its_last_sample_is_one_solve(monkeypatch, lossy):
     assert len(calls) == 1
 
 
+def test_driven_segment_ends_on_its_own_hamiltonian():
+    # the solver's last stages sit on the boundary, where a strong drive
+    # switches on; the state there must not see it
+    ramp = md.ramp_schedule(PARAMS.P_max, 0.3, PARAMS.Delta)
+    kick = md.drive_schedule(0.05, 50.0, 0.0, 0.3, PARAMS.P_max, PARAMS.Delta)
+    psi0 = fs.fock_state(0, 30)
+    alone = dyn.propagate(PARAMS, ramp, psi0).final_state
+    both = dyn.propagate(PARAMS, ramp.then(kick), psi0,
+                         sample_times=[0.3, 0.35])
+    assert np.max(np.abs(both.states[0].amplitudes - alone.amplitudes)) < 1e-12
+
+
 def test_unitary_norm_preserved():
     sched = md.ramp_schedule(PARAMS.P_max, 0.3, PARAMS.Delta)
     traj = dyn.propagate(PARAMS, sched, fs.fock_state(0, 30),
