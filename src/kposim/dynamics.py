@@ -12,7 +12,6 @@ frequency in MHz.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -60,18 +59,18 @@ class Trajectory:
         return self.states[-1]
 
 
-# The two lab-frame right-hand sides serve driven segments; ``hamiltonian``
-# maps t -> H(t).  Static segments go through :func:`_static_segment`.
+# Driven segments only: each RHS evaluation assembles H(t) from the
+# envelopes of segment ``index``, also at its end, where the next begins.
 
 
-def _ket_rhs(hamiltonian):
+def _ket_rhs(params, schedule, index):
     def rhs(t, y):
-        return -1j * (hamiltonian(t) @ y)
+        return -1j * (md.hamiltonian_at(params, schedule, t, index) @ y)
 
     return rhs
 
 
-def _lindblad_rhs(params, hamiltonian, kappa):
+def _lindblad_rhs(params, schedule, index, kappa):
     blk = md._blocks(params.dim)
     a = blk["a"]
     adag = blk["adag"]
@@ -80,7 +79,7 @@ def _lindblad_rhs(params, hamiltonian, kappa):
 
     def rhs(t, y):
         rho = y.reshape(dim, dim)
-        H = hamiltonian(t)
+        H = md.hamiltonian_at(params, schedule, t, index)
         drho = -1j * (H @ rho - rho @ H)
         if kappa > 0.0:
             drho += kappa * (a @ rho @ adag)
@@ -227,11 +226,8 @@ def propagate(params, schedule, initial, sample_times=None, kappa=None,
                                                density, kappa, rtol, atol)
             solver = "eigenframe DOP853" if lossy else "eigh"
         else:
-            # the segment's own envelopes, also at t1 where the next begins
-            hamiltonian = functools.partial(md.hamiltonian_at, params,
-                                            schedule, index=index)
-            rhs = (_lindblad_rhs(params, hamiltonian, kappa) if density
-                   else _ket_rhs(hamiltonian))
+            rhs = (_lindblad_rhs(params, schedule, index, kappa) if density
+                   else _ket_rhs(params, schedule, index))
             samples, y, nfev = _solve_segment(rhs, y, t0, t1, in_seg, rtol, atol)
             solver = "DOP853"
         seg_stats.append({"solver": solver, "nfev": nfev})
