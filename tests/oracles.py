@@ -100,8 +100,8 @@ def expm_propagate_lindblad(params, schedule, rho0, kappa, sample_times,
     """Density matrices at ``sample_times`` from dense Liouvillian exponentials.
 
     Every segment is cut at the sample times inside it.  Where L is the same
-    at both ends of a piece's Gauss points it is taken as constant and the
-    piece is one exact exponential; otherwise the piece takes ``n_steps``
+    at both Gauss points of a piece it is taken as constant and the piece
+    is one exact exponential; otherwise the piece takes ``n_steps``
     steps of the fourth-order commutator-free pair
     exp(h (c2 L1 + c1 L2)) exp(h (c1 L1 + c2 L2)), with L1, L2 at the two
     Gauss points of the step (Blanes & Moan).  The dim² x dim² exponentials

@@ -139,28 +139,22 @@ def test_mixed_static_and_driven_schedule_matches_the_ket_path():
         assert np.max(np.abs(rho.entries - outer)) < 1e-8
 
 
-def test_lossy_static_segment_matches_liouvillian_expm_for_a_mixed_state():
-    # a phased constant drive breaks parity; the eigenframe path integrates
-    # only the dissipator
+@pytest.mark.parametrize("case", ["phased-drive-mixed", "pumped-hold-cat"])
+def test_lossy_static_segment_matches_liouvillian_expm(case):
+    # the eigenframe path integrates only the dissipator; a constant drive
+    # with a nonzero phase breaks parity
     p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=10)
-    sched = _phased_drive_schedule(p, 0.5)
-    rho0 = orc.random_density(10, np.random.default_rng(5))
-    times = np.array([0.05, 0.2, 0.35, 0.5])
+    if case == "phased-drive-mixed":
+        sched = _phased_drive_schedule(p, 0.5)
+        rho0 = orc.random_density(10, np.random.default_rng(5))
+        times = np.array([0.05, 0.2, 0.35, 0.5])
+    else:
+        sched = md.hold_schedule(2.0, p.P_max, p.Delta)
+        rho0 = fs.cat_state(1.0, "even", 10).to_density().entries
+        times = np.linspace(0.25, 2.0, 8)
     traj = dyn.propagate(p, sched, fs.DensityMatrix(rho0), sample_times=times,
                          kappa=0.2)
     assert traj.meta["segments"][0]["solver"] == "eigenframe DOP853"
-    ref = orc.expm_propagate_lindblad(p, sched, rho0, 0.2, times)
-    for rho, r in zip(traj.states, ref):
-        assert np.max(np.abs(rho.entries - r)) < 1e-8
-
-
-def test_lossy_pumped_hold_from_a_cat_matches_liouvillian_expm():
-    p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=10)
-    sched = md.hold_schedule(2.0, p.P_max, p.Delta)
-    rho0 = fs.cat_state(1.0, "even", 10).to_density().entries
-    times = np.linspace(0.25, 2.0, 8)
-    traj = dyn.propagate(p, sched, fs.DensityMatrix(rho0), sample_times=times,
-                         kappa=0.2)
     ref = orc.expm_propagate_lindblad(p, sched, rho0, 0.2, times)
     for rho, r in zip(traj.states, ref):
         assert np.max(np.abs(rho.entries - r)) < 1e-8
