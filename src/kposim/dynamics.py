@@ -13,7 +13,6 @@ frequency in MHz.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -59,36 +58,6 @@ class Trajectory:
         return self.states[-1]
 
 
-# Driven segments only: each RHS evaluation assembles H(t) from the
-# envelopes of segment ``index``, also at its end, where the next begins.
-
-
-def _ket_rhs(params, schedule, index):
-    def rhs(t, y):
-        return -1j * (md.hamiltonian_at(params, schedule, t, index) @ y)
-
-    return rhs
-
-
-def _lindblad_rhs(params, schedule, index, kappa):
-    blk = md._blocks(params.dim)
-    a = blk["a"]
-    adag = blk["adag"]
-    n_diag = blk["n_diag"]
-    dim = params.dim
-
-    def rhs(t, y):
-        rho = y.reshape(dim, dim)
-        H = md.hamiltonian_at(params, schedule, t, index)
-        drho = -1j * (H @ rho - rho @ H)
-        if kappa > 0.0:
-            drho += kappa * (a @ rho @ adag)
-            drho -= (0.5 * kappa) * (n_diag[:, None] + n_diag[None, :]) * rho
-        return drho.reshape(-1)
-
-    return rhs
-
-
 def _solve_segment(rhs, y0, t0, t1, t_eval, rtol, atol):
     """Integrate one segment in one solve, returning (samples, y_end, nfev)."""
     n = len(t_eval)
@@ -107,50 +76,82 @@ def _solve_segment(rhs, y0, t0, t1, t_eval, rtol, atol):
     return [sol.y[:, k] for k in range(n)], sol.y[:, -1], sol.nfev
 
 
-def _static_segment(H, y0, t0, t_points, t1, dim, density, kappa, rtol,
-                    atol):
-    """Propagate a static segment in the eigenframe of its H, from one eigh.
+def _coefficients(schedule, t, index):
+    """c(t) of H(t) over the blocks (n, pump, pump_quad, adag, a)."""
+    delta, p, q, b, phase = md.hamiltonian_terms(schedule, t, index)
+    return np.array([delta, p, q, b * phase, b * np.conj(phase)])
 
-    With H = V diag(E) V† and Φ_jk = e^{-i(E_j-E_k)(t-t0)}, a ket is
-    V (e^{-iE(t-t0)} ∘ V†ψ) and a density matrix V (Φ ∘ σ) V†.  Without
-    loss σ = V†ρ(t0)V is constant; with loss DOP853 integrates only the
-    dissipator, dσ/dt = Φ* ∘ D̃(Φ ∘ σ) with ã = V†aV and ñ = V†nV, so
-    H's spectrum never sets the step; ``rtol`` and ``atol`` then bound σ, a
-    unitary change of basis of ρ.  Returns (samples at ``t_points``, state
-    at ``t1``, nfev) in the layout of ``y0``.
+
+def _segment(params, schedule, index, y0, t0, t_points, t1, density, kappa,
+             rtol, atol):
+    """Propagate segment ``index`` in the eigenframe of its midpoint H.
+
+    With H_ref = H((t0+t1)/2) = V diag(E) V†, u = e^{-iE(t-t0)} and
+    Φ = u u*ᵀ, a ket is V (u ∘ c) and a density matrix V (Φ ∘ σ) V†.
+    DOP853 integrates dc/dt = -i u* ∘ R̃(u ∘ c), or
+    dσ/dt = Φ* ∘ (-i[R̃, Φ ∘ σ] + D̃(Φ ∘ σ)), where R̃(t) = Σ_i Δc_i(t) Õ_i
+    is the rest H(t) - H_ref rotated into the frame: Δc = c(t) - c(t_mid)
+    over the blocks Õ_i = V†O_iV, and D̃ the dissipator with ã = V†aV.
+    H_ref's spectrum, with the Fock-truncation edge, never sets the step;
+    ``rtol`` and ``atol`` bound c or σ.  A static segment has R̃ ≡ 0, so
+    without loss c and σ stay constant and the result is exact.  Returns
+    (samples at ``t_points``, state at ``t1``, solver, nfev) in the layout
+    of ``y0``.
     """
-    evals, vecs = np.linalg.eigh(H)
+    dim = params.dim
+    t_mid = 0.5 * (t0 + t1)
+    evals, vecs = np.linalg.eigh(md.hamiltonian_at(params, schedule, t_mid,
+                                                   index))
     vecs_h = vecs.conj().T
-    if not density:
+    if density:
+        def lab(t, sigma):
+            u = np.exp(-1j * evals * (t - t0))
+            return (vecs @ (u[:, None] * sigma.reshape(dim, dim) * u.conj())
+                    @ vecs_h).reshape(-1)
+
+        c0 = (vecs_h @ y0.reshape(dim, dim) @ vecs).reshape(-1)
+    else:
+        def lab(t, c):
+            return vecs @ (np.exp(-1j * evals * (t - t0)) * c)
+
         c0 = vecs_h @ y0
+    driven = not schedule.segments[index].is_static()
+    if not (driven or kappa > 0.0):
+        return [lab(t, c0) for t in t_points], lab(t1, c0), "eigh", 0
 
-        def at(t):
-            return vecs @ (np.exp(-1j * evals * (t - t0)) * c0)
-
-        return [at(t) for t in t_points], at(t1), 0
-
-    def lab(t, sigma):
-        u = np.exp(-1j * evals * (t - t0))
-        return (vecs @ (u[:, None] * sigma * u.conj()) @ vecs_h).reshape(-1)
-
-    c0 = vecs_h @ y0.reshape(dim, dim) @ vecs
-    if kappa <= 0.0:
-        return [lab(t, c0) for t in t_points], lab(t1, c0), 0
-    a = vecs_h @ md._blocks(dim)["a"] @ vecs
+    blk = md._blocks(dim)
+    a = vecs_h @ blk["a"] @ vecs
     adag = a.conj().T
     n = adag @ a
+    ops = np.array([n, vecs_h @ blk["pump"] @ vecs,
+                    vecs_h @ blk["pump_quad"] @ vecs, adag, a]).reshape(5, -1)
+    c_mid = _coefficients(schedule, t_mid, index)
 
-    def rhs(t, y):
-        u = np.exp(-1j * evals * (t - t0))
-        phi = u[:, None] * u.conj()
-        rho = phi * y.reshape(dim, dim)
-        drho = kappa * (a @ rho @ adag) - (0.5 * kappa) * (n @ rho + rho @ n)
-        return (phi.conj() * drho).reshape(-1)
+    def remainder(t):
+        return ((_coefficients(schedule, t, index) - c_mid) @ ops).reshape(
+            dim, dim)
 
-    sigmas, sigma1, nfev = _solve_segment(rhs, c0.reshape(-1), t0, t1,
-                                          t_points, rtol, atol)
-    samples = [lab(t, sg.reshape(dim, dim)) for t, sg in zip(t_points, sigmas)]
-    return samples, lab(t1, sigma1.reshape(dim, dim)), nfev
+    if density:
+        def rhs(t, y):
+            u = np.exp(-1j * evals * (t - t0))
+            phi = u[:, None] * u.conj()
+            rho = phi * y.reshape(dim, dim)
+            drho = 0.0
+            if kappa > 0.0:
+                drho = kappa * (a @ rho @ adag) - (0.5 * kappa) * (n @ rho
+                                                                   + rho @ n)
+            if driven:
+                r = remainder(t)
+                drho = drho - 1j * (r @ rho - rho @ r)
+            return (phi.conj() * drho).reshape(-1)
+    else:
+        def rhs(t, y):
+            u = np.exp(-1j * evals * (t - t0))
+            return -1j * u.conj() * (remainder(t) @ (u * y))
+
+    cs, c1, nfev = _solve_segment(rhs, c0, t0, t1, t_points, rtol, atol)
+    return ([lab(t, c) for t, c in zip(t_points, cs)], lab(t1, c1),
+            "eigenframe DOP853", nfev)
 
 
 def propagate(params, schedule, initial, sample_times=None, kappa=None,
@@ -161,18 +162,19 @@ def propagate(params, schedule, initial, sample_times=None, kappa=None,
     Lindblad equation drho/dt = -i[H, rho] + kappa (a rho a† - {n, rho}/2)
     is integrated and a pure initial state is promoted to a density matrix;
     otherwise the Schroedinger equation is solved.  ``sample_times`` (us,
-    within the schedule) selects the returned samples; the final time is
-    always included.  Norm/trace drift beyond 1e-8 raises
+    within the schedule; default: the schedule's end) selects the returned
+    samples, so the returned states end at the last sample, and segments
+    after it are not propagated.  Norm/trace drift beyond 1e-8 raises
     :class:`AccuracyError`; integrator breakdown raises
     :class:`StiffnessError` with the time reached.
 
-    A static segment (see :meth:`kposim.model.Segment.is_static`) builds its
-    Hamiltonian once and is propagated in the eigenframe of that H, from
-    one ``eigh``: exactly without loss (solver ``"eigh"``), and with loss
-    by DOP853 on the dissipator alone (``"eigenframe DOP853"``).  DOP853
-    integrates every driven segment in the lab frame (``"DOP853"``).
-    ``meta["segments"]`` holds one ``{"solver", "nfev"}`` entry per segment
-    and ``meta["nfev"]`` their sum.
+    Every segment runs in the eigenframe of its Hamiltonian at the segment
+    midpoint, from one ``eigh``.  A static segment (see
+    :meth:`kposim.model.Segment.is_static`) without loss is exact there
+    (solver ``"eigh"``); otherwise DOP853 integrates only what that frame
+    leaves: the rest of H(t) and the dissipator (``"eigenframe DOP853"``).
+    ``meta["segments"]`` holds one ``{"solver", "nfev"}`` entry per
+    propagated segment and ``meta["nfev"]`` their sum.
     """
     if kappa is None:
         kappa = params.kappa
@@ -217,19 +219,14 @@ def propagate(params, schedule, initial, sample_times=None, kappa=None,
     t_cursor = 0.0
     for index, seg in enumerate(schedule.segments):
         t0, t1 = t_cursor, t_cursor + seg.duration
+        if not t_pending.size or t_pending[-1] <= t0 + 1e-15:
+            break
         in_seg = t_pending[(t_pending > t0 + 1e-15) & (t_pending <= t1 + 1e-15)]
         # samples caught by the boundary tolerance must not leave the span
         in_seg = np.clip(in_seg, t0, t1)
-        if seg.is_static():
-            H = md.hamiltonian_at(params, schedule, 0.5 * (t0 + t1), index)
-            samples, y, nfev = _static_segment(H, y, t0, in_seg, t1, dim,
-                                               density, kappa, rtol, atol)
-            solver = "eigenframe DOP853" if lossy else "eigh"
-        else:
-            rhs = (_lindblad_rhs(params, schedule, index, kappa) if density
-                   else _ket_rhs(params, schedule, index))
-            samples, y, nfev = _solve_segment(rhs, y, t0, t1, in_seg, rtol, atol)
-            solver = "DOP853"
+        samples, y, solver, nfev = _segment(params, schedule, index, y, t0,
+                                            in_seg, t1, density, kappa, rtol,
+                                            atol)
         seg_stats.append({"solver": solver, "nfev": nfev})
         for t, ys in zip(in_seg, samples):
             states.append(_freeze(ys, density, dim, t=t))
@@ -308,46 +305,26 @@ def rabi_map(params, which, amplitude, detuning_grid, time_grid):
     return np.array(rows)
 
 
-def tls_rabi_map(variant, Omega_R, detuning_grid, time_grid, rtol=1e-10,
-                 atol=1e-12):
+def tls_rabi_map(variant, Omega_R, detuning_grid, time_grid):
     """Excited-state population map of the two-level comparison models.
 
-    Integrates the 2x2 Hamiltonian of :func:`kposim.model.tls_rabi_hamiltonian`
-    from the ground state over ``time_grid`` for each detuning.  Returns an
-    array of shape (len(detuning_grid), len(time_grid)).
+    Closed forms for the 2x2 Hamiltonians of
+    :func:`kposim.model.tls_rabi_hamiltonian`, from the ground state:
+    ``'standard'`` gives (Omega/Omega')^2 sin^2(Omega' t/2) with
+    Omega' = sqrt(Omega^2 + Delta^2); the ``'symmetrized'`` H(t) commutes
+    with itself at all times, so P1 = sin^2((Omega t/2) sinc(Delta t/pi)).
+    Returns an array of shape (len(detuning_grid), len(time_grid)).
     """
-    det = np.asarray(detuning_grid, dtype=float)
+    det = np.asarray(detuning_grid, dtype=float)[:, None]
     tg = np.asarray(time_grid, dtype=float)
     if det.size == 0 or tg.size == 0:
         raise UsageError("detuning_grid and time_grid must be nonempty")
     md.tls_rabi_hamiltonian(variant, Omega_R, 0.0, 0.0)  # validate variant early
-
-    def column(d):
-        def rhs(t, y):
-            H = md.tls_rabi_hamiltonian(variant, Omega_R, d, t)
-            return -1j * (H @ y)
-
-        y0 = np.array([1.0 + 0j, 0.0 + 0j])
-        t_end = tg[-1]
-        eval_pts = tg[tg > 1e-15]
-        sol = solve_ivp(rhs, (0.0, t_end if t_end > 0 else 1e-12), y0,
-                        method="DOP853", t_eval=eval_pts if eval_pts.size else None,
-                        rtol=rtol, atol=atol)
-        if not sol.success:
-            raise StiffnessError(f"TLS integration failed: {sol.message}",
-                                 time=sol.t[-1] if sol.t.size else 0.0)
-        out = np.empty(tg.size)
-        k = 0
-        for i, t in enumerate(tg):
-            if t <= 1e-15:
-                out[i] = 0.0
-            else:
-                out[i] = abs(sol.y[1, k]) ** 2
-                k += 1
-        return out
-
-    rows = parallel_map(column, det)
-    return np.array(rows)
+    half_area = 0.5 * Omega_R * tg
+    if variant == "standard":
+        # (Omega/Omega')^2 sin^2(Omega' t/2), written to stay finite at Omega' = 0
+        return (half_area * np.sinc(np.hypot(Omega_R, det) * tg / TWO_PI)) ** 2
+    return np.sin(half_area * np.sinc(det * tg / np.pi)) ** 2
 
 
 def _cat_parity_rows(params, drives, tg, beta, symmetrized, rtol, atol):

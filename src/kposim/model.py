@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
     "ramp_schedule",
     "chirp_schedule",
     "drive_schedule",
+    "hamiltonian_terms",
     "hamiltonian_at",
     "static_hamiltonian",
     "drive_frame_hamiltonian",
@@ -602,31 +603,46 @@ def _blocks(dim):
     return _block_cache[dim]
 
 
+def hamiltonian_terms(schedule, t, index=None):
+    """Envelope values ``(delta, p, q, b, phase)`` of H(t) at global time ``t``.
+
+    They are the coefficients of the operator blocks of :func:`_blocks`:
+
+        H(t) = delta n - (K/2) adag adag a a + p pump + q pump_quad
+               + b (phase adag + conj(phase) a),
+
+    with ``p`` and ``q`` half the pump envelopes and ``phase`` =
+    exp(-i theta), theta from :meth:`PulseSchedule.drive_phase_at` (1 while
+    the drive is off).  ``index`` selects the segment as in
+    :meth:`PulseSchedule.locate`.
+    """
+    seg, t_loc, idx = schedule.locate(t, index)
+    b = seg.drive.value(t_loc)
+    phase = np.exp(-1j * schedule.drive_phase_at(idx, t_loc)) if b != 0.0 else 1.0
+    return (seg.detuning_value(t_loc), 0.5 * seg.pump.value(t_loc),
+            0.5 * seg.pump_quad.value(t_loc), b, phase)
+
+
 def hamiltonian_at(params, schedule, t, index=None):
     """Dense Hamiltonian matrix H(t) (rad/us) for a schedule, Hermitian.
 
-    Segment-local envelopes are evaluated exactly at ``t``; the drive phase
-    follows :meth:`PulseSchedule.drive_phase_at` (oscillation referenced to
-    the segment start, frame phase from earlier chirps subtracted).  With
+    Segment-local envelopes are evaluated exactly at ``t`` by
+    :func:`hamiltonian_terms`; the drive phase follows
+    :meth:`PulseSchedule.drive_phase_at` (oscillation referenced to the
+    segment start, frame phase from earlier chirps subtracted).  With
     ``index`` the envelopes are those of that segment, also at its
     boundaries (see :meth:`PulseSchedule.locate`).
     """
-    seg, t_loc, idx = schedule.locate(t, index)
+    delta, p, q, b, phase = hamiltonian_terms(schedule, t, index)
     dim = params.dim
     blk = _blocks(dim)
     H = np.zeros((dim, dim), dtype=np.complex128)
-    H.flat[::dim + 1] = (seg.detuning_value(t_loc) * blk["n_diag"]
-                         - 0.5 * params.K * blk["kerr_diag"])
-    p = seg.pump.value(t_loc)
+    H.flat[::dim + 1] = delta * blk["n_diag"] - 0.5 * params.K * blk["kerr_diag"]
     if p != 0.0:
-        H += (0.5 * p) * blk["pump"]
-    pq = seg.pump_quad.value(t_loc)
-    if pq != 0.0:
-        H += (0.5 * pq) * blk["pump_quad"]
-    b = seg.drive.value(t_loc)
+        H += p * blk["pump"]
+    if q != 0.0:
+        H += q * blk["pump_quad"]
     if b != 0.0:
-        theta = schedule.drive_phase_at(idx, t_loc)
-        phase = np.exp(-1j * theta)
         H += b * (phase * blk["adag"] + np.conj(phase) * blk["a"])
     return H
 
@@ -732,8 +748,7 @@ def _parity_sector_eigensystem(H):
         vals, vecs = np.linalg.eigh(block)
         energies[idx] = vals
         parities[idx] = par
-        for col, j in enumerate(idx):
-            states[idx, j] = vecs[:, col]
+        states[np.ix_(idx, idx)] = vecs
     order = np.argsort(energies)[::-1]          # descending
     return energies[order], parities[order], states[:, order]
 

@@ -8,6 +8,7 @@ than the same code called twice.
 """
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from kposim import model as md
@@ -147,6 +148,18 @@ def chevron_excited(Omega_R, delta, t):
     if Op == 0.0:
         return np.zeros_like(np.asarray(t, dtype=float))
     return (Omega_R / Op) ** 2 * np.sin(0.5 * Op * np.asarray(t)) ** 2
+
+
+def tls_excited(variant, Omega_R, delta, times):
+    """Two-level excited population from adaptive RK45 on the Hamiltonian."""
+    times = np.asarray(times, dtype=float)
+
+    def rhs(t, y):
+        return -1j * (md.tls_rabi_hamiltonian(variant, Omega_R, delta, t) @ y)
+
+    sol = solve_ivp(rhs, (0.0, times[-1]), np.array([1.0 + 0j, 0j]),
+                    t_eval=times, rtol=1e-10, atol=1e-12)
+    return np.abs(sol.y[1]) ** 2
 
 
 def even_cat_wigner(alpha0, re, im):

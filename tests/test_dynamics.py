@@ -133,7 +133,7 @@ def test_mixed_static_and_driven_schedule_matches_the_ket_path():
     kets = dyn.propagate(PARAMS, sched, psi0, **kw)
     rhos = dyn.propagate(PARAMS, sched, psi0.to_density(), **kw)
     assert [s["solver"] for s in rhos.meta["segments"]] == \
-        ["DOP853", "eigh", "DOP853", "eigh"]
+        ["eigenframe DOP853", "eigh", "eigenframe DOP853", "eigh"]
     for ket, rho in zip(kets.states, rhos.states):
         outer = np.outer(ket.amplitudes, ket.amplitudes.conj())
         assert np.max(np.abs(rho.entries - outer)) < 1e-8
@@ -162,7 +162,7 @@ def test_lossy_static_segment_matches_liouvillian_expm(case):
 
 def test_lossy_static_and_driven_schedule_matches_liouvillian_expm():
     # lossy hold, driven ramp, lossy hold; the tolerances are tightened so
-    # that the driven segment's lab-frame error stays clear of the bound
+    # that the driven segment's integration error stays clear of the bound
     p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=6)
     sched = md.hold_schedule(0.1, 0.0, p.Delta).then(
         md.ramp_schedule(p.P_max, 0.3, p.Delta, hold=0.2))
@@ -171,7 +171,7 @@ def test_lossy_static_and_driven_schedule_matches_liouvillian_expm():
     traj = dyn.propagate(p, sched, fs.DensityMatrix(rho0), sample_times=times,
                          kappa=0.2, rtol=1e-10, atol=1e-12)
     assert [s["solver"] for s in traj.meta["segments"]] == \
-        ["eigenframe DOP853", "DOP853", "eigenframe DOP853"]
+        ["eigenframe DOP853"] * 3
     ref = orc.expm_propagate_lindblad(p, sched, rho0, 0.2, times, n_steps=160)
     for rho, r in zip(traj.states, ref):
         assert np.max(np.abs(rho.entries - r)) < 1e-8
@@ -202,7 +202,7 @@ def test_meta_reports_the_solver_of_each_segment():
     ramp = md.ramp_schedule(PARAMS.P_max, 0.3, PARAMS.Delta, hold=0.1)
     traj = dyn.propagate(PARAMS, ramp, fs.fock_state(0, 30))
     driven, hold = traj.meta["segments"]
-    assert driven["solver"] == "DOP853" and driven["nfev"] > 0
+    assert driven["solver"] == "eigenframe DOP853" and driven["nfev"] > 0
     assert hold == {"solver": "eigh", "nfev": 0}
     assert traj.meta["nfev"] == driven["nfev"]
     lossy = dyn.propagate(PARAMS.with_(dim=12),
@@ -249,13 +249,27 @@ def test_segment_ending_after_its_last_sample_is_one_solve(monkeypatch, lossy):
         p, kappa, solver = PARAMS.with_(dim=12), 0.1, "eigenframe DOP853"
         sched = md.hold_schedule(0.4, p.P_max, p.Delta)
     else:
-        p, kappa, solver = PARAMS, 0.0, "DOP853"
+        p, kappa, solver = PARAMS, 0.0, "eigenframe DOP853"
         sched = md.ramp_schedule(p.P_max, 0.3, p.Delta)
     calls = _count_solves(monkeypatch)
     traj = dyn.propagate(p, sched, fs.fock_state(0, p.dim),
                          sample_times=[0.15], kappa=kappa)
     assert traj.meta["segments"] == [{"solver": solver, "nfev": calls[0]}]
     assert len(calls) == 1
+
+
+def test_propagation_stops_at_the_last_sample(monkeypatch):
+    # a ramp, then a lossy hold: the only sample sits in the ramp, so the
+    # hold is never propagated
+    p = PARAMS.with_(dim=8)
+    sched = md.ramp_schedule(p.P_max, 0.3, p.Delta, hold=0.2)
+    calls = _count_solves(monkeypatch)
+    traj = dyn.propagate(p, sched, fs.fock_state(0, 8), sample_times=[0.1],
+                         kappa=0.1)
+    assert list(traj.times) == [0.1]
+    assert len(calls) == 1
+    assert traj.meta["segments"] == [{"solver": "eigenframe DOP853",
+                                      "nfev": calls[0]}]
 
 
 def test_driven_segment_ends_on_its_own_hamiltonian():

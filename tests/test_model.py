@@ -223,6 +223,47 @@ def test_tls_standard_chevron_closed_form():
         assert np.max(np.abs(row - orc.chevron_excited(2.0, d, tg))) < 1e-8
 
 
+@pytest.mark.parametrize("variant", ["standard", "symmetrized"])
+def test_tls_map_matches_the_integrated_hamiltonian(variant):
+    det = np.array([-3.0, -1.0, 0.0, 0.4, 2.0])
+    tg = np.linspace(0.0, 3.0, 25)
+    m = dyn.tls_rabi_map(variant, 2.0, det, tg)
+    for d, row in zip(det, m):
+        ref = orc.tls_excited(variant, 2.0, d, tg)
+        assert np.max(np.abs(row - ref)) < 1e-8
+
+
+@pytest.mark.parametrize("case", ["chirp-ramp", "orthogonal-ramp",
+                                  "drive-after-chirp"])
+def test_hamiltonian_terms_rebuild_the_hamiltonian(case):
+    # Kerr diagonal + sum_i c_i(t) O_i, with hand-built O_i, inside every
+    # segment and on both of its boundaries
+    p = PARAMS.with_(dim=12)
+    if case == "chirp-ramp":
+        sched = md.ramp_schedule(p.P_max, 0.3, p.Delta, hold=0.1)
+    elif case == "orthogonal-ramp":
+        sched = md.ramp_schedule(p.P_max, 0.3, p.Delta,
+                                 cd_mode="pump_orthogonal")
+    else:
+        sched = md.chirp_schedule(units.mhz_to_angular(2.0), 0.2, p.P_max,
+                                  p.Delta).then(
+            md.drive_schedule(0.15, p.beta, 1.3, 0.7, p.P_max, p.Delta))
+    a = orc.ladder(p.dim)
+    ad = a.conj().T
+    ops = (ad @ a, ad @ ad + a @ a, 1j * (ad @ ad - a @ a))
+    kerr = -0.5 * p.K * (ad @ ad @ a @ a)
+    start = 0.0
+    for index, seg in enumerate(sched.segments):
+        for frac in (0.0, 0.37, 0.81, 1.0):
+            t = start + frac * seg.duration
+            delta, pump, quad, b, phase = md.hamiltonian_terms(sched, t, index)
+            h = (kerr + delta * ops[0] + pump * ops[1] + quad * ops[2]
+                 + b * phase * ad + b * np.conj(phase) * a)
+            ref = md.hamiltonian_at(p, sched, t, index)
+            assert np.max(np.abs(h - ref)) < 1e-12
+        start += seg.duration
+
+
 def test_cat_basis_overlap_with_analytic_cat():
     basis = md.cat_basis_from_model(PARAMS)
     alpha_c = np.sqrt((PARAMS.P_max + PARAMS.Delta) / PARAMS.K)
