@@ -322,7 +322,7 @@ def tls_rabi_map(variant, Omega_R, detuning_grid, time_grid):
     md.tls_rabi_hamiltonian(variant, Omega_R, 0.0, 0.0)  # validate variant early
     half_area = 0.5 * Omega_R * tg
     if variant == "standard":
-        # (Omega/Omega')^2 sin^2(Omega' t/2), written to stay finite at Omega' = 0
+        # (Omega/Omega')^2 sin^2(Omega' t/2), finite at Omega' = 0
         return (half_area * np.sinc(np.hypot(Omega_R, det) * tg / TWO_PI)) ** 2
     return np.sin(half_area * np.sinc(det * tg / np.pi)) ** 2
 
