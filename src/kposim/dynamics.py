@@ -192,8 +192,7 @@ def propagate(params, schedule, initial, sample_times=None, kappa=None,
             f"[{t_s[0]}, {t_s[-1]}]")
     t_s = np.clip(t_s, 0.0, total)
 
-    lossy = kappa > 0.0
-    density = lossy or isinstance(initial, fs.DensityMatrix)
+    density = kappa > 0.0 or isinstance(initial, fs.DensityMatrix)
     if density:
         if isinstance(initial, fs.StateVector):
             initial = initial.to_density()
