@@ -26,6 +26,7 @@ The relative phase of the pair is always fixed so that ``<alpha|+Cat>`` and
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from math import lgamma
@@ -294,6 +295,12 @@ def _check_alpha_fits(alpha, dim, what):
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _half_log_factorials(dim):
+    """Read-only log(sqrt(n!)) for n < dim, shared by every coherent state."""
+    return _readonly(0.5 * np.array([lgamma(k + 1.0) for k in np.arange(dim)]))
+
+
 def _coherent_amplitudes(alpha, dim):
     """Raw coherent amplitudes c_n = exp(-|a|^2/2) a^n / sqrt(n!), in log space."""
     n = np.arange(dim)
@@ -304,7 +311,7 @@ def _coherent_amplitudes(alpha, dim):
     log_mag = (
         -0.5 * abs(alpha) ** 2
         + n * np.log(abs(alpha))
-        - 0.5 * np.array([lgamma(k + 1.0) for k in n])
+        - _half_log_factorials(dim)
     )
     phase = n * np.angle(alpha)
     return np.exp(log_mag) * np.exp(1j * phase)
@@ -403,14 +410,6 @@ class CardinalPopulations:
             self.plus_cat + self.minus_cat,
             self.plus_coh + self.minus_coh,
             self.plus_icat + self.minus_icat,
-        )
-
-    def axis_differences(self):
-        """(z, x, y) pair differences (Bloch-vector components, unnormalized)."""
-        return (
-            self.plus_cat - self.minus_cat,
-            self.plus_coh - self.minus_coh,
-            self.plus_icat - self.minus_icat,
         )
 
 

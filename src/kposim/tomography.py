@@ -21,7 +21,6 @@ from . import model as md
 from .errors import (CalibrationError, GridExtentError, ReconstructionError,
                      TruncationError, UsageError)
 from .parallel import parallel_map
-from .units import TWO_PI
 
 TWO_OVER_PI = 2.0 / np.pi
 
@@ -87,30 +86,35 @@ class _DisplacementFactory:
     D(x + iy) equals (up to a global phase, irrelevant under conjugation)
     D(iy) D(x); D(x) = exp(-i x G) with G = i(a† - a) and D(iy) =
     exp(i y Q) with Q = a† + a, both Hermitian, so one eigh each serves the
-    whole grid.
+    whole grid.  ``_parity_q`` = V† Pi V is the parity operator in the
+    eigenbasis V of Q, which every Wigner column reuses.
     """
 
     def __init__(self, dim):
         a, adag = fs.ladder_ops(dim)
-        self.dim = dim
         g = 1j * (adag - a)
         q = adag + a
         # read-only: one factory per dim is shared by every caller
+        self._signs = fs._readonly(np.where(np.arange(dim) % 2 == 0, 1.0, -1.0))
         self._gl, self._gv = map(fs._readonly, np.linalg.eigh(g))
         self._ql, self._qv = map(fs._readonly, np.linalg.eigh(q))
+        self._parity_q = fs._readonly(
+            self._qv.conj().T @ (self._signs[:, None] * self._qv))
 
     def real_shift(self, x):
         ph = np.exp(-1j * x * self._gl)
         return (self._gv * ph) @ self._gv.conj().T
 
-    def imag_shift(self, y):
-        ph = np.exp(1j * y * self._ql)
-        return (self._qv * ph) @ self._qv.conj().T
-
     def full(self, alpha):
         """D(alpha) including the phase convention of the BCH splitting."""
         x, y = alpha.real, alpha.imag
-        return np.exp(-1j * x * y) * (self.imag_shift(y) @ self.real_shift(x))
+        dy = (self._qv * np.exp(1j * y * self._ql)) @ self._qv.conj().T
+        return np.exp(-1j * x * y) * (dy @ self.real_shift(x))
+
+    def parity_observable(self, alpha):
+        """D(alpha) Pi D†(alpha), the observable of one displaced-parity point."""
+        d = self.full(alpha)
+        return (d * self._signs) @ d.conj().T
 
 
 @functools.lru_cache(maxsize=None)
@@ -139,16 +143,15 @@ def wigner_ideal(rho, re_grid, im_grid=None):
     dim = rho_arr.shape[0]
     _check_extent(re, im, dim)
     disp = _displacements(dim)
-    signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
+    # With Q = V diag(q) V†, u = exp(i y q), M = V† D(x)† rho D(x) V and
+    # P = V† Pi V: W(x + iy) = (2/pi) Re[u† (M ∘ Pᵀ) u].  A column of fixed
+    # x costs its dim³ products once, and each of its points O(dim²).
+    u = np.exp(1j * np.outer(im, disp._ql))
     values = np.empty((im.size, re.size))
     for c, x in enumerate(re):
-        dx = disp.real_shift(x)
-        rho_x = dx.conj().T @ rho_arr @ dx
-        for r, y in enumerate(im):
-            dy = disp.imag_shift(y)
-            m = dy.conj().T @ rho_x @ dy
-            values[r, c] = TWO_OVER_PI * float(
-                np.real(np.sum(signs * np.diagonal(m))))
+        b = disp.real_shift(x) @ disp._qv
+        m = (b.conj().T @ rho_arr @ b) * disp._parity_q.T
+        values[:, c] = TWO_OVER_PI * np.real(np.sum((u.conj() @ m) * u, axis=1))
     return WignerMap(re, im, values, meta={"source": "ideal", "dim": dim})
 
 
@@ -292,11 +295,9 @@ def ideal_record(rho, alphas):
     rho_arr = fs._as_density_array(rho)
     dim = rho_arr.shape[0]
     disp = _displacements(dim)
-    signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     parities = np.empty(al.size)
     for i, a in enumerate(al):
-        d = disp.full(a)
-        obs = (d * signs) @ d.conj().T
+        obs = disp.parity_observable(a)
         parities[i] = float(np.real(np.sum(obs.conj() * rho_arr)))
     return MeasurementRecord(al, np.clip(parities, -1.0, 1.0),
                              pulse={"duration_us": 0.0})
@@ -381,11 +382,9 @@ def reconstruct_density(record, dim, max_iters=200, tol=1e-10,
         raise UsageError(
             f"need at least dim^2 = {dim * dim} points, got {al.size}")
     disp = _displacements(dim)
-    signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     obs_flat = np.empty((al.size, dim * dim), dtype=complex)
     for i, a in enumerate(al):
-        d = disp.full(a)
-        obs_flat[i] = ((d * signs) @ d.conj().T).reshape(-1)  # D diag(±1) D†
+        obs_flat[i] = disp.parity_observable(a).reshape(-1)
     basis = _hermitian_basis(dim)
     basis_flat = np.array([b.reshape(-1) for b in basis])
     # Tr[O B] = sum(conj(O) * B) elementwise for Hermitian O

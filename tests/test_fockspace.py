@@ -87,6 +87,30 @@ def test_coherent_matches_recursion_oracle():
     assert np.max(np.abs(psi.amplitudes - orc.coherent_amplitudes(0.8 + 0.3j, 30))) < 1e-12
 
 
+def test_cached_log_factorials_leave_states_bit_identical(monkeypatch):
+    from math import lgamma
+
+    def uncached(alpha, dim):
+        n = np.arange(dim)
+        log_mag = (-0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha))
+                   - 0.5 * np.array([lgamma(k + 1.0) for k in n]))
+        return np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
+
+    cases = [(0.7 + 0.4j, 12), (1.1542, 30), (-1.6 + 0.2j, 40), (0.3j, 8)]
+    states = [(fs.coherent_state(a, d), fs.cat_state(a, "even", d),
+               fs.cat_state(a, "odd", d)) for a, d in cases]
+    table = fs._half_log_factorials(30)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 1.0
+    monkeypatch.setattr(fs, "_coherent_amplitudes", uncached)
+    for (a, d), cached in zip(cases, states):
+        reference = (fs.coherent_state(a, d), fs.cat_state(a, "even", d),
+                     fs.cat_state(a, "odd", d))
+        for got, want in zip(cached, reference):
+            assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
 def test_coherent_truncation_guard():
     with pytest.raises(TruncationError):
         fs.coherent_state(4.0, 12)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import oracles as orc
 from kposim import dynamics as dyn
@@ -162,6 +163,33 @@ def test_record_validation_and_to_wigner():
     wm = rec.to_wigner(grid, grid)
     direct = tg.wigner_ideal(fs.fock_state(0, 20), grid, grid)
     assert np.max(np.abs(wm.values - direct.values)) < 1e-10
+
+
+def test_wigner_columns_match_the_pointwise_definition():
+    # W(x + iy) = (2/pi) Tr[Pi D(iy)† D(x)† rho D(x) D(iy)] point by point
+    # through expm, on axes of different lengths, both off the origin; an
+    # off-axis coherent state catches a swapped axis or a conjugation
+    re = np.linspace(-0.6, 1.5, 7)
+    im = np.linspace(-0.2, 1.1, 5)
+    coh = fs.dm(fs.coherent_state(0.7 + 0.4j, 30))
+    for rho in (orc.random_density(12, np.random.default_rng(11)), coh):
+        dim = rho.shape[0]
+        a, adag = fs.ladder_ops(dim)
+        pi = fs.parity_op(dim)
+        expected = np.empty((im.size, re.size))
+        for r, y in enumerate(im):
+            for c, x in enumerate(re):
+                d = expm(x * (adag - a)) @ expm(1j * y * (adag + a))
+                expected[r, c] = TWO_OVER_PI * np.real(
+                    np.trace(pi @ d.conj().T @ rho @ d))
+        wm = tg.wigner_ideal(fs.DensityMatrix(rho), re, im)
+        assert np.max(np.abs(wm.values - expected)) < 1e-12
+    # well inside the truncation the order of the split displacement does
+    # not matter, and the map equals the record of the same points
+    rec = tg.ideal_record(fs.DensityMatrix(coh), tg.grid_points(re, im))
+    wm = tg.wigner_ideal(fs.DensityMatrix(coh), re, im)
+    assert np.max(np.abs(wm.values - TWO_OVER_PI * rec.parities.reshape(
+        im.size, re.size))) < 1e-12
 
 
 def test_parity_is_conserved_under_pure_kerr():
