@@ -1,7 +1,8 @@
 """Wigner maps, simulated displaced-parity measurement, and reconstruction.
 
 The Wigner function is evaluated in its displaced-parity form
-W(alpha) = (2/pi) Tr[D(alpha) Pi D†(alpha) rho].  A simulated measurement
+W(alpha) = (2/pi) Tr[D(alpha) Pi D†(alpha) rho], one column of fixed Re alpha
+at a time, each point of a column costing O(dim²).  A simulated measurement
 applies a short, strong displacement pulse under the full nonlinear model
 (the Kerr term distorts the displacement — the effect the postprocessing
 correction removes) followed by a parity readout.  Density matrices are
@@ -95,7 +96,7 @@ class _DisplacementFactory:
         g = 1j * (adag - a)
         q = adag + a
         # read-only: one factory per dim is shared by every caller
-        self._signs = fs._readonly(np.where(np.arange(dim) % 2 == 0, 1.0, -1.0))
+        self._signs = fs._readonly(1.0 - 2.0 * (np.arange(dim) % 2))
         self._gl, self._gv = map(fs._readonly, np.linalg.eigh(g))
         self._ql, self._qv = map(fs._readonly, np.linalg.eigh(q))
         self._parity_q = fs._readonly(
