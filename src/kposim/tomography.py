@@ -1,12 +1,14 @@
 """Wigner maps, simulated displaced-parity measurement, and reconstruction.
 
 The Wigner function is evaluated in its displaced-parity form
-W(alpha) = (2/pi) Tr[D(alpha) Pi D†(alpha) rho], one column of fixed Re alpha
-at a time, each point of a column costing O(dim²).  A simulated measurement
-applies a short, strong displacement pulse under the full nonlinear model
-(the Kerr term distorts the displacement — the effect the postprocessing
-correction removes) followed by a parity readout.  Density matrices are
-recovered from parity records by projected least squares.
+W(alpha) = (2/pi) Tr[D(alpha) Pi D†(alpha) rho], with D(x + iy) split as
+D(iy) D(x) for maps, records and the reconstruction design alike, one row
+of fixed Im alpha at a time, each point of a row costing O(dim²).  A
+simulated measurement applies a short, strong displacement pulse under the
+full nonlinear model (the Kerr term distorts the displacement — the effect
+the postprocessing correction removes) followed by a parity readout.
+Density matrices are recovered from parity records by projected least
+squares.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import fockspace as fs
 from . import model as md
@@ -82,40 +83,57 @@ class WignerMap:
 
 
 class _DisplacementFactory:
-    """Exact displacement operators from two fixed eigendecompositions.
+    """Displaced parities from two fixed eigendecompositions.
 
-    D(x + iy) equals (up to a global phase, irrelevant under conjugation)
-    D(iy) D(x); D(x) = exp(-i x G) with G = i(a† - a) and D(iy) =
-    exp(i y Q) with Q = a† + a, both Hermitian, so one eigh each serves the
-    whole grid.  ``_parity_q`` = V† Pi V is the parity operator in the
-    eigenbasis V of Q, which every Wigner column reuses.
+    D(x + iy) equals D(iy) D(x) up to a global phase, which cancels in
+    D Pi D†.  With G = i(a† - a) = W diag(g) W† and Q = a† + a =
+    V diag(q) V†, D(x) = W diag(v) W† with v = exp(-i x g) and D(iy) =
+    V exp(i y q) V†, so one eigh each serves every point.  The points of a
+    row of fixed y share B_y = V exp(i y q) V† W, and with P = W† Pi W
+    D(x + iy) Pi D†(x + iy) = B_y ((v v†) ∘ P) B_y†.
     """
 
     def __init__(self, dim):
         a, adag = fs.ladder_ops(dim)
-        g = 1j * (adag - a)
-        q = adag + a
+        signs = 1.0 - 2.0 * (np.arange(dim) % 2)
+        g, w = np.linalg.eigh(1j * (adag - a))
+        q, qv = np.linalg.eigh(adag + a)
         # read-only: one factory per dim is shared by every caller
-        self._signs = fs._readonly(1.0 - 2.0 * (np.arange(dim) % 2))
-        self._gl, self._gv = map(fs._readonly, np.linalg.eigh(g))
-        self._ql, self._qv = map(fs._readonly, np.linalg.eigh(q))
-        self._parity_q = fs._readonly(
-            self._qv.conj().T @ (self._signs[:, None] * self._qv))
+        self._g, self._q, self._qv = map(fs._readonly, (g, q, qv))
+        self._qw = fs._readonly(qv.conj().T @ w)
+        self._parity = fs._readonly((w.conj().T * signs) @ w)
 
-    def real_shift(self, x):
-        ph = np.exp(-1j * x * self._gl)
-        return (self._gv * ph) @ self._gv.conj().T
+    def _rows(self, alphas):
+        """Point indices, B_y and the v of each point, row by row."""
+        ys, row, counts = np.unique(alphas.imag, return_inverse=True,
+                                    return_counts=True)
+        xs, col = np.unique(alphas.real, return_inverse=True)
+        vs = np.exp(-1j * np.outer(xs, self._g))
+        rows = np.split(np.argsort(row, kind="stable"), np.cumsum(counts)[:-1])
+        for y, idx in zip(ys, rows):
+            b = (self._qv * np.exp(1j * y * self._q)) @ self._qw
+            yield idx, b, vs[col[idx]]
 
-    def full(self, alpha):
-        """D(alpha) including the phase convention of the BCH splitting."""
-        x, y = alpha.real, alpha.imag
-        dy = (self._qv * np.exp(1j * y * self._ql)) @ self._qv.conj().T
-        return np.exp(-1j * x * y) * (dy @ self.real_shift(x))
+    def parities(self, rho, alphas):
+        """Tr[D(alpha) Pi D†(alpha) rho] at each of ``alphas``.
 
-    def parity_observable(self, alpha):
-        """D(alpha) Pi D†(alpha), the observable of one displaced-parity point."""
-        d = self.full(alpha)
-        return (d * self._signs) @ d.conj().T
+        M = (B_y† rho B_y) ∘ Pᵀ costs dim³ once per row, and each point is
+        Re[v† M v], O(dim²).
+        """
+        out = np.empty(alphas.size)
+        for idx, b, v in self._rows(alphas):
+            m = (b.conj().T @ rho @ b) * self._parity.T
+            out[idx] = np.real(np.sum((v.conj() @ m) * v, axis=1))
+        return out
+
+    def observables(self, alphas):
+        """D(alpha) Pi D†(alpha) at each of ``alphas``, shape (n, dim, dim)."""
+        dim = self._g.size
+        out = np.empty((alphas.size, dim, dim), dtype=complex)
+        for idx, b, v in self._rows(alphas):
+            inner = v[:, :, None] * v.conj()[:, None, :] * self._parity
+            out[idx] = b @ inner @ b.conj().T
+        return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -143,17 +161,10 @@ def wigner_ideal(rho, re_grid, im_grid=None):
     rho_arr = fs._as_density_array(rho)
     dim = rho_arr.shape[0]
     _check_extent(re, im, dim)
-    disp = _displacements(dim)
-    # With Q = V diag(q) V†, u = exp(i y q), M = V† D(x)† rho D(x) V and
-    # P = V† Pi V: W(x + iy) = (2/pi) Re[u† (M ∘ Pᵀ) u].  A column of fixed
-    # x costs its dim³ products once, and each of its points O(dim²).
-    u = np.exp(1j * np.outer(im, disp._ql))
-    values = np.empty((im.size, re.size))
-    for c, x in enumerate(re):
-        b = disp.real_shift(x) @ disp._qv
-        m = (b.conj().T @ rho_arr @ b) * disp._parity_q.T
-        values[:, c] = TWO_OVER_PI * np.real(np.sum((u.conj() @ m) * u, axis=1))
-    return WignerMap(re, im, values, meta={"source": "ideal", "dim": dim})
+    values = TWO_OVER_PI * _displacements(dim).parities(
+        rho_arr, grid_points(re, im))
+    return WignerMap(re, im, values.reshape(im.size, re.size),
+                     meta={"source": "ideal", "dim": dim})
 
 
 def wigner_of_mixture(maps, weights):
@@ -205,19 +216,12 @@ class MeasurementRecord:
 def _linear_displacement_gain(duration, detuning):
     """Displacement per unit complex drive amplitude in the linear model.
 
-    Integrates d alpha/dt = -i detuning alpha - i B with B = 1 over the pulse;
-    computed numerically rather than assumed, so the calibration tracks the
-    actual pulse duration and frame detuning.
+    The closed-form solution of d alpha/dt = -i detuning alpha - i B with
+    B = 1 over the pulse, so the calibration tracks the actual pulse
+    duration and frame detuning.
     """
-
-    def rhs(t, y):
-        al = y[0] + 1j * y[1]
-        dal = -1j * detuning * al - 1j
-        return [dal.real, dal.imag]
-
-    sol = solve_ivp(rhs, (0.0, duration), [0.0, 0.0], method="DOP853",
-                    rtol=1e-12, atol=1e-14)
-    return complex(sol.y[0, -1], sol.y[1, -1])
+    half = 0.5 * detuning * duration
+    return complex(-1j * duration * np.exp(-1j * half) * np.sinc(half / np.pi))
 
 
 def simulate_ld_tomography(params, rho, alphas, pulse_duration=0.02,
@@ -294,12 +298,7 @@ def ideal_record(rho, alphas):
     if al.size == 0:
         raise UsageError("alphas must be nonempty")
     rho_arr = fs._as_density_array(rho)
-    dim = rho_arr.shape[0]
-    disp = _displacements(dim)
-    parities = np.empty(al.size)
-    for i, a in enumerate(al):
-        obs = disp.parity_observable(a)
-        parities[i] = float(np.real(np.sum(obs.conj() * rho_arr)))
+    parities = _displacements(rho_arr.shape[0]).parities(rho_arr, al)
     return MeasurementRecord(al, np.clip(parities, -1.0, 1.0),
                              pulse={"duration_us": 0.0})
 
@@ -324,27 +323,6 @@ def kerr_correct(rho, K, Delta, tau_corr):
 # reconstruction
 
 
-def _hermitian_basis(dim):
-    """Orthonormal traceless Hermitian basis (real coefficients)."""
-    ops = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[i, j] = m[j, i] = 1.0 / np.sqrt(2.0)
-            ops.append(m)
-            m = np.zeros((dim, dim), dtype=complex)
-            m[i, j] = -1j / np.sqrt(2.0)
-            m[j, i] = 1j / np.sqrt(2.0)
-            ops.append(m)
-    for k in range(1, dim):
-        diag = np.zeros(dim)
-        diag[:k] = 1.0
-        diag[k] = -k
-        diag /= np.sqrt(k * (k + 1.0))
-        ops.append(np.diag(diag.astype(complex)))
-    return ops
-
-
 def _simplex_project(evals):
     """Euclidean projection of eigenvalues onto the probability simplex."""
     u = np.sort(evals)[::-1]
@@ -365,8 +343,8 @@ def reconstruct_density(record, dim, max_iters=200, tol=1e-10,
                         cond_limit=1e6):
     """Density matrix from a displaced-parity record by projected least squares.
 
-    Solves parity_i = Tr[D†(a_i) Pi D(a_i) rho] for Hermitian unit-trace rho
-    in an orthonormal operator basis, then runs projected gradient descent
+    Solves parity_i = Tr[D(a_i) Pi D†(a_i) rho] for Hermitian unit-trace rho
+    in Hermitian coordinates, then runs projected gradient descent
     onto the physical (PSD, trace-1) set until the iterate moves less than
     ``tol`` in Frobenius norm.
 
@@ -382,24 +360,29 @@ def reconstruct_density(record, dim, max_iters=200, tol=1e-10,
     if al.size < dim * dim:
         raise UsageError(
             f"need at least dim^2 = {dim * dim} points, got {al.size}")
-    disp = _displacements(dim)
-    obs_flat = np.empty((al.size, dim * dim), dtype=complex)
-    for i, a in enumerate(al):
-        obs_flat[i] = disp.parity_observable(a).reshape(-1)
-    basis = _hermitian_basis(dim)
-    basis_flat = np.array([b.reshape(-1) for b in basis])
-    # Tr[O B] = sum(conj(O) * B) elementwise for Hermitian O
-    design = np.real(obs_flat.conj() @ basis_flat.T)
-    offset = np.real(obs_flat.reshape(al.size, dim, dim)
-                     .trace(axis1=1, axis2=2)) / dim
-    sv = np.linalg.svd(design, compute_uv=False)
+    obs = _displacements(dim).observables(al)
+    # Each row holds the Hermitian coordinates of O - (Tr O/dim) I: its
+    # diagonal, then sqrt(2) Re and sqrt(2) Im above it, so that Tr[A B] is
+    # the dot product of the coordinates of A and B.  The identity direction
+    # is orthogonal to every row; its zero singular value is left out.
+    offset = np.real(np.trace(obs, axis1=1, axis2=2)) / dim
+    upper = np.triu_indices(dim, 1)
+    off_diag = np.sqrt(2.0) * obs[:, upper[0], upper[1]]
+    design = np.hstack([np.real(np.diagonal(obs, axis1=1, axis2=2))
+                        - offset[:, None], off_diag.real, off_diag.imag])
+    sv = np.linalg.svd(design, compute_uv=False)[:-1]
     cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
     if cond > cond_limit:
         raise ReconstructionError(
             f"design matrix condition number {cond:.3e} exceeds {cond_limit:.0e}; "
             "spread the sample points", condition=cond)
+    # the min-norm solution has no identity component, so it is traceless
     x, *_ = np.linalg.lstsq(design, y - offset, rcond=None)
-    warm = np.eye(dim, dtype=complex) / dim + (x @ basis_flat).reshape(dim, dim)
+    n_up = upper[0].size
+    delta = np.zeros((dim, dim), dtype=complex)
+    delta[upper] = (x[dim:dim + n_up] + 1j * x[dim + n_up:]) / np.sqrt(2.0)
+    warm = np.eye(dim) / dim + np.diag(x[:dim]) + delta + delta.conj().T
+    obs_flat = obs.reshape(al.size, dim * dim)
 
     # accelerated projected gradient (FISTA) on ||Tr[O rho] - y||^2 over the
     # PSD trace-1 set; step = 1/L with L the largest design eigenvalue

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 import oracles as orc
@@ -148,6 +149,21 @@ def test_pulse_record_converges_to_ideal_parities():
     assert rms[5e-5] < 1e-4
 
 
+@pytest.mark.parametrize("duration, detuning", [
+    (0.02, units.mhz_to_angular(1.0)), (0.02, 0.0), (0.3, -7.0)])
+def test_linear_displacement_gain_matches_the_integrated_pulse(duration,
+                                                               detuning):
+    def rhs(t, y):
+        dal = -1j * detuning * (y[0] + 1j * y[1]) - 1j
+        return [dal.real, dal.imag]
+
+    sol = solve_ivp(rhs, (0.0, duration), [0.0, 0.0], method="DOP853",
+                    rtol=1e-12, atol=1e-14)
+    ref = complex(sol.y[0, -1], sol.y[1, -1])
+    gain = tg._linear_displacement_gain(duration, detuning)
+    assert abs(gain - ref) < 1e-12 * abs(ref)
+
+
 def test_pulse_amplitude_bound():
     cat = fs.cat_state(1.1542, "even", 30)
     with pytest.raises(CalibrationError):
@@ -166,30 +182,48 @@ def test_record_validation_and_to_wigner():
 
 
 def test_wigner_columns_match_the_pointwise_definition():
-    # W(x + iy) = (2/pi) Tr[Pi D(iy)† D(x)† rho D(x) D(iy)] point by point
+    # W(x + iy) = (2/pi) Tr[Pi D† rho D] with D = D(iy) D(x), point by point
     # through expm, on axes of different lengths, both off the origin; an
     # off-axis coherent state catches a swapped axis or a conjugation
     re = np.linspace(-0.6, 1.5, 7)
     im = np.linspace(-0.2, 1.1, 5)
+    pts = tg.grid_points(re, im)
     coh = fs.dm(fs.coherent_state(0.7 + 0.4j, 30))
     for rho in (orc.random_density(12, np.random.default_rng(11)), coh):
         dim = rho.shape[0]
         a, adag = fs.ladder_ops(dim)
         pi = fs.parity_op(dim)
         expected = np.empty((im.size, re.size))
+        observables = np.empty((pts.size, dim, dim), dtype=complex)
         for r, y in enumerate(im):
             for c, x in enumerate(re):
-                d = expm(x * (adag - a)) @ expm(1j * y * (adag + a))
+                d = expm(1j * y * (adag + a)) @ expm(x * (adag - a))
                 expected[r, c] = TWO_OVER_PI * np.real(
                     np.trace(pi @ d.conj().T @ rho @ d))
+                observables[r * re.size + c] = d @ pi @ d.conj().T
         wm = tg.wigner_ideal(fs.DensityMatrix(rho), re, im)
         assert np.max(np.abs(wm.values - expected)) < 1e-12
-    # well inside the truncation the order of the split displacement does
-    # not matter, and the map equals the record of the same points
-    rec = tg.ideal_record(fs.DensityMatrix(coh), tg.grid_points(re, im))
-    wm = tg.wigner_ideal(fs.DensityMatrix(coh), re, im)
-    assert np.max(np.abs(wm.values - TWO_OVER_PI * rec.parities.reshape(
-        im.size, re.size))) < 1e-12
+        # the record and the reconstruction design split D the same way, so
+        # the map equals the record of the same points even where the
+        # truncation makes the order matter (0.075 apart on the random state)
+        rec = tg.ideal_record(fs.DensityMatrix(rho), pts)
+        assert np.max(np.abs(wm.values - TWO_OVER_PI * rec.parities.reshape(
+            im.size, re.size))) < 1e-12
+        assert np.max(np.abs(tg._displacements(dim).observables(pts)
+                             - observables)) < 1e-12
+
+
+def test_model_cat_map_is_converged_in_the_truncation():
+    # the default grid bounds each axis by sqrt(dim)/2, so its corners reach
+    # |alpha| = 3.87 at dim 30; there the map stays within 1e-3 of the same
+    # state embedded in 120 levels (6.3e-3 with D(x) D(iy))
+    cat = md.cat_basis_from_model(PARAMS).plus_cat
+    padded = np.zeros(120, dtype=complex)
+    padded[:30] = cat.amplitudes
+    grid = tg.default_grid(30)
+    w30 = tg.wigner_ideal(cat, grid)
+    w120 = tg.wigner_ideal(fs.StateVector(padded), grid)
+    assert np.max(np.abs(w30.values - w120.values)) < 1e-3
 
 
 def test_parity_is_conserved_under_pure_kerr():
@@ -283,6 +317,21 @@ def test_reconstruction_idempotent():
     first = tg.reconstruct_density(tg.MeasurementRecord(rec.alphas, noisy), 20)
     second = tg.reconstruct_density(_dense_record(first), 20)
     assert fs.state_fidelity(second, first) > 1.0 - 1e-6
+
+
+def test_reconstruction_in_odd_dimension():
+    # at odd dim Tr Pi = 1, so every observable has a nonzero trace offset
+    g = np.linspace(-1.5, 1.5, 11)
+    cat = fs.cat_state(0.9, "odd", 7)
+    rho_hat = tg.reconstruct_density(tg.ideal_record(cat, tg.grid_points(g, g)),
+                                     7)
+    assert fs.state_fidelity(rho_hat, cat) > 1.0 - 1e-9
+    # a full-rank state is its own least-squares warm start, so the first
+    # projected step already stays put
+    mixed = orc.random_density(7, np.random.default_rng(3))
+    rec = tg.ideal_record(fs.DensityMatrix(mixed), tg.grid_points(g, g))
+    rho_hat = tg.reconstruct_density(rec, 7, max_iters=1)
+    assert np.max(np.abs(rho_hat.entries - mixed)) < 1e-12
 
 
 def test_reconstruction_error_paths():
