@@ -267,17 +267,6 @@ def _freeze(y, density, dim, t):
 # Rabi maps
 
 
-def _rabi_column(args):
-    H, time_grid, psi0 = args
-    evals, vecs = np.linalg.eigh(H)
-    c0 = vecs.conj().T @ psi0
-    row0 = vecs[0, :]
-    # P0(t) = |sum_k row0[k] e^{-i E_k t} c0[k]|^2
-    phases = np.exp(-1j * np.outer(time_grid, evals))
-    amp = phases @ (row0 * c0)
-    return np.abs(amp) ** 2
-
-
 def rabi_map(params, which, amplitude, detuning_grid, time_grid):
     """|0>-population map of a driven Rabi experiment.
 
@@ -285,23 +274,27 @@ def rabi_map(params, which, amplitude, detuning_grid, time_grid):
     the bare Kerr ladder, detuning axis = drive detuning from the 0->1
     transition.  ``which='pump'``: rectangular two-photon pump of that
     amplitude, detuning axis = pump-referenced detuning of the oscillator.
-    Returns an array of shape (len(detuning_grid), len(time_grid)).
+    Each detuning is one static segment through :func:`propagate` from
+    |0>, sampled at ``time_grid`` (strictly increasing, within
+    [0, time_grid[-1]]).  Returns an array of shape (len(detuning_grid),
+    len(time_grid)).
     """
     det = np.asarray(detuning_grid, dtype=float)
     tg = np.asarray(time_grid, dtype=float)
     if det.size == 0 or tg.size == 0:
         raise UsageError("detuning_grid and time_grid must be nonempty")
-    psi0 = fs.fock_state(0, params.dim).amplitudes
-    if which == "drive":
-        mats = [md.drive_frame_hamiltonian(params.K, d, amplitude, params.dim)
-                for d in det]
-    elif which == "pump":
-        mats = [md.static_hamiltonian(params.K, amplitude, d, params.dim)
-                for d in det]
-    else:
+    if which not in ("drive", "pump"):
         raise UsageError(f"which must be 'drive' or 'pump', got {which!r}")
-    rows = parallel_map(_rabi_column, [(H, tg, psi0) for H in mats])
-    return np.array(rows)
+    tone = {which: md.Constant(amplitude)}
+    psi0 = fs.fock_state(0, params.dim)
+
+    def column(d):
+        seg = md.Segment(duration=tg[-1], detuning=md.Constant(d), **tone)
+        traj = propagate(params, md.PulseSchedule((seg,)), psi0,
+                         sample_times=tg, kappa=0.0)
+        return [abs(s.amplitudes[0]) ** 2 for s in traj.states]
+
+    return np.array(parallel_map(column, det))
 
 
 def tls_rabi_map(variant, Omega_R, detuning_grid, time_grid):

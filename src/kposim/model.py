@@ -22,7 +22,6 @@ quantities owned by :class:`PulseSchedule`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -30,7 +29,7 @@ import numpy as np
 
 from . import fockspace as fs
 from .errors import BasisError, ScheduleError, UsageError
-from .units import angular_to_mhz, mhz_to_angular, ns_to_us, us_to_ns
+from .units import mhz_to_angular
 
 __all__ = [
     "SystemParams",
@@ -48,7 +47,6 @@ __all__ = [
     "hamiltonian_terms",
     "hamiltonian_at",
     "static_hamiltonian",
-    "drive_frame_hamiltonian",
     "tls_rabi_hamiltonian",
     "CatBasis",
     "cat_basis_from_model",
@@ -123,9 +121,6 @@ class Envelope:
     def is_constant(self):
         return False
 
-    def to_dict(self):
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Constant(Envelope):
@@ -139,9 +134,6 @@ class Constant(Envelope):
 
     def is_constant(self):
         return True
-
-    def to_dict(self):
-        return {"shape": "constant", "level_MHz": angular_to_mhz(self.level)}
 
 
 @dataclass(frozen=True)
@@ -158,13 +150,6 @@ class SinSquaredRamp(Envelope):
         tau = self.ramp_time
         return self.amplitude * (t / 2.0 - (tau / (2.0 * math.pi)) * math.sin(math.pi * t / tau))
 
-    def to_dict(self):
-        return {
-            "shape": "sin2_ramp",
-            "amplitude_MHz": angular_to_mhz(self.amplitude),
-            "ramp_ns": us_to_ns(self.ramp_time),
-        }
-
 
 @dataclass(frozen=True)
 class SinBump(Envelope):
@@ -180,13 +165,6 @@ class SinBump(Envelope):
         w = self.width
         return self.amplitude * (w / math.pi) * (1.0 - math.cos(math.pi * t / w))
 
-    def to_dict(self):
-        return {
-            "shape": "sin_bump",
-            "amplitude_MHz": angular_to_mhz(self.amplitude),
-            "width_ns": us_to_ns(self.width),
-        }
-
 
 @dataclass(frozen=True)
 class SinSquaredBump(Envelope):
@@ -201,13 +179,6 @@ class SinSquaredBump(Envelope):
     def integral(self, t):
         w = self.width
         return self.amplitude * (t / 2.0 - (w / (4.0 * math.pi)) * math.sin(2.0 * math.pi * t / w))
-
-    def to_dict(self):
-        return {
-            "shape": "sin2_bump",
-            "amplitude_MHz": angular_to_mhz(self.amplitude),
-            "width_ns": us_to_ns(self.width),
-        }
 
 
 @dataclass(frozen=True)
@@ -234,14 +205,6 @@ class Cosine(Envelope):
     def is_constant(self):
         return self.omega == 0.0 and self.phase == 0.0
 
-    def to_dict(self):
-        return {
-            "shape": "cosine",
-            "amplitude_MHz": angular_to_mhz(self.amplitude),
-            "omega_MHz": angular_to_mhz(self.omega),
-            "phase": self.phase,
-        }
-
 
 @dataclass(frozen=True)
 class Sum(Envelope):
@@ -255,27 +218,6 @@ class Sum(Envelope):
 
     def is_constant(self):
         return all(p.is_constant() for p in self.parts)
-
-    def to_dict(self):
-        return {"shape": "sum", "parts": [p.to_dict() for p in self.parts]}
-
-
-def envelope_from_dict(d):
-    shape = d.get("shape")
-    if shape == "constant":
-        return Constant(mhz_to_angular(d["level_MHz"]))
-    if shape == "sin2_ramp":
-        return SinSquaredRamp(mhz_to_angular(d["amplitude_MHz"]), ns_to_us(d["ramp_ns"]))
-    if shape == "sin_bump":
-        return SinBump(mhz_to_angular(d["amplitude_MHz"]), ns_to_us(d["width_ns"]))
-    if shape == "sin2_bump":
-        return SinSquaredBump(mhz_to_angular(d["amplitude_MHz"]), ns_to_us(d["width_ns"]))
-    if shape == "cosine":
-        return Cosine(mhz_to_angular(d["amplitude_MHz"]),
-                      mhz_to_angular(d["omega_MHz"]), d["phase"])
-    if shape == "sum":
-        return Sum(tuple(envelope_from_dict(p) for p in d["parts"]))
-    raise ScheduleError(f"unknown envelope shape {shape!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -333,33 +275,6 @@ class Segment:
             self.drive.value(0.0) == 0.0 or not phase_moves
         )
         return envs_const and drive_static
-
-    def to_dict(self):
-        return {
-            "duration_ns": us_to_ns(self.duration),
-            "pump": self.pump.to_dict(),
-            "pump_quad": self.pump_quad.to_dict(),
-            "detuning": self.detuning.to_dict(),
-            "chirp": self.chirp.to_dict(),
-            "drive": self.drive.to_dict(),
-            "drive_detuning_MHz": angular_to_mhz(self.drive_detuning),
-            "drive_phase_rad": self.drive_phase,
-            "pump_jump": self.pump_jump,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            duration=ns_to_us(d["duration_ns"]),
-            pump=envelope_from_dict(d["pump"]),
-            pump_quad=envelope_from_dict(d["pump_quad"]),
-            detuning=envelope_from_dict(d["detuning"]),
-            chirp=envelope_from_dict(d["chirp"]),
-            drive=envelope_from_dict(d["drive"]),
-            drive_detuning=mhz_to_angular(d["drive_detuning_MHz"]),
-            drive_phase=d["drive_phase_rad"],
-            pump_jump=bool(d.get("pump_jump", False)),
-        )
 
 
 #: tolerance for the pump-continuity check across segment boundaries (rad/us)
@@ -447,25 +362,6 @@ class PulseSchedule:
         """Concatenate with another schedule (pump continuity re-checked)."""
         other_segs = other.segments if isinstance(other, PulseSchedule) else tuple(other)
         return PulseSchedule(self.segments + tuple(other_segs))
-
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self):
-        return {"segments": [s.to_dict() for s in self.segments]}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(tuple(Segment.from_dict(s) for s in d["segments"]))
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +519,20 @@ def hamiltonian_terms(schedule, t, index=None):
             0.5 * seg.pump_quad.value(t_loc), b, phase)
 
 
+def _assemble(K, dim, delta, p, q, b, phase):
+    """Dense H from the coefficients of :func:`hamiltonian_terms`."""
+    blk = _blocks(dim)
+    H = np.zeros((dim, dim), dtype=np.complex128)
+    H.flat[::dim + 1] = delta * blk["n_diag"] - 0.5 * K * blk["kerr_diag"]
+    if p != 0.0:
+        H += p * blk["pump"]
+    if q != 0.0:
+        H += q * blk["pump_quad"]
+    if b != 0.0:
+        H += b * (phase * blk["adag"] + np.conj(phase) * blk["a"])
+    return H
+
+
 def hamiltonian_at(params, schedule, t, index=None):
     """Dense Hamiltonian matrix H(t) (rad/us) for a schedule, Hermitian.
 
@@ -633,40 +543,13 @@ def hamiltonian_at(params, schedule, t, index=None):
     ``index`` the envelopes are those of that segment, also at its
     boundaries (see :meth:`PulseSchedule.locate`).
     """
-    delta, p, q, b, phase = hamiltonian_terms(schedule, t, index)
-    dim = params.dim
-    blk = _blocks(dim)
-    H = np.zeros((dim, dim), dtype=np.complex128)
-    H.flat[::dim + 1] = delta * blk["n_diag"] - 0.5 * params.K * blk["kerr_diag"]
-    if p != 0.0:
-        H += p * blk["pump"]
-    if q != 0.0:
-        H += q * blk["pump_quad"]
-    if b != 0.0:
-        H += b * (phase * blk["adag"] + np.conj(phase) * blk["a"])
-    return H
+    return _assemble(params.K, params.dim,
+                     *hamiltonian_terms(schedule, t, index))
 
 
 def static_hamiltonian(K, P, Delta, dim):
     """Drive-free Hamiltonian ``Delta n - (K/2) adag adag a a + (P/2)(adag^2+a^2)``."""
-    blk = _blocks(dim)
-    H = np.diag((Delta * blk["n_diag"] - 0.5 * K * blk["kerr_diag"]).astype(np.complex128))
-    if P != 0.0:
-        H = H + (0.5 * P) * blk["pump"]
-    return H
-
-
-def drive_frame_hamiltonian(K, Delta_dr, beta, dim):
-    """Pump-off Hamiltonian in the frame of a drive detuned by ``Delta_dr``.
-
-    ``H = Delta_dr n - (K/2) adag adag a a + beta (adag + a)``; time
-    independent, used for the plain (non-parametric) Rabi experiments.
-    """
-    blk = _blocks(dim)
-    H = np.diag((Delta_dr * blk["n_diag"] - 0.5 * K * blk["kerr_diag"]).astype(np.complex128))
-    if beta != 0.0:
-        H = H + beta * (blk["adag"] + blk["a"])
-    return H
+    return _assemble(K, dim, Delta, 0.5 * P, 0.0, 0.0, 1.0)
 
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -760,6 +643,29 @@ def _reference_pair(alpha_c, dim):
     return fs.cat_state(alpha_c, "even", dim), fs.cat_state(alpha_c, "odd", dim)
 
 
+def _qubit_pair(K, P, Delta, dim):
+    """Parity-sector eigensystem of :func:`static_hamiltonian` and its qubit pair.
+
+    In each parity sector the qubit level is the eigenstate that overlaps
+    most with the analytic cat of amplitude ``alpha_c = sqrt((P + Delta)/K)``
+    (Fock 0 and 1 when ``alpha_c`` vanishes).  Returns ``(energies,
+    parities, states, (i_even, i_odd), (overlap_even, overlap_odd))`` with
+    the eigensystem sorted by descending energy and the squared overlaps of
+    the picked states.
+    """
+    energies, parities, states = _parity_sector_eigensystem(
+        static_hamiltonian(K, P, Delta, dim))
+    alpha_c = math.sqrt(max(P + Delta, 0.0) / K)
+    picks, overlaps = [], []
+    for par, ref in zip((+1, -1), _reference_pair(alpha_c, dim)):
+        sector = np.where(parities == par)[0]
+        ovl = np.abs(ref.amplitudes.conj() @ states[:, sector]) ** 2
+        k = int(np.argmax(ovl))
+        picks.append(int(sector[k]))
+        overlaps.append(float(ovl[k]))
+    return energies, parities, states, tuple(picks), tuple(overlaps)
+
+
 def cat_basis_from_model(params, P=None, Delta=None):
     """Cat-qubit basis from the pumped-Hamiltonian eigenstates.
 
@@ -776,27 +682,19 @@ def cat_basis_from_model(params, P=None, Delta=None):
     P = params.P_max if P is None else P
     Delta = params.Delta if Delta is None else Delta
     dim = params.dim
-    H = static_hamiltonian(params.K, P, Delta, dim)
-    energies, parities, states = _parity_sector_eigensystem(H)
-    alpha_c = math.sqrt(max(P + Delta, 0.0) / params.K)
-    ref_even, ref_odd = _reference_pair(alpha_c, dim)
-
-    picked = {}
-    for par, ref in ((+1, ref_even), (-1, ref_odd)):
-        sel = np.where(parities == par)[0]
-        ovl = np.abs(ref.amplitudes.conj() @ states[:, sel]) ** 2
-        best = sel[int(np.argmax(ovl))]
-        if ovl.max() < 0.8:
+    _, _, states, picks, overlaps = _qubit_pair(params.K, P, Delta, dim)
+    for par, ovl in zip((+1, -1), overlaps):
+        if ovl < 0.8:
             raise BasisError(
                 f"no eigenstate with parity {par:+d} overlaps the analytic cat "
-                f"(best overlap {ovl.max():.3f} < 0.8) at P={P:.3f}, Delta={Delta:.3f}"
+                f"(best overlap {ovl:.3f} < 0.8) at P={P:.3f}, Delta={Delta:.3f}"
             )
-        picked[par] = states[:, best].copy()
 
+    alpha_c = math.sqrt(max(P + Delta, 0.0) / params.K)
     coh = fs.coherent_state(alpha_c, dim) if alpha_c > 1e-6 else None
     pair = []
-    for par, n_ref in ((+1, 0), (-1, 1)):
-        v = picked[par]
+    for i, n_ref in zip(picks, (0, 1)):
+        v = states[:, i]
         ref_amp = coh.amplitudes if coh is not None else fs.fock_state(n_ref, dim).amplitudes
         ph = np.vdot(ref_amp, v)
         if abs(ph) < 1e-12:

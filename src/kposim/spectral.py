@@ -54,25 +54,6 @@ class QuasiSpectrum:
                 fs.StateVector(self.states[:, i_odd]))
 
 
-def _spectrum_once(K, P, Delta, dim):
-    H = md.static_hamiltonian(K, P, Delta, dim)
-    energies, parities, states = md._parity_sector_eigensystem(H)
-    return energies, parities, states
-
-
-def _qubit_indices(energies, parities, states, K, P, Delta):
-    dim = states.shape[0]
-    alpha_c_sq = (P + Delta) / K
-    alpha_c = np.sqrt(alpha_c_sq) if alpha_c_sq > 0 else 0.0
-    ref_even, ref_odd = md._reference_pair(alpha_c, dim)
-    idx = []
-    for target, par in ((ref_even, 1.0), (ref_odd, -1.0)):
-        sector = np.where(parities == par)[0]
-        ov = np.abs(target.amplitudes.conj() @ states[:, sector]) ** 2
-        idx.append(int(sector[np.argmax(ov)]))
-    return tuple(idx)
-
-
 def quasienergies(K, P, Delta, dim, check_convergence=True):
     """Parity-labelled spectrum of ``Delta n - (K/2) n(n-1) + (P/2)(a†²+a²)``.
 
@@ -83,16 +64,15 @@ def quasienergies(K, P, Delta, dim, check_convergence=True):
         raise UsageError(f"K must be positive, got {K}")
     if dim < 6:
         raise UsageError(f"dim must be >= 6 for a labelled spectrum, got {dim}")
-    energies, parities, states = _spectrum_once(K, P, Delta, dim)
+    energies, parities, states, qubit, _ = md._qubit_pair(K, P, Delta, dim)
     if check_convergence:
-        e_big, _, _ = _spectrum_once(K, P, Delta, dim + 10)
+        e_big = md._qubit_pair(K, P, Delta, dim + 10)[0]
         shift = np.max(np.abs(energies[:6] - e_big[:6]))
         if shift > 1e-6 * K:
             raise TruncationError(
                 f"top-6 quasienergies shift by {shift:.3e} rad/us between "
                 f"dim={dim} and dim={dim + 10}; increase dim",
                 required_dim=dim + 10)
-    qubit = _qubit_indices(energies, parities, states, K, P, Delta)
     return QuasiSpectrum(energies=energies, parities=parities, states=states,
                          qubit_indices=qubit, K=K, P=P, Delta=Delta)
 

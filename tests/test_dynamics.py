@@ -398,12 +398,47 @@ def test_strong_drive_resembles_coherent_state():
     K = PARAMS.K
     beta = 10.0 * K
     t = 0.005  # t*K ~ 0.1
-    h = md.drive_frame_hamiltonian(K, 0.0, beta, 30)
-    evals, vecs = np.linalg.eigh(h)
-    psi = vecs @ (np.exp(-1j * evals * t) * (vecs.conj().T
-                                             @ fs.fock_state(0, 30).amplitudes))
+    sched = md.drive_schedule(t, beta, 0.0, 0.0, 0.0, 0.0)
+    psi = dyn.propagate(PARAMS, sched, fs.fock_state(0, 30),
+                        kappa=0.0).final_state
     target = fs.coherent_state(-1j * beta * t, 30)
-    assert abs(np.vdot(target.amplitudes, psi)) ** 2 > 0.95
+    assert abs(np.vdot(target.amplitudes, psi.amplitudes)) ** 2 > 0.95
+
+
+def _bare_drive_hamiltonian(K, d, beta):
+    a = orc.ladder(30)
+    ad = a.conj().T
+    return d * (ad @ a) - 0.5 * K * (ad @ ad @ a @ a) + beta * (ad + a)
+
+
+@pytest.mark.parametrize("which", ["drive", "pump"])
+def test_rabi_map_matches_the_matrix_exponential(which):
+    # each column is |<0| expm(-iHt) |0>|^2 of an independently built H
+    from scipy.linalg import expm
+    K = PARAMS.K
+    amp = 0.3 * K
+    det = np.array([-0.5 * K, 0.0, 0.5 * K, 1.5 * K])
+    tg = np.linspace(0.0, 1.5, 16)
+    m = dyn.rabi_map(PARAMS, which, amp, det, tg)
+    assert m.shape == (det.size, tg.size)
+    for d, row in zip(det, m):
+        h = (_bare_drive_hamiltonian(K, d, amp) if which == "drive"
+             else orc.kpo_hamiltonian(K, amp, d, 30))
+        ref = [abs(expm(-1j * h * t)[0, 0]) ** 2 for t in tg]
+        assert np.max(np.abs(row - ref)) < 1e-10
+
+
+@pytest.mark.parametrize("which", ["drive", "pump"])
+def test_rabi_map_time_grid_contract(which):
+    """The Rabi map samples its time grid through ``propagate``.
+
+    So, like ``cat_rabi_map``, it rejects a grid that is not strictly
+    increasing or that holds a negative time.  The former per-column eigh
+    evaluated any grid and silently returned a map for both.
+    """
+    for tg in (np.array([0.0, 0.6, 0.3]), np.array([-0.1, 0.2, 0.5])):
+        with pytest.raises(UsageError):
+            dyn.rabi_map(PARAMS, which, 1.0, np.array([0.0]), tg)
 
 
 def test_rabi_map_input_validation():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kposim import fockspace as fs
+from kposim import model as md
 from kposim import spectral as sp
 from kposim import units
 from kposim.errors import TruncationError, UsageError
@@ -38,6 +39,19 @@ def test_qubit_levels_are_highest():
     assert spec.parities[i_even] == 1
     assert spec.parities[i_odd] == -1
 
+
+
+def test_spectrum_and_cat_basis_pick_the_same_pair():
+    # qpt takes energies from the spectrum and states from the cat basis,
+    # so both must name the same two eigenstates
+    for delta_mhz in np.linspace(0.0, 2.0, 9):
+        params = md.SystemParams.from_mhz(3.1, 3.13, delta_mhz, dim=30)
+        spec = sp.quasienergies(params.K, params.P_max, params.Delta, 30,
+                                check_convergence=False)
+        basis = md.cat_basis_from_model(params)
+        for state, cat in zip(spec.qubit_states(),
+                              (basis.plus_cat, basis.minus_cat)):
+            assert abs(state.overlap(cat)) == pytest.approx(1.0, abs=1e-12)
 
 def test_eigenstates_have_definite_parity():
     spec = sp.quasienergies(K, P, DELTA, 30)
