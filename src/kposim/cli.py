@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 config error, 3 physics/convergence error,
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import os
 import sys
@@ -29,8 +28,8 @@ from . import tomography as tg
 from .errors import ConfigError, ConvergenceError, KposimError, UsageError
 from .units import TWO_PI, angular_to_mhz, mhz_to_angular, ns_to_us, us_to_ns
 
-SYSTEM_KEYS = {"K_MHz", "P_MHz", "Delta_MHz", "beta_MHz", "Delta_d_MHz",
-               "phi_d", "kappa_per_us", "dim"}
+SYSTEM_KEYS = {"K_MHz", "P_MHz", "Delta_MHz", "beta_MHz", "kappa_per_us",
+               "dim"}
 GRID_KEYS = {"start", "stop", "count"}
 
 
@@ -70,7 +69,13 @@ def _grid(cfg, key, where, required=True, scale=1.0):
     return np.linspace(start * scale, stop * scale, count)
 
 
-def _system(cfg, where="config.system"):
+def _system(cfg, refine=False):
+    """The SystemParams of the config's ``system`` block.
+
+    With ``refine`` they are those of the ``--check`` rerun: dim doubled,
+    ``rtol`` and ``atol`` halved.
+    """
+    where = "config.system"
     if "system" not in cfg:
         raise ConfigError("config: missing 'system' block")
     s = cfg["system"]
@@ -78,16 +83,17 @@ def _system(cfg, where="config.system"):
     if "K_MHz" not in s:
         raise ConfigError(f"{where}: missing 'K_MHz'")
     kwargs = {}
-    for key, arg in (("K_MHz", "K_MHz"), ("P_MHz", "P_MHz"),
-                     ("Delta_MHz", "Delta_MHz"), ("beta_MHz", "beta_MHz"),
-                     ("Delta_d_MHz", "Delta_d_MHz"), ("phi_d", "phi_d"),
-                     ("kappa_per_us", "kappa_per_us")):
+    for key in ("K_MHz", "P_MHz", "Delta_MHz", "beta_MHz", "kappa_per_us"):
         if key in s:
-            kwargs[arg] = _finite(s[key], f"{where}.{key}")
+            kwargs[key] = _finite(s[key], f"{where}.{key}")
     dim = s.get("dim", 30)
     if not isinstance(dim, int) or dim < 2:
         raise ConfigError(f"{where}.dim: must be an integer >= 2")
-    return md.SystemParams.from_mhz(dim=dim, **kwargs)
+    params = md.SystemParams.from_mhz(dim=dim, **kwargs)
+    if refine:
+        params = params.with_(dim=2 * dim, rtol=0.5 * params.rtol,
+                              atol=0.5 * params.atol)
+    return params
 
 
 def load_config(path):
@@ -115,15 +121,15 @@ def _write_map_csv(path, names, rows, cols, values):
 
 
 # ---------------------------------------------------------------------------
-# experiment runners; each returns (summary, checks) where checks maps
-# summary scalar names to the tolerance used by --check
+# experiment runners; each takes (cfg, params, out, svg) and returns
+# (summary, checks) where checks maps summary scalar names to the tolerance
+# used by --check
 
 
 def _run_rabi(which):
-    def run(cfg, out, opts):
+    def run(cfg, params, out, svg):
         _check_keys(cfg, {"system", "amplitude_MHz", "detuning_grid_MHz",
                           "time_grid_ns", "out_dir"}, "config")
-        params = _system(cfg)
         if "amplitude_MHz" not in cfg:
             raise ConfigError("config: missing 'amplitude_MHz'")
         amp = mhz_to_angular(_finite(cfg["amplitude_MHz"], "amplitude_MHz"))
@@ -134,7 +140,7 @@ def _run_rabi(which):
         tns = us_to_ns(tus)
         _write_map_csv(os.path.join(out, "map.csv"),
                        ("detuning_MHz", "time_ns", "p0"), dmhz, tns, pmap)
-        if opts["svg"]:
+        if svg:
             io.svg_heatmap(os.path.join(out, "map.svg"), tns, dmhz, pmap,
                            title=f"rabi-{which}", xlabel="time (ns)",
                            ylabel="detuning (MHz)")
@@ -150,10 +156,9 @@ def _run_rabi(which):
     return run
 
 
-def _run_map_cat(cfg, out, opts):
+def _run_map_cat(cfg, params, out, svg):
     _check_keys(cfg, {"system", "tau_ramp_ns", "counterdiabatic", "cd_mode",
                       "samples", "out_dir"}, "config")
-    params = _system(cfg)
     tau = ns_to_us(_finite(cfg.get("tau_ramp_ns", 300.0), "tau_ramp_ns"))
     cd = cfg.get("counterdiabatic", True)
     if not isinstance(cd, bool):
@@ -165,19 +170,19 @@ def _run_map_cat(cfg, out, opts):
     sched = md.ramp_schedule(params.P_max, tau, params.Delta,
                              counterdiabatic=cd, cd_mode=mode)
     basis = md.cat_basis_from_model(params)
+    lossless = params.with_(kappa=0.0)
     times = np.linspace(0.0, tau, nsamp)
     cols = {"time_ns": us_to_ns(times)}
     finals = {}
     for label, idx, bvec in (("even", 0, basis.plus_cat.amplitudes),
                              ("odd", 1, basis.minus_cat.amplitudes)):
-        traj = dyn.propagate(params, sched, fs.fock_state(idx, params.dim),
-                             sample_times=times, kappa=0.0,
-                             rtol=opts["rtol"], atol=opts["atol"])
+        traj = dyn.propagate(lossless, sched, fs.fock_state(idx, params.dim),
+                             sample_times=times)
         fid = [abs(np.vdot(bvec, s.amplitudes)) ** 2 for s in traj.states]
         cols[f"fid_{label}"] = fid
         finals[label] = fid[-1]
     io.write_csv(os.path.join(out, "mapping.csv"), cols)
-    if opts["svg"]:
+    if svg:
         io.svg_lines(os.path.join(out, "mapping.svg"), cols["time_ns"],
                      {"even": cols["fid_even"], "odd": cols["fid_odd"]},
                      title="map-cat", xlabel="time (ns)", ylabel="fidelity")
@@ -192,10 +197,9 @@ def _run_map_cat(cfg, out, opts):
     return summary, {"final_fidelity_even": 5e-3, "final_fidelity_odd": 5e-3}
 
 
-def _run_cat_size(cfg, out, opts):
+def _run_cat_size(cfg, params, out, svg):
     _check_keys(cfg, {"system", "delta_grid_MHz", "wigner_points", "out_dir"},
                 "config")
-    params = _system(cfg)
     deltas = _grid(cfg, "delta_grid_MHz", "config", scale=TWO_PI)
     points = cfg.get("wigner_points", 81)
     if not isinstance(points, int) or points < 9:
@@ -220,7 +224,7 @@ def _run_cat_size(cfg, out, opts):
         "size": sizes,
         "stationary_radius": formula,
     })
-    if opts["svg"]:
+    if svg:
         io.svg_lines(os.path.join(out, "cat_size.svg"), deltas / TWO_PI,
                      {"size": sizes, "formula": formula},
                      title="cat-size", xlabel="Delta (MHz)", ylabel="|alpha|")
@@ -233,16 +237,14 @@ def _run_cat_size(cfg, out, opts):
     return summary, {"max_relative_deviation": 0.05}
 
 
-def _run_relax(cfg, out, opts):
+def _run_relax(cfg, params, out, svg):
     _check_keys(cfg, {"system", "wait_grid_us", "prepare", "tau_ramp_ns",
                       "out_dir"}, "config")
-    params = _system(cfg)
     waits = _grid(cfg, "wait_grid_us", "config")
     prepare = cfg.get("prepare", "ramp")
     tau = ns_to_us(_finite(cfg.get("tau_ramp_ns", 300.0), "tau_ramp_ns"))
-    res = dyn.relaxation_experiment(params, params.kappa, waits,
-                                    prepare=prepare, tau_ramp=tau,
-                                    rtol=opts["rtol"], atol=opts["atol"])
+    res = dyn.relaxation_experiment(params, waits, prepare=prepare,
+                                    tau_ramp=tau)
     pop_cols = {"wait_us": waits}
     plus_cat_run = res.populations["z"]
     for k, label in enumerate(fs.CARDINAL_LABELS):
@@ -258,7 +260,7 @@ def _run_relax(cfg, out, opts):
     osc = dyn.fit_damped_cosine(waits, res.differences["x"])
     spec = sp.quasienergies(params.K, params.P_max, params.Delta, params.dim,
                             check_convergence=False)
-    if opts["svg"]:
+    if svg:
         io.svg_lines(os.path.join(out, "axes.svg"), waits,
                      {"diff_z": sd_cols["diff_z"], "diff_x": sd_cols["diff_x"],
                       "sum_z": sd_cols["sum_z"]},
@@ -275,17 +277,16 @@ def _run_relax(cfg, out, opts):
     return summary, {"T_z_us": 0.5, "oscillation_MHz": 0.02}
 
 
-def _run_quasi_surface(cfg, out, opts):
+def _run_quasi_surface(cfg, params, out, svg):
     _check_keys(cfg, {"system", "p_over_K_grid", "delta_over_K_grid",
                       "out_dir"}, "config")
-    params = _system(cfg)
     pg = _grid(cfg, "p_over_K_grid", "config")
     dg = _grid(cfg, "delta_over_K_grid", "config")
     surf = sp.splitting_surface(params.K, pg, dg, params.dim)
     _write_map_csv(os.path.join(out, "surface.csv"),
                    ("P_over_K", "Delta_over_K", "splitting_over_K"),
                    pg, dg, surf)
-    if opts["svg"]:
+    if svg:
         io.svg_heatmap(os.path.join(out, "surface.svg"), dg, pg, surf,
                        title="quasi-surface", xlabel="Delta/K",
                        ylabel="P/K")
@@ -301,22 +302,20 @@ def _run_quasi_surface(cfg, out, opts):
     return summary, {"splitting_MHz": 1e-4, "gap_over_K": 1e-4}
 
 
-def _run_cat_rabi(cfg, out, opts):
+def _run_cat_rabi(cfg, params, out, svg):
     _check_keys(cfg, {"system", "detuning_grid_MHz", "time_grid_ns",
                       "phi_grid_rad", "symmetrized", "out_dir"}, "config")
-    params = _system(cfg)
     det = _grid(cfg, "detuning_grid_MHz", "config", scale=TWO_PI)
     tus = ns_to_us(_grid(cfg, "time_grid_ns", "config"))
     sym = cfg.get("symmetrized", True)
     if not isinstance(sym, bool):
         raise ConfigError("symmetrized must be a boolean")
-    pmap = dyn.cat_rabi_map(params, det, tus, symmetrized=sym,
-                            rtol=opts["rtol"], atol=opts["atol"])
+    pmap = dyn.cat_rabi_map(params, det, tus, symmetrized=sym)
     dmhz = det / TWO_PI
     tns = us_to_ns(tus)
     _write_map_csv(os.path.join(out, "detuning_map.csv"),
                    ("detuning_MHz", "time_ns", "parity"), dmhz, tns, pmap)
-    if opts["svg"]:
+    if svg:
         io.svg_heatmap(os.path.join(out, "detuning_map.svg"), tns, dmhz, pmap,
                        title="cat-rabi", xlabel="time (ns)",
                        ylabel="drive detuning (MHz)")
@@ -337,11 +336,10 @@ def _run_cat_rabi(cfg, out, opts):
     checks = {"resonant_rabi_MHz": 0.05} if rabi_mhz is not None else {}
     phig = _grid(cfg, "phi_grid_rad", "config", required=False)
     if phig is not None:
-        phmap = dyn.cat_rabi_phase_map(params, phig, tus, symmetrized=sym,
-                                       rtol=opts["rtol"], atol=opts["atol"])
+        phmap = dyn.cat_rabi_phase_map(params, phig, tus, symmetrized=sym)
         _write_map_csv(os.path.join(out, "phase_map.csv"),
                        ("phi_rad", "time_ns", "parity"), phig, tns, phmap)
-        if opts["svg"]:
+        if svg:
             io.svg_heatmap(os.path.join(out, "phase_map.svg"), tns, phig,
                            phmap, title="cat-rabi phase", xlabel="time (ns)",
                            ylabel="drive phase (rad)")
@@ -359,21 +357,18 @@ def _ripple_metric(row):
     return float(np.sqrt(np.mean(resid ** 2)))
 
 
-def _run_cat_ramsey(cfg, out, opts):
+def _run_cat_ramsey(cfg, params, out, svg):
     _check_keys(cfg, {"system", "delta_peak_grid_MHz", "tau_Z_grid_ns",
                       "ripple_beta_grid_MHz", "out_dir"}, "config")
-    params = _system(cfg)
     dps = _grid(cfg, "delta_peak_grid_MHz", "config", scale=TWO_PI)
     taus = ns_to_us(_grid(cfg, "tau_Z_grid_ns", "config"))
-    cal = qp.calibrate_x2(params, rtol=opts["rtol"], atol=opts["atol"])
-    pmap = dyn.cat_ramsey_map(params, dps, taus, cal["duration"],
-                              kappa=params.kappa, rtol=opts["rtol"],
-                              atol=opts["atol"])
+    cal = qp.calibrate_x2(params)
+    pmap = dyn.cat_ramsey_map(params, dps, taus, cal["duration"])
     dmhz = dps / TWO_PI
     tns = us_to_ns(taus)
     _write_map_csv(os.path.join(out, "ramsey.csv"),
                    ("delta_peak_MHz", "tau_Z_ns", "parity"), dmhz, tns, pmap)
-    if opts["svg"]:
+    if svg:
         io.svg_heatmap(os.path.join(out, "ramsey.svg"), tns, dmhz, pmap,
                        title="cat-ramsey", xlabel="tau_Z (ns)",
                        ylabel="chirp depth (MHz)")
@@ -390,17 +385,15 @@ def _run_cat_ramsey(cfg, out, opts):
         tau_fix = taus[-1]
         ripples = []
         for b in betas:
-            p_b = params.with_(beta=float(b))
-            cal_b = qp.calibrate_x2(p_b, rtol=opts["rtol"], atol=opts["atol"])
-            row = dyn.cat_ramsey_map(p_b, dps, [tau_fix], cal_b["duration"],
-                                     kappa=0.0, rtol=opts["rtol"],
-                                     atol=opts["atol"])
+            p_b = params.with_(beta=float(b), kappa=0.0)
+            cal_b = qp.calibrate_x2(p_b)
+            row = dyn.cat_ramsey_map(p_b, dps, [tau_fix], cal_b["duration"])
             ripples.append(_ripple_metric(row[:, 0]))
         io.write_csv(os.path.join(out, "ripple.csv"), {
             "beta_MHz": betas / TWO_PI,
             "ripple_rms": np.array(ripples),
         })
-        if opts["svg"]:
+        if svg:
             io.svg_lines(os.path.join(out, "ripple.svg"), betas / TWO_PI,
                          {"ripple": np.array(ripples)}, title="ramsey ripple",
                          xlabel="beta (MHz)", ylabel="ripple RMS")
@@ -410,10 +403,9 @@ def _run_cat_ramsey(cfg, out, opts):
     return summary, checks
 
 
-def _run_tls_compare(cfg, out, opts):
+def _run_tls_compare(cfg, params, out, svg):
     _check_keys(cfg, {"system", "Omega_R_MHz", "detuning_grid_MHz",
                       "time_grid_ns", "out_dir"}, "config")
-    params = _system(cfg)
     if "Omega_R_MHz" in cfg:
         omega = mhz_to_angular(_finite(cfg["Omega_R_MHz"], "Omega_R_MHz"))
     else:
@@ -429,7 +421,7 @@ def _run_tls_compare(cfg, out, opts):
     for variant, m in maps.items():
         _write_map_csv(os.path.join(out, f"{variant}.csv"),
                        ("detuning_MHz", "time_ns", "p_excited"), dmhz, tns, m)
-        if opts["svg"]:
+        if svg:
             io.svg_heatmap(os.path.join(out, f"{variant}.svg"), tns, dmhz, m,
                            title=f"TLS {variant}", xlabel="time (ns)",
                            ylabel="detuning (MHz)")
@@ -446,10 +438,9 @@ def _run_tls_compare(cfg, out, opts):
     return summary, {"rms_between_variants": 1e-6}
 
 
-def _run_qpt(cfg, out, opts):
+def _run_qpt(cfg, params, out, svg):
     _check_keys(cfg, {"system", "kind", "tau_ramp_ns", "tau_Z_ns",
                       "detuning_offset_MHz", "out_dir"}, "config")
-    params = _system(cfg)
     kind = cfg.get("kind", "mapping")
     if kind not in ("mapping", "x2", "z2"):
         raise ConfigError(f"kind must be 'mapping', 'x2' or 'z2', got {kind!r}")
@@ -457,13 +448,11 @@ def _run_qpt(cfg, out, opts):
     tau_Z = ns_to_us(_finite(cfg.get("tau_Z_ns", 500.0), "tau_Z_ns"))
     offset = mhz_to_angular(_finite(cfg.get("detuning_offset_MHz", 0.0),
                                     "detuning_offset_MHz"))
-    res = qp.qpt_experiment(kind, params, kappa=params.kappa,
-                            tau_ramp=tau_ramp, tau_Z=tau_Z,
-                            detuning_offset=offset, rtol=opts["rtol"],
-                            atol=opts["atol"])
+    res = qp.qpt_experiment(kind, params, tau_ramp=tau_ramp, tau_Z=tau_Z,
+                            detuning_offset=offset)
     io.write_chi_json(os.path.join(out, "chi.json"), res.chi)
     io.write_chi_csv(os.path.join(out, "chi.csv"), res.chi)
-    if opts["svg"]:
+    if svg:
         io.svg_chi_bars(os.path.join(out, "chi_real.svg"), res.chi,
                         part="real", title=f"chi real ({kind})")
         io.svg_chi_bars(os.path.join(out, "chi_imag.svg"), res.chi,
@@ -507,11 +496,10 @@ def _wigner_state(cfg, params):
     raise ConfigError(f"unknown state kind {kind!r}")
 
 
-def _run_wigner(cfg, out, opts):
+def _run_wigner(cfg, params, out, svg):
     _check_keys(cfg, {"system", "state", "points", "extent", "mode",
                       "pulse_duration_ns", "noise_sigma", "seed",
                       "reconstruct", "kerr_correct_ns", "out_dir"}, "config")
-    params = _system(cfg)
     state = _wigner_state(cfg, params)
     points = cfg.get("points", 81)
     if not isinstance(points, int) or points < 9:
@@ -534,9 +522,7 @@ def _run_wigner(cfg, out, opts):
                                "pulse_duration_ns"))
         alphas = tg.grid_points(re, im)
         record = tg.simulate_ld_tomography(params, rho, alphas,
-                                           pulse_duration=dur,
-                                           rtol=opts["rtol"],
-                                           atol=opts["atol"])
+                                           pulse_duration=dur)
         sigma = _finite(cfg.get("noise_sigma", 0.0), "noise_sigma")
         parities = record.parities
         if sigma > 0:
@@ -573,7 +559,7 @@ def _run_wigner(cfg, out, opts):
         summary["kerr_correct_ns"] = float(tau_corr)
     _write_map_csv(os.path.join(out, "wigner.csv"), ("re", "im", "W"),
                    re, im, wm.values.T)
-    if opts["svg"]:
+    if svg:
         io.svg_heatmap(os.path.join(out, "wigner.svg"), re, im, wm.values,
                        title="wigner", xlabel="Re alpha", ylabel="Im alpha")
     summary["integral"] = float(wm.integral())
@@ -599,19 +585,19 @@ RUNNERS = {
 }
 
 
-def run_experiment(name, cfg, out_root, svg=False, check=False,
-                   rtol=dyn.DEFAULT_RTOL, atol=dyn.DEFAULT_ATOL):
-    """Execute one experiment and write its artifacts; returns the summary."""
+def run_experiment(name, cfg, out_root, svg=False, check=False):
+    """Execute one experiment and write its artifacts; returns the summary.
+
+    With ``check`` the experiment reruns on the refined SystemParams of
+    :func:`_system`, and no summary value the runner declares may move by
+    more than its tolerance.
+    """
     runner = RUNNERS[name]
     out = io.ensure_dir(os.path.join(out_root, name))
-    opts = {"svg": svg, "rtol": rtol, "atol": atol}
-    summary, tolerances = runner(cfg, out, opts)
+    summary, tolerances = runner(cfg, _system(cfg), out, svg)
     if check:
-        cfg2 = copy.deepcopy(cfg)
-        cfg2.setdefault("system", {})["dim"] = 2 * cfg.get("system", {}).get("dim", 30)
         out2 = io.ensure_dir(os.path.join(out, "check"))
-        opts2 = {"svg": False, "rtol": 0.5 * rtol, "atol": 0.5 * atol}
-        summary2, _ = runner(cfg2, out2, opts2)
+        summary2, _ = runner(cfg, _system(cfg, refine=True), out2, False)
         moves = {}
         for key, tol in tolerances.items():
             a, b = summary.get(key), summary2.get(key)

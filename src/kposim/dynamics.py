@@ -25,9 +25,6 @@ from .errors import (AccuracyError, DegenerateDataError, FitError,
 from .parallel import parallel_map
 from .units import TWO_PI
 
-DEFAULT_RTOL = 1e-8
-DEFAULT_ATOL = 1e-10
-
 
 # ---------------------------------------------------------------------------
 # trajectories
@@ -38,8 +35,8 @@ class Trajectory:
     """Sampled solution of a propagation run.
 
     ``states`` holds one StateVector (unitary branch) or DensityMatrix
-    (Lindblad branch) per entry of ``times``.  ``meta`` records integrator
-    tolerances and step statistics.
+    (Lindblad branch) per entry of ``times``.  ``meta`` records the loss
+    rate, integrator tolerances and step statistics.
     """
 
     times: np.ndarray
@@ -82,8 +79,7 @@ def _coefficients(schedule, t, index):
     return np.array([delta, p, q, b * phase, b * np.conj(phase)])
 
 
-def _segment(params, schedule, index, y0, t0, t_points, t1, density, kappa,
-             rtol, atol):
+def _segment(params, schedule, index, y0, t0, t_points, t1, density):
     """Propagate segment ``index`` in the eigenframe of its midpoint H.
 
     With H_ref = H((t0+t1)/2) = V diag(E) V†, u = e^{-iE(t-t0)} and
@@ -93,12 +89,12 @@ def _segment(params, schedule, index, y0, t0, t_points, t1, density, kappa,
     is the rest H(t) - H_ref rotated into the frame: Δc = c(t) - c(t_mid)
     over the blocks Õ_i = V†O_iV, and D̃ the dissipator with ã = V†aV.
     H_ref's spectrum, with the Fock-truncation edge, never sets the step;
-    ``rtol`` and ``atol`` bound c or σ.  A static segment has R̃ ≡ 0, so
-    without loss c and σ stay constant and the result is exact.  Returns
-    (samples at ``t_points``, state at ``t1``, solver, nfev) in the layout
-    of ``y0``.
+    ``params.rtol`` and ``params.atol`` bound c or σ.  A static segment has
+    R̃ ≡ 0, so without loss c and σ stay constant and the result is exact.
+    Returns (samples at ``t_points``, state at ``t1``, solver, nfev) in the
+    layout of ``y0``.
     """
-    dim = params.dim
+    dim, kappa = params.dim, params.kappa
     t_mid = 0.5 * (t0 + t1)
     evals, vecs = np.linalg.eigh(md.hamiltonian_at(params, schedule, t_mid,
                                                    index))
@@ -149,35 +145,36 @@ def _segment(params, schedule, index, y0, t0, t_points, t1, density, kappa,
             u = np.exp(-1j * evals * (t - t0))
             return -1j * u.conj() * (remainder(t) @ (u * y))
 
-    cs, c1, nfev = _solve_segment(rhs, c0, t0, t1, t_points, rtol, atol)
+    cs, c1, nfev = _solve_segment(rhs, c0, t0, t1, t_points, params.rtol,
+                                  params.atol)
     return ([lab(t, c) for t, c in zip(t_points, cs)], lab(t1, c1),
             "eigenframe DOP853", nfev)
 
 
-def propagate(params, schedule, initial, sample_times=None, kappa=None,
-              rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+def propagate(params, schedule, initial, sample_times=None):
     """Propagate a state through a pulse schedule.
 
-    With ``kappa`` > 0 (default: ``params.kappa``) the single-photon-loss
-    Lindblad equation drho/dt = -i[H, rho] + kappa (a rho a† - {n, rho}/2)
-    is integrated and a pure initial state is promoted to a density matrix;
-    otherwise the Schroedinger equation is solved.  ``sample_times`` (us,
-    within the schedule; default: the schedule's end) selects the returned
-    samples, so the returned states end at the last sample, and segments
-    after it are not propagated.  Norm/trace drift beyond 1e-8 raises
+    Loss and tolerances come from ``params``: with ``params.kappa`` > 0 the
+    single-photon-loss Lindblad equation
+    drho/dt = -i[H, rho] + kappa (a rho a† - {n, rho}/2) is integrated and a
+    pure initial state is promoted to a density matrix; otherwise the
+    Schroedinger equation is solved (pass ``params.with_(kappa=0.0)`` for a
+    lossless step).  ``sample_times`` (us, within the schedule; default: the
+    schedule's end) selects the returned samples, so the returned states end
+    at the last sample, and segments after it are not propagated.  Norm/trace drift beyond 1e-8 raises
     :class:`AccuracyError`; integrator breakdown raises
     :class:`StiffnessError` with the time reached.
 
     Every segment runs in the eigenframe of its Hamiltonian at the segment
     midpoint, from one ``eigh``.  A static segment (see
     :meth:`kposim.model.Segment.is_static`) without loss is exact there
-    (solver ``"eigh"``); otherwise DOP853 integrates only what that frame
-    leaves: the rest of H(t) and the dissipator (``"eigenframe DOP853"``).
-    ``meta["segments"]`` holds one ``{"solver", "nfev"}`` entry per
-    propagated segment and ``meta["nfev"]`` their sum.
+    (solver ``"eigh"``); otherwise DOP853 integrates, at ``params.rtol`` and
+    ``params.atol``, only what that frame leaves: the rest of H(t) and the
+    dissipator (``"eigenframe DOP853"``).  ``meta`` records ``kappa``,
+    ``rtol``, ``atol`` and the ``branch``; ``meta["segments"]`` holds one
+    ``{"solver", "nfev"}`` entry per propagated segment and ``meta["nfev"]``
+    their sum.
     """
-    if kappa is None:
-        kappa = params.kappa
     total = schedule.total_duration
     if sample_times is None:
         sample_times = np.array([total])
@@ -192,7 +189,7 @@ def propagate(params, schedule, initial, sample_times=None, kappa=None,
             f"[{t_s[0]}, {t_s[-1]}]")
     t_s = np.clip(t_s, 0.0, total)
 
-    density = kappa > 0.0 or isinstance(initial, fs.DensityMatrix)
+    density = params.kappa > 0.0 or isinstance(initial, fs.DensityMatrix)
     if density:
         if isinstance(initial, fs.StateVector):
             initial = initial.to_density()
@@ -224,16 +221,15 @@ def propagate(params, schedule, initial, sample_times=None, kappa=None,
         # samples caught by the boundary tolerance must not leave the span
         in_seg = np.clip(in_seg, t0, t1)
         samples, y, solver, nfev = _segment(params, schedule, index, y, t0,
-                                            in_seg, t1, density, kappa, rtol,
-                                            atol)
+                                            in_seg, t1, density)
         seg_stats.append({"solver": solver, "nfev": nfev})
         for t, ys in zip(in_seg, samples):
             states.append(_freeze(ys, density, dim, t=t))
             times_out.append(t)
         t_cursor = t1
 
-    meta = {"rtol": rtol, "atol": atol,
-            "nfev": sum(s["nfev"] for s in seg_stats), "kappa": kappa,
+    meta = {"rtol": params.rtol, "atol": params.atol,
+            "nfev": sum(s["nfev"] for s in seg_stats), "kappa": params.kappa,
             "branch": "lindblad" if density else "unitary",
             "segments": seg_stats}
     return Trajectory(np.array(times_out), tuple(states), meta)
@@ -287,11 +283,12 @@ def rabi_map(params, which, amplitude, detuning_grid, time_grid):
         raise UsageError(f"which must be 'drive' or 'pump', got {which!r}")
     tone = {which: md.Constant(amplitude)}
     psi0 = fs.fock_state(0, params.dim)
+    lossless = params.with_(kappa=0.0)
 
     def column(d):
         seg = md.Segment(duration=tg[-1], detuning=md.Constant(d), **tone)
-        traj = propagate(params, md.PulseSchedule((seg,)), psi0,
-                         sample_times=tg, kappa=0.0)
+        traj = propagate(lossless, md.PulseSchedule((seg,)), psi0,
+                         sample_times=tg)
         return [abs(s.amplitudes[0]) ** 2 for s in traj.states]
 
     return np.array(parallel_map(column, det))
@@ -319,12 +316,11 @@ def tls_rabi_map(variant, Omega_R, detuning_grid, time_grid):
     return np.sin(half_area * np.sinc(det * tg / np.pi)) ** 2
 
 
-def _cat_parity_rows(params, drives, tg, beta, symmetrized, rtol, atol):
-    """<parity> at the times ``tg`` for each (detuning, phase) drive tone."""
-    if beta is None:
-        beta = params.beta
+def _cat_parity_rows(params, drives, tg, symmetrized):
+    """Lossless <parity> at the times ``tg`` of each (detuning, phase) tone."""
     basis = md.cat_basis_from_model(params)
     par = fs.parity_op(params.dim)
+    lossless = params.with_(kappa=0.0)
 
     def column(drive):
         d, phi = drive
@@ -333,25 +329,24 @@ def _cat_parity_rows(params, drives, tg, beta, symmetrized, rtol, atol):
             # image tone's phase along with its detuning
             seg = md.Segment(duration=tg[-1], pump=md.Constant(params.P_max),
                              detuning=md.Constant(params.Delta),
-                             drive=md.Cosine(beta, d, phi))
+                             drive=md.Cosine(params.beta, d, phi))
             sched = md.PulseSchedule((seg,))
         else:
-            sched = md.drive_schedule(tg[-1], beta, d, phi, params.P_max,
-                                      params.Delta)
-        traj = propagate(params, sched, basis.plus_cat, sample_times=tg,
-                         kappa=0.0, rtol=rtol, atol=atol)
+            sched = md.drive_schedule(tg[-1], params.beta, d, phi,
+                                      params.P_max, params.Delta)
+        traj = propagate(lossless, sched, basis.plus_cat, sample_times=tg)
         return [float(np.real(s.expect(par))) for s in traj.states]
 
     return np.array(parallel_map(column, drives))
 
 
-def cat_rabi_map(params, detuning_grid, time_grid, beta=None, phi_d=0.0,
-                 symmetrized=True, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+def cat_rabi_map(params, detuning_grid, time_grid, symmetrized=True):
     """Parity map of the driven stabilized cat vs drive detuning and time.
 
     Starts from the even qubit eigenstate with the pump held at P_max, adds
-    a drive of amplitude ``beta`` at each detuning of ``detuning_grid``
-    (rad/us), and records <parity> at the times of ``time_grid``.  Parity,
+    a zero-phase drive of amplitude ``params.beta`` at each detuning of
+    ``detuning_grid`` (rad/us), and records <parity> at the times of
+    ``time_grid``, without loss.  Parity,
     via W(0) pi/2, is the z readout of the cat qubit, so this is the
     cat-qubit Rabi map.
 
@@ -366,27 +361,25 @@ def cat_rabi_map(params, detuning_grid, time_grid, beta=None, phi_d=0.0,
     tg = np.asarray(time_grid, dtype=float)
     if det.size == 0 or tg.size == 0:
         raise UsageError("detuning_grid and time_grid must be nonempty")
-    return _cat_parity_rows(params, [(d, phi_d) for d in det], tg, beta,
-                            symmetrized, rtol, atol)
+    return _cat_parity_rows(params, [(d, 0.0) for d in det], tg, symmetrized)
 
 
-def cat_rabi_phase_map(params, phi_grid, time_grid, beta=None, Delta_d=0.0,
-                       symmetrized=True, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
-    """Parity map of the driven cat vs drive phase and time (fixed detuning)."""
+def cat_rabi_phase_map(params, phi_grid, time_grid, symmetrized=True):
+    """Parity map of the resonantly driven cat vs drive phase and time."""
     phis = np.asarray(phi_grid, dtype=float)
     tg = np.asarray(time_grid, dtype=float)
     if phis.size == 0 or tg.size == 0:
         raise UsageError("phi_grid and time_grid must be nonempty")
-    return _cat_parity_rows(params, [(Delta_d, phi) for phi in phis], tg,
-                            beta, symmetrized, rtol, atol)
+    return _cat_parity_rows(params, [(0.0, phi) for phi in phis], tg,
+                            symmetrized)
 
 
-def cat_ramsey_map(params, delta_peak_grid, tau_Z_grid, x2_duration,
-                   beta=None, kappa=0.0, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+def cat_ramsey_map(params, delta_peak_grid, tau_Z_grid, x2_duration):
     """Parity after an X/2 - chirp - X/2 Ramsey sequence.
 
-    Sweeps the chirp depth (rad/us) and gate time; ``x2_duration`` is the
-    calibrated quarter-rotation pulse length (see kposim.qpt.calibrate_x2 —
+    Sweeps the chirp depth (rad/us) and gate time at the loss rate
+    ``params.kappa``; ``x2_duration`` is the length of the quarter-rotation
+    pulse of amplitude ``params.beta`` (see kposim.qpt.calibrate_x2 —
     passed in rather than imported to keep the module dependency one-way).
     The chirp's accumulated frame phase automatically retards the second
     pulse's drive phase through the schedule bookkeeping.  Returns an array
@@ -396,19 +389,16 @@ def cat_ramsey_map(params, delta_peak_grid, tau_Z_grid, x2_duration,
     taus = np.asarray(tau_Z_grid, dtype=float)
     if dps.size == 0 or taus.size == 0:
         raise UsageError("delta_peak_grid and tau_Z_grid must be nonempty")
-    if beta is None:
-        beta = params.beta
     basis = md.cat_basis_from_model(params)
     par = fs.parity_op(params.dim)
-    pulse = md.drive_schedule(x2_duration, beta, 0.0, 0.0, params.P_max,
+    pulse = md.drive_schedule(x2_duration, params.beta, 0.0, 0.0, params.P_max,
                               params.Delta)
 
     def point(args):
         dp, tau = args
         sched = pulse.then(md.chirp_schedule(dp, tau, params.P_max,
                                              params.Delta)).then(pulse)
-        out = propagate(params, sched, basis.plus_cat, kappa=kappa,
-                        rtol=rtol, atol=atol).final_state
+        out = propagate(params, sched, basis.plus_cat).final_state
         return float(np.real(out.expect(par)))
 
     pts = [(dp, tau) for dp in dps for tau in taus]
@@ -440,15 +430,16 @@ class RelaxationResult:
         return self.sums[axis], self.differences[axis]
 
 
-_AXIS_OF = {"z": 0, "x": 1, "y": 2}
+# the cardinal state prepared for each axis, in the order of the axes of
+# fs.CARDINAL_LABELS
+_PREPARED = {"z": "+Cat", "x": "+Coh", "y": "+iCat"}
 
 
 def _relaxation_run(args):
-    params, kappa, wait_grid, psi0, basis, rtol, atol = args
+    params, wait_grid, psi0, basis = args
     hold = md.hold_schedule(wait_grid[-1] if wait_grid[-1] > 0 else 1e-6,
                             params.P_max, params.Delta)
-    traj = propagate(params, hold, psi0, sample_times=wait_grid,
-                     kappa=kappa, rtol=rtol, atol=atol)
+    traj = propagate(params, hold, psi0, sample_times=wait_grid)
     pops = np.empty((6, len(traj.states)))
     for i, s in enumerate(traj.states):
         rho = s.to_density() if isinstance(s, fs.StateVector) else s
@@ -456,15 +447,15 @@ def _relaxation_run(args):
     return pops
 
 
-def relaxation_experiment(params, kappa, wait_grid, prepare="ramp",
-                          tau_ramp=0.3, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+def relaxation_experiment(params, wait_grid, prepare="ramp", tau_ramp=0.3):
     """Hold each cat-Bloch cardinal preparation and track all six populations.
 
     ``prepare='ramp'`` builds |+Cat>, |+Coh>, |+iCat> by running the
     counterdiabatic mapping ramp on |0>, (|0>+|1>)/sqrt2, (|0>+i|1>)/sqrt2
     (noiseless), mirroring the pulse sequence of the experiment;
     ``prepare='ideal'`` starts exactly from the model cat-basis cardinals.
-    The hold segment keeps the pump at ``params.P_max`` with loss ``kappa``.
+    The hold segment keeps the pump at ``params.P_max`` with loss
+    ``params.kappa``.
     """
     wg = np.asarray(wait_grid, dtype=float)
     if wg.size < 2 or np.any(np.diff(wg) <= 0):
@@ -472,29 +463,24 @@ def relaxation_experiment(params, kappa, wait_grid, prepare="ramp",
     if wg[0] < 0:
         raise UsageError("wait_grid must be nonnegative")
     basis = md.cat_basis_from_model(params)
-    cards = fs.cardinal_states(basis)
     if prepare == "ideal":
-        initial = {"z": cards["+Cat"], "x": cards["+Coh"], "y": cards["+iCat"]}
+        cards = fs.cardinal_states(basis)
     elif prepare == "ramp":
         ramp = md.ramp_schedule(params.P_max, tau_ramp, params.Delta)
-        initial = {}
-        for lbl, fock_amp in (("z", (1.0, 0.0)), ("x", (1.0, 1.0)),
-                              ("y", (1.0, 1.0j))):
-            vec = np.zeros(params.dim, dtype=complex)
-            vec[0], vec[1] = fock_amp
-            psi = fs.StateVector(vec / np.linalg.norm(vec))
-            initial[lbl] = propagate(params, ramp, psi, kappa=0.0,
-                                     rtol=rtol, atol=atol).final_state
+        lossless = params.with_(kappa=0.0)
+        dim = params.dim
+        fock = fs.cardinal_states(md.CatBasis(fs.fock_state(0, dim),
+                                              fs.fock_state(1, dim), 0.0))
+        cards = {c: propagate(lossless, ramp, fock[c]).final_state
+                 for c in _PREPARED.values()}
     else:
         raise UsageError(f"prepare must be 'ramp' or 'ideal', got {prepare!r}")
 
-    jobs = [(params, kappa, wg, initial[lbl], basis, rtol, atol)
-            for lbl in ("z", "x", "y")]
+    jobs = [(params, wg, cards[c], basis) for c in _PREPARED.values()]
     results = parallel_map(_relaxation_run, jobs)
-    populations = dict(zip(("z", "x", "y"), results))
+    populations = dict(zip(_PREPARED, results))
     sums, diffs = {}, {}
-    for lbl, pops in populations.items():
-        k = _AXIS_OF[lbl]
+    for k, (lbl, pops) in enumerate(populations.items()):
         sums[lbl] = pops[2 * k] + pops[2 * k + 1]
         diffs[lbl] = pops[2 * k] - pops[2 * k + 1]
     return RelaxationResult(wg, populations, sums, diffs)

@@ -59,21 +59,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Static device parameters in internal units (rad/us, 1/us).
+    """Device operating point and propagation settings, internal units.
 
-    ``P_max`` is the plateau pump amplitude reached by ramp schedules;
-    segments carry their own instantaneous envelopes.  ``kappa`` is the
-    single-photon loss rate (0 disables dissipation).
+    Frequencies are rad/us and rates 1/us.  ``P_max`` is the plateau pump
+    amplitude reached by ramp schedules; segments carry their own
+    instantaneous envelopes.  ``beta`` is the linear drive amplitude of the
+    Rabi, Ramsey and X/2 pulses.  ``kappa`` is the single-photon loss rate
+    (0 disables dissipation); a step that must run without loss propagates
+    ``params.with_(kappa=0.0)``.  ``dim`` is the Fock truncation, and
+    ``rtol`` and ``atol`` are the integrator tolerances of every segment
+    that is not exact.
     """
 
     K: float
     P_max: float = 0.0
     Delta: float = 0.0
     beta: float = 0.0
-    Delta_d: float = 0.0
-    phi_d: float = 0.0
     kappa: float = 0.0
     dim: int = 30
+    rtol: float = 1e-8
+    atol: float = 1e-10
 
     def __post_init__(self):
         if not self.K > 0:
@@ -84,18 +89,20 @@ class SystemParams:
             raise UsageError(f"dim must be an int >= 2, got {self.dim!r}")
         if self.P_max < 0:
             raise UsageError(f"P_max must be >= 0, got {self.P_max}")
+        for name in ("rtol", "atol"):
+            if not getattr(self, name) > 0:
+                raise UsageError(
+                    f"{name} must be positive, got {getattr(self, name)}")
 
     @classmethod
     def from_mhz(cls, K_MHz, P_MHz=0.0, Delta_MHz=0.0, beta_MHz=0.0,
-                 Delta_d_MHz=0.0, phi_d=0.0, kappa_per_us=0.0, dim=30):
+                 kappa_per_us=0.0, dim=30):
         """Build from publication-style ordinary frequencies in MHz."""
         return cls(
             K=mhz_to_angular(K_MHz),
             P_max=mhz_to_angular(P_MHz),
             Delta=mhz_to_angular(Delta_MHz),
             beta=mhz_to_angular(beta_MHz),
-            Delta_d=mhz_to_angular(Delta_d_MHz),
-            phi_d=phi_d,
             kappa=kappa_per_us,
             dim=int(dim),
         )
@@ -380,15 +387,18 @@ def hold_schedule(duration, P_level, Delta, pump_jump=False):
     ))
 
 
-def ramp_schedule(P_max, tau_ramp, Delta, counterdiabatic=True, cd_scale=0.3,
+#: height of the counterdiabatic arch of :func:`ramp_schedule`, over P_max
+_CD_SCALE = 0.3
+
+
+def ramp_schedule(P_max, tau_ramp, Delta, counterdiabatic=True,
                   cd_mode="chirp", hold=0.0):
     """Adiabatic vacuum-to-cat mapping ramp.
 
     The pump rises as ``P_max sin^2(pi t / (2 tau_ramp))`` over ``tau_ramp``
     and stays at ``P_max`` for an optional ``hold`` afterwards.  With
-    ``counterdiabatic`` a shortcut arch ``cd_scale * P_max *
-    sin(pi t / tau_ramp)`` is applied during the ramp.  ``cd_mode`` selects
-    its realization:
+    ``counterdiabatic`` a shortcut arch ``0.3 P_max sin(pi t / tau_ramp)``
+    is applied during the ramp.  ``cd_mode`` selects its realization:
 
     ``'chirp'`` (default)
         a pump-frequency chirp that dips the effective detuning by the arch,
@@ -412,10 +422,10 @@ def ramp_schedule(P_max, tau_ramp, Delta, counterdiabatic=True, cd_scale=0.3,
     pump_quad: Envelope = _ZERO
     chirp: Envelope = _ZERO
     if counterdiabatic:
-        cd = SinBump(cd_scale * P_max, tau_ramp)
+        cd = SinBump(_CD_SCALE * P_max, tau_ramp)
         if cd_mode == "chirp":
             # detuning_value subtracts chirp/2, so double the arch here
-            chirp = SinBump(2.0 * cd_scale * P_max, tau_ramp)
+            chirp = SinBump(2.0 * _CD_SCALE * P_max, tau_ramp)
         elif cd_mode == "pump_in_phase":
             pump = Sum((ramp, cd))
         elif cd_mode == "pump_orthogonal":
@@ -432,7 +442,7 @@ def ramp_schedule(P_max, tau_ramp, Delta, counterdiabatic=True, cd_scale=0.3,
     return PulseSchedule(tuple(segs))
 
 
-def chirp_schedule(delta_peak, tau_Z, P_level, Delta, pump_jump=False):
+def chirp_schedule(delta_peak, tau_Z, P_level, Delta):
     """Pump-frequency chirp ``delta_p(t) = delta_peak sin^2(pi t / tau_Z)``.
 
     Represented as an effective detuning dip ``Delta - delta_p(t)/2``.  The
@@ -448,12 +458,11 @@ def chirp_schedule(delta_peak, tau_Z, P_level, Delta, pump_jump=False):
             pump=Constant(P_level),
             detuning=Constant(Delta),
             chirp=SinSquaredBump(delta_peak, tau_Z),
-            pump_jump=pump_jump,
         ),
     ))
 
 
-def drive_schedule(duration, beta, Delta_d, phi_d, P_level, Delta, pump_jump=False):
+def drive_schedule(duration, beta, Delta_d, phi_d, P_level, Delta):
     """Rectangular linear drive on top of a constant pump."""
     return PulseSchedule((
         Segment(
@@ -463,7 +472,6 @@ def drive_schedule(duration, beta, Delta_d, phi_d, P_level, Delta, pump_jump=Fal
             drive=Constant(beta),
             drive_detuning=Delta_d,
             drive_phase=phi_d,
-            pump_jump=pump_jump,
         ),
     ))
 

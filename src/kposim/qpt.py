@@ -242,17 +242,16 @@ def x2_coupling(basis):
     return float(g.real)
 
 
-def calibrate_x2(params, beta=None, rtol=1e-9, atol=1e-11):
+def calibrate_x2(params):
     """Duration of the resonant pulse implementing a quarter x rotation.
 
-    Scans the pulse duration around the two-level estimate
-    t = (pi/2) / (2 beta g) and maximizes overlap with the target action on
-    |+Cat> (free qubit precession divided out), so the calibration absorbs
-    the drive's effect on the full oscillator rather than trusting the
-    projected two-level rate.
+    Scans the lossless pulse duration around the two-level estimate
+    t = (pi/2) / (2 beta g), beta = ``params.beta``, and maximizes overlap
+    with the target action on |+Cat> (free qubit precession divided out), so
+    the calibration absorbs the drive's effect on the full oscillator rather
+    than trusting the projected two-level rate.
     """
-    if beta is None:
-        beta = params.beta
+    beta = params.beta
     if beta <= 0:
         raise CalibrationError("x2 calibration needs a positive drive amplitude")
     basis = md.cat_basis_from_model(params)
@@ -265,12 +264,12 @@ def calibrate_x2(params, beta=None, rtol=1e-9, atol=1e-11):
     bp = basis.plus_cat.amplitudes
     bm = basis.minus_cat.amplitudes
     psi0 = basis.plus_cat
+    lossless = params.with_(kappa=0.0)
 
     def infidelity(tau):
         sched = md.drive_schedule(tau, beta, 0.0, 0.0, params.P_max,
                                   params.Delta)
-        out = dyn.propagate(params, sched, psi0, kappa=0.0,
-                            rtol=rtol, atol=atol).final_state.amplitudes
+        out = dyn.propagate(lossless, sched, psi0).final_state.amplitudes
         target = (np.exp(-1j * e_even * tau) * bp
                   - 1j * np.exp(-1j * e_odd * tau) * bm) / np.sqrt(2.0)
         return 1.0 - abs(np.vdot(target, out)) ** 2
@@ -286,17 +285,16 @@ def calibrate_x2(params, beta=None, rtol=1e-9, atol=1e-11):
             "two_level_estimate": float(t0)}
 
 
-def _splitting_of_delta(params, delta_values, dim=None):
-    dim = dim or params.dim
+def _splitting_of_delta(params, delta_values):
     out = np.empty(np.size(delta_values))
     for i, d in enumerate(np.atleast_1d(delta_values)):
-        out[i] = sp.quasienergies(params.K, params.P_max, float(d), dim,
+        out[i] = sp.quasienergies(params.K, params.P_max, float(d), params.dim,
                                   check_convergence=False).splitting
     return out
 
 
-def calibrate_z2(params, tau_Z=0.5, angle=0.5 * np.pi, delta_cap=None):
-    """Chirp depth (rad/us) whose adiabatic phase implements R_z(angle).
+def calibrate_z2(params, tau_Z=0.5, delta_cap=None):
+    """Chirp depth (rad/us) whose adiabatic phase implements R_z(pi/2).
 
     The rotation relative to free precession is the integrated splitting
     deficit int [w(Delta0) - w(Delta0 - delta sin^2(pi t/tau)/2)] dt,
@@ -306,6 +304,7 @@ def calibrate_z2(params, tau_Z=0.5, angle=0.5 * np.pi, delta_cap=None):
     """
     if tau_Z <= 0:
         raise CalibrationError("tau_Z must be positive")
+    angle = 0.5 * np.pi
     if delta_cap is None:
         delta_cap = 6.0 * params.K
     w0 = _splitting_of_delta(params, params.Delta)[0]
@@ -347,18 +346,9 @@ def _phase_shifted_basis(basis, phi_plus, phi_minus):
         alpha_eff=basis.alpha_eff)
 
 
-def _cat_cardinal_kets(basis):
+def _cardinal_kets(basis):
     cards = fs.cardinal_states(basis)
     return [cards["+Cat"], cards["-Cat"], cards["+Coh"], cards["+iCat"]]
-
-
-def _fock_cardinal_kets(dim):
-    out = []
-    for amps in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 1.0j)):
-        v = np.zeros(dim, dtype=complex)
-        v[0], v[1] = amps
-        out.append(fs.StateVector(v / np.linalg.norm(v)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -376,34 +366,35 @@ class QptResult:
         return tuple(q.leakage for q in self.outputs)
 
 
-def qpt_experiment(kind, params, kappa=None, tau_ramp=0.3, tau_Z=0.5,
-                   detuning_offset=0.0, rtol=dyn.DEFAULT_RTOL,
-                   atol=dyn.DEFAULT_ATOL):
+def qpt_experiment(kind, params, tau_ramp=0.3, tau_Z=0.5,
+                   detuning_offset=0.0):
     """Run process tomography of the mapping or a cat-qubit gate.
 
     ``kind`` is 'mapping' (Fock qubit -> cat qubit via the counterdiabatic
     ramp), 'x2' (resonant drive pulse of calibrated duration) or 'z2'
-    (pump-frequency chirp of calibrated depth over ``tau_Z``).
-    ``detuning_offset`` (rad/us) shifts the detuning during the process run
-    only — calibration and analysis stay at the nominal parameters, so the
-    offset shows up as process error (the pump-frequency fluctuation study).
+    (pump-frequency chirp of calibrated depth over ``tau_Z``).  The process
+    runs at the loss rate ``params.kappa``; calibration and reference runs
+    are lossless.  ``detuning_offset`` (rad/us) shifts the detuning during
+    the process run only — calibration and analysis stay at the nominal
+    parameters, so the offset shows up as process error (the pump-frequency
+    fluctuation study).
     """
-    if kappa is None:
-        kappa = params.kappa
     basis = md.cat_basis_from_model(params)
     run_params = params.with_(Delta=params.Delta + detuning_offset)
 
     if kind == "mapping":
         sched = md.ramp_schedule(run_params.P_max, tau_ramp, run_params.Delta)
         ref_sched = md.ramp_schedule(params.P_max, tau_ramp, params.Delta)
-        kets = _fock_cardinal_kets(params.dim)
+        kets = _cardinal_kets(md.CatBasis(fs.fock_state(0, params.dim),
+                                          fs.fock_state(1, params.dim), 0.0))
         # reference propagation at nominal parameters fixes the output-basis
         # phases (the deterministic branch phases of the ramp)
+        lossless = params.with_(kappa=0.0)
         phis = []
         for k, bvec in ((0, basis.plus_cat.amplitudes),
                         (1, basis.minus_cat.amplitudes)):
-            ref = dyn.propagate(params, ref_sched, kets[k], kappa=0.0,
-                                rtol=rtol, atol=atol).final_state.amplitudes
+            ref = dyn.propagate(lossless, ref_sched,
+                                kets[k]).final_state.amplitudes
             ov = np.vdot(bvec, ref)
             if abs(ov) < 0.5:
                 raise CalibrationError(
@@ -417,13 +408,13 @@ def qpt_experiment(kind, params, kappa=None, tau_ramp=0.3, tau_Z=0.5,
         calibration = {"phase_plus": phis[0], "phase_minus": phis[1],
                        "tau_ramp": tau_ramp}
     elif kind in ("x2", "z2"):
-        kets = _cat_cardinal_kets(basis)
+        kets = _cardinal_kets(basis)
         spec = sp.quasienergies(params.K, params.P_max, params.Delta,
                                 params.dim, check_convergence=False)
         e_even = spec.energies[spec.qubit_indices[0]]
         e_odd = spec.energies[spec.qubit_indices[1]]
         if kind == "x2":
-            cal = calibrate_x2(params, rtol=rtol, atol=atol)
+            cal = calibrate_x2(params)
             tau_gate = cal["duration"]
             sched = md.drive_schedule(tau_gate, cal["beta"], 0.0, 0.0,
                                       run_params.P_max, run_params.Delta)
@@ -447,8 +438,7 @@ def qpt_experiment(kind, params, kappa=None, tau_ramp=0.3, tau_Z=0.5,
         raise UsageError(f"kind must be 'mapping', 'x2' or 'z2', got {kind!r}")
 
     def run(ket):
-        out = dyn.propagate(run_params, sched, ket, kappa=kappa,
-                            rtol=rtol, atol=atol).final_state
+        out = dyn.propagate(run_params, sched, ket).final_state
         return effective_qubit(out, out_tag_basis)
 
     outputs = parallel_map(run, kets)

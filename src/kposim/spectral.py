@@ -77,13 +77,13 @@ def quasienergies(K, P, Delta, dim, check_convergence=True):
                          qubit_indices=qubit, K=K, P=P, Delta=Delta)
 
 
-def splitting_surface(K, P_over_K_grid, Delta_over_K_grid, dim,
-                      check_convergence=True):
+def splitting_surface(K, P_over_K_grid, Delta_over_K_grid, dim):
     """Qubit-level splitting (E_odd - E_even)/K over a (P/K, Delta/K) grid.
 
     Returns an array of shape (len(P_over_K_grid), len(Delta_over_K_grid))
     with the sign retained: the splitting oscillates and changes sign along
-    the detuning axis.
+    the detuning axis.  The truncation check of :func:`quasienergies` runs
+    once, at the largest-|alpha| corner.
     """
     pg = np.asarray(P_over_K_grid, dtype=float)
     dg = np.asarray(Delta_over_K_grid, dtype=float)
@@ -92,11 +92,7 @@ def splitting_surface(K, P_over_K_grid, Delta_over_K_grid, dim,
     out = np.empty((pg.size, dg.size))
     # convergence is monotone in cat size; checking the largest-|alpha| corner
     # once covers the whole grid
-    if check_convergence:
-        i_max = int(np.argmax(pg))
-        j_max = int(np.argmax(dg))
-        quasienergies(K, pg[i_max] * K, dg[j_max] * K, dim,
-                      check_convergence=True)
+    quasienergies(K, np.max(pg) * K, np.max(dg) * K, dim)
     for i, p_rel in enumerate(pg):
         for j, d_rel in enumerate(dg):
             spec = quasienergies(K, p_rel * K, d_rel * K, dim,
@@ -105,9 +101,9 @@ def splitting_surface(K, P_over_K_grid, Delta_over_K_grid, dim,
     return out
 
 
-def energy_gap(K, P, Delta, dim, check_convergence=True):
+def energy_gap(K, P, Delta, dim):
     """Distance (rad/us) from the qubit manifold to the nearest other level."""
-    spec = quasienergies(K, P, Delta, dim, check_convergence=check_convergence)
+    spec = quasienergies(K, P, Delta, dim)
     i_even, i_odd = spec.qubit_indices
     mask = np.ones(spec.energies.size, dtype=bool)
     mask[[i_even, i_odd]] = False
@@ -146,19 +142,19 @@ def _grad_hess(x, y, K, P, Delta):
     return np.array([gx, gy]), np.array([[hxx, hxy], [hxy, hyy]])
 
 
-def stationary_points(K, P, Delta, seed_extent=None, seed_count=9):
+def stationary_points(K, P, Delta):
     """Stationary points of the classical energy, Newton-refined.
 
-    Seeds on a coarse grid are polished by Newton iteration on the gradient;
-    converged points are deduplicated at 1e-6 distance and classified by the
-    2x2 Hessian in (Re alpha, Im alpha).  The result always contains the
+    Seeds on a 9x9 grid spanning +-2 sqrt((|P| + |Delta|)/K + 1) are
+    polished by Newton iteration on the gradient; converged points are
+    deduplicated at 1e-6 distance and classified by the 2x2 Hessian in
+    (Re alpha, Im alpha).  The result always contains the
     origin and, when P + Delta > 0, the lobe pair on the real axis.
     """
     if K <= 0:
         raise UsageError(f"K must be positive, got {K}")
-    if seed_extent is None:
-        seed_extent = 2.0 * np.sqrt((abs(P) + abs(Delta)) / K + 1.0)
-    axis = np.linspace(-seed_extent, seed_extent, seed_count)
+    seed_extent = 2.0 * np.sqrt((abs(P) + abs(Delta)) / K + 1.0)
+    axis = np.linspace(-seed_extent, seed_extent, 9)
     scale = max(abs(classical_energy(seed_extent, K, P, Delta)),
                 abs(classical_energy(1j * seed_extent, K, P, Delta)), K)
     found = []
@@ -191,8 +187,7 @@ def stationary_points(K, P, Delta, seed_extent=None, seed_count=9):
             _, h = _grad_hess(x, y, K, P, Delta)
             found.append((complex(x, y), h))
     if not converged_any:
-        raise ConvergenceError(
-            "Newton iteration converged from no seed; widen seed_extent")
+        raise ConvergenceError("Newton iteration converged from no seed")
     points = []
     for q, h in found:
         ev = np.linalg.eigvalsh(h)

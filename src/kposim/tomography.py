@@ -27,15 +27,15 @@ from .parallel import parallel_map
 TWO_OVER_PI = 2.0 / np.pi
 
 
-def default_grid(dim, points=81, extent=3.0):
+def default_grid(dim, points=81):
     """Uniform grid for one phase-space axis, capped at the safe extent.
 
     The displaced-parity evaluation is only trustworthy while the displaced
-    state fits the truncation, i.e. for |alpha| <= sqrt(dim)/2; the default
-    +-3 window is clipped to that bound.
+    state fits the truncation, i.e. for |alpha| <= sqrt(dim)/2; the +-3
+    window is clipped to that bound.
     """
-    safe = np.sqrt(dim) / 2.0
-    return np.linspace(-min(extent, safe), min(extent, safe), points)
+    extent = min(3.0, np.sqrt(dim) / 2.0)
+    return np.linspace(-extent, extent, points)
 
 
 @dataclass(frozen=True)
@@ -225,24 +225,22 @@ def _linear_displacement_gain(duration, detuning):
 
 
 def simulate_ld_tomography(params, rho, alphas, pulse_duration=0.02,
-                           amplitude_bound=None, detuning=None,
-                           pump_level=0.0, rtol=1e-9, atol=1e-11):
+                           amplitude_bound=None):
     """Displaced-parity record under a finite-duration displacement pulse.
 
     For each target point the drive amplitude/phase is calibrated so the
     *linear* model would displace by exactly -alpha_i; the state is then
-    propagated under the full Hamiltonian (Kerr on, detuning as given,
-    optional constant pump) and the number parity is recorded.  A target
-    needing more drive than ``amplitude_bound`` raises
-    :class:`CalibrationError`.
+    propagated under the full Hamiltonian with the pump off (Kerr on,
+    detuning ``params.Delta``, loss ``params.kappa``) and the number parity
+    is recorded.  A target needing more drive than ``amplitude_bound``
+    raises :class:`CalibrationError`.
     """
     al = np.asarray(alphas, dtype=complex).reshape(-1)
     if al.size == 0:
         raise UsageError("alphas must be nonempty")
     if pulse_duration <= 0:
         raise UsageError(f"pulse_duration must be positive, got {pulse_duration}")
-    if detuning is None:
-        detuning = params.Delta
+    detuning = params.Delta
     gain = _linear_displacement_gain(pulse_duration, detuning)
     drives = -al / gain
     need = np.max(np.abs(drives))
@@ -260,14 +258,12 @@ def simulate_ld_tomography(params, rho, alphas, pulse_duration=0.02,
         beta = abs(drive)
         phi = -np.angle(drive) if beta > 0 else 0.0
         seg = md.Segment(duration=pulse_duration,
-                         pump=md.Constant(pump_level),
                          detuning=md.Constant(detuning),
                          drive=md.Constant(beta), drive_detuning=0.0,
                          drive_phase=phi)
         sched = md.PulseSchedule((seg,))
         out = dyn.propagate(params, sched,
-                            fs.DensityMatrix(rho_arr), kappa=params.kappa,
-                            rtol=rtol, atol=atol).final_state
+                            fs.DensityMatrix(rho_arr)).final_state
         return float(np.clip(np.real(out.expect(par)), -1.0, 1.0))
 
     parities = np.array(parallel_map(one, drives))

@@ -63,7 +63,7 @@ def test_03_splitting_trends_along_pump_and_detuning():
 
 def test_04_coherence_oscillates_at_the_splitting():
     wg = np.linspace(0.0, 6.0, 61)
-    res = dyn.relaxation_experiment(PARAMS, 0.0, wg, prepare="ideal")
+    res = dyn.relaxation_experiment(PARAMS, wg, prepare="ideal")
     fit = dyn.fit_damped_cosine(wg, res.differences["x"])
     splitting = sp.quasienergies(PARAMS.K, PARAMS.P_max, PARAMS.Delta,
                                  30).splitting_mhz
@@ -73,7 +73,8 @@ def test_04_coherence_oscillates_at_the_splitting():
 def test_05_relaxation_time_and_parity_transfer():
     t0 = time.perf_counter()
     wg = np.linspace(0.0, 6.0, 61)
-    res = dyn.relaxation_experiment(PARAMS, 0.1, wg, prepare="ramp")
+    res = dyn.relaxation_experiment(PARAMS.with_(kappa=0.1), wg,
+                                    prepare="ramp")
     elapsed = time.perf_counter() - t0
     t_z = 1.0 / dyn.fit_exp_decay(wg, res.differences["z"]).rate
     assert 3.2 <= t_z <= 5.3
@@ -88,11 +89,10 @@ def test_05_relaxation_time_and_parity_transfer():
 def test_06_mapping_fidelity_and_process_tomography():
     sched = md.ramp_schedule(PARAMS.P_max, 0.3, PARAMS.Delta)
     basis = md.cat_basis_from_model(PARAMS)
-    out = dyn.propagate(PARAMS, sched, fs.fock_state(0, 30),
-                        kappa=0.0).final_state
+    out = dyn.propagate(PARAMS, sched, fs.fock_state(0, 30)).final_state
     fid = abs(np.vdot(basis.plus_cat.amplitudes, out.amplitudes)) ** 2
     assert fid >= 0.99
-    res = qpt.qpt_experiment("mapping", PARAMS, kappa=0.0)
+    res = qpt.qpt_experiment("mapping", PARAMS)
     assert res.fidelity >= 0.95
     assert abs(res.chi.component("XX")) < 0.01
     assert abs(res.chi.component("ZZ")) < 0.01
@@ -171,8 +171,9 @@ def test_10_chi_matrix_closed_forms():
 
 
 def test_11_gate_fidelity_ordering_under_loss():
-    res_x = qpt.qpt_experiment("x2", PARAMS, kappa=0.1)
-    res_z = qpt.qpt_experiment("z2", PARAMS, kappa=0.1, tau_Z=0.5)
+    lossy = PARAMS.with_(kappa=0.1)
+    res_x = qpt.qpt_experiment("x2", lossy)
+    res_z = qpt.qpt_experiment("z2", lossy, tau_Z=0.5)
     assert res_z.fidelity < res_x.fidelity
     # photon loss flips between the cat pair, so the slower z gate picks up
     # predominantly X-type error

@@ -78,7 +78,7 @@ def test_lindblad_matches_rk4_oracle():
     p = md.SystemParams.from_mhz(3.1, 2.0, 0.5, dim=12)
     sched = md.hold_schedule(1.0, p.P_max, p.Delta)
     rho0 = fs.cat_state(1.0, "even", 12).to_density()
-    out = dyn.propagate(p, sched, rho0, kappa=0.3).final_state
+    out = dyn.propagate(p.with_(kappa=0.3), sched, rho0).final_state
     # agreement is limited by the oracle's own fixed-step error (~3e-8 here)
     ref = orc.rk4_propagate_lindblad(p, sched, rho0.entries, 0.3, n_steps=8000)
     assert np.max(np.abs(out.entries - ref)) < 1e-7
@@ -95,9 +95,8 @@ def test_exact_density_path_matches_the_ket_path_for_a_pure_state():
     sched = _phased_drive_schedule(p, 0.4)
     psi0 = md.cat_basis_from_model(p).plus_cat
     times = np.linspace(0.0, 0.4, 6)
-    kets = dyn.propagate(p, sched, psi0, sample_times=times, kappa=0.0)
-    rhos = dyn.propagate(p, sched, psi0.to_density(), sample_times=times,
-                         kappa=0.0)
+    kets = dyn.propagate(p, sched, psi0, sample_times=times)
+    rhos = dyn.propagate(p, sched, psi0.to_density(), sample_times=times)
     assert rhos.meta["branch"] == "lindblad"
     assert rhos.meta["nfev"] == 0
     for ket, rho in zip(kets.states, rhos.states):
@@ -112,8 +111,7 @@ def test_exact_density_path_matches_expm_for_a_mixed_state():
     sched = _phased_drive_schedule(p, 0.5)
     rho0 = orc.random_density(12, np.random.default_rng(3))
     times = np.array([0.05, 0.2, 0.35, 0.5])
-    traj = dyn.propagate(p, sched, fs.DensityMatrix(rho0), sample_times=times,
-                         kappa=0.0)
+    traj = dyn.propagate(p, sched, fs.DensityMatrix(rho0), sample_times=times)
     H = md.hamiltonian_at(p, sched, 0.25)
     for t, rho in zip(times, traj.states):
         u = expm(-1j * H * t)
@@ -129,9 +127,9 @@ def test_mixed_static_and_driven_schedule_matches_the_ket_path():
              .then(md.hold_schedule(0.15, PARAMS.P_max, PARAMS.Delta)))
     times = np.array([0.2, 0.35, 0.4, 0.5, 0.7, 0.75])
     psi0 = fs.fock_state(0, 30)
-    kw = dict(sample_times=times, kappa=0.0, rtol=1e-10, atol=1e-12)
-    kets = dyn.propagate(PARAMS, sched, psi0, **kw)
-    rhos = dyn.propagate(PARAMS, sched, psi0.to_density(), **kw)
+    tight = PARAMS.with_(rtol=1e-10, atol=1e-12)
+    kets = dyn.propagate(tight, sched, psi0, sample_times=times)
+    rhos = dyn.propagate(tight, sched, psi0.to_density(), sample_times=times)
     assert [s["solver"] for s in rhos.meta["segments"]] == \
         ["eigenframe DOP853", "eigh", "eigenframe DOP853", "eigh"]
     for ket, rho in zip(kets.states, rhos.states):
@@ -152,8 +150,8 @@ def test_lossy_static_segment_matches_liouvillian_expm(case):
         sched = md.hold_schedule(2.0, p.P_max, p.Delta)
         rho0 = fs.cat_state(1.0, "even", 10).to_density().entries
         times = np.linspace(0.25, 2.0, 8)
-    traj = dyn.propagate(p, sched, fs.DensityMatrix(rho0), sample_times=times,
-                         kappa=0.2)
+    traj = dyn.propagate(p.with_(kappa=0.2), sched, fs.DensityMatrix(rho0),
+                         sample_times=times)
     assert traj.meta["segments"][0]["solver"] == "eigenframe DOP853"
     ref = orc.expm_propagate_lindblad(p, sched, rho0, 0.2, times)
     for rho, r in zip(traj.states, ref):
@@ -168,8 +166,8 @@ def test_lossy_static_and_driven_schedule_matches_liouvillian_expm():
         md.ramp_schedule(p.P_max, 0.3, p.Delta, hold=0.2))
     rho0 = orc.random_density(6, np.random.default_rng(7))
     times = np.array([0.05, 0.1, 0.25, 0.4, 0.5, 0.6])
-    traj = dyn.propagate(p, sched, fs.DensityMatrix(rho0), sample_times=times,
-                         kappa=0.2, rtol=1e-10, atol=1e-12)
+    traj = dyn.propagate(p.with_(kappa=0.2, rtol=1e-10, atol=1e-12), sched,
+                         fs.DensityMatrix(rho0), sample_times=times)
     assert [s["solver"] for s in traj.meta["segments"]] == \
         ["eigenframe DOP853"] * 3
     ref = orc.expm_propagate_lindblad(p, sched, rho0, 0.2, times, n_steps=160)
@@ -183,11 +181,11 @@ def test_exact_density_path_checks_trace_and_positivity():
     heavy = 1.1 * fs.fock_state(0, 8).to_density().entries
     with pytest.raises(AccuracyError, match="trace"):
         dyn.propagate(p, sched, fs.DensityMatrix(heavy, physical=False),
-                      sample_times=[0.1, 0.2], kappa=0.0)
+                      sample_times=[0.1, 0.2])
     negative = np.diag([1.05, -0.05, 0, 0, 0, 0, 0, 0]).astype(complex)
     with pytest.raises(AccuracyError, match="negative population"):
         dyn.propagate(p, sched, fs.DensityMatrix(negative, physical=False),
-                      sample_times=[0.1, 0.2], kappa=0.0)
+                      sample_times=[0.1, 0.2])
 
 
 def test_meta_reports_the_solver_of_each_segment():
@@ -196,7 +194,7 @@ def test_meta_reports_the_solver_of_each_segment():
     seg = md.Segment(duration=0.02, detuning=md.Constant(p.Delta),
                      drive=md.Constant(40.0), drive_phase=-1.1)
     point = dyn.propagate(p, md.PulseSchedule((seg,)),
-                          fs.fock_state(0, 12).to_density(), kappa=0.0)
+                          fs.fock_state(0, 12).to_density())
     assert point.meta["segments"] == [{"solver": "eigh", "nfev": 0}]
     assert point.meta["nfev"] == 0
     ramp = md.ramp_schedule(PARAMS.P_max, 0.3, PARAMS.Delta, hold=0.1)
@@ -205,9 +203,9 @@ def test_meta_reports_the_solver_of_each_segment():
     assert driven["solver"] == "eigenframe DOP853" and driven["nfev"] > 0
     assert hold == {"solver": "eigh", "nfev": 0}
     assert traj.meta["nfev"] == driven["nfev"]
-    lossy = dyn.propagate(PARAMS.with_(dim=12),
+    lossy = dyn.propagate(PARAMS.with_(dim=12, kappa=0.1),
                           md.hold_schedule(0.5, PARAMS.P_max, PARAMS.Delta),
-                          fs.fock_state(0, 12), kappa=0.1)
+                          fs.fock_state(0, 12))
     (hold,) = lossy.meta["segments"]
     assert hold["solver"] == "eigenframe DOP853" and hold["nfev"] > 0
     assert lossy.meta["nfev"] == hold["nfev"]
@@ -235,7 +233,7 @@ def test_sample_free_segment_is_integrated_once(monkeypatch):
     sched = x2.then(chirp).then(x2)
     calls = _count_solves(monkeypatch)
     psi0 = md.cat_basis_from_model(PARAMS).plus_cat
-    traj = dyn.propagate(PARAMS, sched, psi0, kappa=0.0)
+    traj = dyn.propagate(PARAMS, sched, psi0)
     assert len(calls) == 1
     assert [s["nfev"] for s in traj.meta["segments"]] == [0, calls[0], 0]
     assert traj.meta["nfev"] == calls[0]
@@ -246,14 +244,14 @@ def test_segment_ending_after_its_last_sample_is_one_solve(monkeypatch, lossy):
     # the only sample sits mid-segment; the solve still runs on to t1 in one
     # call, for a driven ket segment and for a lossy static one
     if lossy:
-        p, kappa, solver = PARAMS.with_(dim=12), 0.1, "eigenframe DOP853"
+        p, solver = PARAMS.with_(dim=12, kappa=0.1), "eigenframe DOP853"
         sched = md.hold_schedule(0.4, p.P_max, p.Delta)
     else:
-        p, kappa, solver = PARAMS, 0.0, "eigenframe DOP853"
+        p, solver = PARAMS, "eigenframe DOP853"
         sched = md.ramp_schedule(p.P_max, 0.3, p.Delta)
     calls = _count_solves(monkeypatch)
     traj = dyn.propagate(p, sched, fs.fock_state(0, p.dim),
-                         sample_times=[0.15], kappa=kappa)
+                         sample_times=[0.15])
     assert traj.meta["segments"] == [{"solver": solver, "nfev": calls[0]}]
     assert len(calls) == 1
 
@@ -261,11 +259,10 @@ def test_segment_ending_after_its_last_sample_is_one_solve(monkeypatch, lossy):
 def test_propagation_stops_at_the_last_sample(monkeypatch):
     # a ramp, then a lossy hold: the only sample sits in the ramp, so the
     # hold is never propagated
-    p = PARAMS.with_(dim=8)
+    p = PARAMS.with_(dim=8, kappa=0.1)
     sched = md.ramp_schedule(p.P_max, 0.3, p.Delta, hold=0.2)
     calls = _count_solves(monkeypatch)
-    traj = dyn.propagate(p, sched, fs.fock_state(0, 8), sample_times=[0.1],
-                         kappa=0.1)
+    traj = dyn.propagate(p, sched, fs.fock_state(0, 8), sample_times=[0.1])
     assert list(traj.times) == [0.1]
     assert len(calls) == 1
     assert traj.meta["segments"] == [{"solver": "eigenframe DOP853",
@@ -295,7 +292,7 @@ def test_unitary_norm_preserved():
 def test_lindblad_trace_and_positivity():
     sched = md.hold_schedule(2.0, PARAMS.P_max, PARAMS.Delta)
     basis = md.cat_basis_from_model(PARAMS)
-    traj = dyn.propagate(PARAMS, sched, basis.plus_cat, kappa=0.1,
+    traj = dyn.propagate(PARAMS.with_(kappa=0.1), sched, basis.plus_cat,
                          sample_times=np.linspace(0.25, 2.0, 8))
     for s in traj.states:
         assert abs(s.trace() - 1.0) < 1e-8
@@ -311,7 +308,7 @@ def test_purity_nonincreasing_under_loss():
         + 0.4 * fs.fock_state(2, 10).to_density().entries
     rho0 = fs.DensityMatrix(ent, physical=False)
     sched = md.hold_schedule(1.0, 0.0, 0.0)
-    traj = dyn.propagate(p, sched, rho0, kappa=0.2,
+    traj = dyn.propagate(p.with_(kappa=0.2), sched, rho0,
                          sample_times=np.linspace(0.0, 1.0, 9))
     purities = [s.purity() for s in traj.states]
     assert np.all(np.diff(purities) < 1e-10)
@@ -330,9 +327,9 @@ def test_parity_conserved_without_drive():
 def test_tolerance_convergence():
     sched = md.ramp_schedule(PARAMS.P_max, 0.3, PARAMS.Delta)
     out1 = dyn.propagate(PARAMS, sched, fs.fock_state(0, 30)).final_state
-    out2 = dyn.propagate(PARAMS, sched, fs.fock_state(0, 30),
-                         rtol=0.5 * dyn.DEFAULT_RTOL,
-                         atol=0.5 * dyn.DEFAULT_ATOL).final_state
+    out2 = dyn.propagate(PARAMS.with_(rtol=0.5 * PARAMS.rtol,
+                                      atol=0.5 * PARAMS.atol),
+                         sched, fs.fock_state(0, 30)).final_state
     pops1 = np.abs(out1.amplitudes) ** 2
     pops2 = np.abs(out2.amplitudes) ** 2
     assert np.max(np.abs(pops1 - pops2)) < 1e-6
@@ -399,8 +396,7 @@ def test_strong_drive_resembles_coherent_state():
     beta = 10.0 * K
     t = 0.005  # t*K ~ 0.1
     sched = md.drive_schedule(t, beta, 0.0, 0.0, 0.0, 0.0)
-    psi = dyn.propagate(PARAMS, sched, fs.fock_state(0, 30),
-                        kappa=0.0).final_state
+    psi = dyn.propagate(PARAMS, sched, fs.fock_state(0, 30)).final_state
     target = fs.coherent_state(-1j * beta * t, 30)
     assert abs(np.vdot(target.amplitudes, psi.amplitudes)) ** 2 > 0.95
 
@@ -509,7 +505,7 @@ def test_cat_ramsey_fringe():
 
 def test_relaxation_closed_system():
     wg = np.linspace(0.0, 6.0, 61)
-    res = dyn.relaxation_experiment(PARAMS, 0.0, wg, prepare="ideal")
+    res = dyn.relaxation_experiment(PARAMS, wg, prepare="ideal")
     zs, zd = res.axis_series("z")
     assert np.max(np.abs(zd - 1.0)) < 1e-6
     assert np.max(np.abs(zs - 1.0)) < 1e-6
@@ -526,7 +522,8 @@ def test_relaxation_open_system():
     # shorter window than the headline experiment, enough for the z fit;
     # the oscillation-frequency check lives with the 6 us run elsewhere
     wg = np.linspace(0.0, 4.0, 41)
-    res = dyn.relaxation_experiment(PARAMS, 0.1, wg, prepare="ramp")
+    res = dyn.relaxation_experiment(PARAMS.with_(kappa=0.1), wg,
+                                    prepare="ramp")
     fit = dyn.fit_exp_decay(wg, res.differences["z"])
     t_z = 1.0 / fit.rate
     assert t_z == pytest.approx(3.529179264519292, abs=0.02)
@@ -541,9 +538,9 @@ def test_relaxation_open_system():
 
 def test_relaxation_input_validation():
     with pytest.raises(UsageError):
-        dyn.relaxation_experiment(PARAMS, 0.1, np.array([0.0]), prepare="ideal")
+        dyn.relaxation_experiment(PARAMS, np.array([0.0]), prepare="ideal")
     with pytest.raises(UsageError):
-        dyn.relaxation_experiment(PARAMS, 0.1, np.linspace(0, 1, 5),
+        dyn.relaxation_experiment(PARAMS, np.linspace(0, 1, 5),
                                   prepare="other")
 
 

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+``SystemParams`` field is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,36 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_package_module_has_no_unused_import(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def unread_fields(sources, class_name):
+    """Annotated fields of ``class_name`` that no source reads as an attribute.
+
+    A field counts as read when some ``obj.field`` is loaded outside the
+    class body; the class's own validation does not count.
+    """
+    fields, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == class_name:
+                fields |= {n.target.id for n in node.body
+                           if isinstance(n, ast.AnnAssign)}
+                inside |= {id(n) for n in ast.walk(node)}
+        read |= {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute)
+                 and isinstance(n.ctx, ast.Load) and id(n) not in inside}
+    return sorted(fields - read)
+
+
+def test_checker_flags_an_unread_field():
+    cls = ("class P:\n    a: int\n    b: int = 0\n"
+           "    def check(self):\n        return self.b > 0\n")
+    use = "def f(p):\n    p.b = 1\n    return p.a\n"
+    assert unread_fields([cls, use], "P") == ["b"]
+
+
+def test_every_system_params_field_is_read():
+    sources = [p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")]
+    assert unread_fields(sources, "SystemParams") == []

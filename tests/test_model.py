@@ -28,6 +28,13 @@ def test_params_validation():
         md.SystemParams.from_mhz(3.1, kappa_per_us=-0.2)
 
 
+@pytest.mark.parametrize("name", ["rtol", "atol"])
+@pytest.mark.parametrize("value", [0.0, -1e-9])
+def test_params_tolerances_must_be_positive(name, value):
+    with pytest.raises(UsageError, match=name):
+        PARAMS.with_(**{name: value})
+
+
 def test_kerr_only_hamiltonian_diagonal():
     p = md.SystemParams.from_mhz(3.1, 0.0, 0.0, 0.0, dim=12)
     sched = md.hold_schedule(1.0, 0.0, 0.0)
@@ -176,7 +183,8 @@ def test_drive_under_a_constant_chirp_is_not_static():
     h_b = md.hamiltonian_at(p, sched, 0.4)
     assert np.max(np.abs(h_a - h_b)) > 1.0
     psi0 = fs.fock_state(0, 12)
-    out = dyn.propagate(p, sched, psi0, rtol=1e-10, atol=1e-12).final_state
+    out = dyn.propagate(p.with_(rtol=1e-10, atol=1e-12), sched,
+                        psi0).final_state
     ref = orc.expm_propagate(p, sched, psi0.amplitudes, n_steps=2000)
     assert np.max(np.abs(out.amplitudes - ref)) < 1e-6
 
@@ -186,8 +194,7 @@ def test_drive_two_level_leakage():
     beta = 0.05 * PARAMS.K
     tg = np.linspace(0.0, np.pi / beta, 60)
     sched = md.drive_schedule(tg[-1], beta, 0.0, 0.0, 0.0, 0.0)
-    traj = dyn.propagate(PARAMS, sched, fs.fock_state(0, 30), sample_times=tg,
-                         kappa=0.0)
+    traj = dyn.propagate(PARAMS, sched, fs.fock_state(0, 30), sample_times=tg)
     leak = max(1.0 - abs(s.amplitudes[0]) ** 2 - abs(s.amplitudes[1]) ** 2
                for s in traj.states)
     assert leak < 0.02

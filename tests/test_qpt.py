@@ -171,7 +171,7 @@ def test_calibrate_x2():
 
 def test_calibrate_x2_needs_positive_drive():
     with pytest.raises(CalibrationError):
-        qpt.calibrate_x2(PARAMS, beta=0.0)
+        qpt.calibrate_x2(PARAMS.with_(beta=0.0))
 
 
 def test_calibrate_z2():
@@ -193,7 +193,7 @@ def test_calibrate_z2_depth_cap():
 
 
 def test_mapping_qpt_noiseless():
-    res = qpt.qpt_experiment("mapping", PARAMS, kappa=0.0)
+    res = qpt.qpt_experiment("mapping", PARAMS)
     assert res.fidelity == pytest.approx(0.995079776107275, abs=1e-9)
     assert res.fidelity >= 0.95
     assert abs(res.chi.component("XX")) < 0.01
@@ -206,7 +206,7 @@ def test_mapping_qpt_noiseless():
 
 
 def test_x2_qpt_noiseless():
-    res = qpt.qpt_experiment("x2", PARAMS, kappa=0.0)
+    res = qpt.qpt_experiment("x2", PARAMS)
     assert res.fidelity == pytest.approx(0.9679482738026499, abs=1e-9)
     assert res.fidelity >= 0.95
     # the gate action lives in the I/X block
@@ -215,7 +215,7 @@ def test_x2_qpt_noiseless():
 
 
 def test_z2_qpt_noiseless():
-    res = qpt.qpt_experiment("z2", PARAMS, kappa=0.0)
+    res = qpt.qpt_experiment("z2", PARAMS)
     assert res.fidelity == pytest.approx(0.953629220203449, abs=1e-9)
     assert res.fidelity >= 0.9
     assert res.chi.component("ZZ").real == pytest.approx(0.5, abs=0.05)
@@ -223,10 +223,11 @@ def test_z2_qpt_noiseless():
 
 
 def test_qpt_with_loss():
-    f_map = qpt.qpt_experiment("mapping", PARAMS, kappa=0.1).fidelity
+    lossy = PARAMS.with_(kappa=0.1)
+    f_map = qpt.qpt_experiment("mapping", lossy).fidelity
     assert f_map == pytest.approx(0.9704861762408301, abs=1e-9)
-    res_x = qpt.qpt_experiment("x2", PARAMS, kappa=0.1)
-    res_z = qpt.qpt_experiment("z2", PARAMS, kappa=0.1)
+    res_x = qpt.qpt_experiment("x2", lossy)
+    res_z = qpt.qpt_experiment("z2", lossy)
     assert res_x.fidelity == pytest.approx(0.9566536892753688, abs=1e-9)
     assert res_z.fidelity == pytest.approx(0.9055703590659187, abs=1e-9)
     # the slower gate pays more: photon loss hits the z rotation hardest
@@ -236,8 +237,8 @@ def test_qpt_with_loss():
 
 
 def test_mapping_detuning_jitter_shows_up_as_zz():
-    nom = qpt.qpt_experiment("mapping", PARAMS, kappa=0.0)
-    jit = qpt.qpt_experiment("mapping", PARAMS, kappa=0.0,
+    nom = qpt.qpt_experiment("mapping", PARAMS)
+    jit = qpt.qpt_experiment("mapping", PARAMS,
                              detuning_offset=0.05 * PARAMS.K)
     assert jit.fidelity == pytest.approx(0.9740551637925065, abs=1e-9)
     assert jit.fidelity < nom.fidelity

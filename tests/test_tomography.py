@@ -230,7 +230,7 @@ def test_parity_is_conserved_under_pure_kerr():
     seg = md.Segment(duration=0.4, pump=md.Constant(0.0),
                      detuning=md.Constant(0.0))
     traj = dyn.propagate(PARAMS, md.PulseSchedule((seg,)),
-                         fs.coherent_state(1.3, 30), kappa=0.0,
+                         fs.coherent_state(1.3, 30),
                          sample_times=np.linspace(0.0, 0.4, 9))
     pi = fs.parity_op(30)
     pars = [float(np.real(s.expect(pi))) for s in traj.states]
@@ -243,8 +243,7 @@ def test_kerr_correction_round_trip():
     tau = 0.13
     seg = md.Segment(duration=tau, pump=md.Constant(0.0),
                      detuning=md.Constant(PARAMS.Delta))
-    out = dyn.propagate(PARAMS, md.PulseSchedule((seg,)), cat,
-                        kappa=0.0).final_state
+    out = dyn.propagate(PARAMS, md.PulseSchedule((seg,)), cat).final_state
     fixed = tg.kerr_correct(fs.dm(out), PARAMS.K, PARAMS.Delta, tau)
     assert fs.state_fidelity(fixed, cat) > 1.0 - 1e-6
     assert abs(fixed.purity() - 1.0) < 1e-10
@@ -255,8 +254,7 @@ def test_kerr_correction_does_not_undo_pump():
     tau = 0.13
     seg = md.Segment(duration=tau, pump=md.Constant(PARAMS.P_max),
                      detuning=md.Constant(PARAMS.Delta))
-    out = dyn.propagate(PARAMS, md.PulseSchedule((seg,)), cat,
-                        kappa=0.0).final_state
+    out = dyn.propagate(PARAMS, md.PulseSchedule((seg,)), cat).final_state
     fixed = tg.kerr_correct(fs.dm(out), PARAMS.K, PARAMS.Delta, tau)
     fid = fs.state_fidelity(fixed, cat)
     assert fid == pytest.approx(0.7150202312826022, abs=1e-6)
