@@ -421,13 +421,9 @@ class RelaxationResult:
     (z axis read from the 'z' run, etc.).
     """
 
-    wait_grid: np.ndarray
     populations: dict
     sums: dict
     differences: dict
-
-    def axis_series(self, axis):
-        return self.sums[axis], self.differences[axis]
 
 
 # the cardinal state prepared for each axis, in the order of the axes of
@@ -443,7 +439,7 @@ def _relaxation_run(args):
     pops = np.empty((6, len(traj.states)))
     for i, s in enumerate(traj.states):
         rho = s.to_density() if isinstance(s, fs.StateVector) else s
-        pops[:, i] = fs.cardinal_populations(rho, basis).as_array()
+        pops[:, i] = fs.cardinal_populations(rho, basis)
     return pops
 
 
@@ -483,7 +479,7 @@ def relaxation_experiment(params, wait_grid, prepare="ramp", tau_ramp=0.3):
     for k, (lbl, pops) in enumerate(populations.items()):
         sums[lbl] = pops[2 * k] + pops[2 * k + 1]
         diffs[lbl] = pops[2 * k] - pops[2 * k + 1]
-    return RelaxationResult(wg, populations, sums, diffs)
+    return RelaxationResult(populations, sums, diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +491,7 @@ class FitResult:
     """Parameters of a least-squares curve fit.
 
     ``rate`` is 1/us, ``frequency`` ordinary MHz, ``phase`` rad.  ``decay_time``
-    is 1/rate (inf for rate 0).  ``covariance`` approximates the parameter
-    covariance in the same order as ``parameter_names``.
+    is 1/rate (inf for rate 0).
     """
 
     amplitude: float
@@ -504,9 +499,6 @@ class FitResult:
     frequency: float
     phase: float
     offset: float
-    covariance: np.ndarray
-    residual_norm: float
-    parameter_names: tuple
 
     @property
     def decay_time(self):
@@ -525,22 +517,14 @@ def _validate_series(t, y, minimum):
     return t, y
 
 
-def _run_lm(residual, x0, names, t, y):
+def _run_lm(residual, x0):
     res = least_squares(residual, x0, method="lm", xtol=1e-12, ftol=1e-12,
                         gtol=1e-12, max_nfev=500 * (len(x0) + 1))
     if res.status == 0:
         raise FitError(
             f"fit did not converge within the iteration budget; final "
             f"residual norm {np.linalg.norm(res.fun):.3e}")
-    m, n = len(t), len(x0)
-    jtj = res.jac.T @ res.jac
-    try:
-        cov = np.linalg.inv(jtj)
-    except np.linalg.LinAlgError:
-        cov = np.full((n, n), np.nan)
-    dof = max(m - n, 1)
-    cov = cov * (2.0 * res.cost / dof)
-    return res.x, cov, float(np.linalg.norm(res.fun))
+    return res.x
 
 
 def fit_exp_decay(t, y):
@@ -567,9 +551,7 @@ def fit_exp_decay(t, y):
         a, r, c = x
         return a * np.exp(-r * t) + c - y
 
-    x, cov, rnorm = _run_lm(residual, np.array([a0, r0, c0]),
-                            ("amplitude", "rate", "offset"), t, y)
-    a, r, c = x
+    a, r, c = _run_lm(residual, np.array([a0, r0, c0]))
     if r < 0:
         if abs(r) * (t[-1] - t[0]) < 1e-6:
             r = 0.0
@@ -577,9 +559,7 @@ def fit_exp_decay(t, y):
             raise FitError(f"fitted rate is negative ({r:.3e}/us); "
                            "series is growing, not decaying")
     return FitResult(amplitude=float(a), rate=float(r), frequency=0.0,
-                     phase=0.0, offset=float(c), covariance=cov,
-                     residual_norm=rnorm,
-                     parameter_names=("amplitude", "rate", "offset"))
+                     phase=0.0, offset=float(c))
 
 
 def _spectral_guess(t, y):
@@ -636,11 +616,7 @@ def fit_damped_cosine(t, y):
         a, r, f, phi, c = x
         return a * np.cos(TWO_PI * f * t + phi) * np.exp(-r * t) + c - y
 
-    x0 = np.array([a0, rate0, f0, phi0, c0])
-    x, cov, rnorm = _run_lm(residual, x0,
-                            ("amplitude", "rate", "frequency", "phase",
-                             "offset"), t, y)
-    a, r, f, phi, c = x
+    a, r, f, phi, c = _run_lm(residual, np.array([a0, rate0, f0, phi0, c0]))
     if f < 0:
         f, phi = -f, -phi
     if a < 0:
@@ -657,7 +633,4 @@ def fit_damped_cosine(t, y):
             raise FitError(f"fitted rate is negative ({r:.3e}/us); "
                            "envelope is growing, not decaying")
     return FitResult(amplitude=float(a), rate=float(r), frequency=float(f),
-                     phase=phi, offset=float(c), covariance=cov,
-                     residual_norm=rnorm,
-                     parameter_names=("amplitude", "rate", "frequency",
-                                      "phase", "offset"))
+                     phase=phi, offset=float(c))

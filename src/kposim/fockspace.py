@@ -55,7 +55,6 @@ __all__ = [
     "assert_hermitian",
     "StateVector",
     "DensityMatrix",
-    "CardinalPopulations",
     "CARDINAL_LABELS",
     "cardinal_states",
     "cardinal_populations",
@@ -159,12 +158,6 @@ class StateVector:
 
     def norm(self):
         return float(np.linalg.norm(self.amplitudes))
-
-    def renormalized(self):
-        nrm = np.linalg.norm(self.amplitudes)
-        if nrm == 0.0:
-            raise UsageError("cannot normalize the zero vector")
-        return StateVector(self.amplitudes / nrm)
 
     def overlap(self, other):
         """Inner product ``<self|other>``."""
@@ -382,37 +375,6 @@ def displacement_op(alpha, dim):
 CARDINAL_LABELS = ("+Cat", "-Cat", "+Coh", "-Coh", "+iCat", "-iCat")
 
 
-@dataclass(frozen=True)
-class CardinalPopulations:
-    """Populations of the six cat-qubit cardinal states.
-
-    Pairs along one axis sum to the total qubit-subspace weight, so all three
-    sums agree (up to numerical noise) and are <= 1 for physical states.
-    """
-
-    plus_cat: float
-    minus_cat: float
-    plus_coh: float
-    minus_coh: float
-    plus_icat: float
-    minus_icat: float
-
-    def as_array(self):
-        return np.array([
-            self.plus_cat, self.minus_cat,
-            self.plus_coh, self.minus_coh,
-            self.plus_icat, self.minus_icat,
-        ])
-
-    def axis_sums(self):
-        """(z, x, y) pair sums; all equal to the qubit-subspace weight."""
-        return (
-            self.plus_cat + self.minus_cat,
-            self.plus_coh + self.minus_coh,
-            self.plus_icat + self.minus_icat,
-        )
-
-
 def _basis_pair(basis):
     """Extract (plus_cat, minus_cat) amplitude arrays from a basis object."""
     try:
@@ -426,23 +388,18 @@ def _basis_pair(basis):
     return np.asarray(p, dtype=np.complex128), np.asarray(m, dtype=np.complex128)
 
 
-def _check_orthonormal(p, m, tol):
-    err = max(
-        abs(np.vdot(p, p) - 1.0),
-        abs(np.vdot(m, m) - 1.0),
-        abs(np.vdot(p, m)),
-    )
-    if err > tol:
-        raise BasisError(f"cat basis is not orthonormal (max deviation {err:.3e})")
-
-
 def cardinal_states(basis):
     """The six cardinal states built from an orthonormal (plus, minus) pair.
 
-    Returns a dict keyed by :data:`CARDINAL_LABELS`.
+    ``basis`` is any object exposing ``plus_cat`` / ``minus_cat`` states,
+    orthonormal within 1e-8.  Returns a dict keyed by
+    :data:`CARDINAL_LABELS`.
     """
     p, m = _basis_pair(basis)
-    _check_orthonormal(p, m, 1e-8)
+    err = max(abs(np.vdot(p, p) - 1.0), abs(np.vdot(m, m) - 1.0),
+              abs(np.vdot(p, m)))
+    if err > 1e-8:
+        raise BasisError(f"cat basis is not orthonormal (max deviation {err:.3e})")
     s = 1.0 / np.sqrt(2.0)
     return {
         "+Cat": StateVector(p),
@@ -457,23 +414,17 @@ def cardinal_states(basis):
 def cardinal_populations(rho, basis):
     """Populations of the six cardinal states in state ``rho``.
 
-    ``rho`` may be a ket, a DensityMatrix, or a raw array; ``basis`` is any
-    object exposing orthonormal ``plus_cat`` / ``minus_cat`` states (checked
-    to 1e-6 here).  Values land in [0, 1] up to numerical noise for physical
-    states and are reported unclipped.
+    ``rho`` may be a ket, a DensityMatrix, or a raw array; ``basis`` is as
+    for :func:`cardinal_states`.  Returns a (6,) array in
+    :data:`CARDINAL_LABELS` order.  Values land in [0, 1] up to numerical
+    noise for physical states and are reported unclipped; the pairs along
+    one axis sum to the same qubit-subspace weight.
     """
-    p, m = _basis_pair(basis)
-    _check_orthonormal(p, m, 1e-6)
+    states = cardinal_states(basis)
     rho_arr = _as_density_array(rho)
-    if rho_arr.shape[0] != p.size:
+    if rho_arr.shape[0] != states["+Cat"].dim:
         raise BasisError(
-            f"dimension mismatch: state dim {rho_arr.shape[0]}, basis dim {p.size}"
+            f"dimension mismatch: state dim {rho_arr.shape[0]}, "
+            f"basis dim {states['+Cat'].dim}"
         )
-    s = 1.0 / np.sqrt(2.0)
-    vecs = (
-        p, m,
-        s * (p + m), s * (p - m),
-        s * (p + 1j * m), s * (p - 1j * m),
-    )
-    pops = [float(np.vdot(v, rho_arr @ v).real) for v in vecs]
-    return CardinalPopulations(*pops)
+    return np.array([states[c].expect(rho_arr).real for c in CARDINAL_LABELS])

@@ -242,8 +242,7 @@ class Segment:
     ``pump_quad`` the orthogonal one i(adag^2 - a^2)/2.  ``chirp`` holds the
     pump-frequency offset delta_p(t); it lowers the effective detuning by
     delta_p/2 and feeds the accumulated frame phase.  The drive oscillation
-    ``Delta_d t + phi_d`` is referenced to the segment start.  ``pump_jump``
-    waives the pump-continuity check at this segment's left boundary.
+    ``Delta_d t + phi_d`` is referenced to the segment start.
     """
 
     duration: float
@@ -254,7 +253,6 @@ class Segment:
     drive: Envelope = _ZERO
     drive_detuning: float = 0.0
     drive_phase: float = 0.0
-    pump_jump: bool = False
 
     def __post_init__(self):
         if not self.duration > 0:
@@ -295,7 +293,7 @@ class PulseSchedule:
     Frame phases are derived here: segment ``i`` starts at frame phase
     ``frame_phase_start(i)``, the cumulative chirp integral of all earlier
     segments.  The pump envelopes must be continuous across boundaries within
-    1e-9 rad/us unless the right-hand segment sets ``pump_jump``.
+    1e-9 rad/us.
     """
 
     segments: tuple
@@ -309,14 +307,12 @@ class PulseSchedule:
                 raise ScheduleError(f"schedule entries must be Segment, got {type(seg)!r}")
         object.__setattr__(self, "segments", segs)
         for left, right in zip(segs[:-1], segs[1:]):
-            if right.pump_jump:
-                continue
             jump = abs(left.pump.value(left.duration) - right.pump.value(0.0))
             jump_q = abs(left.pump_quad.value(left.duration) - right.pump_quad.value(0.0))
             if max(jump, jump_q) > _CONTINUITY_TOL:
                 raise ScheduleError(
                     f"pump discontinuity {max(jump, jump_q):.3e} rad/us at a segment "
-                    "boundary; set pump_jump=True to allow it"
+                    "boundary"
                 )
         starts = np.concatenate(([0.0], np.cumsum([s.duration for s in segs])))
         object.__setattr__(self, "_starts", starts)
@@ -375,15 +371,11 @@ class PulseSchedule:
 # schedule builders
 # ---------------------------------------------------------------------------
 
-def hold_schedule(duration, P_level, Delta, pump_jump=False):
+def hold_schedule(duration, P_level, Delta):
     """Constant pump/detuning segment (free cat-qubit evolution)."""
     return PulseSchedule((
-        Segment(
-            duration=duration,
-            pump=Constant(P_level),
-            detuning=Constant(Delta),
-            pump_jump=pump_jump,
-        ),
+        Segment(duration=duration, pump=Constant(P_level),
+                detuning=Constant(Delta)),
     ))
 
 
@@ -624,9 +616,6 @@ class CatBasis:
     def dim(self):
         return self.plus_cat.dim
 
-    def cardinal_states(self):
-        return fs.cardinal_states(self)
-
 
 def _parity_sector_eigensystem(H):
     """Eigen-decomposition of a parity-conserving H, done per parity block."""
@@ -674,22 +663,20 @@ def _qubit_pair(K, P, Delta, dim):
     return energies, parities, states, tuple(picks), tuple(overlaps)
 
 
-def cat_basis_from_model(params, P=None, Delta=None):
+def cat_basis_from_model(params):
     """Cat-qubit basis from the pumped-Hamiltonian eigenstates.
 
-    Diagonalizes the drive-free Hamiltonian at pump level ``P`` (default
-    ``params.P_max``) and detuning ``Delta`` (default ``params.Delta``),
-    picks in each parity sector the eigenstate closest to the analytic cat of
-    amplitude ``alpha_c = sqrt((P + Delta)/K)``, fixes phases so the overlap
-    with the coherent state ``|alpha_c>`` is real positive, and fits the
-    effective amplitude by maximizing overlap with analytic cats.
+    Diagonalizes the drive-free Hamiltonian at pump level ``params.P_max``
+    and detuning ``params.Delta``, picks in each parity sector the
+    eigenstate closest to the analytic cat of amplitude
+    ``alpha_c = sqrt((P + Delta)/K)``, fixes phases so the overlap with the
+    coherent state ``|alpha_c>`` is real positive, and fits the effective
+    amplitude by maximizing overlap with analytic cats.
 
     Raises ``BasisError`` if the best overlap falls below 0.8 (the requested
     working point does not host an identifiable cat qubit).
     """
-    P = params.P_max if P is None else P
-    Delta = params.Delta if Delta is None else Delta
-    dim = params.dim
+    P, Delta, dim = params.P_max, params.Delta, params.dim
     _, _, states, picks, overlaps = _qubit_pair(params.K, P, Delta, dim)
     for par, ovl in zip((+1, -1), overlaps):
         if ovl < 0.8:

@@ -1,12 +1,13 @@
 """Effective-qubit extraction and single-qubit process tomography.
 
-The qubit lives either in the Fock pair (|0>, |1>) or in the cat pair of a
-:class:`kposim.model.CatBasis`.  Effective qubit matrices are deliberately
-left unnormalized so population leaking out of the qubit space stays visible
-as a trace deficit.  The chi matrix is assembled by the standard
-linear-inversion procedure: expand the channel action over the four input
-states, expand conjugations by the fixed operator basis (I, X, -iY, Z) over
-the same states, and solve the resulting 16x16 linear system.
+The qubit lives in the pair of a :class:`kposim.model.CatBasis`: the cat
+pair, or the Fock pair (|0>, |1>) before the mapping ramp.  Effective qubit
+matrices are deliberately left unnormalized so population leaking out of the
+qubit space stays visible as a trace deficit.  The chi matrix is assembled
+by the standard linear-inversion procedure: expand the channel action over
+the four input states, expand conjugations by the fixed operator basis
+(I, X, -iY, Z) over the same states, and solve the resulting 16x16 linear
+system.
 
 Gate and mapping experiments are evaluated in the frame co-rotating with the
 qubit's free evolution: the deterministic dynamical phase accumulated at the
@@ -48,7 +49,6 @@ class QubitDensity:
     """2x2 effective qubit block of a full oscillator state, unnormalized."""
 
     matrix: np.ndarray
-    basis: str  # 'fock' or 'cat'
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -102,33 +102,21 @@ class ProcessMatrix:
 
 
 def effective_qubit(rho_full, basis):
-    """Project a full state onto the qubit pair without renormalizing.
+    """Project a full state onto the pair of a CatBasis without renormalizing.
 
-    ``basis`` is the string 'fock' (pair |0>, |1>) or a CatBasis.  The 2x2
-    result's trace deficit measures leakage out of the qubit space.
+    The 2x2 result's trace deficit measures leakage out of the qubit space.
     """
     rho = fs._as_density_array(rho_full)
-    dim = rho.shape[0]
-    if basis == "fock":
-        b0 = np.zeros(dim, dtype=complex)
-        b1 = np.zeros(dim, dtype=complex)
-        b0[0] = 1.0
-        b1[1] = 1.0
-        tag = "fock"
-    else:
-        if basis.dim != dim:
-            raise UsageError(
-                f"basis dim {basis.dim} != state dim {dim}")
-        b0 = basis.plus_cat.amplitudes
-        b1 = basis.minus_cat.amplitudes
-        tag = "cat"
-    vecs = (b0, b1)
+    if basis.dim != rho.shape[0]:
+        raise UsageError(
+            f"basis dim {basis.dim} != state dim {rho.shape[0]}")
+    vecs = (basis.plus_cat.amplitudes, basis.minus_cat.amplitudes)
     m = np.empty((2, 2), dtype=complex)
     for i in range(2):
         for j in range(2):
             m[i, j] = vecs[i].conj() @ rho @ vecs[j]
     m = 0.5 * (m + m.conj().T)
-    return QubitDensity(m, tag)
+    return QubitDensity(m)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +345,6 @@ class QptResult:
     chi: ProcessMatrix
     ideal: ProcessMatrix
     fidelity: float
-    inputs: tuple
     outputs: tuple
     calibration: dict = field(default_factory=dict)
 
@@ -385,8 +372,9 @@ def qpt_experiment(kind, params, tau_ramp=0.3, tau_Z=0.5,
     if kind == "mapping":
         sched = md.ramp_schedule(run_params.P_max, tau_ramp, run_params.Delta)
         ref_sched = md.ramp_schedule(params.P_max, tau_ramp, params.Delta)
-        kets = _cardinal_kets(md.CatBasis(fs.fock_state(0, params.dim),
-                                          fs.fock_state(1, params.dim), 0.0))
+        fock = md.CatBasis(fs.fock_state(0, params.dim),
+                           fs.fock_state(1, params.dim), 0.0)
+        kets = _cardinal_kets(fock)
         # reference propagation at nominal parameters fixes the output-basis
         # phases (the deterministic branch phases of the ramp)
         lossless = params.with_(kappa=0.0)
@@ -402,7 +390,7 @@ def qpt_experiment(kind, params, tau_ramp=0.3, tau_Z=0.5,
                     "fix the output phase")
             phis.append(np.angle(ov))
         out_basis = _phase_shifted_basis(basis, phis[0], phis[1])
-        inputs = [effective_qubit(k.to_density(), "fock") for k in kets]
+        inputs = [effective_qubit(k.to_density(), fock) for k in kets]
         out_tag_basis = out_basis
         ideal = ideal_chi(_I2)
         calibration = {"phase_plus": phis[0], "phase_minus": phis[1],
@@ -445,5 +433,4 @@ def qpt_experiment(kind, params, tau_ramp=0.3, tau_Z=0.5,
     chi = chi_matrix(inputs, outputs)
     fid = process_fidelity(chi, ideal)
     return QptResult(kind=kind, chi=chi, ideal=ideal, fidelity=fid,
-                     inputs=tuple(inputs), outputs=tuple(outputs),
-                     calibration=calibration)
+                     outputs=tuple(outputs), calibration=calibration)

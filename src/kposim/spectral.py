@@ -5,7 +5,10 @@ parity, so its spectrum is computed per parity sector and every level carries
 an exact parity label.  The two qubit levels are identified by overlap with
 the analytic cat pair at alpha_c = sqrt((P+Delta)/K) — near the operating
 point they are the two highest quasienergies.  The classical-energy surface
-(operators replaced by complex amplitudes) provides the lobe positions.
+(operators replaced by complex amplitudes) provides the lobe positions: its
+stationary points are known in closed form, the origin, the lobes
++-sqrt((Delta+P)/K) on the real axis and +-i sqrt((Delta-P)/K) on the
+imaginary axis, each pair present while its radicand is positive.
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fockspace as fs
 from . import model as md
-from .errors import ConvergenceError, TruncationError, UsageError
+from .errors import TruncationError, UsageError
 from .units import TWO_PI
 
 
@@ -34,9 +36,6 @@ class QuasiSpectrum:
     parities: np.ndarray
     states: np.ndarray
     qubit_indices: tuple
-    K: float
-    P: float
-    Delta: float
 
     @property
     def splitting(self):
@@ -47,11 +46,6 @@ class QuasiSpectrum:
     @property
     def splitting_mhz(self):
         return self.splitting / TWO_PI
-
-    def qubit_states(self):
-        i_even, i_odd = self.qubit_indices
-        return (fs.StateVector(self.states[:, i_even]),
-                fs.StateVector(self.states[:, i_odd]))
 
 
 def quasienergies(K, P, Delta, dim, check_convergence=True):
@@ -74,7 +68,7 @@ def quasienergies(K, P, Delta, dim, check_convergence=True):
                 f"dim={dim} and dim={dim + 10}; increase dim",
                 required_dim=dim + 10)
     return QuasiSpectrum(energies=energies, parities=parities, states=states,
-                         qubit_indices=qubit, K=K, P=P, Delta=Delta)
+                         qubit_indices=qubit)
 
 
 def splitting_surface(K, P_over_K_grid, Delta_over_K_grid, dim):
@@ -128,7 +122,6 @@ def classical_energy(alpha, K, P, Delta):
 @dataclass(frozen=True)
 class StationaryPoint:
     alpha: complex
-    energy: float
     kind: str  # 'maximum' | 'minimum' | 'saddle' | 'degenerate'
 
 
@@ -143,55 +136,32 @@ def _grad_hess(x, y, K, P, Delta):
 
 
 def stationary_points(K, P, Delta):
-    """Stationary points of the classical energy, Newton-refined.
+    """Stationary points of the classical energy, in closed form.
 
-    Seeds on a 9x9 grid spanning +-2 sqrt((|P| + |Delta|)/K + 1) are
-    polished by Newton iteration on the gradient; converged points are
-    deduplicated at 1e-6 distance and classified by the 2x2 Hessian in
-    (Re alpha, Im alpha).  The result always contains the
-    origin and, when P + Delta > 0, the lobe pair on the real axis.
+    With alpha = x + iy the gradient is (2x (Delta + P - K r^2),
+    2y (Delta - P - K r^2)), so the candidates are the origin, the lobe pair
+    +-sqrt((Delta + P)/K) on the real axis when Delta + P > 0, and the pair
+    +-i sqrt((Delta - P)/K) on the imaginary axis when Delta - P > 0.  Each
+    is classified by the 2x2 Hessian in (Re alpha, Im alpha); a point with a
+    Hessian eigenvalue below 1e-9 max(K, |P| + |Delta|) in magnitude is
+    'degenerate'.  At P = 0 with Delta > 0 the whole ring |alpha|^2 =
+    Delta/K is stationary; it is returned as its four axis points, each
+    'degenerate'.  Points are sorted by (Re alpha, Im alpha).
     """
     if K <= 0:
         raise UsageError(f"K must be positive, got {K}")
-    seed_extent = 2.0 * np.sqrt((abs(P) + abs(Delta)) / K + 1.0)
-    axis = np.linspace(-seed_extent, seed_extent, 9)
-    scale = max(abs(classical_energy(seed_extent, K, P, Delta)),
-                abs(classical_energy(1j * seed_extent, K, P, Delta)), K)
-    found = []
-    converged_any = False
-    for x0 in axis:
-        for y0 in axis:
-            x, y = float(x0), float(y0)
-            ok = False
-            for _ in range(60):
-                g, h = _grad_hess(x, y, K, P, Delta)
-                if np.linalg.norm(g) < 1e-12 * scale:
-                    ok = True
-                    break
-                try:
-                    step = np.linalg.solve(h, g)
-                except np.linalg.LinAlgError:
-                    break
-                if not np.all(np.isfinite(step)):
-                    break
-                # damp wild steps far from the seed basin
-                nrm = np.linalg.norm(step)
-                if nrm > seed_extent:
-                    step *= seed_extent / nrm
-                x, y = x - step[0], y - step[1]
-            if not ok:
-                continue
-            converged_any = True
-            if any(abs(complex(x, y) - q) < 1e-6 for q, _ in found):
-                continue
-            _, h = _grad_hess(x, y, K, P, Delta)
-            found.append((complex(x, y), h))
-    if not converged_any:
-        raise ConvergenceError("Newton iteration converged from no seed")
+    candidates = [0j]
+    if Delta + P > 0:
+        r = np.sqrt((Delta + P) / K)
+        candidates += [complex(-r, 0.0), complex(r, 0.0)]
+    if Delta - P > 0:
+        r = np.sqrt((Delta - P) / K)
+        candidates += [complex(0.0, -r), complex(0.0, r)]
+    flat = 1e-9 * max(K, abs(P) + abs(Delta))
     points = []
-    for q, h in found:
-        ev = np.linalg.eigvalsh(h)
-        if np.any(np.abs(ev) < 1e-9 * max(scale, 1.0)):
+    for q in candidates:
+        ev = np.linalg.eigvalsh(_grad_hess(q.real, q.imag, K, P, Delta)[1])
+        if np.any(np.abs(ev) < flat):
             kind = "degenerate"
         elif ev[1] < 0:
             kind = "maximum"
@@ -199,8 +169,6 @@ def stationary_points(K, P, Delta):
             kind = "minimum"
         else:
             kind = "saddle"
-        points.append(StationaryPoint(alpha=q,
-                                      energy=classical_energy(q, K, P, Delta),
-                                      kind=kind))
+        points.append(StationaryPoint(alpha=q, kind=kind))
     points.sort(key=lambda s: (round(s.alpha.real, 9), round(s.alpha.imag, 9)))
     return points

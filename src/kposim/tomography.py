@@ -167,19 +167,6 @@ def wigner_ideal(rho, re_grid, im_grid=None):
                      meta={"source": "ideal", "dim": dim})
 
 
-def wigner_of_mixture(maps, weights):
-    """Convex combination of Wigner maps on a shared grid."""
-    if len(maps) != len(weights) or not maps:
-        raise UsageError("need matching nonempty maps and weights")
-    w = np.asarray(weights, dtype=float)
-    if abs(w.sum() - 1.0) > 1e-9 or np.any(w < 0):
-        raise UsageError("weights must be a convex combination")
-    base = maps[0]
-    vals = sum(wi * m.values for wi, m in zip(w, maps))
-    return WignerMap(base.re_grid, base.im_grid, vals,
-                     meta={"source": "mixture"})
-
-
 # ---------------------------------------------------------------------------
 # simulated measurement
 

@@ -506,7 +506,7 @@ def test_cat_ramsey_fringe():
 def test_relaxation_closed_system():
     wg = np.linspace(0.0, 6.0, 61)
     res = dyn.relaxation_experiment(PARAMS, wg, prepare="ideal")
-    zs, zd = res.axis_series("z")
+    zs, zd = res.sums["z"], res.differences["z"]
     assert np.max(np.abs(zd - 1.0)) < 1e-6
     assert np.max(np.abs(zs - 1.0)) < 1e-6
     # x and y differences oscillate at the quasienergy splitting, undamped

@@ -230,8 +230,7 @@ def _toy_basis(dim=30, alpha=1.154):
 def test_cardinal_populations_plus_cat():
     basis = _toy_basis()
     rho = basis.plus_cat.to_density()
-    pops = fs.cardinal_populations(rho, basis)
-    arr = pops.as_array()
+    arr = fs.cardinal_populations(rho, basis)
     assert arr[0] == pytest.approx(1.0, abs=1e-10)  # +Cat
     assert arr[1] == pytest.approx(0.0, abs=1e-10)  # -Cat
     for k in range(2, 6):                           # equatorial cardinals
@@ -243,14 +242,14 @@ def test_cardinal_populations_mixed_qubit():
     rho = fs.DensityMatrix(0.5 * (basis.plus_cat.to_density().entries
                                   + basis.minus_cat.to_density().entries),
                            physical=False)
-    arr = fs.cardinal_populations(rho, basis).as_array()
+    arr = fs.cardinal_populations(rho, basis)
     assert np.max(np.abs(arr - 0.5)) < 1e-10
 
 
 def test_cardinal_populations_plus_icat():
     basis = _toy_basis()
     cards = fs.cardinal_states(basis)
-    arr = fs.cardinal_populations(cards["+iCat"].to_density(), basis).as_array()
+    arr = fs.cardinal_populations(cards["+iCat"].to_density(), basis)
     assert arr[4] == pytest.approx(1.0, abs=1e-10)
     assert arr[5] == pytest.approx(0.0, abs=1e-10)
 
@@ -264,7 +263,8 @@ def test_cardinal_pair_sums_equal_qubit_population():
     vec[7] += 0.3  # ~9% leakage
     vec /= np.linalg.norm(vec)
     rho = fs.DensityMatrix(np.outer(vec, vec.conj()))
-    z_sum, x_sum, y_sum = fs.cardinal_populations(rho, basis).axis_sums()
+    arr = fs.cardinal_populations(rho, basis)
+    z_sum, x_sum, y_sum = arr[0::2] + arr[1::2]
     assert abs(z_sum - x_sum) < 1e-9
     assert abs(z_sum - y_sum) < 1e-9
     assert z_sum < 0.99  # the leaked part is really outside

@@ -1,12 +1,14 @@
-"""Every name a package module imports is used in that module, and every
-``SystemParams`` field is read somewhere in the package."""
+"""Every name a package module imports is used in that module, every
+dataclass field is read somewhere, and every function reads its
+parameters."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kposim"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "kposim"
 
 
 def unused_imports(source):
@@ -82,3 +84,88 @@ def test_checker_flags_an_unread_field():
 def test_every_system_params_field_is_read():
     sources = [p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")]
     assert unread_fields(sources, "SystemParams") == []
+
+
+def unread_dataclass_fields(package_sources, reader_sources):
+    """``Class.field`` for every ``@dataclass`` field that no source loads.
+
+    Fields are the annotated names in the body of each class of
+    ``package_sources`` decorated with ``dataclass`` (bare or called).  A
+    field counts as read when some ``obj.field`` is loaded anywhere in
+    either source list, the class's own methods included.  The match goes
+    by name, so a field that shares its name with an attribute read
+    elsewhere passes unseen.
+    """
+    def is_dataclass(node):
+        heads = (d.func if isinstance(d, ast.Call) else d
+                 for d in node.decorator_list)
+        return any(isinstance(h, ast.Name) and h.id == "dataclass"
+                   for h in heads)
+
+    fields, read = [], set()
+    for source in package_sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and is_dataclass(node):
+                fields += [(node.name, n.target.id) for n in node.body
+                           if isinstance(n, ast.AnnAssign)]
+    for source in list(package_sources) + list(reader_sources):
+        read |= {n.attr for n in ast.walk(ast.parse(source))
+                 if isinstance(n, ast.Attribute)
+                 and isinstance(n.ctx, ast.Load)}
+    return sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
+
+
+def test_checker_flags_an_unread_dataclass_field():
+    cls = ("from dataclasses import dataclass\n"
+           "@dataclass(frozen=True)\nclass P:\n    a: int\n    b: int = 0\n"
+           "    def total(self):\n        return self.a\n"
+           "@dataclass\nclass Q:\n    c: int\n"
+           "class R:\n    d: int\n")
+    use = "def f(q):\n    q.b = 1\n    return q\n"
+    assert unread_dataclass_fields([cls], [use]) == ["P.b", "Q.c"]
+
+
+def test_every_dataclass_field_is_read():
+    package = [p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")]
+    tests = [p.read_text(encoding="utf-8") for p in TESTS.glob("*.py")]
+    assert unread_dataclass_fields(package, tests) == []
+
+
+def unused_parameters(source):
+    """``function(parameter)`` for each parameter its function never reads.
+
+    Covers module-level and nested functions; methods (functions defined
+    directly in a class body) are exempt, since an override keeps the
+    signature of the interface it implements.  A parameter counts as read
+    when its bare name is loaded anywhere in the function, nested
+    functions included.
+    """
+    tree = ast.parse(source)
+    methods = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for n in c.body}
+    found = []
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or id(node) in methods):
+            continue
+        args = node.args
+        names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        names += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        loaded = {n.id for stmt in node.body for n in ast.walk(stmt)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{node.name}({name})" for name in names
+                  if name not in loaded]
+    return found
+
+
+def test_checker_flags_an_unused_parameter():
+    src = ("def f(a, b, *args, c=0, **kw):\n"
+           "    def g(x, y):\n        return a + x\n"
+           "    return g(c, 1) + len(kw)\n"
+           "class E:\n    def value(self, t):\n        return 0\n")
+    assert unused_parameters(src) == ["f(b)", "f(args)", "g(y)"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_package_function_reads_every_parameter(module):
+    assert unused_parameters((PACKAGE / module).read_text(encoding="utf-8")) == []

@@ -10,6 +10,7 @@ from kposim import qpt
 from kposim.errors import CalibrationError, SpanError, UsageError
 
 PARAMS = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=30)
+FOCK = md.CatBasis(fs.fock_state(0, 30), fs.fock_state(1, 30), 0.0)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -18,7 +19,7 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 def test_effective_qubit_fock_ground_state():
-    q = qpt.effective_qubit(fs.dm(fs.fock_state(0, 30)), "fock")
+    q = qpt.effective_qubit(fs.dm(fs.fock_state(0, 30)), FOCK)
     assert np.max(np.abs(q.matrix - np.diag([1.0, 0.0]))) < 1e-12
     assert q.trace == pytest.approx(1.0, abs=1e-12)
     assert q.leakage == pytest.approx(0.0, abs=1e-12)
@@ -32,7 +33,7 @@ def test_effective_qubit_cat_basis():
 
 def test_effective_qubit_reports_leakage():
     rho = 0.95 * fs.dm(fs.fock_state(0, 30)) + 0.05 * fs.dm(fs.fock_state(5, 30))
-    q = qpt.effective_qubit(rho, "fock")
+    q = qpt.effective_qubit(rho, FOCK)
     assert q.trace == pytest.approx(0.95, abs=1e-6)
     assert q.leakage == pytest.approx(0.05, abs=1e-6)
 
@@ -40,19 +41,19 @@ def test_effective_qubit_reports_leakage():
 def test_effective_qubit_is_linear():
     r1 = fs.dm(fs.fock_state(0, 30))
     r2 = fs.dm(fs.coherent_state(0.4, 30))
-    both = qpt.effective_qubit(0.3 * r1 + 0.7 * r2, "fock").matrix
-    sep = (0.3 * qpt.effective_qubit(r1, "fock").matrix
-           + 0.7 * qpt.effective_qubit(r2, "fock").matrix)
+    both = qpt.effective_qubit(0.3 * r1 + 0.7 * r2, FOCK).matrix
+    sep = (0.3 * qpt.effective_qubit(r1, FOCK).matrix
+           + 0.7 * qpt.effective_qubit(r2, FOCK).matrix)
     assert np.max(np.abs(both - sep)) < 1e-12
 
 
 def test_qubit_density_validation():
     with pytest.raises(UsageError):
-        qpt.QubitDensity(np.eye(3), "fock")
+        qpt.QubitDensity(np.eye(3))
     with pytest.raises(UsageError):
-        qpt.QubitDensity(np.array([[0.5, 1j], [2j, 0.5]]), "fock")
+        qpt.QubitDensity(np.array([[0.5, 1j], [2j, 0.5]]))
     with pytest.raises(UsageError):
-        qpt.QubitDensity(np.diag([1.1, 0.2]), "fock")
+        qpt.QubitDensity(np.diag([1.1, 0.2]))
 
 
 def test_process_matrix_validation_and_access():

@@ -49,9 +49,10 @@ def test_spectrum_and_cat_basis_pick_the_same_pair():
         spec = sp.quasienergies(params.K, params.P_max, params.Delta, 30,
                                 check_convergence=False)
         basis = md.cat_basis_from_model(params)
-        for state, cat in zip(spec.qubit_states(),
-                              (basis.plus_cat, basis.minus_cat)):
-            assert abs(state.overlap(cat)) == pytest.approx(1.0, abs=1e-12)
+        for k, cat in zip(spec.qubit_indices,
+                          (basis.plus_cat, basis.minus_cat)):
+            assert abs(cat.overlap(spec.states[:, k])) == pytest.approx(
+                1.0, abs=1e-12)
 
 def test_eigenstates_have_definite_parity():
     spec = sp.quasienergies(K, P, DELTA, 30)
@@ -63,15 +64,12 @@ def test_eigenstates_have_definite_parity():
 
 def test_qubit_states_are_the_normalized_parity_pair():
     spec = sp.quasienergies(K, P, DELTA, 30)
-    even, odd = spec.qubit_states()
+    even, odd = (fs.StateVector(spec.states[:, k]) for k in spec.qubit_indices)
     pi = fs.parity_op(30)
     assert even.norm() == pytest.approx(1.0, abs=1e-12)
     assert odd.norm() == pytest.approx(1.0, abs=1e-12)
     assert even.expect(pi).real == pytest.approx(1.0, abs=1e-12)
     assert odd.expect(pi).real == pytest.approx(-1.0, abs=1e-12)
-    i_even, i_odd = spec.qubit_indices
-    assert np.array_equal(even.amplitudes, spec.states[:, i_even])
-    assert np.array_equal(odd.amplitudes, spec.states[:, i_odd])
 
 
 def test_dim_convergence_of_top_levels():
@@ -167,6 +165,48 @@ def test_stationary_points_grid_formula():
             nz = [abs(p.alpha) for p in pts if abs(p.alpha) > 1e-6]
             target = np.sqrt(pk + dk)
             assert max(nz) == pytest.approx(target, rel=1e-9)
+
+
+def test_stationary_points_at_a_singular_origin():
+    # P = Delta: the imaginary-axis pair has merged into the flat origin
+    pts = sp.stationary_points(K, 7.0 / 9.0 * K, 7.0 / 9.0 * K)
+    r = np.sqrt(14.0 / 9.0)
+    assert [p.kind for p in pts] == ["maximum", "degenerate", "maximum"]
+    assert [p.alpha for p in pts] == [
+        pytest.approx(-r, rel=1e-12), 0j, pytest.approx(r, rel=1e-12)]
+
+
+def test_stationary_points_are_stationary_and_maxima_are_maxima():
+    neighbours = 1e-3 * np.exp(2j * np.pi * np.arange(8) / 8)
+    for pk in (-0.6, 0.0, 0.4, 1.01, 2.5):
+        for dk in (-0.8, 0.0, 0.32, 1.0):
+            p_, d_ = pk * K, dk * K
+            pts = sp.stationary_points(K, p_, d_)
+            for pt in pts:
+                g, _ = sp._grad_hess(pt.alpha.real, pt.alpha.imag, K, p_, d_)
+                assert np.linalg.norm(g) <= 1e-12 * (K + abs(p_) + abs(d_))
+                if pt.kind == "maximum":
+                    e = sp.classical_energy(pt.alpha, K, p_, d_)
+                    assert all(e > sp.classical_energy(pt.alpha + n, K, p_, d_)
+                               for n in neighbours)
+
+
+def test_stationary_points_on_the_zero_pump_ring():
+    # P = 0, Delta > 0: the ring |alpha|^2 = Delta/K is flat along itself
+    pts = sp.stationary_points(K, 0.0, 0.5 * K)
+    r = np.sqrt(0.5)
+    ring = [p for p in pts if abs(p.alpha) > 0]
+    assert [p.alpha for p in pts if abs(p.alpha) == 0] == [0j]
+    assert len(ring) == 4
+    assert all(p.kind == "degenerate" for p in ring)
+    assert all(abs(p.alpha) == pytest.approx(r, rel=1e-12) for p in ring)
+    assert {(round(p.alpha.real / r), round(p.alpha.imag / r))
+            for p in ring} == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+
+
+def test_stationary_points_without_pump_or_detuning():
+    pts = sp.stationary_points(K, 0.0, 0.0)
+    assert [p.alpha for p in pts] == [0j]
 
 
 def test_energy_gap_at_operating_point():

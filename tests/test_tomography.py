@@ -65,15 +65,6 @@ def test_wigner_is_linear_in_the_state():
     w1 = tg.wigner_ideal(fs.DensityMatrix(r1), grid, grid)
     w2 = tg.wigner_ideal(fs.DensityMatrix(r2), grid, grid)
     assert np.max(np.abs(mix.values - 0.3 * w1.values - 0.7 * w2.values)) < 1e-12
-    combo = tg.wigner_of_mixture([w1, w2], [0.3, 0.7])
-    assert np.max(np.abs(mix.values - combo.values)) < 1e-12
-
-
-def test_mixture_weights_must_be_convex():
-    grid = np.linspace(-1.0, 1.0, 3)
-    w = tg.wigner_ideal(fs.fock_state(0, 10), grid, grid)
-    with pytest.raises(UsageError):
-        tg.wigner_of_mixture([w, w], [0.9, 0.3])
 
 
 def test_displacement_covariance():
