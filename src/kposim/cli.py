@@ -157,18 +157,17 @@ def _run_rabi(which):
 
 
 def _run_map_cat(cfg, params, out, svg):
-    _check_keys(cfg, {"system", "tau_ramp_ns", "counterdiabatic", "cd_mode",
-                      "samples", "out_dir"}, "config")
+    _check_keys(cfg, {"system", "tau_ramp_ns", "counterdiabatic", "samples",
+                      "out_dir"}, "config")
     tau = ns_to_us(_finite(cfg.get("tau_ramp_ns", 300.0), "tau_ramp_ns"))
     cd = cfg.get("counterdiabatic", True)
     if not isinstance(cd, bool):
         raise ConfigError("counterdiabatic must be a boolean")
-    mode = cfg.get("cd_mode", "chirp")
     nsamp = cfg.get("samples", 41)
     if not isinstance(nsamp, int) or nsamp < 2:
         raise ConfigError("samples must be an integer >= 2")
     sched = md.ramp_schedule(params.P_max, tau, params.Delta,
-                             counterdiabatic=cd, cd_mode=mode)
+                             counterdiabatic=cd)
     basis = md.cat_basis_from_model(params)
     lossless = params.with_(kappa=0.0)
     times = np.linspace(0.0, tau, nsamp)
@@ -192,7 +191,6 @@ def _run_map_cat(cfg, params, out, svg):
         "final_fidelity_odd": finals["odd"],
         "frame_phase_rad": float(sched.total_frame_phase),
         "counterdiabatic": cd,
-        "cd_mode": mode if cd else None,
     }
     return summary, {"final_fidelity_even": 5e-3, "final_fidelity_odd": 5e-3}
 

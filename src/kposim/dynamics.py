@@ -73,12 +73,6 @@ def _solve_segment(rhs, y0, t0, t1, t_eval, rtol, atol):
     return [sol.y[:, k] for k in range(n)], sol.y[:, -1], sol.nfev
 
 
-def _coefficients(schedule, t, index):
-    """c(t) of H(t) over the blocks (n, pump, pump_quad, adag, a)."""
-    delta, p, q, b, phase = md.hamiltonian_terms(schedule, t, index)
-    return np.array([delta, p, q, b * phase, b * np.conj(phase)])
-
-
 def _segment(params, schedule, index, y0, t0, t_points, t1, density):
     """Propagate segment ``index`` in the eigenframe of its midpoint H.
 
@@ -87,7 +81,9 @@ def _segment(params, schedule, index, y0, t0, t_points, t1, density):
     DOP853 integrates dc/dt = -i u* ∘ R̃(u ∘ c), or
     dσ/dt = Φ* ∘ (-i[R̃, Φ ∘ σ] + D̃(Φ ∘ σ)), where R̃(t) = Σ_i Δc_i(t) Õ_i
     is the rest H(t) - H_ref rotated into the frame: Δc = c(t) - c(t_mid)
-    over the blocks Õ_i = V†O_iV, and D̃ the dissipator with ã = V†aV.
+    for the segment's coefficient function c over the rotated operator
+    stack Õ_i = V†O_iV (see :func:`kposim.model.operator_stack`), and D̃
+    the dissipator with ã = V†aV.
     H_ref's spectrum, with the Fock-truncation edge, never sets the step;
     ``params.rtol`` and ``params.atol`` bound c or σ.  A static segment has
     R̃ ≡ 0, so without loss c and σ stay constant and the result is exact.
@@ -115,17 +111,16 @@ def _segment(params, schedule, index, y0, t0, t_points, t1, density):
     if not (driven or kappa > 0.0):
         return [lab(t, c0) for t in t_points], lab(t1, c0), "eigh", 0
 
-    blk = md._blocks(dim)
-    a = vecs_h @ blk["a"] @ vecs
+    ops = vecs_h @ md.operator_stack(dim) @ vecs
+    a = ops[3]
     adag = a.conj().T
     n = adag @ a
-    ops = np.array([n, vecs_h @ blk["pump"] @ vecs,
-                    vecs_h @ blk["pump_quad"] @ vecs, adag, a]).reshape(5, -1)
-    c_mid = _coefficients(schedule, t_mid, index)
+    ops = ops.reshape(4, -1)
+    coefficients = schedule.coefficients(index)
+    c_mid = coefficients(t_mid)
 
     def remainder(t):
-        return ((_coefficients(schedule, t, index) - c_mid) @ ops).reshape(
-            dim, dim)
+        return ((coefficients(t) - c_mid) @ ops).reshape(dim, dim)
 
     if density:
         def rhs(t, y):

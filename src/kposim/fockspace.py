@@ -49,7 +49,6 @@ __all__ = [
     "coherent_state",
     "cat_state",
     "displacement_op",
-    "dag",
     "dm",
     "state_fidelity",
     "assert_hermitian",
@@ -109,16 +108,11 @@ def parity_op(dim):
     return _readonly(np.diag(signs.astype(np.complex128)))
 
 
-def dag(op):
-    """Conjugate transpose."""
-    return np.asarray(op).conj().T
-
-
-def assert_hermitian(op, tol=HERMITIAN_TOL, name="operator"):
-    """Raise ``UsageError`` unless ``op`` is entrywise Hermitian within ``tol``."""
+def assert_hermitian(op, name="operator"):
+    """Raise ``UsageError`` unless ``op`` is Hermitian within ``HERMITIAN_TOL``."""
     op = np.asarray(op)
     err = np.max(np.abs(op - op.conj().T)) if op.size else 0.0
-    if err > tol:
+    if err > HERMITIAN_TOL:
         raise UsageError(f"{name} is not Hermitian (max |M - M^dag| = {err:.3e})")
     return op
 
@@ -392,13 +386,14 @@ def cardinal_states(basis):
     """The six cardinal states built from an orthonormal (plus, minus) pair.
 
     ``basis`` is any object exposing ``plus_cat`` / ``minus_cat`` states,
-    orthonormal within 1e-8.  Returns a dict keyed by
-    :data:`CARDINAL_LABELS`.
+    orthonormal within 1e-10, the norm tolerance of the StateVector
+    objects it returns: (p +- m)/sqrt(2) has squared norm
+    1 + O(deviation).  Returns a dict keyed by :data:`CARDINAL_LABELS`.
     """
     p, m = _basis_pair(basis)
     err = max(abs(np.vdot(p, p) - 1.0), abs(np.vdot(m, m) - 1.0),
               abs(np.vdot(p, m)))
-    if err > 1e-8:
+    if err > 1e-10:
         raise BasisError(f"cat basis is not orthonormal (max deviation {err:.3e})")
     s = 1.0 / np.sqrt(2.0)
     return {

@@ -1,27 +1,30 @@
-"""System parameters, pulse schedules, and Hamiltonian assembly.
+"""System parameters, pulse schedules, and the Hamiltonian.
 
 The rotating-frame Hamiltonian of the pumped Kerr oscillator (frame at half
 the pump frequency) is, in rad/us,
 
-    H(t) = Delta(t) adag a  -  (K/2) adag adag a a
-           + (P(t)/2) (adag^2 + a^2)
-           + beta(t) (adag e^{-i (Delta_d t + phi_d)} + a e^{+i (...)})
+    H(t) = -(K/2) adag adag a a + sum_i c_i(t) O_i,
+    O = (n, adag^2 + a^2, adag, a),
+    c(t) = (Delta(t) - delta_p(t)/2, P(t)/2, beta(t) e^{-i theta(t)},
+            beta(t) e^{+i theta(t)}),
 
 with K the Kerr coefficient, P the two-photon pump amplitude, Delta the
-oscillator detuning from half the pump frequency, and (beta, Delta_d, phi_d)
-a linear drive.  A pump-frequency chirp delta_p(t) is represented in this
-frame as Delta(t) = Delta - delta_p(t)/2 together with an accumulated frame
-phase  phi_acc = int delta_p(t)/2 dt  that offsets the phase of any drive
-applied after (or during) the chirp; this representation is exact while no
-drive is on.
+oscillator detuning from half the pump frequency, and beta a linear drive of
+phase theta(t) = Delta_d t + phi_d - phi_acc(t).  A pump-frequency chirp
+delta_p(t) lowers the detuning by delta_p/2 and accumulates the frame phase
+phi_acc = int delta_p(t)/2 dt that offsets the phase of any drive applied
+after (or during) the chirp; this representation is exact while no drive is
+on.
 
 Schedules are ordered lists of :class:`Segment`, each holding named envelope
-shapes for the pump, detuning, chirp, and drive.  Frame phases are derived
-quantities owned by :class:`PulseSchedule`.
+shapes for the pump, detuning, chirp, and drive.  :class:`PulseSchedule`
+derives the frame phases and builds one coefficient function c(t) per
+segment; :func:`operator_stack` caches O per Fock dimension.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -37,14 +40,13 @@ __all__ = [
     "SinSquaredRamp",
     "SinBump",
     "SinSquaredBump",
-    "Sum",
     "Segment",
     "PulseSchedule",
     "hold_schedule",
     "ramp_schedule",
     "chirp_schedule",
     "drive_schedule",
-    "hamiltonian_terms",
+    "operator_stack",
     "hamiltonian_at",
     "static_hamiltonian",
     "tls_rabi_hamiltonian",
@@ -213,20 +215,6 @@ class Cosine(Envelope):
         return self.omega == 0.0 and self.phase == 0.0
 
 
-@dataclass(frozen=True)
-class Sum(Envelope):
-    parts: tuple = ()
-
-    def value(self, t):
-        return sum(p.value(t) for p in self.parts)
-
-    def integral(self, t):
-        return sum(p.integral(t) for p in self.parts)
-
-    def is_constant(self):
-        return all(p.is_constant() for p in self.parts)
-
-
 # ---------------------------------------------------------------------------
 # segments and schedules
 # ---------------------------------------------------------------------------
@@ -238,16 +226,14 @@ _ZERO = Constant(0.0)
 class Segment:
     """One schedule segment; all envelopes are functions of segment-local time.
 
-    ``pump`` drives the in-phase two-photon quadrature (adag^2 + a^2)/2 and
-    ``pump_quad`` the orthogonal one i(adag^2 - a^2)/2.  ``chirp`` holds the
-    pump-frequency offset delta_p(t); it lowers the effective detuning by
-    delta_p/2 and feeds the accumulated frame phase.  The drive oscillation
-    ``Delta_d t + phi_d`` is referenced to the segment start.
+    ``pump`` drives the two-photon term (adag^2 + a^2)/2.  ``chirp`` holds
+    the pump-frequency offset delta_p(t); it lowers the effective detuning
+    by delta_p/2 and feeds the accumulated frame phase.  The drive
+    oscillation ``Delta_d t + phi_d`` is referenced to the segment start.
     """
 
     duration: float
     pump: Envelope = _ZERO
-    pump_quad: Envelope = _ZERO
     detuning: Envelope = _ZERO
     chirp: Envelope = _ZERO
     drive: Envelope = _ZERO
@@ -273,13 +259,35 @@ class Segment:
         it, and a chirp's frame phase is subtracted from it.
         """
         envs_const = all(
-            e.is_constant() for e in (self.pump, self.pump_quad, self.detuning, self.chirp)
+            e.is_constant() for e in (self.pump, self.detuning, self.chirp)
         )
         phase_moves = self.drive_detuning != 0.0 or self.chirp.value(0.0) != 0.0
         drive_static = self.drive.is_constant() and (
             self.drive.value(0.0) == 0.0 or not phase_moves
         )
         return envs_const and drive_static
+
+
+def _coefficient_function(seg, start, frame0):
+    """c(t) of ``seg`` starting at global time ``start`` and frame phase ``frame0``.
+
+    The drive phase theta = Delta_d t + phi_d - phi_frame(t) subtracts the
+    frame phase of earlier and in-progress chirps: a drive phase-locked to
+    the original frame appears in the chirped frame retarded by phi_acc.
+    """
+    pump, drive = seg.pump.value, seg.drive.value
+    detuning, frame = seg.detuning_value, seg.frame_phase_increment
+    omega, phi = seg.drive_detuning, seg.drive_phase
+
+    def c(t):
+        t = t - start
+        b = drive(t)
+        phase = (np.exp(-1j * (omega * t + phi - (frame0 + frame(t))))
+                 if b != 0.0 else 1.0)
+        return np.array([detuning(t), 0.5 * pump(t), b * phase,
+                         b * np.conj(phase)])
+
+    return c
 
 
 #: tolerance for the pump-continuity check across segment boundaries (rad/us)
@@ -292,8 +300,9 @@ class PulseSchedule:
 
     Frame phases are derived here: segment ``i`` starts at frame phase
     ``frame_phase_start(i)``, the cumulative chirp integral of all earlier
-    segments.  The pump envelopes must be continuous across boundaries within
-    1e-9 rad/us.
+    segments.  The pump envelope must be continuous across boundaries within
+    1e-9 rad/us.  Each segment gets its coefficient function c(t) of the
+    Hamiltonian once, at construction (see :meth:`coefficients`).
     """
 
     segments: tuple
@@ -308,18 +317,18 @@ class PulseSchedule:
         object.__setattr__(self, "segments", segs)
         for left, right in zip(segs[:-1], segs[1:]):
             jump = abs(left.pump.value(left.duration) - right.pump.value(0.0))
-            jump_q = abs(left.pump_quad.value(left.duration) - right.pump_quad.value(0.0))
-            if max(jump, jump_q) > _CONTINUITY_TOL:
+            if jump > _CONTINUITY_TOL:
                 raise ScheduleError(
-                    f"pump discontinuity {max(jump, jump_q):.3e} rad/us at a segment "
-                    "boundary"
-                )
+                    f"pump discontinuity {jump:.3e} rad/us at a segment boundary")
         starts = np.concatenate(([0.0], np.cumsum([s.duration for s in segs])))
         object.__setattr__(self, "_starts", starts)
         phases = [0.0]
         for seg in segs:
             phases.append(phases[-1] + seg.frame_phase_increment(seg.duration))
         object.__setattr__(self, "_frame_phases", tuple(phases))
+        object.__setattr__(self, "_coeffs", tuple(
+            _coefficient_function(seg, float(start), phase)
+            for seg, start, phase in zip(segs, starts, phases)))
 
     @property
     def total_duration(self):
@@ -334,7 +343,7 @@ class PulseSchedule:
         return float(self._frame_phases[index])
 
     def locate(self, t, index=None):
-        """Map global time ``t`` to ``(segment, t_local, index)``.
+        """Map global time ``t`` to ``(index, t)``, ``t`` clamped to the schedule.
 
         Boundaries belong to the segment that starts there, except the final
         instant which belongs to the last segment.  A given ``index`` keeps
@@ -347,19 +356,14 @@ class PulseSchedule:
         if index is None:
             index = int(np.searchsorted(self._starts, t, side="right")) - 1
             index = min(index, len(self.segments) - 1)
-        return self.segments[index], t - float(self._starts[index]), index
+        return index, t
 
-    def drive_phase_at(self, index, t_local):
-        """Drive phase argument ``Delta_d t + phi_d - phi_frame(t)``.
+    def coefficients(self, index):
+        """c(t) of segment ``index`` over :func:`operator_stack`, t global.
 
-        The frame phase accumulated by earlier (and in-progress) chirps is
-        subtracted: a drive whose generator is phase-locked to the original
-        frame appears in the chirped frame with its phase retarded by
-        phi_acc.
+        ``t`` is not checked against the segment; see :meth:`locate`.
         """
-        seg = self.segments[index]
-        frame = self.frame_phase_start(index) + seg.frame_phase_increment(t_local)
-        return seg.drive_detuning * t_local + seg.drive_phase - frame
+        return self._coeffs[index]
 
     def then(self, other):
         """Concatenate with another schedule (pump continuity re-checked)."""
@@ -383,51 +387,24 @@ def hold_schedule(duration, P_level, Delta):
 _CD_SCALE = 0.3
 
 
-def ramp_schedule(P_max, tau_ramp, Delta, counterdiabatic=True,
-                  cd_mode="chirp", hold=0.0):
+def ramp_schedule(P_max, tau_ramp, Delta, counterdiabatic=True, hold=0.0):
     """Adiabatic vacuum-to-cat mapping ramp.
 
     The pump rises as ``P_max sin^2(pi t / (2 tau_ramp))`` over ``tau_ramp``
     and stays at ``P_max`` for an optional ``hold`` afterwards.  With
-    ``counterdiabatic`` a shortcut arch ``0.3 P_max sin(pi t / tau_ramp)``
-    is applied during the ramp.  ``cd_mode`` selects its realization:
-
-    ``'chirp'`` (default)
-        a pump-frequency chirp that dips the effective detuning by the arch,
-        widening the narrow even-sector gap ``K - 2 Delta`` mid-ramp.  The
-        accumulated frame phase is tracked and offsets later drive segments.
-    ``'pump_in_phase'``
-        the arch is added to the pump amplitude itself.
-    ``'pump_orthogonal'``
-        the arch multiplies the orthogonal two-photon quadrature
-        ``i (a^dag^2 - a^2)``, the transitionless-driving generator for
-        displacing the lobes outward.
-
-    At the default operating point (``tau_ramp`` = 300 ns) only ``'chirp'``
-    keeps the even-parity mapping error below 1e-2; the pump-quadrature
-    variants are retained for comparison studies.
+    ``counterdiabatic`` a pump-frequency chirp dips the effective detuning
+    by the shortcut arch ``0.3 P_max sin(pi t / tau_ramp)`` during the
+    ramp, widening the narrow even-sector gap ``K - 2 Delta`` mid-ramp; at
+    the default operating point (``tau_ramp`` = 300 ns) it keeps the
+    even-parity mapping error below 1e-2.  The accumulated frame phase is
+    tracked and offsets later drive segments.
     """
     if tau_ramp <= 0:
         raise ScheduleError(f"tau_ramp must be positive, got {tau_ramp}")
-    ramp = SinSquaredRamp(P_max, tau_ramp)
-    pump: Envelope = ramp
-    pump_quad: Envelope = _ZERO
-    chirp: Envelope = _ZERO
-    if counterdiabatic:
-        cd = SinBump(_CD_SCALE * P_max, tau_ramp)
-        if cd_mode == "chirp":
-            # detuning_value subtracts chirp/2, so double the arch here
-            chirp = SinBump(2.0 * _CD_SCALE * P_max, tau_ramp)
-        elif cd_mode == "pump_in_phase":
-            pump = Sum((ramp, cd))
-        elif cd_mode == "pump_orthogonal":
-            pump_quad = cd
-        else:
-            raise UsageError(
-                "cd_mode must be 'chirp', 'pump_in_phase' or 'pump_orthogonal', "
-                f"got {cd_mode!r}"
-            )
-    segs = [Segment(duration=tau_ramp, pump=pump, pump_quad=pump_quad,
+    # detuning_value subtracts chirp/2, so double the arch here
+    chirp = (SinBump(2.0 * _CD_SCALE * P_max, tau_ramp) if counterdiabatic
+             else _ZERO)
+    segs = [Segment(duration=tau_ramp, pump=SinSquaredRamp(P_max, tau_ramp),
                     detuning=Constant(Delta), chirp=chirp)]
     if hold > 0:
         segs.append(Segment(duration=hold, pump=Constant(P_max), detuning=Constant(Delta)))
@@ -472,84 +449,56 @@ def drive_schedule(duration, beta, Delta_d, phi_d, P_level, Delta):
 # Hamiltonians
 # ---------------------------------------------------------------------------
 
-_block_cache = {}
+@functools.lru_cache(maxsize=None)
+def operator_stack(dim):
+    """The operators O = (n, adag^2 + a^2, adag, a) of H(t), shape (4, dim, dim).
 
-
-def _blocks(dim):
-    """Cached operator blocks reused by every Hamiltonian assembly."""
-    if dim not in _block_cache:
-        a, adag = fs.ladder_ops(dim)
-        n = np.arange(dim, dtype=np.float64)
-        blk = {
-            "a": a,
-            "adag": adag,
-            "n_diag": n,
-            "kerr_diag": n * (n - 1.0),
-            "pump": adag @ adag + a @ a,
-            "pump_quad": 1j * (adag @ adag - a @ a),
-        }
-        # Hermiticity is checked once per block, not per assembly: every H
-        # is a real diagonal plus real multiples of the pump blocks and of
-        # the drive quadratures, since b (e^{-i theta} adag + e^{i theta} a)
-        # = b (cos theta (adag + a) - sin theta i(adag - a)).
-        for name, op in (("pump", blk["pump"]), ("pump_quad", blk["pump_quad"]),
-                         ("drive x", adag + a), ("drive p", 1j * (adag - a))):
-            fs.assert_hermitian(op, name=f"{name} block")
-        _block_cache[dim] = blk
-    return _block_cache[dim]
-
-
-def hamiltonian_terms(schedule, t, index=None):
-    """Envelope values ``(delta, p, q, b, phase)`` of H(t) at global time ``t``.
-
-    They are the coefficients of the operator blocks of :func:`_blocks`:
-
-        H(t) = delta n - (K/2) adag adag a a + p pump + q pump_quad
-               + b (phase adag + conj(phase) a),
-
-    with ``p`` and ``q`` half the pump envelopes and ``phase`` =
-    exp(-i theta), theta from :meth:`PulseSchedule.drive_phase_at` (1 while
-    the drive is off).  ``index`` selects the segment as in
-    :meth:`PulseSchedule.locate`.
+    Cached per ``dim`` and read-only.  Hermiticity is checked once here,
+    not per Hamiltonian: every H is a real diagonal plus real multiples of
+    n and of the pump block, and c adag + conj(c) a = Re(c) (adag + a)
+    - Im(c) i(adag - a).
     """
-    seg, t_loc, idx = schedule.locate(t, index)
-    b = seg.drive.value(t_loc)
-    phase = np.exp(-1j * schedule.drive_phase_at(idx, t_loc)) if b != 0.0 else 1.0
-    return (seg.detuning_value(t_loc), 0.5 * seg.pump.value(t_loc),
-            0.5 * seg.pump_quad.value(t_loc), b, phase)
+    a, adag = fs.ladder_ops(dim)
+    stack = np.array([fs.number_op(dim), adag @ adag + a @ a, adag, a])
+    for name, op in (("pump", stack[1]), ("drive x", adag + a),
+                     ("drive p", 1j * (adag - a))):
+        fs.assert_hermitian(op, name=f"{name} block")
+    stack.setflags(write=False)
+    return stack
 
 
-def _assemble(K, dim, delta, p, q, b, phase):
-    """Dense H from the coefficients of :func:`hamiltonian_terms`."""
-    blk = _blocks(dim)
-    H = np.zeros((dim, dim), dtype=np.complex128)
-    H.flat[::dim + 1] = delta * blk["n_diag"] - 0.5 * K * blk["kerr_diag"]
-    if p != 0.0:
-        H += p * blk["pump"]
-    if q != 0.0:
-        H += q * blk["pump_quad"]
-    if b != 0.0:
-        H += b * (phase * blk["adag"] + np.conj(phase) * blk["a"])
+@functools.lru_cache(maxsize=None)
+def _kerr_diagonal(dim):
+    """n (n - 1), the diagonal of adag adag a a, read-only."""
+    n = np.arange(dim, dtype=np.float64)
+    kerr = n * (n - 1.0)
+    kerr.setflags(write=False)
+    return kerr
+
+
+def _hamiltonian(K, c, dim):
+    """Dense ``-(K/2) adag adag a a + sum_i c_i O_i``."""
+    H = (c @ operator_stack(dim).reshape(4, -1)).reshape(dim, dim)
+    H.flat[::dim + 1] -= 0.5 * K * _kerr_diagonal(dim)
     return H
 
 
 def hamiltonian_at(params, schedule, t, index=None):
     """Dense Hamiltonian matrix H(t) (rad/us) for a schedule, Hermitian.
 
-    Segment-local envelopes are evaluated exactly at ``t`` by
-    :func:`hamiltonian_terms`; the drive phase follows
-    :meth:`PulseSchedule.drive_phase_at` (oscillation referenced to the
-    segment start, frame phase from earlier chirps subtracted).  With
-    ``index`` the envelopes are those of that segment, also at its
-    boundaries (see :meth:`PulseSchedule.locate`).
+    Evaluates the schedule's coefficient function c(t) of the segment at
+    ``t`` (see :meth:`PulseSchedule.coefficients`).  With ``index`` it is
+    that segment's, also at its boundaries (see
+    :meth:`PulseSchedule.locate`).
     """
-    return _assemble(params.K, params.dim,
-                     *hamiltonian_terms(schedule, t, index))
+    index, t = schedule.locate(t, index)
+    return _hamiltonian(params.K, schedule.coefficients(index)(t), params.dim)
 
 
 def static_hamiltonian(K, P, Delta, dim):
     """Drive-free Hamiltonian ``Delta n - (K/2) adag adag a a + (P/2)(adag^2+a^2)``."""
-    return _assemble(K, dim, Delta, 0.5 * P, 0.0, 0.0, 1.0)
+    return _hamiltonian(K, np.array([Delta, 0.5 * P, 0.0, 0.0],
+                                    dtype=np.complex128), dim)
 
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)

@@ -54,6 +54,18 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "detunng_grid" in err["message"]
 
 
+def test_map_cat_cd_mode_key_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "map.json", {
+        "system": {"K_MHz": 3.1, "P_MHz": 3.13, "Delta_MHz": 1.0, "dim": 8},
+        "cd_mode": "chirp",
+    })
+    rc = cli.main(["map-cat", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError"
+    assert "cd_mode" in err["message"]
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     rc = cli.main(["quasi-surface", "--config",
                    str(tmp_path / "nonexistent.json"),

@@ -284,5 +284,17 @@ def test_cardinal_populations_rejects_nonorthogonal_basis():
         fs.cardinal_populations(p.to_density(), basis)
 
 
+def test_cardinal_states_rejects_a_pair_skewed_below_the_basis_check():
+    # the pair passes CatBasis's 1e-8 check, but its coherent cardinals
+    # would miss the 1e-10 norm check of StateVector
+    from kposim import model as md
+    dim = 8
+    one = fs.fock_state(1, dim).amplitudes + 5e-9 * fs.fock_state(0, dim).amplitudes
+    basis = md.CatBasis(fs.fock_state(0, dim),
+                        fs.StateVector(one / np.linalg.norm(one)), 0.0)
+    with pytest.raises(BasisError, match="not orthonormal"):
+        fs.cardinal_states(basis)
+
+
 def test_cardinal_labels_order():
     assert fs.CARDINAL_LABELS == ("+Cat", "-Cat", "+Coh", "-Coh", "+iCat", "-iCat")

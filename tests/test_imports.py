@@ -169,3 +169,57 @@ def test_checker_flags_an_unused_parameter():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_package_function_reads_every_parameter(module):
     assert unused_parameters((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+#: private names that one package module may still load from another, as
+#: ``(reader, "module._name")``
+PRIVATE_READS_ALLOWED = {
+    ("spectral", "model._qubit_pair"),
+    ("qpt", "fockspace._as_density_array"),
+    ("tomography", "fockspace._as_density_array"),
+    ("tomography", "fockspace._readonly"),
+}
+
+
+def private_reads(source):
+    """``module._name`` for each private name ``source`` loads from a sibling.
+
+    Siblings are the modules bound by ``from . import m [as alias]``, at any
+    depth; a private name counts when it is imported with
+    ``from .m import _name`` or loaded as ``alias._name``.  Dunder names are
+    not private.
+    """
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    tree = ast.parse(source)
+    aliases, found = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    aliases[alias.asname or alias.name] = alias.name
+                elif private(alias.name):
+                    found.add(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            found.add(f"{aliases[node.value.id]}.{node.attr}")
+    return sorted(found)
+
+
+def test_checker_flags_a_private_read():
+    src = ("from . import model as md\nfrom .fockspace import _readonly, ok\n"
+           "def f(dim):\n    from . import dynamics\n"
+           "    return md._blocks(dim), dynamics._freeze, md.__name__, md.x\n")
+    assert private_reads(src) == ["dynamics._freeze", "fockspace._readonly",
+                                  "model._blocks"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_package_module_reads_no_private_name_of_another(module):
+    reader = module[:-len(".py")]
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert [name for name in private_reads(source)
+            if (reader, name) not in PRIVATE_READS_ALLOWED] == []

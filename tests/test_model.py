@@ -239,32 +239,34 @@ def test_tls_map_matches_the_integrated_hamiltonian(variant):
         assert np.max(np.abs(row - ref)) < 1e-8
 
 
-@pytest.mark.parametrize("case", ["chirp-ramp", "orthogonal-ramp",
-                                  "drive-after-chirp"])
+@pytest.mark.parametrize("case", ["chirp-ramp", "drive-after-chirp",
+                                  "symmetrized-drive"])
 def test_hamiltonian_terms_rebuild_the_hamiltonian(case):
-    # Kerr diagonal + sum_i c_i(t) O_i, with hand-built O_i, inside every
-    # segment and on both of its boundaries
+    # Kerr diagonal + sum_i c_i(t) O_i, with the segment's coefficient
+    # function and hand-built O_i, inside every segment and on both of its
+    # boundaries
     p = PARAMS.with_(dim=12)
     if case == "chirp-ramp":
         sched = md.ramp_schedule(p.P_max, 0.3, p.Delta, hold=0.1)
-    elif case == "orthogonal-ramp":
-        sched = md.ramp_schedule(p.P_max, 0.3, p.Delta,
-                                 cd_mode="pump_orthogonal")
-    else:
+    elif case == "drive-after-chirp":
         sched = md.chirp_schedule(units.mhz_to_angular(2.0), 0.2, p.P_max,
                                   p.Delta).then(
             md.drive_schedule(0.15, p.beta, 1.3, 0.7, p.P_max, p.Delta))
+    else:
+        seg = md.Segment(duration=0.15, pump=md.Constant(p.P_max),
+                         detuning=md.Constant(p.Delta),
+                         drive=md.Cosine(p.beta, 1.3, 0.7))
+        sched = md.ramp_schedule(p.P_max, 0.3, p.Delta).then((seg,))
     a = orc.ladder(p.dim)
     ad = a.conj().T
-    ops = (ad @ a, ad @ ad + a @ a, 1j * (ad @ ad - a @ a))
+    ops = (ad @ a, ad @ ad + a @ a, ad, a)
     kerr = -0.5 * p.K * (ad @ ad @ a @ a)
     start = 0.0
     for index, seg in enumerate(sched.segments):
+        c = sched.coefficients(index)
         for frac in (0.0, 0.37, 0.81, 1.0):
             t = start + frac * seg.duration
-            delta, pump, quad, b, phase = md.hamiltonian_terms(sched, t, index)
-            h = (kerr + delta * ops[0] + pump * ops[1] + quad * ops[2]
-                 + b * phase * ad + b * np.conj(phase) * a)
+            h = kerr + sum(ci * op for ci, op in zip(c(t), ops))
             ref = md.hamiltonian_at(p, sched, t, index)
             assert np.max(np.abs(h - ref)) < 1e-12
         start += seg.duration
