@@ -531,8 +531,7 @@ def _run_wigner(cfg, params, out, svg):
             parities = np.clip(parities
                                + sigma * rng.standard_normal(parities.shape),
                                -1.0, 1.0)
-            record = tg.MeasurementRecord(record.alphas, parities,
-                                          dict(record.pulse))
+            record = tg.MeasurementRecord(record.alphas, parities)
         io.write_record_jsonl(os.path.join(out, "record.jsonl"), record)
         wm = record.to_wigner(re, im)
         summary["pulse_duration_ns"] = us_to_ns(dur)
@@ -590,6 +589,9 @@ def run_experiment(name, cfg, out_root, svg=False, check=False):
     :func:`_system`, and no summary value the runner declares may move by
     more than its tolerance.
     """
+    if name not in RUNNERS:
+        raise UsageError(f"unknown experiment {name!r}; known: "
+                         f"{', '.join(RUNNERS)}")
     runner = RUNNERS[name]
     out = io.ensure_dir(os.path.join(out_root, name))
     summary, tolerances = runner(cfg, _system(cfg), out, svg)

@@ -35,8 +35,9 @@ class Trajectory:
     """Sampled solution of a propagation run.
 
     ``states`` holds one StateVector (unitary branch) or DensityMatrix
-    (Lindblad branch) per entry of ``times``.  ``meta`` records the loss
-    rate, integrator tolerances and step statistics.
+    (Lindblad branch) per entry of ``times``.  ``meta`` records the
+    ``branch`` and the RHS evaluations, ``nfev``, in all and per segment
+    (see :func:`propagate`).
     """
 
     times: np.ndarray
@@ -165,8 +166,8 @@ def propagate(params, schedule, initial, sample_times=None):
     :meth:`kposim.model.Segment.is_static`) without loss is exact there
     (solver ``"eigh"``); otherwise DOP853 integrates, at ``params.rtol`` and
     ``params.atol``, only what that frame leaves: the rest of H(t) and the
-    dissipator (``"eigenframe DOP853"``).  ``meta`` records ``kappa``,
-    ``rtol``, ``atol`` and the ``branch``; ``meta["segments"]`` holds one
+    dissipator (``"eigenframe DOP853"``).  ``meta["branch"]`` is
+    ``"unitary"`` or ``"lindblad"``, ``meta["segments"]`` holds one
     ``{"solver", "nfev"}`` entry per propagated segment and ``meta["nfev"]``
     their sum.
     """
@@ -223,15 +224,14 @@ def propagate(params, schedule, initial, sample_times=None):
             times_out.append(t)
         t_cursor = t1
 
-    meta = {"rtol": params.rtol, "atol": params.atol,
-            "nfev": sum(s["nfev"] for s in seg_stats), "kappa": params.kappa,
+    meta = {"nfev": sum(s["nfev"] for s in seg_stats),
             "branch": "lindblad" if density else "unitary",
             "segments": seg_stats}
     return Trajectory(np.array(times_out), tuple(states), meta)
 
 
 def _freeze(y, density, dim, t):
-    """Wrap raw solver output into a state object, checking conservation."""
+    """Wrap raw solver output into a state object, checking it here only."""
     if density:
         rho = y.reshape(dim, dim)
         tr = np.trace(rho).real
@@ -251,7 +251,7 @@ def _freeze(y, density, dim, t):
         raise AccuracyError(
             f"norm drifted to {nrm:.12f} at t = {t:.6f} us; "
             "tighten tolerances")
-    return fs.StateVector(y / nrm)
+    return fs.StateVector(y / nrm, normalized=False)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +461,7 @@ def relaxation_experiment(params, wait_grid, prepare="ramp", tau_ramp=0.3):
         lossless = params.with_(kappa=0.0)
         dim = params.dim
         fock = fs.cardinal_states(md.CatBasis(fs.fock_state(0, dim),
-                                              fs.fock_state(1, dim), 0.0))
+                                              fs.fock_state(1, dim)))
         cards = {c: propagate(lossless, ramp, fock[c]).final_state
                  for c in _PREPARED.values()}
     else:

@@ -537,21 +537,22 @@ def tls_rabi_hamiltonian(variant, Omega_R, Delta_dT, t):
 
 @dataclass(frozen=True)
 class CatBasis:
-    """Orthonormal cat-qubit basis pair with a fitted effective amplitude.
+    """The checked cat-qubit pair every cardinal state is built from.
 
     ``plus_cat`` has even photon-number parity, ``minus_cat`` odd, both
-    within 1e-6; orthonormality is checked to 1e-8.
+    within 1e-6.  Orthonormality is checked to 1e-10, the norm tolerance of
+    :class:`kposim.fockspace.StateVector`, so every pair that constructs
+    yields its cardinal states (see :func:`kposim.fockspace.cardinal_states`).
     """
 
     plus_cat: fs.StateVector
     minus_cat: fs.StateVector
-    alpha_eff: complex
 
     def __post_init__(self):
         p = self.plus_cat.amplitudes
         m = self.minus_cat.amplitudes
         err = max(abs(np.vdot(p, p) - 1.0), abs(np.vdot(m, m) - 1.0), abs(np.vdot(p, m)))
-        if err > 1e-8:
+        if err > 1e-10:
             raise BasisError(f"cat basis not orthonormal (deviation {err:.3e})")
         par = fs.parity_op(p.size)
         p_par = float(np.vdot(p, par @ p).real)
@@ -618,9 +619,9 @@ def cat_basis_from_model(params):
     Diagonalizes the drive-free Hamiltonian at pump level ``params.P_max``
     and detuning ``params.Delta``, picks in each parity sector the
     eigenstate closest to the analytic cat of amplitude
-    ``alpha_c = sqrt((P + Delta)/K)``, fixes phases so the overlap with the
-    coherent state ``|alpha_c>`` is real positive, and fits the effective
-    amplitude by maximizing overlap with analytic cats.
+    ``alpha_c = sqrt((P + Delta)/K)``, and fixes phases so the overlap with
+    the coherent state ``|alpha_c>`` (Fock 0 and 1 when ``alpha_c``
+    vanishes) is real positive.
 
     Raises ``BasisError`` if the best overlap falls below 0.8 (the requested
     working point does not host an identifiable cat qubit).
@@ -645,27 +646,4 @@ def cat_basis_from_model(params):
             raise BasisError("cannot fix cat-basis phase: reference overlap vanishes")
         v = v * (np.conj(ph) / abs(ph))
         pair.append(fs.StateVector(v / np.linalg.norm(v)))
-    plus_cat, minus_cat = pair
-
-    alpha_eff = _fit_alpha_eff(plus_cat, alpha_c, dim)
-    return CatBasis(plus_cat=plus_cat, minus_cat=minus_cat, alpha_eff=complex(alpha_eff))
-
-
-def _fit_alpha_eff(plus_cat, alpha_c, dim):
-    """Amplitude of the analytic even cat closest to the model even state."""
-    if alpha_c < 1e-6:
-        return 0.0
-
-    def neg_overlap(x):
-        ref = fs.cat_state(x, "even", dim)
-        return -abs(ref.overlap(plus_cat)) ** 2
-
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(
-        neg_overlap,
-        bounds=(0.25 * alpha_c, min(2.0 * alpha_c, 0.5 * math.sqrt(dim))),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    return float(res.x)
+    return CatBasis(*pair)

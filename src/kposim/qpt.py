@@ -330,8 +330,7 @@ def _phase_shifted_basis(basis, phi_plus, phi_minus):
         plus_cat=fs.StateVector(np.exp(1j * phi_plus)
                                 * basis.plus_cat.amplitudes),
         minus_cat=fs.StateVector(np.exp(1j * phi_minus)
-                                 * basis.minus_cat.amplitudes),
-        alpha_eff=basis.alpha_eff)
+                                 * basis.minus_cat.amplitudes))
 
 
 def _cardinal_kets(basis):
@@ -373,7 +372,7 @@ def qpt_experiment(kind, params, tau_ramp=0.3, tau_Z=0.5,
         sched = md.ramp_schedule(run_params.P_max, tau_ramp, run_params.Delta)
         ref_sched = md.ramp_schedule(params.P_max, tau_ramp, params.Delta)
         fock = md.CatBasis(fs.fock_state(0, params.dim),
-                           fs.fock_state(1, params.dim), 0.0)
+                           fs.fock_state(1, params.dim))
         kets = _cardinal_kets(fock)
         # reference propagation at nominal parameters fixes the output-basis
         # phases (the deterministic branch phases of the ramp)

@@ -14,7 +14,7 @@ squares.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,14 +43,12 @@ class WignerMap:
     """W(alpha) sampled on a rectangular grid.
 
     ``values[r, c]`` is W(re_grid[c] + 1j * im_grid[r]), in units of inverse
-    phase-space area.  ``meta`` records the source ('ideal' or
-    'simulated-measurement') and any corrections applied.
+    phase-space area.
     """
 
     re_grid: np.ndarray
     im_grid: np.ndarray
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         re = np.asarray(self.re_grid, dtype=float)
@@ -163,8 +161,7 @@ def wigner_ideal(rho, re_grid, im_grid=None):
     _check_extent(re, im, dim)
     values = TWO_OVER_PI * _displacements(dim).parities(
         rho_arr, grid_points(re, im))
-    return WignerMap(re, im, values.reshape(im.size, re.size),
-                     meta={"source": "ideal", "dim": dim})
+    return WignerMap(re, im, values.reshape(im.size, re.size))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +174,6 @@ class MeasurementRecord:
 
     alphas: np.ndarray
     parities: np.ndarray
-    pulse: dict = field(default_factory=dict)
 
     def __post_init__(self):
         al = np.asarray(self.alphas, dtype=complex)
@@ -196,8 +192,7 @@ class MeasurementRecord:
         if self.alphas.size != re.size * im.size:
             raise UsageError("record size does not match the grid")
         vals = TWO_OVER_PI * self.parities.reshape(im.size, re.size)
-        return WignerMap(re, im, vals, meta={"source": "simulated-measurement",
-                                             "pulse": dict(self.pulse)})
+        return WignerMap(re, im, vals)
 
 
 def _linear_displacement_gain(duration, detuning):
@@ -254,10 +249,7 @@ def simulate_ld_tomography(params, rho, alphas, pulse_duration=0.02,
         return float(np.clip(np.real(out.expect(par)), -1.0, 1.0))
 
     parities = np.array(parallel_map(one, drives))
-    return MeasurementRecord(al, parities,
-                             pulse={"duration_us": pulse_duration,
-                                    "detuning": detuning,
-                                    "max_drive": float(need)})
+    return MeasurementRecord(al, parities)
 
 
 def grid_points(re_grid, im_grid):
@@ -282,8 +274,7 @@ def ideal_record(rho, alphas):
         raise UsageError("alphas must be nonempty")
     rho_arr = fs._as_density_array(rho)
     parities = _displacements(rho_arr.shape[0]).parities(rho_arr, al)
-    return MeasurementRecord(al, np.clip(parities, -1.0, 1.0),
-                             pulse={"duration_us": 0.0})
+    return MeasurementRecord(al, np.clip(parities, -1.0, 1.0))
 
 
 def kerr_correct(rho, K, Delta, tau_corr):

@@ -11,6 +11,7 @@ from kposim import dynamics as dyn
 from kposim import fileio as io
 from kposim import fockspace as fs
 from kposim import tomography as tg
+from kposim.errors import UsageError
 
 
 def _write_config(tmp_path, name, cfg):
@@ -64,6 +65,13 @@ def test_map_cat_cd_mode_key_exits_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ConfigError"
     assert "cd_mode" in err["message"]
+
+
+def test_unknown_experiment_is_a_usage_error(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(UsageError, match="unknown experiment 'rabi'.*rabi-drive"):
+        cli.run_experiment("rabi", {}, str(out))
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

@@ -195,8 +195,8 @@ def test_meta_reports_the_solver_of_each_segment():
                      drive=md.Constant(40.0), drive_phase=-1.1)
     point = dyn.propagate(p, md.PulseSchedule((seg,)),
                           fs.fock_state(0, 12).to_density())
-    assert point.meta["segments"] == [{"solver": "eigh", "nfev": 0}]
-    assert point.meta["nfev"] == 0
+    assert point.meta == {"nfev": 0, "branch": "lindblad",
+                          "segments": [{"solver": "eigh", "nfev": 0}]}
     ramp = md.ramp_schedule(PARAMS.P_max, 0.3, PARAMS.Delta, hold=0.1)
     traj = dyn.propagate(PARAMS, ramp, fs.fock_state(0, 30))
     driven, hold = traj.meta["segments"]

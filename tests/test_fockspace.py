@@ -224,7 +224,7 @@ def test_state_fidelity_rank_deficient_mixtures_closed_form(p, q):
 def _toy_basis(dim=30, alpha=1.154):
     from kposim import model as md
     return md.CatBasis(fs.cat_state(alpha, "even", dim),
-                       fs.cat_state(alpha, "odd", dim), alpha)
+                       fs.cat_state(alpha, "odd", dim))
 
 
 def test_cardinal_populations_plus_cat():
@@ -270,30 +270,39 @@ def test_cardinal_pair_sums_equal_qubit_population():
     assert z_sum < 0.99  # the leaked part is really outside
 
 
-def test_cardinal_populations_rejects_nonorthogonal_basis():
+def test_cat_basis_rejects_a_nonorthogonal_pair():
     from kposim import model as md
     dim = 30
     p = fs.cat_state(1.154, "even", dim)
     skew = fs.StateVector((p.amplitudes + fs.cat_state(1.154, "odd", dim).amplitudes)
                           / np.sqrt(2.0))
-    basis = md.CatBasis.__new__(md.CatBasis)
-    object.__setattr__(basis, "plus_cat", p)
-    object.__setattr__(basis, "minus_cat", skew)
-    object.__setattr__(basis, "alpha_eff", 1.154)
-    with pytest.raises(BasisError):
-        fs.cardinal_populations(p.to_density(), basis)
+    with pytest.raises(BasisError, match="not orthonormal"):
+        md.CatBasis(p, skew)
 
 
-def test_cardinal_states_rejects_a_pair_skewed_below_the_basis_check():
-    # the pair passes CatBasis's 1e-8 check, but its coherent cardinals
-    # would miss the 1e-10 norm check of StateVector
+def test_cat_basis_rejects_a_pair_skewed_below_the_state_norm_check():
+    # the coherent cardinals of this pair would miss the 1e-10 norm check
+    # of StateVector, so the pair itself is refused
     from kposim import model as md
     dim = 8
     one = fs.fock_state(1, dim).amplitudes + 5e-9 * fs.fock_state(0, dim).amplitudes
-    basis = md.CatBasis(fs.fock_state(0, dim),
-                        fs.StateVector(one / np.linalg.norm(one)), 0.0)
     with pytest.raises(BasisError, match="not orthonormal"):
-        fs.cardinal_states(basis)
+        md.CatBasis(fs.fock_state(0, dim),
+                    fs.StateVector(one / np.linalg.norm(one)))
+
+
+def test_a_pair_just_inside_the_basis_check_yields_its_cardinal_states():
+    # squared norms 1 + d and overlap d, each just under the 1e-10 check:
+    # the coherent cardinals reach squared norm 1 + 2d, norm 1 + d
+    from kposim import model as md
+    dim, d = 8, 0.99e-10
+    zero, one = fs.fock_state(0, dim).amplitudes, fs.fock_state(1, dim).amplitudes
+    e = d / np.sqrt(1.0 + d)
+    basis = md.CatBasis(
+        fs.StateVector(np.sqrt(1.0 + d) * zero),
+        fs.StateVector(np.sqrt(1.0 + d - e * e) * one + e * zero))
+    cards = fs.cardinal_states(basis)
+    assert cards["+Coh"].norm() == pytest.approx(1.0 + d, abs=1e-14)
 
 
 def test_cardinal_labels_order():

@@ -92,9 +92,10 @@ def unread_dataclass_fields(package_sources, reader_sources):
     Fields are the annotated names in the body of each class of
     ``package_sources`` decorated with ``dataclass`` (bare or called).  A
     field counts as read when some ``obj.field`` is loaded anywhere in
-    either source list, the class's own methods included.  The match goes
-    by name, so a field that shares its name with an attribute read
-    elsewhere passes unseen.
+    either source list, the class's own methods included, except as the
+    value of a same-named keyword (``field=obj.field``), which only copies
+    it forward.  The match goes by name, so a field that shares its name
+    with an attribute read elsewhere passes unseen.
     """
     def is_dataclass(node):
         heads = (d.func if isinstance(d, ast.Call) else d
@@ -109,9 +110,14 @@ def unread_dataclass_fields(package_sources, reader_sources):
                 fields += [(node.name, n.target.id) for n in node.body
                            if isinstance(n, ast.AnnAssign)]
     for source in list(package_sources) + list(reader_sources):
-        read |= {n.attr for n in ast.walk(ast.parse(source))
+        tree = ast.parse(source)
+        copied = {id(k.value) for k in ast.walk(tree)
+                  if isinstance(k, ast.keyword)
+                  and isinstance(k.value, ast.Attribute)
+                  and k.value.attr == k.arg}
+        read |= {n.attr for n in ast.walk(tree)
                  if isinstance(n, ast.Attribute)
-                 and isinstance(n.ctx, ast.Load)}
+                 and isinstance(n.ctx, ast.Load) and id(n) not in copied}
     return sorted(f"{cls}.{name}" for cls, name in fields if name not in read)
 
 
@@ -123,6 +129,15 @@ def test_checker_flags_an_unread_dataclass_field():
            "class R:\n    d: int\n")
     use = "def f(q):\n    q.b = 1\n    return q\n"
     assert unread_dataclass_fields([cls], [use]) == ["P.b", "Q.c"]
+
+
+def test_checker_does_not_count_a_field_copied_forward_as_read():
+    cls = ("from dataclasses import dataclass\n"
+           "@dataclass\nclass P:\n    a: int\n    b: int\n")
+    use = ("def shift(p):\n    return P(a=p.a + 1, b=p.b)\n"
+           "def g(p):\n    return f(c=p.b)\n")
+    assert unread_dataclass_fields([cls], [use]) == []
+    assert unread_dataclass_fields([cls], [use.replace("c=p.b", "b=p.b")]) == ["P.b"]
 
 
 def test_every_dataclass_field_is_read():

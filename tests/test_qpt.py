@@ -10,7 +10,7 @@ from kposim import qpt
 from kposim.errors import CalibrationError, SpanError, UsageError
 
 PARAMS = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=30)
-FOCK = md.CatBasis(fs.fock_state(0, 30), fs.fock_state(1, 30), 0.0)
+FOCK = md.CatBasis(fs.fock_state(0, 30), fs.fock_state(1, 30))
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -155,8 +155,9 @@ def test_x2_coupling_value():
     basis = md.cat_basis_from_model(PARAMS)
     g = qpt.x2_coupling(basis)
     assert g == pytest.approx(2.3730882379870977, abs=1e-9)
-    # large-cat limit: <+|x|-> -> 2 alpha
-    assert g == pytest.approx(2.0 * basis.alpha_eff, rel=0.05)
+    # large-cat limit: <+|x|-> -> 2 alpha, alpha = sqrt((P + Delta)/K)
+    alpha_c = np.sqrt((PARAMS.P_max + PARAMS.Delta) / PARAMS.K)
+    assert g == pytest.approx(2.0 * alpha_c, rel=0.05)
 
 
 def test_calibrate_x2():
