@@ -12,7 +12,7 @@ frequency in MHz.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -42,7 +42,7 @@ class Trajectory:
 
     times: np.ndarray
     states: tuple
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -74,6 +74,102 @@ def _solve_segment(rhs, y0, t0, t1, t_eval, rtol, atol):
     return [sol.y[:, k] for k in range(n)], sol.y[:, -1], sol.nfev
 
 
+#: 1/j! for j = 0..18; at ||x||_1 <= 1 the Taylor remainder of exp(x) past
+#: degree 18 is below 1/19! < 2**-53, the unit roundoff
+_TAYLOR = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, 19.0)])
+
+
+def _expm(x):
+    """exp(x) by scaling and squaring (cf. Al-Mohy & Higham, 2009).
+
+    x is scaled by 2**-s to ||x||_1 <= 1, the degree-18 Taylor polynomial
+    is evaluated by Paterson-Stockmeyer in x^4 (7 products), and the result
+    is squared s times.  Only numpy's BLAS runs: ``scipy.linalg.expm``
+    would load scipy's own BLAS, a few MB of resident memory.
+    """
+    s = max(0, int(np.frexp(np.abs(x).sum(axis=0).max())[1]))
+    x = x / 2.0 ** s
+    powers = [np.eye(x.shape[0]), x]
+    for _ in range(3):
+        powers.append(powers[-1] @ x)
+
+    def chunk(k):
+        return sum(c * p for c, p in zip(_TAYLOR[4 * k:4 * k + 4], powers))
+
+    out = chunk(4)
+    for k in (3, 2, 1, 0):
+        out = out @ powers[4] + chunk(k)
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+def _parity_blocks(H, kappa):
+    """The two parity blocks of L = -i[H, .] + kappa (a . a† - {n, .}/2).
+
+    A parity-conserving H and the jump a, which flips the parity of both
+    sides of rho, leave the entries of rho in {ee, oo} and in {eo, oe}
+    invariant (e/o: even/odd photon number).  Each block is built from the
+    parity sub-blocks of g = -iH - kappa n/2 and a: with row-major vec,
+    g_rr X + X g_cc† -> kron(g_rr, 1) + kron(1, conj(g_cc)) on the diagonal
+    and kappa a X a† -> kappa kron(a_{r r'}, conj(a_{c c'})) off it.
+    Returns ((flat indices into vec(rho), block), ...), never forming the
+    dim² x dim² L.
+    """
+    dim = H.shape[0]
+    ops = md.operator_stack(dim)
+    a = ops[3]
+    g = -1j * H - (0.5 * kappa) * ops[0]
+    parts = (np.arange(0, dim, 2), np.arange(1, dim, 2))
+
+    def sub(op, r, c):
+        return op[np.ix_(parts[r], parts[c])]
+
+    blocks = []
+    for p, q in ((0, 0), (0, 1)):
+        halves = ((p, q), (1 - p, 1 - q))
+        rows = [[None, None], [None, None]]
+        for i, (r, c) in enumerate(halves):
+            rows[i][i] = (
+                np.kron(sub(g, r, r), np.eye(parts[c].size))
+                + np.kron(np.eye(parts[r].size), sub(g, c, c).conj()))
+            rows[i][1 - i] = kappa * np.kron(sub(a, r, 1 - r),
+                                             sub(a, c, 1 - c).conj())
+        index = np.concatenate([(parts[r][:, None] * dim + parts[c]).ravel()
+                                for r, c in halves])
+        blocks.append((index, np.block(rows)))
+    return blocks
+
+
+def _exact_hold(H, kappa, y0, t0, t_points, t1):
+    """Propagate vec(rho) exactly under a parity-conserving H with loss.
+
+    Each parity block L_b moves the state from sample to sample by one
+    exponential P(s) = exp(s L_b) of the step s.  A later gap g = s + delta
+    reuses it as P(s)(y + delta L_b y) while |delta| ||L_b||_1 <= 2**-26:
+    the dropped term, (delta ||L_b||_1)**2 / 2, is then below the unit
+    roundoff, so the float-jittered gaps of a uniform grid share one
+    exponential and samples land exactly at ``t_points``.  Returns
+    (samples, state at ``t1``).
+    """
+    times = t_points
+    if not len(times) or abs(times[-1] - t1) >= 1e-15:
+        times = np.append(times, t1)
+    gaps = np.diff(times, prepend=t0)
+    ys = np.empty((gaps.size, y0.size), dtype=np.complex128)
+    for index, block in _parity_blocks(H, kappa):
+        norm = np.abs(block).sum(axis=0).max()
+        y, step = y0[index], None
+        for k, gap in enumerate(gaps):
+            if step is None or abs(gap - step) * norm > 2.0 ** -26:
+                step, prop = gap, _expm(gap * block)
+            elif gap != step:
+                y = y + (gap - step) * (block @ y)
+            y = prop @ y
+            ys[k, index] = y
+    return list(ys[:len(t_points)]), ys[-1]
+
+
 def _segment(params, schedule, index, y0, t0, t_points, t1, density):
     """Propagate segment ``index`` in the eigenframe of its midpoint H.
 
@@ -87,14 +183,23 @@ def _segment(params, schedule, index, y0, t0, t_points, t1, density):
     the dissipator with ã = V†aV.
     H_ref's spectrum, with the Fock-truncation edge, never sets the step;
     ``params.rtol`` and ``params.atol`` bound c or σ.  A static segment has
-    R̃ ≡ 0, so without loss c and σ stay constant and the result is exact.
-    Returns (samples at ``t_points``, state at ``t1``, solver, nfev) in the
-    layout of ``y0``.
+    R̃ ≡ 0, so without loss c and σ stay constant and the result is exact
+    (solver ``"eigh"``).  A lossy static density segment without drive, a
+    hold, conserves photon-number parity and skips the frame: it is exact
+    per parity block of the Liouvillian (see :func:`_exact_hold`; solver
+    ``"parity-block expm"``).  Returns (samples at ``t_points``, state at
+    ``t1``, solver, nfev) in the layout of ``y0``.
     """
     dim, kappa = params.dim, params.kappa
     t_mid = 0.5 * (t0 + t1)
-    evals, vecs = np.linalg.eigh(md.hamiltonian_at(params, schedule, t_mid,
-                                                   index))
+    seg = schedule.segments[index]
+    driven = not seg.is_static()
+    H_ref = md.hamiltonian_at(params, schedule, t_mid, index)
+    hold = not driven and seg.drive.value(0.0) == 0.0
+    if density and kappa > 0.0 and hold:
+        return (*_exact_hold(H_ref, kappa, y0, t0, t_points, t1),
+                "parity-block expm", 0)
+    evals, vecs = np.linalg.eigh(H_ref)
     vecs_h = vecs.conj().T
     if density:
         def lab(t, sigma):
@@ -108,7 +213,6 @@ def _segment(params, schedule, index, y0, t0, t_points, t1, density):
             return vecs @ (np.exp(-1j * evals * (t - t0)) * c)
 
         c0 = vecs_h @ y0
-    driven = not schedule.segments[index].is_static()
     if not (driven or kappa > 0.0):
         return [lab(t, c0) for t in t_points], lab(t1, c0), "eigh", 0
 
@@ -161,15 +265,22 @@ def propagate(params, schedule, initial, sample_times=None):
     :class:`AccuracyError`; integrator breakdown raises
     :class:`StiffnessError` with the time reached.
 
-    Every segment runs in the eigenframe of its Hamiltonian at the segment
-    midpoint, from one ``eigh``.  A static segment (see
-    :meth:`kposim.model.Segment.is_static`) without loss is exact there
-    (solver ``"eigh"``); otherwise DOP853 integrates, at ``params.rtol`` and
-    ``params.atol``, only what that frame leaves: the rest of H(t) and the
-    dissipator (``"eigenframe DOP853"``).  ``meta["branch"]`` is
-    ``"unitary"`` or ``"lindblad"``, ``meta["segments"]`` holds one
-    ``{"solver", "nfev"}`` entry per propagated segment and ``meta["nfev"]``
-    their sum.
+    Each segment takes one of three solvers, by what it is:
+
+    - a static segment (see :meth:`kposim.model.Segment.is_static`) without
+      loss is exact in the eigenframe of its H, from one ``eigh``
+      (``"eigh"``);
+    - a static segment with loss and no drive, a hold, conserves
+      photon-number parity; one exponential of each of the Liouvillian's
+      two parity blocks per sample step makes it exact
+      (``"parity-block expm"``);
+    - on every other segment DOP853 integrates, at ``params.rtol`` and
+      ``params.atol``, only what the eigenframe of the midpoint H leaves:
+      the rest of H(t) and the dissipator (``"eigenframe DOP853"``).
+
+    ``meta["branch"]`` is ``"unitary"`` or ``"lindblad"``,
+    ``meta["segments"]`` holds one ``{"solver", "nfev"}`` entry per
+    propagated segment and ``meta["nfev"]`` their sum.
     """
     total = schedule.total_duration
     if sample_times is None:

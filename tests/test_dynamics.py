@@ -139,20 +139,23 @@ def test_mixed_static_and_driven_schedule_matches_the_ket_path():
 
 @pytest.mark.parametrize("case", ["phased-drive-mixed", "pumped-hold-cat"])
 def test_lossy_static_segment_matches_liouvillian_expm(case):
-    # the eigenframe path integrates only the dissipator; a constant drive
-    # with a nonzero phase breaks parity
+    # a constant drive with a nonzero phase breaks parity, so the eigenframe
+    # path integrates the dissipator; a drive-free hold is exact per parity
+    # block
     p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=10)
     if case == "phased-drive-mixed":
         sched = _phased_drive_schedule(p, 0.5)
         rho0 = orc.random_density(10, np.random.default_rng(5))
         times = np.array([0.05, 0.2, 0.35, 0.5])
+        solver = "eigenframe DOP853"
     else:
         sched = md.hold_schedule(2.0, p.P_max, p.Delta)
         rho0 = fs.cat_state(1.0, "even", 10).to_density().entries
         times = np.linspace(0.25, 2.0, 8)
+        solver = "parity-block expm"
     traj = dyn.propagate(p.with_(kappa=0.2), sched, fs.DensityMatrix(rho0),
                          sample_times=times)
-    assert traj.meta["segments"][0]["solver"] == "eigenframe DOP853"
+    assert traj.meta["segments"][0]["solver"] == solver
     ref = orc.expm_propagate_lindblad(p, sched, rho0, 0.2, times)
     for rho, r in zip(traj.states, ref):
         assert np.max(np.abs(rho.entries - r)) < 1e-8
@@ -169,10 +172,86 @@ def test_lossy_static_and_driven_schedule_matches_liouvillian_expm():
     traj = dyn.propagate(p.with_(kappa=0.2, rtol=1e-10, atol=1e-12), sched,
                          fs.DensityMatrix(rho0), sample_times=times)
     assert [s["solver"] for s in traj.meta["segments"]] == \
-        ["eigenframe DOP853"] * 3
+        ["parity-block expm", "eigenframe DOP853", "parity-block expm"]
     ref = orc.expm_propagate_lindblad(p, sched, rho0, 0.2, times, n_steps=160)
     for rho, r in zip(traj.states, ref):
         assert np.max(np.abs(rho.entries - r)) < 1e-8
+
+
+@pytest.mark.parametrize("dim, times", [
+    (10, np.linspace(0.25, 2.0, 8)),
+    (7, np.linspace(0.25, 2.0, 8)),
+    (10, np.array([0.01, 0.3, 0.35, 1.2, 1.9, 2.0])),
+    (10, np.linspace(0.25, 2.0, 8)
+     + 5e-12 * np.array([0, 1, -1, 1, 0, -1, 1, 0])),
+], ids=["dim10", "dim7", "nonuniform", "jittered"])
+def test_exact_hold_matches_liouvillian_expm(dim, times):
+    # a mixed state fills both parity blocks; the odd dim gives them
+    # unequal even and odd sectors.  The jittered gaps (|delta| ||L||_1
+    # up to 8e-9) reuse one exponential through the first-order correction
+    p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=dim)
+    sched = md.hold_schedule(2.0, p.P_max, p.Delta)
+    rho0 = orc.random_density(dim, np.random.default_rng(11))
+    traj = dyn.propagate(p.with_(kappa=0.2), sched, fs.DensityMatrix(rho0),
+                         sample_times=times)
+    assert traj.meta["segments"] == [{"solver": "parity-block expm",
+                                      "nfev": 0}]
+    assert np.array_equal(traj.times, times)
+    ref = orc.expm_propagate_lindblad(p, sched, rho0, 0.2, times)
+    for rho, r in zip(traj.states, ref):
+        assert np.max(np.abs(rho.entries - r)) < 1e-11
+
+
+class _Flat(md.Envelope):
+    """A constant level that does not call itself constant."""
+
+    def __init__(self, level):
+        self.level = level
+
+    def value(self, t):
+        return self.level
+
+    def integral(self, t):
+        return self.level * t
+
+
+def test_exact_hold_matches_tight_dop853_on_the_relax_grid():
+    # the relax benchmark's hold: dim 16, 46 samples over 4.5 us, from the
+    # cat-Bloch x cardinal; a pump that is flat but not flagged constant
+    # sends the same hold through DOP853
+    p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=16,
+                                 kappa_per_us=0.1)
+    wg = np.linspace(0.0, 4.5, 46)
+    rho0 = fs.cardinal_states(md.cat_basis_from_model(p))["+Coh"]
+    exact = dyn.propagate(p, md.hold_schedule(4.5, p.P_max, p.Delta), rho0,
+                          sample_times=wg)
+    seg = md.Segment(duration=4.5, pump=_Flat(p.P_max),
+                     detuning=md.Constant(p.Delta))
+    ref = dyn.propagate(p.with_(rtol=1e-12, atol=1e-14),
+                        md.PulseSchedule((seg,)), rho0, sample_times=wg)
+    assert exact.meta["segments"][0]["solver"] == "parity-block expm"
+    assert ref.meta["segments"][0]["solver"] == "eigenframe DOP853"
+    for rho, r in zip(exact.states, ref.states):
+        assert np.max(np.abs(rho.entries - r.entries)) < 1e-10
+
+
+def test_exact_hold_takes_one_exponential_per_block(monkeypatch):
+    # np.linspace(0, 6, 61) has 7 distinct float gaps; they share one step
+    calls = []
+    real_expm = dyn._expm
+
+    def counting(x):
+        calls.append(x.shape)
+        return real_expm(x)
+
+    monkeypatch.setattr(dyn, "_expm", counting)
+    p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=8,
+                                 kappa_per_us=0.1)
+    wg = np.linspace(0.0, 6.0, 61)
+    traj = dyn.propagate(p, md.hold_schedule(6.0, p.P_max, p.Delta),
+                         fs.fock_state(0, 8), sample_times=wg)
+    assert np.array_equal(traj.times, wg)
+    assert calls == [(32, 32), (32, 32)]
 
 
 def test_exact_density_path_checks_trace_and_positivity():
@@ -206,9 +285,9 @@ def test_meta_reports_the_solver_of_each_segment():
     lossy = dyn.propagate(PARAMS.with_(dim=12, kappa=0.1),
                           md.hold_schedule(0.5, PARAMS.P_max, PARAMS.Delta),
                           fs.fock_state(0, 12))
-    (hold,) = lossy.meta["segments"]
-    assert hold["solver"] == "eigenframe DOP853" and hold["nfev"] > 0
-    assert lossy.meta["nfev"] == hold["nfev"]
+    assert lossy.meta == {"nfev": 0, "branch": "lindblad",
+                          "segments": [{"solver": "parity-block expm",
+                                        "nfev": 0}]}
 
 
 def _count_solves(monkeypatch):
@@ -242,17 +321,19 @@ def test_sample_free_segment_is_integrated_once(monkeypatch):
 @pytest.mark.parametrize("lossy", [False, True])
 def test_segment_ending_after_its_last_sample_is_one_solve(monkeypatch, lossy):
     # the only sample sits mid-segment; the solve still runs on to t1 in one
-    # call, for a driven ket segment and for a lossy static one
+    # call, for a driven ket segment and for a lossy static parity-breaking
+    # pulse
     if lossy:
-        p, solver = PARAMS.with_(dim=12, kappa=0.1), "eigenframe DOP853"
-        sched = md.hold_schedule(0.4, p.P_max, p.Delta)
+        p = PARAMS.with_(dim=12, kappa=0.1)
+        sched = _phased_drive_schedule(p, 0.4)
     else:
-        p, solver = PARAMS, "eigenframe DOP853"
+        p = PARAMS
         sched = md.ramp_schedule(p.P_max, 0.3, p.Delta)
     calls = _count_solves(monkeypatch)
     traj = dyn.propagate(p, sched, fs.fock_state(0, p.dim),
                          sample_times=[0.15])
-    assert traj.meta["segments"] == [{"solver": solver, "nfev": calls[0]}]
+    assert traj.meta["segments"] == [{"solver": "eigenframe DOP853",
+                                      "nfev": calls[0]}]
     assert len(calls) == 1
 
 

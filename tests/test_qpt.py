@@ -204,7 +204,8 @@ def test_mapping_qpt_noiseless():
     assert min(q.trace for q in res.outputs) >= 0.99
     # physical process matrix: no significantly negative eigenvalues
     assert np.linalg.eigvalsh(res.chi.chi).min() > -1e-7
-    assert np.max(np.abs(res.ideal.chi - np.diag([1.0, 0, 0, 0]))) < 1e-12
+    identity = np.diag([1.0, 0, 0, 0])
+    assert np.max(np.abs(qpt.ideal_chi(I2).chi - identity)) < 1e-12
 
 
 def test_x2_qpt_noiseless():
