@@ -104,6 +104,14 @@ def _expm(x):
     return out
 
 
+#: Largest Fock dimension whose holds take the exact path.  The block
+#: exponentials cost O(dim**6) and hold O(dim**4) memory, a DOP853 step
+#: O(dim**3); on the relax grid (3 holds, 46 samples over 4.5 us, 2 CPUs)
+#: the exact path is 3x faster at dim 24, even at dim 30 and 1.5x slower
+#: at dim 32.
+_EXACT_HOLD_MAX_DIM = 28
+
+
 def _parity_blocks(H, kappa):
     """The two parity blocks of L = -i[H, .] + kappa (a . a† - {n, .}/2).
 
@@ -185,9 +193,9 @@ def _segment(params, schedule, index, y0, t0, t_points, t1, density):
     ``params.rtol`` and ``params.atol`` bound c or σ.  A static segment has
     R̃ ≡ 0, so without loss c and σ stay constant and the result is exact
     (solver ``"eigh"``).  A lossy static density segment without drive, a
-    hold, conserves photon-number parity and skips the frame: it is exact
-    per parity block of the Liouvillian (see :func:`_exact_hold`; solver
-    ``"parity-block expm"``).  Returns (samples at ``t_points``, state at
+    hold, conserves photon-number parity; up to ``_EXACT_HOLD_MAX_DIM`` it
+    skips the frame and is exact per parity block of the Liouvillian (see
+    :func:`_exact_hold`; solver ``"parity-block expm"``).  Returns (samples at ``t_points``, state at
     ``t1``, solver, nfev) in the layout of ``y0``.
     """
     dim, kappa = params.dim, params.kappa
@@ -196,7 +204,7 @@ def _segment(params, schedule, index, y0, t0, t_points, t1, density):
     driven = not seg.is_static()
     H_ref = md.hamiltonian_at(params, schedule, t_mid, index)
     hold = not driven and seg.drive.value(0.0) == 0.0
-    if density and kappa > 0.0 and hold:
+    if density and kappa > 0.0 and hold and dim <= _EXACT_HOLD_MAX_DIM:
         return (*_exact_hold(H_ref, kappa, y0, t0, t_points, t1),
                 "parity-block expm", 0)
     evals, vecs = np.linalg.eigh(H_ref)
@@ -271,9 +279,10 @@ def propagate(params, schedule, initial, sample_times=None):
       loss is exact in the eigenframe of its H, from one ``eigh``
       (``"eigh"``);
     - a static segment with loss and no drive, a hold, conserves
-      photon-number parity; one exponential of each of the Liouvillian's
-      two parity blocks per sample step makes it exact
-      (``"parity-block expm"``);
+      photon-number parity; up to dim 28 one exponential of each of the
+      Liouvillian's two parity blocks per sample step makes it exact
+      (``"parity-block expm"``), above it the exponentials cost more than
+      DOP853;
     - on every other segment DOP853 integrates, at ``params.rtol`` and
       ``params.atol``, only what the eigenframe of the midpoint H leaves:
       the rest of H(t) and the dissipator (``"eigenframe DOP853"``).

@@ -230,26 +230,22 @@ def x2_coupling(basis):
     return float(g.real)
 
 
-def calibrate_x2(params, basis=None, spec=None):
+def calibrate_x2(params):
     """Duration of the resonant pulse implementing a quarter x rotation.
 
     Scans the lossless pulse duration around the two-level estimate
     t = (pi/2) / (2 beta g), beta = ``params.beta``, and maximizes overlap
     with the target action on |+Cat> (free qubit precession divided out), so
     the calibration absorbs the drive's effect on the full oscillator rather
-    than trusting the projected two-level rate.  ``basis`` and ``spec``, the
-    cat basis and unchecked quasienergy spectrum of ``params``, are computed
-    here unless the caller already has them.
+    than trusting the projected two-level rate.
     """
     beta = params.beta
     if beta <= 0:
         raise CalibrationError("x2 calibration needs a positive drive amplitude")
-    if basis is None:
-        basis = md.cat_basis_from_model(params)
-    if spec is None:
-        spec = sp.quasienergies(params.K, params.P_max, params.Delta,
-                                params.dim, check_convergence=False)
+    basis = md.cat_basis_from_model(params)
     g = x2_coupling(basis)
+    spec = sp.quasienergies(params.K, params.P_max, params.Delta, params.dim,
+                            check_convergence=False)
     e_even = spec.energies[spec.qubit_indices[0]]
     e_odd = spec.energies[spec.qubit_indices[1]]
     t0 = 0.25 * np.pi / (beta * abs(g))
@@ -404,7 +400,7 @@ def qpt_experiment(kind, params, tau_ramp=0.3, tau_Z=0.5,
         e_even = spec.energies[spec.qubit_indices[0]]
         e_odd = spec.energies[spec.qubit_indices[1]]
         if kind == "x2":
-            cal = calibrate_x2(params, basis, spec)
+            cal = calibrate_x2(params)
             tau_gate = cal["duration"]
             sched = md.drive_schedule(tau_gate, cal["beta"], 0.0, 0.0,
                                       run_params.P_max, run_params.Delta)

@@ -254,6 +254,20 @@ def test_exact_hold_takes_one_exponential_per_block(monkeypatch):
     assert calls == [(32, 32), (32, 32)]
 
 
+def test_holds_above_the_exact_dim_take_dop853():
+    # the block exponentials cost O(dim**6); past the largest exact dim a
+    # hold goes back to the eigenframe DOP853 path
+    top = dyn._EXACT_HOLD_MAX_DIM
+    solvers = []
+    for dim in (top, top + 1):
+        p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=dim,
+                                     kappa_per_us=0.1)
+        traj = dyn.propagate(p, md.hold_schedule(0.02, p.P_max, p.Delta),
+                             fs.fock_state(0, dim).to_density())
+        solvers.append(traj.meta["segments"][0]["solver"])
+    assert solvers == ["parity-block expm", "eigenframe DOP853"]
+
+
 def test_exact_density_path_checks_trace_and_positivity():
     p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=8)
     sched = _phased_drive_schedule(p, 0.2)
