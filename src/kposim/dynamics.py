@@ -195,8 +195,8 @@ def _segment(params, schedule, index, y0, t0, t_points, t1, density):
     (solver ``"eigh"``).  A lossy static density segment without drive, a
     hold, conserves photon-number parity; up to ``_EXACT_HOLD_MAX_DIM`` it
     skips the frame and is exact per parity block of the Liouvillian (see
-    :func:`_exact_hold`; solver ``"parity-block expm"``).  Returns (samples at ``t_points``, state at
-    ``t1``, solver, nfev) in the layout of ``y0``.
+    :func:`_exact_hold`; solver ``"parity-block expm"``).  Returns (samples
+    at ``t_points``, state at ``t1``, solver, nfev) in the layout of ``y0``.
     """
     dim, kappa = params.dim, params.kappa
     t_mid = 0.5 * (t0 + t1)
