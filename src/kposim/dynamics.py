@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 from scipy.optimize import least_squares
 
 from . import fockspace as fs
@@ -74,78 +75,39 @@ def _solve_segment(rhs, y0, t0, t1, t_eval, rtol, atol):
     return [sol.y[:, k] for k in range(n)], sol.y[:, -1], sol.nfev
 
 
-#: 1/j! for j = 0..18; at ||x||_1 <= 1 the Taylor remainder of exp(x) past
-#: degree 18 is below 1/19! < 2**-53, the unit roundoff
-_TAYLOR = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, 19.0)])
-
-
-def _expm(x):
-    """exp(x) by scaling and squaring (cf. Al-Mohy & Higham, 2009).
-
-    x is scaled by 2**-s to ||x||_1 <= 1, the degree-18 Taylor polynomial
-    is evaluated by Paterson-Stockmeyer in x^4 (7 products), and the result
-    is squared s times.  Only numpy's BLAS runs: ``scipy.linalg.expm``
-    would load scipy's own BLAS, a few MB of resident memory.
-    """
-    s = max(0, int(np.frexp(np.abs(x).sum(axis=0).max())[1]))
-    x = x / 2.0 ** s
-    powers = [np.eye(x.shape[0]), x]
-    for _ in range(3):
-        powers.append(powers[-1] @ x)
-
-    def chunk(k):
-        return sum(c * p for c, p in zip(_TAYLOR[4 * k:4 * k + 4], powers))
-
-    out = chunk(4)
-    for k in (3, 2, 1, 0):
-        out = out @ powers[4] + chunk(k)
-    for _ in range(s):
-        out = out @ out
-    return out
-
-
 #: Largest Fock dimension whose holds take the exact path.  The block
 #: exponentials cost O(dim**6) and hold O(dim**4) memory, a DOP853 step
-#: O(dim**3); on the relax grid (3 holds, 46 samples over 4.5 us, 2 CPUs)
-#: the exact path is 3x faster at dim 24, even at dim 30 and 1.5x slower
-#: at dim 32.
+#: O(dim**3); on the relax grid (3 holds, 46 samples over 4.5 us, one BLAS
+#: thread) the exact path takes 1.20 s against 1.53 s at dim 28, and
+#: 1.69 s against 1.57 s at dim 30.
 _EXACT_HOLD_MAX_DIM = 28
 
 
 def _parity_blocks(H, kappa):
     """The two parity blocks of L = -i[H, .] + kappa (a . a† - {n, .}/2).
 
-    A parity-conserving H and the jump a, which flips the parity of both
-    sides of rho, leave the entries of rho in {ee, oo} and in {eo, oe}
-    invariant (e/o: even/odd photon number).  Each block is built from the
-    parity sub-blocks of g = -iH - kappa n/2 and a: with row-major vec,
-    g_rr X + X g_cc† -> kron(g_rr, 1) + kron(1, conj(g_cc)) on the diagonal
-    and kappa a X a† -> kappa kron(a_{r r'}, conj(a_{c c'})) off it.
-    Returns ((flat indices into vec(rho), block), ...), never forming the
-    dim² x dim² L.
+    With g = -iH - kappa n/2 and row-major vec, L takes entry (r', c') of
+    rho to entry (r, c) with weight g_rr' δ_cc' + δ_rr' conj(g_cc')
+    + kappa a_rr' conj(a_cc').  A parity-conserving H and the jump a, which
+    flips the parity of both sides of rho, never link r + c even to r + c
+    odd (Albert & Jiang, PRA 89, 022118, 2014), so L restricted to each of
+    the two index sets is a block.  Returns ((flat indices into vec(rho),
+    block), ...), never forming the dim² x dim² L.
     """
     dim = H.shape[0]
     ops = md.operator_stack(dim)
     a = ops[3]
     g = -1j * H - (0.5 * kappa) * ops[0]
-    parts = (np.arange(0, dim, 2), np.arange(1, dim, 2))
-
-    def sub(op, r, c):
-        return op[np.ix_(parts[r], parts[c])]
-
+    r, c = np.divmod(np.arange(dim * dim), dim)
     blocks = []
-    for p, q in ((0, 0), (0, 1)):
-        halves = ((p, q), (1 - p, 1 - q))
-        rows = [[None, None], [None, None]]
-        for i, (r, c) in enumerate(halves):
-            rows[i][i] = (
-                np.kron(sub(g, r, r), np.eye(parts[c].size))
-                + np.kron(np.eye(parts[r].size), sub(g, c, c).conj()))
-            rows[i][1 - i] = kappa * np.kron(sub(a, r, 1 - r),
-                                             sub(a, c, 1 - c).conj())
-        index = np.concatenate([(parts[r][:, None] * dim + parts[c]).ravel()
-                                for r, c in halves])
-        blocks.append((index, np.block(rows)))
+    for parity in (0, 1):
+        index = np.flatnonzero((r + c) % 2 == parity)
+        ri, ci = r[index], c[index]
+        rr, cc = np.ix_(ri, ri), np.ix_(ci, ci)
+        block = (g[rr] * (ci[:, None] == ci)
+                 + (ri[:, None] == ri) * g[cc].conj()
+                 + kappa * a[rr] * a[cc].conj())
+        blocks.append((index, block))
     return blocks
 
 
@@ -170,7 +132,7 @@ def _exact_hold(H, kappa, y0, t0, t_points, t1):
         y, step = y0[index], None
         for k, gap in enumerate(gaps):
             if step is None or abs(gap - step) * norm > 2.0 ** -26:
-                step, prop = gap, _expm(gap * block)
+                step, prop = gap, expm(gap * block)
             elif gap != step:
                 y = y + (gap - step) * (block @ y)
             y = prop @ y
@@ -194,7 +156,8 @@ def _segment(params, schedule, index, y0, t0, t_points, t1, density):
     R̃ ≡ 0, so without loss c and σ stay constant and the result is exact
     (solver ``"eigh"``).  A lossy static density segment without drive, a
     hold, conserves photon-number parity; up to ``_EXACT_HOLD_MAX_DIM`` it
-    skips the frame and is exact per parity block of the Liouvillian (see
+    skips the frame and is exact, one ``scipy.linalg.expm`` per parity block
+    of the Liouvillian and sample step (see :func:`_parity_blocks` and
     :func:`_exact_hold`; solver ``"parity-block expm"``).  Returns (samples
     at ``t_points``, state at ``t1``, solver, nfev) in the layout of ``y0``.
     """
@@ -279,10 +242,10 @@ def propagate(params, schedule, initial, sample_times=None):
       loss is exact in the eigenframe of its H, from one ``eigh``
       (``"eigh"``);
     - a static segment with loss and no drive, a hold, conserves
-      photon-number parity; up to dim 28 one exponential of each of the
-      Liouvillian's two parity blocks per sample step makes it exact
-      (``"parity-block expm"``), above it the exponentials cost more than
-      DOP853;
+      photon-number parity; up to dim 28 one ``scipy.linalg.expm`` of each
+      of the Liouvillian's two parity blocks (r + c even, r + c odd) per
+      sample step makes it exact (``"parity-block expm"``), above it the
+      exponentials cost more than DOP853;
     - on every other segment DOP853 integrates, at ``params.rtol`` and
       ``params.atol``, only what the eigenframe of the midpoint H leaves:
       the rest of H(t) and the dissipator (``"eigenframe DOP853"``).
@@ -548,8 +511,7 @@ _PREPARED = {"z": "+Cat", "x": "+Coh", "y": "+iCat"}
 
 def _relaxation_run(args):
     params, wait_grid, psi0, basis = args
-    hold = md.hold_schedule(wait_grid[-1] if wait_grid[-1] > 0 else 1e-6,
-                            params.P_max, params.Delta)
+    hold = md.hold_schedule(wait_grid[-1], params.P_max, params.Delta)
     traj = propagate(params, hold, psi0, sample_times=wait_grid)
     pops = np.empty((6, len(traj.states)))
     for i, s in enumerate(traj.states):

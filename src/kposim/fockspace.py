@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     BasisError,
@@ -48,7 +47,6 @@ __all__ = [
     "fock_state",
     "coherent_state",
     "cat_state",
-    "displacement_op",
     "dm",
     "state_fidelity",
     "assert_hermitian",
@@ -347,20 +345,6 @@ def cat_state(alpha, parity, dim):
     amp = np.where(mask, amp, 0.0)
     nrm = np.linalg.norm(amp)
     return StateVector(amp / nrm)
-
-
-def displacement_op(alpha, dim):
-    """Displacement ``D(alpha) = exp(alpha adag - alpha* a)``.
-
-    Evaluated with a scaling-and-squaring Pade matrix exponential.  Unitary to
-    high accuracy on the subspace that stays clear of the truncation edge;
-    the usual ``|alpha|^2 <= dim/4`` guard applies.
-    """
-    dim = _check_dim(dim)
-    alpha = complex(alpha)
-    _check_alpha_fits(alpha, dim, "displacement")
-    a, adag = ladder_ops(dim)
-    return _readonly(expm(alpha * adag - np.conj(alpha) * a))
 
 
 # ---------------------------------------------------------------------------

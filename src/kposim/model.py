@@ -387,28 +387,26 @@ def hold_schedule(duration, P_level, Delta):
 _CD_SCALE = 0.3
 
 
-def ramp_schedule(P_max, tau_ramp, Delta, counterdiabatic=True, hold=0.0):
+def ramp_schedule(P_max, tau_ramp, Delta, counterdiabatic=True):
     """Adiabatic vacuum-to-cat mapping ramp.
 
-    The pump rises as ``P_max sin^2(pi t / (2 tau_ramp))`` over ``tau_ramp``
-    and stays at ``P_max`` for an optional ``hold`` afterwards.  With
-    ``counterdiabatic`` a pump-frequency chirp dips the effective detuning
-    by the shortcut arch ``0.3 P_max sin(pi t / tau_ramp)`` during the
-    ramp, widening the narrow even-sector gap ``K - 2 Delta`` mid-ramp; at
-    the default operating point (``tau_ramp`` = 300 ns) it keeps the
-    even-parity mapping error below 1e-2.  The accumulated frame phase is
-    tracked and offsets later drive segments.
+    The pump rises as ``P_max sin^2(pi t / (2 tau_ramp))`` over
+    ``tau_ramp``.  With ``counterdiabatic`` a pump-frequency chirp dips the
+    effective detuning by the shortcut arch ``0.3 P_max sin(pi t /
+    tau_ramp)`` during the ramp, widening the narrow even-sector gap
+    ``K - 2 Delta`` mid-ramp; at the default operating point (``tau_ramp``
+    = 300 ns) it keeps the even-parity mapping error below 1e-2.  The
+    accumulated frame phase is tracked and offsets later drive segments.
     """
     if tau_ramp <= 0:
         raise ScheduleError(f"tau_ramp must be positive, got {tau_ramp}")
     # detuning_value subtracts chirp/2, so double the arch here
     chirp = (SinBump(2.0 * _CD_SCALE * P_max, tau_ramp) if counterdiabatic
              else _ZERO)
-    segs = [Segment(duration=tau_ramp, pump=SinSquaredRamp(P_max, tau_ramp),
-                    detuning=Constant(Delta), chirp=chirp)]
-    if hold > 0:
-        segs.append(Segment(duration=hold, pump=Constant(P_max), detuning=Constant(Delta)))
-    return PulseSchedule(tuple(segs))
+    return PulseSchedule((
+        Segment(duration=tau_ramp, pump=SinSquaredRamp(P_max, tau_ramp),
+                detuning=Constant(Delta), chirp=chirp),
+    ))
 
 
 def chirp_schedule(delta_peak, tau_Z, P_level, Delta):

@@ -281,20 +281,21 @@ def _splitting_of_delta(params, delta_values):
     return out
 
 
-def calibrate_z2(params, tau_Z=0.5, delta_cap=None):
+def calibrate_z2(params, tau_Z=0.5):
     """Chirp depth (rad/us) whose adiabatic phase implements R_z(pi/2).
 
     The rotation relative to free precession is the integrated splitting
     deficit int [w(Delta0) - w(Delta0 - delta sin^2(pi t/tau)/2)] dt,
     evaluated by fixed-order Gauss-Legendre quadrature over the pulse and
     solved for the chirp depth with a bracketing root finder.  Positive
-    depth lowers the splitting, rotating counterclockwise (+z).
+    depth lowers the splitting, rotating counterclockwise (+z).  A pulse
+    too short to reach the angle below a depth of 6K raises
+    :class:`CalibrationError`.
     """
     if tau_Z <= 0:
         raise CalibrationError("tau_Z must be positive")
     angle = 0.5 * np.pi
-    if delta_cap is None:
-        delta_cap = 6.0 * params.K
+    cap = 6.0 * params.K
     w0 = _splitting_of_delta(params, params.Delta)[0]
     nodes, weights = np.polynomial.legendre.leggauss(32)
     t_nodes = 0.5 * tau_Z * (nodes + 1.0)
@@ -310,9 +311,9 @@ def calibrate_z2(params, tau_Z=0.5, delta_cap=None):
     f_lo = extra_angle(lo)
     while extra_angle(hi) < 0.0:
         hi *= 1.6
-        if hi > delta_cap:
+        if hi > cap:
             raise CalibrationError(
-                f"chirp depth above cap {delta_cap:.1f} rad/us cannot reach "
+                f"chirp depth above cap {cap:.1f} rad/us cannot reach "
                 f"rotation angle {angle:.3f}")
     depth = brentq(lambda d: extra_angle(d), lo, hi, xtol=1e-10, rtol=1e-12)
     if depth <= 0.0 and f_lo < 0.0:

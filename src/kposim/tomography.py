@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dynamics as dyn
 from . import fockspace as fs
 from . import model as md
-from .errors import (CalibrationError, GridExtentError, ReconstructionError,
-                     TruncationError, UsageError)
+from .errors import (GridExtentError, ReconstructionError, TruncationError,
+                     UsageError)
 from .parallel import parallel_map
 
 TWO_OVER_PI = 2.0 / np.pi
@@ -206,16 +207,14 @@ def _linear_displacement_gain(duration, detuning):
     return complex(-1j * duration * np.exp(-1j * half) * np.sinc(half / np.pi))
 
 
-def simulate_ld_tomography(params, rho, alphas, pulse_duration=0.02,
-                           amplitude_bound=None):
+def simulate_ld_tomography(params, rho, alphas, pulse_duration=0.02):
     """Displaced-parity record under a finite-duration displacement pulse.
 
     For each target point the drive amplitude/phase is calibrated so the
     *linear* model would displace by exactly -alpha_i; the state is then
     propagated under the full Hamiltonian with the pump off (Kerr on,
     detuning ``params.Delta``, loss ``params.kappa``) and the number parity
-    is recorded.  A target needing more drive than ``amplitude_bound``
-    raises :class:`CalibrationError`.
+    is recorded.
     """
     al = np.asarray(alphas, dtype=complex).reshape(-1)
     if al.size == 0:
@@ -225,16 +224,10 @@ def simulate_ld_tomography(params, rho, alphas, pulse_duration=0.02,
     detuning = params.Delta
     gain = _linear_displacement_gain(pulse_duration, detuning)
     drives = -al / gain
-    need = np.max(np.abs(drives))
-    if amplitude_bound is not None and need > amplitude_bound:
-        raise CalibrationError(
-            f"pulse needs drive amplitude {need:.3f} rad/us > bound "
-            f"{amplitude_bound:.3f}; lengthen the pulse or raise the bound")
     rho_arr = fs._as_density_array(rho)
     if rho_arr.shape[0] != params.dim:
         raise UsageError("state dimension does not match params.dim")
     par = fs.parity_op(params.dim)
-    from . import dynamics as dyn  # local import to avoid a cycle
 
     def one(drive):
         beta = abs(drive)

@@ -166,7 +166,8 @@ def test_lossy_static_and_driven_schedule_matches_liouvillian_expm():
     # that the driven segment's integration error stays clear of the bound
     p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=6)
     sched = md.hold_schedule(0.1, 0.0, p.Delta).then(
-        md.ramp_schedule(p.P_max, 0.3, p.Delta, hold=0.2))
+        md.ramp_schedule(p.P_max, 0.3, p.Delta)).then(
+        md.hold_schedule(0.2, p.P_max, p.Delta))
     rho0 = orc.random_density(6, np.random.default_rng(7))
     times = np.array([0.05, 0.1, 0.25, 0.4, 0.5, 0.6])
     traj = dyn.propagate(p.with_(kappa=0.2, rtol=1e-10, atol=1e-12), sched,
@@ -238,13 +239,13 @@ def test_exact_hold_matches_tight_dop853_on_the_relax_grid():
 def test_exact_hold_takes_one_exponential_per_block(monkeypatch):
     # np.linspace(0, 6, 61) has 7 distinct float gaps; they share one step
     calls = []
-    real_expm = dyn._expm
+    real_expm = dyn.expm
 
     def counting(x):
         calls.append(x.shape)
         return real_expm(x)
 
-    monkeypatch.setattr(dyn, "_expm", counting)
+    monkeypatch.setattr(dyn, "expm", counting)
     p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=8,
                                  kappa_per_us=0.1)
     wg = np.linspace(0.0, 6.0, 61)
@@ -252,6 +253,21 @@ def test_exact_hold_takes_one_exponential_per_block(monkeypatch):
                          fs.fock_state(0, 8), sample_times=wg)
     assert np.array_equal(traj.times, wg)
     assert calls == [(32, 32), (32, 32)]
+
+
+@pytest.mark.parametrize("dim", [7, 10])
+def test_parity_blocks_are_the_liouvillian_on_their_index_sets(dim):
+    # the exact hold relies on L never linking r + c even to r + c odd
+    p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=dim)
+    H = md.hamiltonian_at(p, md.hold_schedule(1.0, p.P_max, p.Delta), 0.5)
+    L = orc.liouvillian(H, 0.2)
+    (even, block_e), (odd, block_o) = dyn._parity_blocks(H, 0.2)
+    assert np.array_equal(np.sort(np.concatenate([even, odd])),
+                          np.arange(dim ** 2))
+    for index, block in ((even, block_e), (odd, block_o)):
+        assert np.max(np.abs(block - L[np.ix_(index, index)])) < 1e-14
+    assert not np.any(L[np.ix_(even, odd)])
+    assert not np.any(L[np.ix_(odd, even)])
 
 
 def test_holds_above_the_exact_dim_take_dop853():
@@ -290,7 +306,8 @@ def test_meta_reports_the_solver_of_each_segment():
                           fs.fock_state(0, 12).to_density())
     assert point.meta == {"nfev": 0, "branch": "lindblad",
                           "segments": [{"solver": "eigh", "nfev": 0}]}
-    ramp = md.ramp_schedule(PARAMS.P_max, 0.3, PARAMS.Delta, hold=0.1)
+    ramp = md.ramp_schedule(PARAMS.P_max, 0.3, PARAMS.Delta).then(
+        md.hold_schedule(0.1, PARAMS.P_max, PARAMS.Delta))
     traj = dyn.propagate(PARAMS, ramp, fs.fock_state(0, 30))
     driven, hold = traj.meta["segments"]
     assert driven["solver"] == "eigenframe DOP853" and driven["nfev"] > 0
@@ -355,7 +372,8 @@ def test_propagation_stops_at_the_last_sample(monkeypatch):
     # a ramp, then a lossy hold: the only sample sits in the ramp, so the
     # hold is never propagated
     p = PARAMS.with_(dim=8, kappa=0.1)
-    sched = md.ramp_schedule(p.P_max, 0.3, p.Delta, hold=0.2)
+    sched = md.ramp_schedule(p.P_max, 0.3, p.Delta).then(
+        md.hold_schedule(0.2, p.P_max, p.Delta))
     calls = _count_solves(monkeypatch)
     traj = dyn.propagate(p, sched, fs.fock_state(0, 8), sample_times=[0.1])
     assert list(traj.times) == [0.1]

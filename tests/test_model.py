@@ -247,7 +247,8 @@ def test_hamiltonian_terms_rebuild_the_hamiltonian(case):
     # boundaries
     p = PARAMS.with_(dim=12)
     if case == "chirp-ramp":
-        sched = md.ramp_schedule(p.P_max, 0.3, p.Delta, hold=0.1)
+        sched = md.ramp_schedule(p.P_max, 0.3, p.Delta).then(
+            md.hold_schedule(0.1, p.P_max, p.Delta))
     elif case == "drive-after-chirp":
         sched = md.chirp_schedule(units.mhz_to_angular(2.0), 0.2, p.P_max,
                                   p.Delta).then(

@@ -187,7 +187,7 @@ def test_calibrate_z2():
 
 def test_calibrate_z2_depth_cap():
     with pytest.raises(CalibrationError):
-        qpt.calibrate_z2(PARAMS, tau_Z=0.01, delta_cap=3.0 * PARAMS.K)
+        qpt.calibrate_z2(PARAMS, tau_Z=0.01)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from kposim import model as md
 from kposim import spectral as sp
 from kposim import tomography as tg
 from kposim import units
-from kposim.errors import (CalibrationError, GridExtentError,
-                           ReconstructionError, TruncationError, UsageError)
+from kposim.errors import (GridExtentError, ReconstructionError,
+                           TruncationError, UsageError)
 
 PARAMS = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=30)
 TWO_OVER_PI = 2.0 / np.pi
@@ -71,7 +71,9 @@ def test_displacement_covariance():
     # W_{D rho D+}(beta) = W_rho(beta - alpha0)
     a0 = 0.5 + 0.3j
     st = fs.cat_state(0.8, "even", 40)
-    shifted = fs.StateVector(fs.displacement_op(a0, 40) @ st.amplitudes)
+    a = orc.ladder(40)
+    d = expm(a0 * a.conj().T - np.conj(a0) * a)
+    shifted = fs.StateVector(d @ st.amplitudes)
     reg = np.linspace(-1.2, 1.2, 9)
     w_shift = tg.wigner_ideal(shifted, reg + a0.real, reg + a0.imag)
     w_orig = tg.wigner_ideal(st, reg, reg)
@@ -153,13 +155,6 @@ def test_linear_displacement_gain_matches_the_integrated_pulse(duration,
     ref = complex(sol.y[0, -1], sol.y[1, -1])
     gain = tg._linear_displacement_gain(duration, detuning)
     assert abs(gain - ref) < 1e-12 * abs(ref)
-
-
-def test_pulse_amplitude_bound():
-    cat = fs.cat_state(1.1542, "even", 30)
-    with pytest.raises(CalibrationError):
-        tg.simulate_ld_tomography(PARAMS, cat, [2.0 + 0j],
-                                  pulse_duration=0.02, amplitude_bound=1.0)
 
 
 def test_record_validation_and_to_wigner():
