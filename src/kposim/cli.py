@@ -173,10 +173,12 @@ def _run_map_cat(cfg, params, out, svg):
     times = np.linspace(0.0, tau, nsamp)
     cols = {"time_ns": us_to_ns(times)}
     finals = {}
-    for label, idx, bvec in (("even", 0, basis.plus_cat.amplitudes),
-                             ("odd", 1, basis.minus_cat.amplitudes)):
-        traj = dyn.propagate(lossless, sched, fs.fock_state(idx, params.dim),
-                             sample_times=times)
+    trajs = dyn.propagate_many(lossless, sched,
+                               [fs.fock_state(k, params.dim) for k in (0, 1)],
+                               sample_times=times)
+    for label, bvec, traj in zip(("even", "odd"), (basis.plus_cat.amplitudes,
+                                                   basis.minus_cat.amplitudes),
+                                 trajs):
         fid = [abs(np.vdot(bvec, s.amplitudes)) ** 2 for s in traj.states]
         cols[f"fid_{label}"] = fid
         finals[label] = fid[-1]

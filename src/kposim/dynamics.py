@@ -4,7 +4,9 @@ Schroedinger and Lindblad integration of pulse schedules built in
 :mod:`kposim.model`, plain and parametric Rabi population maps, the
 cardinal-state relaxation experiment, and deterministic least-squares fits
 (exponential decay, damped cosine) used to extract lifetimes and oscillation
-frequencies from the simulated data.
+frequencies from the simulated data.  :func:`propagate_many` sends several
+states through one schedule in shared solves, one stack per segment;
+:func:`propagate` is its batch of one.
 
 All frequencies are angular (rad/us) internally; fits report ordinary
 frequency in MHz.
@@ -38,7 +40,7 @@ class Trajectory:
     ``states`` holds one StateVector (unitary branch) or DensityMatrix
     (Lindblad branch) per entry of ``times``.  ``meta`` records the
     ``branch`` and the RHS evaluations, ``nfev``, in all and per segment
-    (see :func:`propagate`).
+    (see :func:`propagate_many`).
     """
 
     times: np.ndarray
@@ -77,10 +79,12 @@ def _solve_segment(rhs, y0, t0, t1, t_eval, rtol, atol):
 
 #: Largest Fock dimension whose holds take the exact path.  The block
 #: exponentials cost O(dim**6) and hold O(dim**4) memory, a DOP853 step
-#: O(dim**3); on the relax grid (3 holds, 46 samples over 4.5 us, one BLAS
-#: thread) the exact path takes 1.20 s against 1.53 s at dim 28, and
-#: 1.69 s against 1.57 s at dim 30.
-_EXACT_HOLD_MAX_DIM = 28
+#: O(dim**3).  On the relax grid (3 holds propagated together, 46 samples
+#: over 4.5 us, one BLAS thread, median of 5) the exact path takes 0.65 s
+#: against 0.91 s for DOP853 at dim 32; 1.04 s against 1.08 s at dim 34
+#: is within run-to-run noise, and 1.74 s against 1.59 s at dim 36 (median
+#: of 3) is a loss.
+_EXACT_HOLD_MAX_DIM = 32
 
 
 def _parity_blocks(H, kappa):
@@ -114,11 +118,12 @@ def _parity_blocks(H, kappa):
 def _exact_hold(H, kappa, y0, t0, t_points, t1):
     """Propagate vec(rho) exactly under a parity-conserving H with loss.
 
-    Each parity block L_b moves the state from sample to sample by one
-    exponential P(s) = exp(s L_b) of the step s.  A later gap g = s + delta
-    reuses it as P(s)(y + delta L_b y) while |delta| ||L_b||_1 <= 2**-26:
-    the dropped term, (delta ||L_b||_1)**2 / 2, is then below the unit
-    roundoff, so the float-jittered gaps of a uniform grid share one
+    ``y0`` is a (B, dim**2) stack of vec(rho).  Each parity block L_b moves
+    all B states from sample to sample by one exponential P(s) = exp(s L_b)
+    of the step s.  A later gap g = s + delta reuses it as
+    P(s)(y + delta L_b y) while |delta| ||L_b||_1 <= 2**-26: the dropped
+    term, (delta ||L_b||_1)**2 / 2, is then below the unit roundoff, so the
+    float-jittered gaps of a uniform grid share one
     exponential and samples land exactly at ``t_points``.  Returns
     (samples, state at ``t1``).
     """
@@ -126,17 +131,17 @@ def _exact_hold(H, kappa, y0, t0, t_points, t1):
     if not len(times) or abs(times[-1] - t1) >= 1e-15:
         times = np.append(times, t1)
     gaps = np.diff(times, prepend=t0)
-    ys = np.empty((gaps.size, y0.size), dtype=np.complex128)
+    ys = np.empty((gaps.size, *y0.shape), dtype=np.complex128)
     for index, block in _parity_blocks(H, kappa):
         norm = np.abs(block).sum(axis=0).max()
-        y, step = y0[index], None
+        y, step = y0[:, index].T, None
         for k, gap in enumerate(gaps):
             if step is None or abs(gap - step) * norm > 2.0 ** -26:
                 step, prop = gap, expm(gap * block)
             elif gap != step:
                 y = y + (gap - step) * (block @ y)
             y = prop @ y
-            ys[k, index] = y
+            ys[k][:, index] = y.T
     return list(ys[:len(t_points)]), ys[-1]
 
 
@@ -158,10 +163,13 @@ def _segment(params, schedule, index, y0, t0, t_points, t1, density):
     hold, conserves photon-number parity; up to ``_EXACT_HOLD_MAX_DIM`` it
     skips the frame and is exact, one ``scipy.linalg.expm`` per parity block
     of the Liouvillian and sample step (see :func:`_parity_blocks` and
-    :func:`_exact_hold`; solver ``"parity-block expm"``).  Returns (samples
-    at ``t_points``, state at ``t1``, solver, nfev) in the layout of ``y0``.
+    :func:`_exact_hold`; solver ``"parity-block expm"``).  ``y0`` is a
+    (B, n) stack of kets or flattened density matrices, moved as one.
+    Returns (samples at ``t_points``, state at ``t1``, solver, nfev) in the
+    layout of ``y0``.
     """
     dim, kappa = params.dim, params.kappa
+    batch = y0.shape[0]
     t_mid = 0.5 * (t0 + t1)
     seg = schedule.segments[index]
     driven = not seg.is_static()
@@ -172,18 +180,24 @@ def _segment(params, schedule, index, y0, t0, t_points, t1, density):
                 "parity-block expm", 0)
     evals, vecs = np.linalg.eigh(H_ref)
     vecs_h = vecs.conj().T
+    # frame coordinates stay flat, the B states end to end, as DOP853 sees
+    # them; ket phases are tiled to match, since broadcasting them over
+    # (B, dim) would cost a lone state about 1.5 us per call
     if density:
         def lab(t, sigma):
             u = np.exp(-1j * evals * (t - t0))
-            return (vecs @ (u[:, None] * sigma.reshape(dim, dim) * u.conj())
-                    @ vecs_h).reshape(-1)
+            return (vecs @ (u[:, None] * sigma.reshape(batch, dim, dim)
+                            * u.conj()) @ vecs_h).reshape(batch, -1)
 
-        c0 = (vecs_h @ y0.reshape(dim, dim) @ vecs).reshape(-1)
+        c0 = (vecs_h @ y0.reshape(batch, dim, dim) @ vecs).reshape(-1)
     else:
-        def lab(t, c):
-            return vecs @ (np.exp(-1j * evals * (t - t0)) * c)
+        stacked = np.concatenate((evals,) * batch)
 
-        c0 = vecs_h @ y0
+        def lab(t, c):
+            u = np.exp(-1j * stacked * (t - t0))
+            return (u * c).reshape(batch, dim) @ vecs.T
+
+        c0 = (y0 @ vecs_h.T).reshape(-1)
     if not (driven or kappa > 0.0):
         return [lab(t, c0) for t in t_points], lab(t1, c0), "eigh", 0
 
@@ -202,7 +216,7 @@ def _segment(params, schedule, index, y0, t0, t_points, t1, density):
         def rhs(t, y):
             u = np.exp(-1j * evals * (t - t0))
             phi = u[:, None] * u.conj()
-            rho = phi * y.reshape(dim, dim)
+            rho = phi * y.reshape(batch, dim, dim)
             drho = 0.0
             if kappa > 0.0:
                 drho = kappa * (a @ rho @ adag) - (0.5 * kappa) * (n @ rho
@@ -213,8 +227,9 @@ def _segment(params, schedule, index, y0, t0, t_points, t1, density):
             return (phi.conj() * drho).reshape(-1)
     else:
         def rhs(t, y):
-            u = np.exp(-1j * evals * (t - t0))
-            return -1j * u.conj() * (remainder(t) @ (u * y))
+            u = np.exp(-1j * stacked * (t - t0))
+            return -1j * u.conj() * ((u * y).reshape(batch, dim)
+                                     @ remainder(t).T).reshape(-1)
 
     cs, c1, nfev = _solve_segment(rhs, c0, t0, t1, t_points, params.rtol,
                                   params.atol)
@@ -223,36 +238,56 @@ def _segment(params, schedule, index, y0, t0, t_points, t1, density):
 
 
 def propagate(params, schedule, initial, sample_times=None):
-    """Propagate a state through a pulse schedule.
+    """Propagate one state through a pulse schedule.
+
+    The batch of one of :func:`propagate_many`, which documents the
+    arguments, the solvers and ``meta``; returns that one state's
+    :class:`Trajectory`.
+    """
+    return propagate_many(params, schedule, (initial,), sample_times)[0]
+
+
+def propagate_many(params, schedule, initials, sample_times=None):
+    """Propagate several states through one pulse schedule in shared solves.
 
     Loss and tolerances come from ``params``: with ``params.kappa`` > 0 the
     single-photon-loss Lindblad equation
-    drho/dt = -i[H, rho] + kappa (a rho a† - {n, rho}/2) is integrated and a
-    pure initial state is promoted to a density matrix; otherwise the
-    Schroedinger equation is solved (pass ``params.with_(kappa=0.0)`` for a
-    lossless step).  ``sample_times`` (us, within the schedule; default: the
+    drho/dt = -i[H, rho] + kappa (a rho a† - {n, rho}/2) is integrated and
+    pure initial states are promoted to density matrices, as they are when
+    any of ``initials`` is a DensityMatrix; otherwise the Schroedinger
+    equation is solved (pass ``params.with_(kappa=0.0)`` for a lossless
+    step).  ``sample_times`` (us, within the schedule; default: the
     schedule's end) selects the returned samples, so the returned states end
-    at the last sample, and segments after it are not propagated.  Norm/trace drift beyond 1e-8 raises
-    :class:`AccuracyError`; integrator breakdown raises
-    :class:`StiffnessError` with the time reached.
+    at the last sample, and segments after it are not propagated.
+    Norm/trace drift beyond 1e-8 raises :class:`AccuracyError`; integrator
+    breakdown raises :class:`StiffnessError` with the time reached.  An
+    empty ``initials``, or a state whose dim is not ``params.dim``, raises
+    :class:`UsageError`.
 
-    Each segment takes one of three solvers, by what it is:
+    All states move together, one (B, n) stack per segment, so the B states
+    share each ``eigh``, each block exponential and each DOP853 step.  Each
+    segment takes one of three solvers, by what it is:
 
     - a static segment (see :meth:`kposim.model.Segment.is_static`) without
       loss is exact in the eigenframe of its H, from one ``eigh``
       (``"eigh"``);
     - a static segment with loss and no drive, a hold, conserves
-      photon-number parity; up to dim 28 one ``scipy.linalg.expm`` of each
-      of the Liouvillian's two parity blocks (r + c even, r + c odd) per
-      sample step makes it exact (``"parity-block expm"``), above it the
-      exponentials cost more than DOP853;
+      photon-number parity; up to dim ``_EXACT_HOLD_MAX_DIM`` one
+      ``scipy.linalg.expm`` of each of the Liouvillian's two parity blocks
+      (r + c even, r + c odd) per sample step makes it exact
+      (``"parity-block expm"``), above it the exponentials cost more than
+      DOP853;
     - on every other segment DOP853 integrates, at ``params.rtol`` and
       ``params.atol``, only what the eigenframe of the midpoint H leaves:
       the rest of H(t) and the dissipator (``"eigenframe DOP853"``).
+      DOP853 bounds the RMS error over the whole stack, so one state's local
+      error may exceed the bound of its own solve by up to sqrt(B).
 
-    ``meta["branch"]`` is ``"unitary"`` or ``"lindblad"``,
+    Returns one :class:`Trajectory` per initial state, in order.  They share
+    one ``meta``: ``meta["branch"]`` is ``"unitary"`` or ``"lindblad"``,
     ``meta["segments"]`` holds one ``{"solver", "nfev"}`` entry per
-    propagated segment and ``meta["nfev"]`` their sum.
+    propagated segment and ``meta["nfev"]`` their sum, each shared solve
+    counted once, not once per state.
     """
     total = schedule.total_duration
     if sample_times is None:
@@ -268,28 +303,23 @@ def propagate(params, schedule, initial, sample_times=None):
             f"[{t_s[0]}, {t_s[-1]}]")
     t_s = np.clip(t_s, 0.0, total)
 
-    density = params.kappa > 0.0 or isinstance(initial, fs.DensityMatrix)
+    initials = tuple(initials)
+    if not initials:
+        raise UsageError("initials must hold at least one state")
+    for initial in initials:
+        if initial.dim != params.dim:
+            raise UsageError(
+                f"state dimension {initial.dim} != params.dim {params.dim}")
+    density = params.kappa > 0.0 or any(
+        isinstance(s, fs.DensityMatrix) for s in initials)
     if density:
-        if isinstance(initial, fs.StateVector):
-            initial = initial.to_density()
-        y = initial.entries.astype(np.complex128).reshape(-1).copy()
-    else:
-        y = initial.amplitudes.astype(np.complex128).copy()
-    if initial.dim != params.dim:
-        raise UsageError(
-            f"state dimension {initial.dim} != params.dim {params.dim}")
+        initials = [s.to_density() if isinstance(s, fs.StateVector) else s
+                    for s in initials]
+    y = np.array([s.entries.reshape(-1) if density else s.amplitudes
+                  for s in initials], dtype=np.complex128)
 
-    include_zero = abs(t_s[0]) < 1e-15
-    states = []
-    times_out = []
-    if include_zero:
-        states.append(_freeze(y, density, params.dim, t=0.0))
-        times_out.append(0.0)
-        t_pending = t_s[1:]
-    else:
-        t_pending = t_s
-
-    dim = params.dim
+    samples = [(0.0, y)] if abs(t_s[0]) < 1e-15 else []
+    t_pending = t_s[len(samples):]
     seg_stats = []
     t_cursor = 0.0
     for index, seg in enumerate(schedule.segments):
@@ -299,18 +329,19 @@ def propagate(params, schedule, initial, sample_times=None):
         in_seg = t_pending[(t_pending > t0 + 1e-15) & (t_pending <= t1 + 1e-15)]
         # samples caught by the boundary tolerance must not leave the span
         in_seg = np.clip(in_seg, t0, t1)
-        samples, y, solver, nfev = _segment(params, schedule, index, y, t0,
-                                            in_seg, t1, density)
+        ys, y, solver, nfev = _segment(params, schedule, index, y, t0, in_seg,
+                                       t1, density)
         seg_stats.append({"solver": solver, "nfev": nfev})
-        for t, ys in zip(in_seg, samples):
-            states.append(_freeze(ys, density, dim, t=t))
-            times_out.append(t)
+        samples += zip(in_seg, ys)
         t_cursor = t1
 
     meta = {"nfev": sum(s["nfev"] for s in seg_stats),
             "branch": "lindblad" if density else "unitary",
             "segments": seg_stats}
-    return Trajectory(np.array(times_out), tuple(states), meta)
+    times = np.array([t for t, _ in samples])
+    return tuple(Trajectory(times, tuple(_freeze(ys[b], density, params.dim, t)
+                                         for t, ys in samples), meta)
+                 for b in range(len(initials)))
 
 
 def _freeze(y, density, dim, t):
@@ -509,17 +540,6 @@ class RelaxationResult:
 _PREPARED = {"z": "+Cat", "x": "+Coh", "y": "+iCat"}
 
 
-def _relaxation_run(args):
-    params, wait_grid, psi0, basis = args
-    hold = md.hold_schedule(wait_grid[-1], params.P_max, params.Delta)
-    traj = propagate(params, hold, psi0, sample_times=wait_grid)
-    pops = np.empty((6, len(traj.states)))
-    for i, s in enumerate(traj.states):
-        rho = s.to_density() if isinstance(s, fs.StateVector) else s
-        pops[:, i] = fs.cardinal_populations(rho, basis)
-    return pops
-
-
 def relaxation_experiment(params, wait_grid, prepare="ramp", tau_ramp=0.3):
     """Hold each cat-Bloch cardinal preparation and track all six populations.
 
@@ -538,20 +558,24 @@ def relaxation_experiment(params, wait_grid, prepare="ramp", tau_ramp=0.3):
     basis = md.cat_basis_from_model(params)
     if prepare == "ideal":
         cards = fs.cardinal_states(basis)
+        preps = [cards[c] for c in _PREPARED.values()]
     elif prepare == "ramp":
         ramp = md.ramp_schedule(params.P_max, tau_ramp, params.Delta)
         lossless = params.with_(kappa=0.0)
         dim = params.dim
         fock = fs.cardinal_states(md.CatBasis(fs.fock_state(0, dim),
                                               fs.fock_state(1, dim)))
-        cards = {c: propagate(lossless, ramp, fock[c]).final_state
-                 for c in _PREPARED.values()}
+        preps = [traj.final_state for traj in propagate_many(
+            lossless, ramp, [fock[c] for c in _PREPARED.values()])]
     else:
         raise UsageError(f"prepare must be 'ramp' or 'ideal', got {prepare!r}")
 
-    jobs = [(params, wg, cards[c], basis) for c in _PREPARED.values()]
-    results = parallel_map(_relaxation_run, jobs)
-    populations = dict(zip(_PREPARED, results))
+    hold = md.hold_schedule(wg[-1], params.P_max, params.Delta)
+    trajs = propagate_many(params, hold, preps, sample_times=wg)
+    populations = {
+        lbl: np.array([fs.cardinal_populations(s, basis)
+                       for s in traj.states]).T
+        for lbl, traj in zip(_PREPARED, trajs)}
     sums, diffs = {}, {}
     for k, (lbl, pops) in enumerate(populations.items()):
         sums[lbl] = pops[2 * k] + pops[2 * k + 1]

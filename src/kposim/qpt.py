@@ -31,7 +31,6 @@ from . import model as md
 from . import spectral as sp
 from .errors import (BasisDegeneracyError, CalibrationError, SpanError,
                      UsageError)
-from .parallel import parallel_map
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -376,21 +375,17 @@ def qpt_experiment(kind, params, tau_ramp=0.3, tau_Z=0.5,
         kets = _cardinal_kets(fock)
         # reference propagation at nominal parameters fixes the output-basis
         # phases (the deterministic branch phases of the ramp)
-        lossless = params.with_(kappa=0.0)
+        refs = dyn.propagate_many(params.with_(kappa=0.0), ref_sched,
+                                  kets[:2])
         phis = []
-        for k, bvec in ((0, basis.plus_cat.amplitudes),
-                        (1, basis.minus_cat.amplitudes)):
-            ref = dyn.propagate(lossless, ref_sched,
-                                kets[k]).final_state.amplitudes
-            ov = np.vdot(bvec, ref)
+        for bvec, ref in zip((basis.plus_cat, basis.minus_cat), refs):
+            ov = np.vdot(bvec.amplitudes, ref.final_state.amplitudes)
             if abs(ov) < 0.5:
                 raise CalibrationError(
                     f"reference mapping overlap {abs(ov):.3f} too small to "
                     "fix the output phase")
             phis.append(np.angle(ov))
-        out_basis = _phase_shifted_basis(basis, phis[0], phis[1])
-        inputs = [effective_qubit(k.to_density(), fock) for k in kets]
-        out_tag_basis = out_basis
+        out_tag_basis = _phase_shifted_basis(basis, phis[0], phis[1])
         ideal = ideal_chi(_I2)
         calibration = {"phase_plus": phis[0], "phase_minus": phis[1],
                        "tau_ramp": tau_ramp}
@@ -418,18 +413,14 @@ def qpt_experiment(kind, params, tau_ramp=0.3, tau_Z=0.5,
         # basis phases over the gate duration
         out_tag_basis = _phase_shifted_basis(basis, -e_even * tau_gate,
                                              -e_odd * tau_gate)
-        inputs = [effective_qubit(k.to_density(), basis) for k in kets]
         calibration = dict(cal)
         calibration["duration"] = tau_gate
     else:
         raise UsageError(f"kind must be 'mapping', 'x2' or 'z2', got {kind!r}")
 
-    def run(ket):
-        out = dyn.propagate(run_params, sched, ket).final_state
-        return effective_qubit(out, out_tag_basis)
-
-    outputs = parallel_map(run, kets)
-    chi = chi_matrix(inputs, outputs)
+    outputs = [effective_qubit(traj.final_state, out_tag_basis)
+               for traj in dyn.propagate_many(run_params, sched, kets)]
+    chi = chi_matrix(standard_input_states(), outputs)
     fid = process_fidelity(chi, ideal)
     return QptResult(kind=kind, chi=chi, fidelity=fid,
                      outputs=tuple(outputs), calibration=calibration)

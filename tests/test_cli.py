@@ -212,21 +212,22 @@ def test_check_mode_verifies_convergence(tmp_path):
 
 def test_check_rerun_propagates_on_refined_params(tmp_path, monkeypatch):
     seen = []
-    propagate = dyn.propagate
+    propagate_many = dyn.propagate_many
 
     def spy(params, *args, **kwargs):
         seen.append((params.dim, params.rtol, params.atol))
-        return propagate(params, *args, **kwargs)
+        return propagate_many(params, *args, **kwargs)
 
-    monkeypatch.setattr(dyn, "propagate", spy)
+    monkeypatch.setattr(dyn, "propagate_many", spy)
     cfg = _write_config(tmp_path, "map.json", {
         "system": {"K_MHz": 3.1, "P_MHz": 3.13, "Delta_MHz": 1.0, "dim": 8},
         "samples": 3,
     })
     assert cli.main(["map-cat", "--config", cfg, "--out",
                      str(tmp_path / "out"), "--check"]) == 0
-    # one propagation per cat-basis state, at the defaults, then refined
-    assert seen == [(8, 1e-8, 1e-10)] * 2 + [(16, 0.5e-8, 0.5e-10)] * 2
+    # one batched propagation of both Fock kets, at the defaults, then
+    # refined
+    assert seen == [(8, 1e-8, 1e-10), (16, 0.5e-8, 0.5e-10)]
 
 
 def test_svg_flag_writes_plots(tmp_path):

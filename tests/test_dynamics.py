@@ -459,6 +459,77 @@ def test_sample_time_validation():
                       sample_times=np.array([0.5, 1.5]))
 
 
+def _batch_case(case):
+    """(params, schedule, initials, sample times, solver, tolerance)."""
+    p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=10)
+    rng = np.random.default_rng(13)
+    cat = md.cat_basis_from_model(p).plus_cat
+    kets = [fs.fock_state(0, 10), fs.fock_state(3, 10), cat]
+    mixed = [fs.DensityMatrix(orc.random_density(10, rng)) for _ in range(2)]
+    times = np.array([0.0, 0.1, 0.25, 0.4])
+    if case == "parity-block expm":
+        return (p.with_(kappa=0.2), md.hold_schedule(0.4, p.P_max, p.Delta),
+                mixed + kets[:1], times, case, 1e-12)
+    if case == "eigh-ket":
+        return (p, _phased_drive_schedule(p, 0.4), kets, times, "eigh",
+                1e-12)
+    if case == "eigh-density":
+        # one density matrix turns the whole batch into density matrices
+        return (p, _phased_drive_schedule(p, 0.4), kets[:2] + mixed[:1],
+                times, "eigh", 1e-12)
+    ramp = md.ramp_schedule(p.P_max, 0.4, p.Delta)
+    if case == "DOP853-ket":
+        return p, ramp, kets, times, "eigenframe DOP853", 10 * p.rtol
+    return (p.with_(kappa=0.2), ramp, mixed + kets[1:2], times,
+            "eigenframe DOP853", 10 * p.rtol)
+
+
+@pytest.mark.parametrize("case", ["parity-block expm", "eigh-ket",
+                                  "eigh-density", "DOP853-ket",
+                                  "DOP853-density"])
+def test_batch_matches_separate_runs(case):
+    # DOP853 bounds the error of the whole stack, so a batched state may
+    # differ from its own run by the solve tolerance, not by roundoff
+    p, sched, initials, times, solver, tol = _batch_case(case)
+    batch = dyn.propagate_many(p, sched, initials, sample_times=times)
+    assert len(batch) == len(initials)
+    density = batch[0].meta["branch"] == "lindblad"
+    for initial, traj in zip(initials, batch):
+        if density and isinstance(initial, fs.StateVector):
+            initial = initial.to_density()
+        alone = dyn.propagate(p, sched, initial, sample_times=times)
+        assert traj.meta["segments"][0]["solver"] == solver
+        assert np.array_equal(traj.times, alone.times)
+        for s, r in zip(traj.states, alone.states):
+            a, b = ((s.entries, r.entries) if density
+                    else (s.amplitudes, r.amplitudes))
+            assert np.max(np.abs(a - b)) < tol
+
+
+@pytest.mark.parametrize("lossy", [False, True])
+def test_batch_shares_one_meta_and_one_solve(monkeypatch, lossy):
+    p = PARAMS.with_(dim=10, kappa=0.2 if lossy else 0.0)
+    sched = md.ramp_schedule(p.P_max, 0.3, p.Delta)
+    calls = _count_solves(monkeypatch)
+    batch = dyn.propagate_many(p, sched, [fs.fock_state(k, 10)
+                                          for k in range(3)])
+    assert len(calls) == 1
+    assert all(traj.meta is batch[0].meta for traj in batch)
+    assert batch[0].meta == {
+        "nfev": calls[0], "branch": "lindblad" if lossy else "unitary",
+        "segments": [{"solver": "eigenframe DOP853", "nfev": calls[0]}]}
+
+
+def test_batch_validation():
+    p = md.SystemParams.from_mhz(3.1, dim=8)
+    sched = md.hold_schedule(1.0, 0.0, 0.0)
+    with pytest.raises(UsageError, match="at least one state"):
+        dyn.propagate_many(p, sched, [])
+    with pytest.raises(UsageError, match="state dimension 6"):
+        dyn.propagate_many(p, sched, [fs.fock_state(0, 8),
+                                      fs.fock_state(0, 6)])
+
+
 # ---------------------------------------------------------------------------
 # Rabi maps
 
