@@ -123,9 +123,8 @@ def _exact_hold(H, kappa, y0, t0, t_points, t1):
     of the step s.  A later gap g = s + delta reuses it as
     P(s)(y + delta L_b y) while |delta| ||L_b||_1 <= 2**-26: the dropped
     term, (delta ||L_b||_1)**2 / 2, is then below the unit roundoff, so the
-    float-jittered gaps of a uniform grid share one
-    exponential and samples land exactly at ``t_points``.  Returns
-    (samples, state at ``t1``).
+    float-jittered gaps of a uniform grid share one exponential and samples
+    land exactly at ``t_points``.  Returns (samples, state at ``t1``).
     """
     times = t_points
     if not len(times) or abs(times[-1] - t1) >= 1e-15:
