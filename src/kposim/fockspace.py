@@ -46,6 +46,7 @@ __all__ = [
     "parity_op",
     "fock_state",
     "coherent_state",
+    "cat_amplitudes",
     "cat_state",
     "dm",
     "state_fidelity",
@@ -288,19 +289,15 @@ def _half_log_factorials(dim):
 
 
 def _coherent_amplitudes(alpha, dim):
-    """Raw coherent amplitudes c_n = exp(-|a|^2/2) a^n / sqrt(n!), in log space."""
+    """Raw coherent amplitudes c_n = exp(-|a|^2/2) a^n / sqrt(n!), in log space.
+
+    ``alpha`` is a nonzero scalar or a (B, 1) column of them; ``hypot`` and
+    ``float_power`` repeat Python's ``abs(alpha) ** 2``, so rows keep bits.
+    """
     n = np.arange(dim)
-    if alpha == 0:
-        amp = np.zeros(dim, dtype=np.complex128)
-        amp[0] = 1.0
-        return amp
-    log_mag = (
-        -0.5 * abs(alpha) ** 2
-        + n * np.log(abs(alpha))
-        - _half_log_factorials(dim)
-    )
-    phase = n * np.angle(alpha)
-    return np.exp(log_mag) * np.exp(1j * phase)
+    r = np.hypot(np.real(alpha), np.imag(alpha))
+    log_mag = -0.5 * np.float_power(r, 2) + n * np.log(r) - _half_log_factorials(dim)
+    return np.exp(log_mag) * np.exp(1j * (n * np.angle(alpha)))
 
 
 def coherent_state(alpha, dim):
@@ -312,6 +309,8 @@ def coherent_state(alpha, dim):
     dim = _check_dim(dim)
     alpha = complex(alpha)
     _check_alpha_fits(alpha, dim, "coherent state")
+    if alpha == 0:
+        return fock_state(0, dim)
     amp = _coherent_amplitudes(alpha, dim)
     nrm = np.linalg.norm(amp)
     deficit = abs(1.0 - nrm**2)
@@ -323,28 +322,39 @@ def coherent_state(alpha, dim):
     return StateVector(amp / nrm)
 
 
-def cat_state(alpha, parity, dim):
-    """Even or odd cat state of amplitude ``alpha``.
+def cat_amplitudes(alphas, parity, dim):
+    """Normalized even or odd cat amplitudes, shape (B, dim), one row per alpha.
 
-    ``parity`` is ``'even'`` or ``'odd'``.  Built by masking the coherent
-    amplitudes to one number parity (mathematically identical to the
-    two-coherent-state superposition, but the suppressed amplitudes are
-    exactly zero).  The odd cat is undefined at alpha = 0.
+    ``alphas`` is a 1-D stack of B amplitudes.  Each row is the coherent
+    amplitudes masked to one number parity (the two-coherent-state
+    superposition, with the suppressed amplitudes exactly zero).  A zero
+    alpha gives the limit, |0> for ``'even'`` and |1> for ``'odd'``.
+    Raises :class:`TruncationError` if any ``|alpha|^2 > dim/4``.
     """
     dim = _check_dim(dim)
-    alpha = complex(alpha)
     if parity not in ("even", "odd"):
         raise UsageError(f"parity must be 'even' or 'odd', got {parity!r}")
-    if alpha == 0:
-        if parity == "odd":
-            raise UsageError("odd cat state is undefined at alpha = 0")
-        return fock_state(0, dim)
-    _check_alpha_fits(alpha, dim, "cat state")
-    amp = _coherent_amplitudes(alpha, dim)
-    mask = (np.arange(dim) % 2) == (0 if parity == "even" else 1)
-    amp = np.where(mask, amp, 0.0)
-    nrm = np.linalg.norm(amp)
-    return StateVector(amp / nrm)
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=np.complex128))
+    _check_alpha_fits(np.max(np.abs(alphas)), dim, "cat state")
+    odd = int(parity == "odd")
+    zero = alphas == 0
+    amp = _coherent_amplitudes(np.where(zero, 1.0, alphas)[:, None], dim)
+    amp[zero] = np.arange(dim) == odd
+    amp[:, 1 - odd::2] = 0.0
+    # per-row dot products: each row gets exactly np.linalg.norm(row)
+    re, im = amp.real, amp.imag
+    sq = re[:, None] @ re[..., None] + im[:, None] @ im[..., None]
+    return amp / np.sqrt(sq[:, 0])
+
+
+def cat_state(alpha, parity, dim):
+    """Even or odd cat state: :func:`cat_amplitudes` as a stack of one.
+
+    The odd cat is undefined at alpha = 0.
+    """
+    if parity == "odd" and alpha == 0:
+        raise UsageError("odd cat state is undefined at alpha = 0")
+    return StateVector(cat_amplitudes([alpha], parity, dim)[0])
 
 
 # ---------------------------------------------------------------------------

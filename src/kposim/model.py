@@ -565,50 +565,37 @@ class CatBasis:
         return self.plus_cat.dim
 
 
-def _parity_sector_eigensystem(H):
-    """Eigen-decomposition of a parity-conserving H, done per parity block."""
-    dim = H.shape[0]
-    energies = np.empty(dim)
-    parities = np.empty(dim, dtype=int)
-    states = np.zeros((dim, dim), dtype=np.complex128)
-    for par, idx in ((+1, np.arange(0, dim, 2)), (-1, np.arange(1, dim, 2))):
-        block = H[np.ix_(idx, idx)]
-        vals, vecs = np.linalg.eigh(block)
-        energies[idx] = vals
-        parities[idx] = par
-        states[np.ix_(idx, idx)] = vecs
-    order = np.argsort(energies)[::-1]          # descending
-    return energies[order], parities[order], states[:, order]
-
-
-def _reference_pair(alpha_c, dim):
-    """Analytic (even, odd) reference states used to identify the qubit pair."""
-    if alpha_c < 1e-6:
-        return fs.fock_state(0, dim), fs.fock_state(1, dim)
-    return fs.cat_state(alpha_c, "even", dim), fs.cat_state(alpha_c, "odd", dim)
-
-
 def _qubit_pair(K, P, Delta, dim):
-    """Parity-sector eigensystem of :func:`static_hamiltonian` and its qubit pair.
+    """Parity-sector eigensystems of :func:`static_hamiltonian` and qubit pairs.
 
-    In each parity sector the qubit level is the eigenstate that overlaps
-    most with the analytic cat of amplitude ``alpha_c = sqrt((P + Delta)/K)``
-    (Fock 0 and 1 when ``alpha_c`` vanishes).  Returns ``(energies,
-    parities, states, (i_even, i_odd), (overlap_even, overlap_odd))`` with
-    the eigensystem sorted by descending energy and the squared overlaps of
-    the picked states.
+    ``P`` and ``Delta`` broadcast to a 1-D stack of B points; one point is a
+    stack of one.  Each parity sector is one (B, m, m) block stack, equal to
+    that sector of :func:`static_hamiltonian`, and one ``eigh``.  A sector's
+    qubit level overlaps most with the analytic cat at ``alpha_c = sqrt((P +
+    Delta)/K)`` (Fock 0 and 1 where ``alpha_c < 1e-6``); of equal overlaps
+    the higher energy wins.  Returns ``(sectors, picks, overlaps)``:
+    ``(energies, states)`` of the even, then the odd sector, energies
+    ascending (B, m) and eigenvector columns over that parity's Fock levels
+    (B, m, m); the (B, 2) sector indices of the qubit levels; and their
+    (B, 2) squared overlaps.
     """
-    energies, parities, states = _parity_sector_eigensystem(
-        static_hamiltonian(K, P, Delta, dim))
-    alpha_c = math.sqrt(max(P + Delta, 0.0) / K)
-    picks, overlaps = [], []
-    for par, ref in zip((+1, -1), _reference_pair(alpha_c, dim)):
-        sector = np.where(parities == par)[0]
-        ovl = np.abs(ref.amplitudes.conj() @ states[:, sector]) ** 2
-        k = int(np.argmax(ovl))
-        picks.append(int(sector[k]))
-        overlaps.append(float(ovl[k]))
-    return energies, parities, states, tuple(picks), tuple(overlaps)
+    P, Delta = np.broadcast_arrays(np.atleast_1d(P), np.atleast_1d(Delta))
+    alpha_c = np.sqrt(np.maximum(P + Delta, 0.0) / K)
+    n, pump = operator_stack(dim)[:2]
+    sectors, picks, overlaps = [], [], []
+    for par, parity in enumerate(("even", "odd")):
+        s = slice(par, None, 2)
+        block = (Delta[:, None, None] * n[s, s]
+                 + (0.5 * P)[:, None, None] * pump[s, s])
+        np.einsum("bii->bi", block)[...] -= 0.5 * K * _kerr_diagonal(dim)[s]
+        energies, states = np.linalg.eigh(block)
+        ref = fs.cat_amplitudes(np.where(alpha_c < 1e-6, 0, alpha_c), parity, dim)[:, s]
+        ovl = np.abs(ref.conj()[:, None] @ states)[:, 0] ** 2
+        k = ovl.shape[1] - 1 - np.argmax(ovl[:, ::-1], axis=1)
+        sectors.append((energies, states))
+        picks.append(k)
+        overlaps.append(ovl[np.arange(k.size), k])
+    return sectors, np.stack(picks, axis=1), np.stack(overlaps, axis=1)
 
 
 def cat_basis_from_model(params):
@@ -625,8 +612,8 @@ def cat_basis_from_model(params):
     working point does not host an identifiable cat qubit).
     """
     P, Delta, dim = params.P_max, params.Delta, params.dim
-    _, _, states, picks, overlaps = _qubit_pair(params.K, P, Delta, dim)
-    for par, ovl in zip((+1, -1), overlaps):
+    sectors, picks, overlaps = _qubit_pair(params.K, P, Delta, dim)
+    for par, ovl in zip((+1, -1), overlaps[0]):
         if ovl < 0.8:
             raise BasisError(
                 f"no eigenstate with parity {par:+d} overlaps the analytic cat "
@@ -636,9 +623,10 @@ def cat_basis_from_model(params):
     alpha_c = math.sqrt(max(P + Delta, 0.0) / params.K)
     coh = fs.coherent_state(alpha_c, dim) if alpha_c > 1e-6 else None
     pair = []
-    for i, n_ref in zip(picks, (0, 1)):
-        v = states[:, i]
-        ref_amp = coh.amplitudes if coh is not None else fs.fock_state(n_ref, dim).amplitudes
+    for par, ((_, states), k) in enumerate(zip(sectors, picks[0])):
+        v = np.zeros(dim, dtype=np.complex128)
+        v[par::2] = states[0, :, k]
+        ref_amp = coh.amplitudes if coh is not None else fs.fock_state(par, dim).amplitudes
         ph = np.vdot(ref_amp, v)
         if abs(ph) < 1e-12:
             raise BasisError("cannot fix cat-basis phase: reference overlap vanishes")

@@ -272,20 +272,13 @@ def calibrate_x2(params):
             "two_level_estimate": float(t0)}
 
 
-def _splitting_of_delta(params, delta_values):
-    out = np.empty(np.size(delta_values))
-    for i, d in enumerate(np.atleast_1d(delta_values)):
-        out[i] = sp.quasienergies(params.K, params.P_max, float(d), params.dim,
-                                  check_convergence=False).splitting
-    return out
-
-
 def calibrate_z2(params, tau_Z=0.5):
     """Chirp depth (rad/us) whose adiabatic phase implements R_z(pi/2).
 
     The rotation relative to free precession is the integrated splitting
     deficit int [w(Delta0) - w(Delta0 - delta sin^2(pi t/tau)/2)] dt,
-    evaluated by fixed-order Gauss-Legendre quadrature over the pulse and
+    evaluated by 32-node Gauss-Legendre quadrature over the pulse (one
+    :func:`kposim.spectral.qubit_splitting` stack per evaluation) and
     solved for the chirp depth with a bracketing root finder.  Positive
     depth lowers the splitting, rotating counterclockwise (+z).  A pulse
     too short to reach the angle below a depth of 6K raises
@@ -295,7 +288,8 @@ def calibrate_z2(params, tau_Z=0.5):
         raise CalibrationError("tau_Z must be positive")
     angle = 0.5 * np.pi
     cap = 6.0 * params.K
-    w0 = _splitting_of_delta(params, params.Delta)[0]
+    K, P, dim = params.K, params.P_max, params.dim
+    w0 = sp.qubit_splitting(K, P, params.Delta, dim)[0]
     nodes, weights = np.polynomial.legendre.leggauss(32)
     t_nodes = 0.5 * tau_Z * (nodes + 1.0)
     w_scaled = 0.5 * tau_Z * weights
@@ -303,7 +297,7 @@ def calibrate_z2(params, tau_Z=0.5):
 
     def extra_angle(depth):
         deltas = params.Delta - 0.5 * depth * prof
-        w = _splitting_of_delta(params, deltas)
+        w = sp.qubit_splitting(K, P, deltas, dim)
         return float(np.sum(w_scaled * (w0 - w))) - angle
 
     lo, hi = 0.0, 0.25 * params.K

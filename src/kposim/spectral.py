@@ -4,11 +4,13 @@ The rotating-frame Hamiltonian without linear drive conserves photon-number
 parity, so its spectrum is computed per parity sector and every level carries
 an exact parity label.  The two qubit levels are identified by overlap with
 the analytic cat pair at alpha_c = sqrt((P+Delta)/K) — near the operating
-point they are the two highest quasienergies.  The classical-energy surface
-(operators replaced by complex amplitudes) provides the lobe positions: its
-stationary points are known in closed form, the origin, the lobes
-+-sqrt((Delta+P)/K) on the real axis and +-i sqrt((Delta-P)/K) on the
-imaginary axis, each pair present while its radicand is positive.
+point they are the two highest quasienergies.  Sweeps stack their points,
+one ``eigh`` per sector for a whole grid row or quadrature set.  The
+classical-energy surface (operators replaced by complex amplitudes) provides
+the lobe positions: its stationary points are known in closed form, the
+origin, the lobes +-sqrt((Delta+P)/K) on the real axis and
++-i sqrt((Delta-P)/K) on the imaginary axis, each pair present while its
+radicand is positive.
 """
 
 from __future__ import annotations
@@ -48,27 +50,51 @@ class QuasiSpectrum:
         return self.splitting / TWO_PI
 
 
+def _sectors(K, P, Delta, dim):
+    if K <= 0:
+        raise UsageError(f"K must be positive, got {K}")
+    if dim < 6:
+        raise UsageError(f"dim must be >= 6 for a labelled spectrum, got {dim}")
+    return md._qubit_pair(K, P, Delta, dim)
+
+
 def quasienergies(K, P, Delta, dim, check_convergence=True):
     """Parity-labelled spectrum of ``Delta n - (K/2) n(n-1) + (P/2)(a†²+a²)``.
 
     With ``check_convergence`` the six highest levels are recomputed at
     ``dim+10``; a shift above ``1e-6 K`` raises :class:`TruncationError`.
     """
-    if K <= 0:
-        raise UsageError(f"K must be positive, got {K}")
-    if dim < 6:
-        raise UsageError(f"dim must be >= 6 for a labelled spectrum, got {dim}")
-    energies, parities, states, qubit, _ = md._qubit_pair(K, P, Delta, dim)
+    sectors, picks, _ = _sectors(K, P, Delta, dim)
+    energies = np.empty(dim)
+    states = np.zeros((dim, dim), dtype=np.complex128)
+    for par, (vals, vecs) in enumerate(sectors):
+        energies[par::2], states[par::2, par::2] = vals[0], vecs[0]
+    order = np.argsort(energies)[::-1]          # descending
     if check_convergence:
-        e_big = md._qubit_pair(K, P, Delta, dim + 10)[0]
-        shift = np.max(np.abs(energies[:6] - e_big[:6]))
+        big = np.concatenate([v[0] for v, _ in _sectors(K, P, Delta, dim + 10)[0]])
+        shift = np.max(np.abs(energies[order[:6]] - np.sort(big)[::-1][:6]))
         if shift > 1e-6 * K:
             raise TruncationError(
                 f"top-6 quasienergies shift by {shift:.3e} rad/us between "
                 f"dim={dim} and dim={dim + 10}; increase dim",
                 required_dim=dim + 10)
-    return QuasiSpectrum(energies=energies, parities=parities, states=states,
-                         qubit_indices=qubit)
+    rank = np.argsort(order)
+    return QuasiSpectrum(energies=energies[order], parities=1 - 2 * (order % 2),
+                         states=states[:, order], qubit_indices=tuple(
+                             int(rank[2 * k + par]) for par, k in enumerate(picks[0])))
+
+
+def qubit_splitting(K, P, Delta, dim):
+    """Qubit-level splitting E_odd - E_even (rad/us) at a stack of points.
+
+    ``P`` and ``Delta`` broadcast to a 1-D stack of B points, and each parity
+    sector of the stack is one ``eigh`` of (B, dim/2, dim/2) blocks.  No
+    convergence check runs (see :func:`quasienergies`), but any point with
+    ``alpha_c^2 > dim/4`` raises :class:`TruncationError`.
+    """
+    ((e_even, _), (e_odd, _)), picks, _ = _sectors(K, P, Delta, dim)
+    b = np.arange(picks.shape[0])
+    return e_odd[b, picks[:, 1]] - e_even[b, picks[:, 0]]
 
 
 def splitting_surface(K, P_over_K_grid, Delta_over_K_grid, dim):
@@ -76,23 +102,19 @@ def splitting_surface(K, P_over_K_grid, Delta_over_K_grid, dim):
 
     Returns an array of shape (len(P_over_K_grid), len(Delta_over_K_grid))
     with the sign retained: the splitting oscillates and changes sign along
-    the detuning axis.  The truncation check of :func:`quasienergies` runs
-    once, at the largest-|alpha| corner.
+    the detuning axis.  Each grid row is one :func:`qubit_splitting` stack,
+    so memory holds one row of blocks at a time.  The truncation check of
+    :func:`quasienergies` runs once, at the largest-|alpha| corner.
     """
     pg = np.asarray(P_over_K_grid, dtype=float)
     dg = np.asarray(Delta_over_K_grid, dtype=float)
     if pg.size == 0 or dg.size == 0:
         raise UsageError("grids must be nonempty")
-    out = np.empty((pg.size, dg.size))
     # convergence is monotone in cat size; checking the largest-|alpha| corner
     # once covers the whole grid
     quasienergies(K, np.max(pg) * K, np.max(dg) * K, dim)
-    for i, p_rel in enumerate(pg):
-        for j, d_rel in enumerate(dg):
-            spec = quasienergies(K, p_rel * K, d_rel * K, dim,
-                                 check_convergence=False)
-            out[i, j] = spec.splitting / K
-    return out
+    return np.array([qubit_splitting(K, p_rel * K, dg * K, dim) / K
+                     for p_rel in pg])
 
 
 def energy_gap(K, P, Delta, dim):

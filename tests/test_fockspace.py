@@ -93,7 +93,8 @@ def test_cached_log_factorials_leave_states_bit_identical(monkeypatch):
 
     def uncached(alpha, dim):
         n = np.arange(dim)
-        log_mag = (-0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha))
+        r = np.hypot(np.real(alpha), np.imag(alpha))
+        log_mag = (-0.5 * np.float_power(r, 2) + n * np.log(r)
                    - 0.5 * np.array([lgamma(k + 1.0) for k in n]))
         return np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
 
@@ -120,6 +121,24 @@ def test_coherent_truncation_guard():
 def test_cat_limits_to_vacuum():
     psi = fs.cat_state(1e-8, "even", 10)
     assert abs(psi.amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cat_amplitudes_rows_are_the_cat_states():
+    alphas = [1.1542, 0.7 + 0.4j, -0.3j, 1e-8, 0.0]
+    for parity in ("even", "odd"):
+        stack = fs.cat_amplitudes(alphas, parity, 20)
+        assert stack.shape == (5, 20)
+        for a, row in zip(alphas[:-1], stack):
+            assert np.array_equal(row, fs.cat_state(a, parity, 20).amplitudes)
+        # alpha = 0 gives the alpha -> 0 limit, |0> or |1>
+        assert np.array_equal(stack[-1], np.eye(20)[int(parity == "odd")])
+    with pytest.raises(UsageError):
+        fs.cat_state(0.0, "odd", 20)
+
+
+def test_cat_amplitudes_guard_every_alpha():
+    with pytest.raises(TruncationError):
+        fs.cat_amplitudes([0.5, 2.0, 0.5], "even", 12)     # |alpha|^2 = 4 > 12/4
 
 
 def test_cat_parity_eigenstates():

@@ -1,13 +1,18 @@
 """Quasienergy spectra, splitting surfaces, and classical energy analysis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kposim import fockspace as fs
 from kposim import model as md
+from kposim import qpt
 from kposim import spectral as sp
 from kposim import units
 from kposim.errors import TruncationError, UsageError
+
+import oracles as orc
 
 K = units.mhz_to_angular(3.1)
 P = units.mhz_to_angular(3.13)
@@ -124,6 +129,94 @@ def test_splitting_surface_shape_and_point():
     # operating point P/K=1.01, Delta/K=0.32 sits near splitting/K ~ 0.103
     val = sp.quasienergies(K, 1.01 * K, 0.32 * K, 30).splitting / K
     assert val == pytest.approx(0.318 / 3.1, abs=0.01)
+
+
+def per_point_pair(K, P, Delta, dim):
+    """(picks, splitting) of one point from eigh of each sector of H.
+
+    Each pick indexes its sector's ascending eigenvalues; the argmax over
+    the overlaps with the reference cat runs in descending-energy order.
+    """
+    H = md.static_hamiltonian(K, P, Delta, dim)
+    alpha_c = np.sqrt(max(P + Delta, 0.0) / K)
+    picks, levels = [], []
+    for par in (0, 1):
+        vals, vecs = np.linalg.eigh(H[par::2, par::2])
+        if alpha_c < 1e-6:
+            ref = np.eye(dim)[par]
+        else:
+            ref = orc.coherent_amplitudes(alpha_c, dim)
+        ref = ref[par::2] / np.linalg.norm(ref[par::2])
+        k = int(np.argmax(np.abs(ref.conj() @ vecs[:, ::-1]) ** 2))
+        picks.append(vals.size - 1 - k)
+        levels.append(vals[::-1][k])
+    return tuple(picks), levels[1] - levels[0]
+
+
+def assert_stack_matches_points(K, P, Delta, dim):
+    P, Delta = np.broadcast_arrays(P, Delta)
+    got = sp.qubit_splitting(K, P, Delta, dim)
+    picks = md._qubit_pair(K, P, Delta, dim)[1]
+    for b, (p, d) in enumerate(zip(P, Delta)):
+        want_picks, want = per_point_pair(K, p, d, dim)
+        assert tuple(picks[b]) == want_picks
+        assert abs(got[b] - want) <= 1e-12
+
+
+def test_stacked_splitting_matches_per_point_on_the_surface_grid():
+    for p_rel in np.linspace(0.5, 3.0, 26):
+        assert_stack_matches_points(K, p_rel * K,
+                                    np.linspace(0.0, 1.2, 25) * K, 30)
+
+
+def test_stacked_splitting_matches_per_point_on_the_z2_nodes():
+    params = md.SystemParams.from_mhz(3.1, 3.13, 1.0, dim=20)
+    depth = qpt.calibrate_z2(params)["delta_peak"]
+    nodes = 0.5 * (np.polynomial.legendre.leggauss(32)[0] + 1.0)
+    for d in (depth, 0.25 * params.K):
+        deltas = params.Delta - 0.5 * d * np.sin(np.pi * nodes) ** 2
+        assert_stack_matches_points(params.K, params.P_max, deltas, 20)
+
+
+def test_stack_of_one_is_the_quasienergies_splitting():
+    for pk, dk in ((0.0, 0.0), (1.01, 0.32), (2.0, -0.5), (0.5, 1.0)):
+        one = sp.qubit_splitting(K, pk * K, dk * K, 30)
+        spec = sp.quasienergies(K, pk * K, dk * K, 30, check_convergence=False)
+        assert one.shape == (1,)
+        assert one[0] == spec.splitting
+
+
+def test_splitting_surface_stacks_one_row_at_a_time():
+    args = (K, np.linspace(0.5, 3.0, 26), np.linspace(0.0, 1.2, 25), 30)
+    sp.splitting_surface(*args)
+    tracemalloc.start()
+    try:
+        sp.splitting_surface(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one row of sector blocks is ~0.3 MB; the whole grid at once is ~30 MB
+    assert peak < 2e6
+
+
+def test_qubit_splitting_checks_truncation_at_every_point():
+    deltas = np.array([0.2, 0.5, 2.5, 0.4]) * K      # alpha_c^2 = 3.5 > 12/4
+    with pytest.raises(TruncationError):
+        sp.qubit_splitting(K, 1.0 * K, deltas, 12)
+    assert sp.qubit_splitting(K, 1.0 * K, deltas[[0, 1, 3]], 12).shape == (3,)
+
+
+def test_splitting_surface_checks_convergence_once_at_the_corner(monkeypatch):
+    calls = []
+    real = sp.quasienergies
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "quasienergies", spy)
+    sp.splitting_surface(K, [0.8, 1.2, 1.0], [0.4, 0.1, 0.3], 30)
+    assert calls == [((K, 1.2 * K, 0.4 * K, 30), {})]
 
 
 def test_classical_energy_formula():
