@@ -5,7 +5,8 @@ Schroedinger and Lindblad integration of pulse schedules built in
 cardinal-state relaxation experiment, and deterministic least-squares fits
 (exponential decay, damped cosine) used to extract lifetimes and oscillation
 frequencies from the simulated data.  :func:`propagate_many` sends several
-states through one schedule in shared solves, one stack per segment;
+states through one schedule, or each through its own (the columns of the
+Rabi and cat-Rabi maps), in shared solves, one stack per segment;
 :func:`propagate` is its batch of one.
 
 All frequencies are angular (rad/us) internally; fits report ordinary
@@ -116,35 +117,39 @@ def _parity_blocks(H, kappa):
 
 
 def _exact_hold(H, kappa, y0, t0, t_points, t1):
-    """Propagate vec(rho) exactly under a parity-conserving H with loss.
+    """Propagate vec(rho) exactly under parity-conserving H with loss.
 
-    ``y0`` is a (B, dim**2) stack of vec(rho).  Each parity block L_b moves
-    all B states from sample to sample by one exponential P(s) = exp(s L_b)
-    of the step s.  A later gap g = s + delta reuses it as
-    P(s)(y + delta L_b y) while |delta| ||L_b||_1 <= 2**-26: the dropped
-    term, (delta ||L_b||_1)**2 / 2, is then below the unit roundoff, so the
-    float-jittered gaps of a uniform grid share one exponential and samples
-    land exactly at ``t_points``.  Returns (samples, state at ``t1``).
+    ``y0`` is a (B, dim**2) stack of vec(rho), ``H`` one H for all or a
+    (B, dim, dim) stack.  Each parity block L_b of an H moves its states
+    from sample to sample by one exponential P(s) = exp(s L_b) of the step
+    s.  A later gap g = s + delta reuses it as P(s)(y + delta L_b y) while
+    |delta| ||L_b||_1 <= 2**-26: the dropped term, (delta ||L_b||_1)**2 / 2,
+    is then below the unit roundoff, so the float-jittered gaps of a uniform
+    grid share one exponential and samples land exactly at ``t_points``.
+    Returns (samples, state at ``t1``).
     """
     times = t_points
     if not len(times) or abs(times[-1] - t1) >= 1e-15:
         times = np.append(times, t1)
     gaps = np.diff(times, prepend=t0)
     ys = np.empty((gaps.size, *y0.shape), dtype=np.complex128)
-    for index, block in _parity_blocks(H, kappa):
-        norm = np.abs(block).sum(axis=0).max()
-        y, step = y0[:, index].T, None
-        for k, gap in enumerate(gaps):
-            if step is None or abs(gap - step) * norm > 2.0 ** -26:
-                step, prop = gap, expm(gap * block)
-            elif gap != step:
-                y = y + (gap - step) * (block @ y)
-            y = prop @ y
-            ys[k][:, index] = y.T
+    H = H.reshape(-1, *H.shape[-2:])
+    for rows, h in zip(np.arange(len(y0)).reshape(len(H), -1), H):
+        for index, block in _parity_blocks(h, kappa):
+            norm = np.abs(block).sum(axis=0).max()
+            cells = np.ix_(rows, index)
+            y, step = y0[cells].T, None
+            for k, gap in enumerate(gaps):
+                if step is None or abs(gap - step) * norm > 2.0 ** -26:
+                    step, prop = gap, expm(gap * block)
+                elif gap != step:
+                    y = y + (gap - step) * (block @ y)
+                y = prop @ y
+                ys[k][cells] = y.T
     return list(ys[:len(t_points)]), ys[-1]
 
 
-def _segment(params, schedule, index, y0, t0, t_points, t1, density):
+def _segment(params, schedules, index, y0, t0, t_points, t1, density):
     """Propagate segment ``index`` in the eigenframe of its midpoint H.
 
     With H_ref = H((t0+t1)/2) = V diag(E) V†, u = e^{-iE(t-t0)} and
@@ -163,58 +168,70 @@ def _segment(params, schedule, index, y0, t0, t_points, t1, density):
     skips the frame and is exact, one ``scipy.linalg.expm`` per parity block
     of the Liouvillian and sample step (see :func:`_parity_blocks` and
     :func:`_exact_hold`; solver ``"parity-block expm"``).  ``y0`` is a
-    (B, n) stack of kets or flattened density matrices, moved as one.
-    Returns (samples at ``t_points``, state at ``t1``, solver, nfev) in the
-    layout of ``y0``.
+    (B, n) stack of kets or flattened density matrices, moved as one in the
+    frame of the one schedule of ``schedules`` or in a (B, ...) stack of
+    frames, one per schedule; a static member has R̃ ≡ 0.  Returns (samples
+    at ``t_points``, state at ``t1``, solver, nfev) in the layout of ``y0``.
     """
-    dim, kappa = params.dim, params.kappa
-    batch = y0.shape[0]
+    dim, kappa, batch = params.dim, params.kappa, len(y0)
     t_mid = 0.5 * (t0 + t1)
-    seg = schedule.segments[index]
-    driven = not seg.is_static()
-    H_ref = md.hamiltonian_at(params, schedule, t_mid, index)
-    hold = not driven and seg.drive.value(0.0) == 0.0
-    if density and kappa > 0.0 and hold and dim <= _EXACT_HOLD_MAX_DIM:
+    segs = [s.segments[index] for s in schedules]
+    driven = not all(seg.is_static() for seg in segs)
+    H_ref = [md.hamiltonian_at(params, s, t_mid, index) for s in schedules]
+    functions = [s.coefficients(index) for s in schedules]
+    if len(schedules) == 1:
+        # one frame without a stack axis, which would cost a lone state
+        # about 1.3 us per ket RHS call and 10 us per static density point
+        H_ref, coefficients = H_ref[0], functions[0]
+    else:
+        H_ref = np.array(H_ref)
+
+        def coefficients(t):
+            return np.array([[c(t)] for c in functions])
+    if (density and kappa > 0.0 and not driven and dim <= _EXACT_HOLD_MAX_DIM
+            and all(seg.drive.value(0.0) == 0.0 for seg in segs)):
         return (*_exact_hold(H_ref, kappa, y0, t0, t_points, t1),
                 "parity-block expm", 0)
     evals, vecs = np.linalg.eigh(H_ref)
-    vecs_h = vecs.conj().T
+    vecs_h = vecs.conj().mT
     # frame coordinates stay flat, the B states end to end, as DOP853 sees
-    # them; ket phases are tiled to match, since broadcasting them over
-    # (B, dim) would cost a lone state about 1.5 us per call
+    # them; ket phases are tiled to match (broadcast, they cost a lone state
+    # 1.5 us per call); kets are one (1, B, dim) stack or B (1, dim) rows
     if density:
         def lab(t, sigma):
             u = np.exp(-1j * evals * (t - t0))
-            return (vecs @ (u[:, None] * sigma.reshape(batch, dim, dim)
-                            * u.conj()) @ vecs_h).reshape(batch, -1)
+            return (vecs @ (u[..., None] * sigma.reshape(batch, dim, dim)
+                            * u.conj()[..., None, :]) @ vecs_h
+                    ).reshape(batch, -1)
 
         c0 = (vecs_h @ y0.reshape(batch, dim, dim) @ vecs).reshape(-1)
     else:
-        stacked = np.concatenate((evals,) * batch)
+        rows = (len(schedules), batch // len(schedules), dim)
+        stacked = np.broadcast_to(evals, (batch, dim)).reshape(-1)
 
         def lab(t, c):
             u = np.exp(-1j * stacked * (t - t0))
-            return (u * c).reshape(batch, dim) @ vecs.T
+            return ((u * c).reshape(rows) @ vecs.mT).reshape(batch, dim)
 
-        c0 = (y0 @ vecs_h.T).reshape(-1)
+        c0 = (y0.reshape(rows) @ vecs_h.mT).reshape(-1)
     if not (driven or kappa > 0.0):
         return [lab(t, c0) for t in t_points], lab(t1, c0), "eigh", 0
 
-    ops = vecs_h @ md.operator_stack(dim) @ vecs
-    a = ops[3]
-    adag = a.conj().T
+    ops = (vecs_h[..., None, :, :] @ md.operator_stack(dim)
+           @ vecs[..., None, :, :])
+    a = ops[..., 3, :, :]
+    adag = a.conj().mT
     n = adag @ a
-    ops = ops.reshape(4, -1)
-    coefficients = schedule.coefficients(index)
+    ops = ops.reshape(*ops.shape[:-2], -1)
     c_mid = coefficients(t_mid)
 
     def remainder(t):
-        return ((coefficients(t) - c_mid) @ ops).reshape(dim, dim)
+        return ((coefficients(t) - c_mid) @ ops).reshape(H_ref.shape)
 
     if density:
         def rhs(t, y):
             u = np.exp(-1j * evals * (t - t0))
-            phi = u[:, None] * u.conj()
+            phi = u[..., None] * u.conj()[..., None, :]
             rho = phi * y.reshape(batch, dim, dim)
             drho = 0.0
             if kappa > 0.0:
@@ -227,8 +244,8 @@ def _segment(params, schedule, index, y0, t0, t_points, t1, density):
     else:
         def rhs(t, y):
             u = np.exp(-1j * stacked * (t - t0))
-            return -1j * u.conj() * ((u * y).reshape(batch, dim)
-                                     @ remainder(t).T).reshape(-1)
+            return -1j * u.conj() * ((u * y).reshape(rows)
+                                     @ remainder(t).mT).reshape(-1)
 
     cs, c1, nfev = _solve_segment(rhs, c0, t0, t1, t_points, params.rtol,
                                   params.atol)
@@ -247,7 +264,7 @@ def propagate(params, schedule, initial, sample_times=None):
 
 
 def propagate_many(params, schedule, initials, sample_times=None):
-    """Propagate several states through one pulse schedule in shared solves.
+    """Propagate several states through pulse schedules in shared solves.
 
     Loss and tolerances come from ``params``: with ``params.kappa`` > 0 the
     single-photon-loss Lindblad equation
@@ -259,13 +276,15 @@ def propagate_many(params, schedule, initials, sample_times=None):
     schedule's end) selects the returned samples, so the returned states end
     at the last sample, and segments after it are not propagated.
     Norm/trace drift beyond 1e-8 raises :class:`AccuracyError`; integrator
-    breakdown raises :class:`StiffnessError` with the time reached.  An
-    empty ``initials``, or a state whose dim is not ``params.dim``, raises
-    :class:`UsageError`.
+    breakdown raises :class:`StiffnessError` with the time reached.
+    ``schedule`` is one :class:`kposim.model.PulseSchedule` for all states
+    or B, one per state (a Rabi map's columns), of equal segment durations.
+    An empty ``initials``, a state whose dim is not ``params.dim``, another
+    count of schedules or unequal durations raise :class:`UsageError`.
 
-    All states move together, one (B, n) stack per segment, so the B states
-    share each ``eigh``, each block exponential and each DOP853 step.  Each
-    segment takes one of three solvers, by what it is:
+    All states move together, one (B, n) stack per segment, sharing each
+    DOP853 step and, with one schedule, each ``eigh`` and block exponential.
+    Each segment takes one of three solvers, by what it is in every member:
 
     - a static segment (see :meth:`kposim.model.Segment.is_static`) without
       loss is exact in the eigenframe of its H, from one ``eigh``
@@ -273,7 +292,7 @@ def propagate_many(params, schedule, initials, sample_times=None):
     - a static segment with loss and no drive, a hold, conserves
       photon-number parity; up to dim ``_EXACT_HOLD_MAX_DIM`` one
       ``scipy.linalg.expm`` of each of the Liouvillian's two parity blocks
-      (r + c even, r + c odd) per sample step makes it exact
+      (r + c even, r + c odd) per sample step and distinct H makes it exact
       (``"parity-block expm"``), above it the exponentials cost more than
       DOP853;
     - on every other segment DOP853 integrates, at ``params.rtol`` and
@@ -288,7 +307,21 @@ def propagate_many(params, schedule, initials, sample_times=None):
     propagated segment and ``meta["nfev"]`` their sum, each shared solve
     counted once, not once per state.
     """
-    total = schedule.total_duration
+    initials = tuple(initials)
+    if not initials:
+        raise UsageError("initials must hold at least one state")
+    for initial in initials:
+        if initial.dim != params.dim:
+            raise UsageError(
+                f"state dimension {initial.dim} != params.dim {params.dim}")
+    shared = isinstance(schedule, md.PulseSchedule)
+    schedules = (schedule,) if shared else tuple(schedule)
+    durations = {tuple(seg.duration for seg in s.segments) for s in schedules}
+    if not shared and (len(schedules) != len(initials) or len(durations) > 1):
+        raise UsageError(f"got {len(schedules)} schedules for {len(initials)} "
+                         "states; pass one, or one per state with equal "
+                         "segment durations")
+    total = schedules[0].total_duration
     if sample_times is None:
         sample_times = np.array([total])
     t_s = np.asarray(sample_times, dtype=float)
@@ -302,13 +335,6 @@ def propagate_many(params, schedule, initials, sample_times=None):
             f"[{t_s[0]}, {t_s[-1]}]")
     t_s = np.clip(t_s, 0.0, total)
 
-    initials = tuple(initials)
-    if not initials:
-        raise UsageError("initials must hold at least one state")
-    for initial in initials:
-        if initial.dim != params.dim:
-            raise UsageError(
-                f"state dimension {initial.dim} != params.dim {params.dim}")
     density = params.kappa > 0.0 or any(
         isinstance(s, fs.DensityMatrix) for s in initials)
     if density:
@@ -321,15 +347,15 @@ def propagate_many(params, schedule, initials, sample_times=None):
     t_pending = t_s[len(samples):]
     seg_stats = []
     t_cursor = 0.0
-    for index, seg in enumerate(schedule.segments):
+    for index, seg in enumerate(schedules[0].segments):
         t0, t1 = t_cursor, t_cursor + seg.duration
         if not t_pending.size or t_pending[-1] <= t0 + 1e-15:
             break
         in_seg = t_pending[(t_pending > t0 + 1e-15) & (t_pending <= t1 + 1e-15)]
         # samples caught by the boundary tolerance must not leave the span
         in_seg = np.clip(in_seg, t0, t1)
-        ys, y, solver, nfev = _segment(params, schedule, index, y, t0, in_seg,
-                                       t1, density)
+        ys, y, solver, nfev = _segment(params, schedules, index, y, t0,
+                                       in_seg, t1, density)
         seg_stats.append({"solver": solver, "nfev": nfev})
         samples += zip(in_seg, ys)
         t_cursor = t1
@@ -378,10 +404,10 @@ def rabi_map(params, which, amplitude, detuning_grid, time_grid):
     the bare Kerr ladder, detuning axis = drive detuning from the 0->1
     transition.  ``which='pump'``: rectangular two-photon pump of that
     amplitude, detuning axis = pump-referenced detuning of the oscillator.
-    Each detuning is one static segment through :func:`propagate` from
-    |0>, sampled at ``time_grid`` (strictly increasing, within
-    [0, time_grid[-1]]).  Returns an array of shape (len(detuning_grid),
-    len(time_grid)).
+    Each detuning is one static segment from |0>, sampled at ``time_grid``
+    (strictly increasing, within [0, time_grid[-1]]); the columns are one
+    :func:`propagate_many` stack, exact from one stacked ``eigh``.  Returns
+    an array of shape (len(detuning_grid), len(time_grid)).
     """
     det = np.asarray(detuning_grid, dtype=float)
     tg = np.asarray(time_grid, dtype=float)
@@ -390,16 +416,14 @@ def rabi_map(params, which, amplitude, detuning_grid, time_grid):
     if which not in ("drive", "pump"):
         raise UsageError(f"which must be 'drive' or 'pump', got {which!r}")
     tone = {which: md.Constant(amplitude)}
-    psi0 = fs.fock_state(0, params.dim)
-    lossless = params.with_(kappa=0.0)
-
-    def column(d):
-        seg = md.Segment(duration=tg[-1], detuning=md.Constant(d), **tone)
-        traj = propagate(lossless, md.PulseSchedule((seg,)), psi0,
-                         sample_times=tg)
-        return [abs(s.amplitudes[0]) ** 2 for s in traj.states]
-
-    return np.array(parallel_map(column, det))
+    columns = [md.PulseSchedule((md.Segment(duration=tg[-1],
+                                            detuning=md.Constant(d), **tone),))
+               for d in det]
+    trajs = propagate_many(params.with_(kappa=0.0), columns,
+                           [fs.fock_state(0, params.dim)] * det.size,
+                           sample_times=tg)
+    return np.array([[abs(s.amplitudes[0]) ** 2 for s in traj.states]
+                     for traj in trajs])
 
 
 def tls_rabi_map(variant, Omega_R, detuning_grid, time_grid):
@@ -424,28 +448,29 @@ def tls_rabi_map(variant, Omega_R, detuning_grid, time_grid):
     return np.sin(half_area * np.sinc(det * tg / np.pi)) ** 2
 
 
-def _cat_parity_rows(params, drives, tg, symmetrized):
-    """Lossless <parity> at the times ``tg`` of each (detuning, phase) tone."""
+def _cat_parity_rows(params, detunings, phases, time_grid, symmetrized):
+    """Lossless <parity> at ``time_grid`` of each (detuning, phase) tone."""
+    tg = np.asarray(time_grid, dtype=float)
+    if detunings.size == 0 or tg.size == 0:
+        raise UsageError("tone and time grids must be nonempty")
     basis = md.cat_basis_from_model(params)
     par = fs.parity_op(params.dim)
-    lossless = params.with_(kappa=0.0)
-
-    def column(drive):
-        d, phi = drive
+    columns = []
+    for d, phi in zip(detunings, phases):
         if symmetrized:
             # phase rides inside the modulation: a mixer conjugates the
             # image tone's phase along with its detuning
             seg = md.Segment(duration=tg[-1], pump=md.Constant(params.P_max),
                              detuning=md.Constant(params.Delta),
                              drive=md.Cosine(params.beta, d, phi))
-            sched = md.PulseSchedule((seg,))
+            columns.append(md.PulseSchedule((seg,)))
         else:
-            sched = md.drive_schedule(tg[-1], params.beta, d, phi,
-                                      params.P_max, params.Delta)
-        traj = propagate(lossless, sched, basis.plus_cat, sample_times=tg)
-        return [float(np.real(s.expect(par))) for s in traj.states]
-
-    return np.array(parallel_map(column, drives))
+            columns.append(md.drive_schedule(tg[-1], params.beta, d, phi,
+                                             params.P_max, params.Delta))
+    trajs = propagate_many(params.with_(kappa=0.0), columns,
+                           [basis.plus_cat] * len(columns), sample_times=tg)
+    return np.array([[float(np.real(s.expect(par))) for s in traj.states]
+                     for traj in trajs])
 
 
 def cat_rabi_map(params, detuning_grid, time_grid, symmetrized=True):
@@ -454,9 +479,9 @@ def cat_rabi_map(params, detuning_grid, time_grid, symmetrized=True):
     Starts from the even qubit eigenstate with the pump held at P_max, adds
     a zero-phase drive of amplitude ``params.beta`` at each detuning of
     ``detuning_grid`` (rad/us), and records <parity> at the times of
-    ``time_grid``, without loss.  Parity,
-    via W(0) pi/2, is the z readout of the cat qubit, so this is the
-    cat-qubit Rabi map.
+    ``time_grid``, without loss, all columns in one :func:`propagate_many`
+    solve.  Parity, via W(0) pi/2, is the z readout of the cat qubit, so
+    this is the cat-qubit Rabi map.
 
     ``symmetrized=True`` (default) drives with the tone pair at +- the
     detuning — a cosine-modulated carrier — which is the drive the
@@ -466,19 +491,14 @@ def cat_rabi_map(params, detuning_grid, time_grid, symmetrized=True):
     elements between the two cat states.
     """
     det = np.asarray(detuning_grid, dtype=float)
-    tg = np.asarray(time_grid, dtype=float)
-    if det.size == 0 or tg.size == 0:
-        raise UsageError("detuning_grid and time_grid must be nonempty")
-    return _cat_parity_rows(params, [(d, 0.0) for d in det], tg, symmetrized)
+    return _cat_parity_rows(params, det, np.zeros_like(det), time_grid,
+                            symmetrized)
 
 
 def cat_rabi_phase_map(params, phi_grid, time_grid, symmetrized=True):
     """Parity map of the resonantly driven cat vs drive phase and time."""
     phis = np.asarray(phi_grid, dtype=float)
-    tg = np.asarray(time_grid, dtype=float)
-    if phis.size == 0 or tg.size == 0:
-        raise UsageError("phi_grid and time_grid must be nonempty")
-    return _cat_parity_rows(params, [(0.0, phi) for phi in phis], tg,
+    return _cat_parity_rows(params, np.zeros_like(phis), phis, time_grid,
                             symmetrized)
 
 

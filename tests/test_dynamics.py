@@ -506,6 +506,103 @@ def test_batch_matches_separate_runs(case):
             assert np.max(np.abs(a - b)) < tol
 
 
+def _per_state_case(case):
+    """(params, one schedule per state, initials, sample times, solver, tol)."""
+    p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=10)
+    rng = np.random.default_rng(17)
+    cat = md.cat_basis_from_model(p).plus_cat
+    kets = [fs.fock_state(0, 10), fs.fock_state(3, 10), cat]
+    mixed = [fs.DensityMatrix(orc.random_density(10, rng)) for _ in range(3)]
+    times = np.array([0.0, 0.1, 0.25, 0.4])
+
+    def drive(d, phi=0.0):
+        return md.drive_schedule(0.4, p.beta, d, phi, p.P_max, p.Delta)
+
+    def pump(d):
+        return md.PulseSchedule((md.Segment(
+            duration=0.4, pump=md.Constant(p.P_max), detuning=md.Constant(d)),))
+
+    if case == "DOP853-ket":
+        return (p, [drive(-2.0), drive(0.5), drive(3.0)], kets, times,
+                "eigenframe DOP853", 10 * p.rtol)
+    if case == "eigh-ket":
+        return (p, [pump(-3.0), pump(0.0), pump(4.0)], kets, times, "eigh",
+                1e-12)
+    if case == "static-and-driven":
+        # the static member rides the driven solve with a zero remainder
+        return (p, [drive(0.0, 0.7), drive(2.0)], kets[1:], times,
+                "eigenframe DOP853", 10 * p.rtol)
+    if case == "eigh-density":
+        return (p, [drive(0.0, 0.3), pump(1.0), drive(0.0, -1.1)], mixed,
+                times, "eigh", 1e-12)
+    holds = [md.hold_schedule(0.4, P, d)
+             for P, d in ((p.P_max, p.Delta), (0.5 * p.P_max, 0.0),
+                          (p.P_max, -p.Delta))]
+    return (p.with_(kappa=0.2), holds, mixed[:2] + kets[:1], times, case,
+            1e-12)
+
+
+@pytest.mark.parametrize("case", ["DOP853-ket", "eigh-ket", "static-and-driven",
+                                  "eigh-density", "parity-block expm"])
+def test_per_state_schedules_match_separate_runs(case):
+    p, scheds, initials, times, solver, tol = _per_state_case(case)
+    batch = dyn.propagate_many(p, scheds, initials, sample_times=times)
+    assert batch[0].meta["segments"] == [{"solver": solver,
+                                          "nfev": batch[0].meta["nfev"]}]
+    for sched, initial, traj in zip(scheds, initials, batch):
+        alone = dyn.propagate(p, sched, initial, sample_times=times)
+        assert np.array_equal(traj.times, alone.times)
+        for s, r in zip(traj.states, alone.states):
+            a, b = ((s.entries, r.entries) if p.kappa > 0.0
+                    or isinstance(initial, fs.DensityMatrix)
+                    else (s.amplitudes, r.amplitudes))
+            assert np.max(np.abs(a - b)) < tol
+
+
+def test_per_state_schedule_validation():
+    p = md.SystemParams.from_mhz(3.1, dim=8)
+    kets = [fs.fock_state(0, 8), fs.fock_state(1, 8)]
+    short, long_ = (md.hold_schedule(t, 0.0, 0.0) for t in (1.0, 1.5))
+    with pytest.raises(UsageError, match="got 1 schedules for 2 states"):
+        dyn.propagate_many(p, [short], kets)
+    with pytest.raises(UsageError, match="got 3 schedules for 2 states"):
+        dyn.propagate_many(p, [short] * 3, kets)
+    with pytest.raises(UsageError, match="equal segment durations"):
+        dyn.propagate_many(p, [short, long_], kets)
+    # the same total split differently is not the same segment grid
+    split = md.hold_schedule(0.5, 0.0, 0.0).then(md.hold_schedule(0.5, 0.0,
+                                                                  0.0))
+    with pytest.raises(UsageError, match="equal segment durations"):
+        dyn.propagate_many(p, [short, split], kets)
+
+
+def test_cat_rabi_map_is_one_solve(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    det = units.mhz_to_angular(np.array([-1.5, -0.5, 0.5, 1.5]))
+    dyn.cat_rabi_map(PARAMS.with_(dim=16), det, np.linspace(0.0, 0.3, 4))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("per_state", [False, True])
+def test_one_eigh_per_segment(monkeypatch, per_state):
+    # a shared schedule keeps one frame per segment, a (dim, dim) eigh;
+    # per-state schedules take one stacked eigh per segment
+    p = PARAMS.with_(dim=10)
+    ramp = md.ramp_schedule(p.P_max, 0.3, p.Delta)
+    sched = ramp.then(md.hold_schedule(0.2, p.P_max, p.Delta))
+    kets = [fs.fock_state(k, 10) for k in range(3)]
+    shapes = []
+    real_eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    dyn.propagate_many(p, [sched] * 3 if per_state else sched, kets)
+    assert shapes == ([(3, 10, 10)] if per_state else [(10, 10)]) * 2
+
+
 @pytest.mark.parametrize("lossy", [False, True])
 def test_batch_shares_one_meta_and_one_solve(monkeypatch, lossy):
     p = PARAMS.with_(dim=10, kappa=0.2 if lossy else 0.0)
