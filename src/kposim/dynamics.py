@@ -292,7 +292,7 @@ def propagate_many(params, schedule, initials, sample_times=None):
     - a static segment with loss and no drive, a hold, conserves
       photon-number parity; up to dim ``_EXACT_HOLD_MAX_DIM`` one
       ``scipy.linalg.expm`` of each of the Liouvillian's two parity blocks
-      (r + c even, r + c odd) per sample step and distinct H makes it exact
+      (r + c even, r + c odd) per sample step and schedule makes it exact
       (``"parity-block expm"``), above it the exponentials cost more than
       DOP853;
     - on every other segment DOP853 integrates, at ``params.rtol`` and
@@ -316,8 +316,8 @@ def propagate_many(params, schedule, initials, sample_times=None):
                 f"state dimension {initial.dim} != params.dim {params.dim}")
     shared = isinstance(schedule, md.PulseSchedule)
     schedules = (schedule,) if shared else tuple(schedule)
-    durations = {tuple(seg.duration for seg in s.segments) for s in schedules}
-    if not shared and (len(schedules) != len(initials) or len(durations) > 1):
+    if not shared and (len(schedules) != len(initials) or len(
+            {tuple(g.duration for g in s.segments) for s in schedules}) > 1):
         raise UsageError(f"got {len(schedules)} schedules for {len(initials)} "
                          "states; pass one, or one per state with equal "
                          "segment durations")
