@@ -120,9 +120,9 @@ def _exact_hold(H, kappa, y0, t0, t_points, t1):
     """Propagate vec(rho) exactly under parity-conserving H with loss.
 
     ``y0`` is a (B, dim**2) stack of vec(rho), ``H`` one H for all or a
-    (B, dim, dim) stack.  Each parity block L_b of an H moves its states
-    from sample to sample by one exponential P(s) = exp(s L_b) of the step
-    s.  A later gap g = s + delta reuses it as P(s)(y + delta L_b y) while
+    (B, dim, dim) stack; all states under equal H share each parity block
+    L_b's exponential P(s) = exp(s L_b) of the sample step s.  A later gap
+    g = s + delta reuses it as P(s)(y + delta L_b y) while
     |delta| ||L_b||_1 <= 2**-26: the dropped term, (delta ||L_b||_1)**2 / 2,
     is then below the unit roundoff, so the float-jittered gaps of a uniform
     grid share one exponential and samples land exactly at ``t_points``.
@@ -134,10 +134,12 @@ def _exact_hold(H, kappa, y0, t0, t_points, t1):
     gaps = np.diff(times, prepend=t0)
     ys = np.empty((gaps.size, *y0.shape), dtype=np.complex128)
     H = H.reshape(-1, *H.shape[-2:])
-    for rows, h in zip(np.arange(len(y0)).reshape(len(H), -1), H):
-        for index, block in _parity_blocks(h, kappa):
+    first = np.repeat([min(k for k, g in enumerate(H) if np.array_equal(g, h))
+                       for h in H], len(y0) // len(H))
+    for f in np.unique(first):
+        for index, block in _parity_blocks(H[f], kappa):
             norm = np.abs(block).sum(axis=0).max()
-            cells = np.ix_(rows, index)
+            cells = np.ix_(np.flatnonzero(first == f), index)
             y, step = y0[cells].T, None
             for k, gap in enumerate(gaps):
                 if step is None or abs(gap - step) * norm > 2.0 ** -26:
@@ -168,32 +170,30 @@ def _segment(params, schedules, index, y0, t0, t_points, t1, density):
     skips the frame and is exact, one ``scipy.linalg.expm`` per parity block
     of the Liouvillian and sample step (see :func:`_parity_blocks` and
     :func:`_exact_hold`; solver ``"parity-block expm"``).  ``y0`` is a
-    (B, n) stack of kets or flattened density matrices, moved as one in the
-    frame of the one schedule of ``schedules`` or in a (B, ...) stack of
-    frames, one per schedule; a static member has R̃ ≡ 0.  Returns (samples
-    at ``t_points``, state at ``t1``, solver, nfev) in the layout of ``y0``.
+    (B, n) stack of kets or flattened density matrices, moved as one in one
+    frame per schedule of ``schedules``; a static member has R̃ ≡ 0.
+    Returns (samples at ``t_points``, state at ``t1``, solver, nfev) in the
+    layout of ``y0``.
     """
     dim, kappa, batch = params.dim, params.kappa, len(y0)
     t_mid = 0.5 * (t0 + t1)
     segs = [s.segments[index] for s in schedules]
     driven = not all(seg.is_static() for seg in segs)
-    H_ref = [md.hamiltonian_at(params, s, t_mid, index) for s in schedules]
+    H_refs = [md.hamiltonian_at(params, s, t_mid, index) for s in schedules]
     functions = [s.coefficients(index) for s in schedules]
-    if len(schedules) == 1:
-        # one frame without a stack axis, which would cost a lone state
-        # about 1.3 us per ket RHS call and 10 us per static density point
-        H_ref, coefficients = H_ref[0], functions[0]
-    else:
-        H_ref = np.array(H_ref)
-
+    # one schedule keeps one frame without a stack axis, which would cost a
+    # lone state about 1.3 us per ket RHS call and 10 us per density point
+    H_ref, coefficients = H_refs[0], functions[0]
+    if len(schedules) > 1:
         def coefficients(t):
             return np.array([[c(t)] for c in functions])
+        H_ref = np.array(H_refs)
     if (density and kappa > 0.0 and not driven and dim <= _EXACT_HOLD_MAX_DIM
             and all(seg.drive.value(0.0) == 0.0 for seg in segs)):
         return (*_exact_hold(H_ref, kappa, y0, t0, t_points, t1),
                 "parity-block expm", 0)
     evals, vecs = np.linalg.eigh(H_ref)
-    vecs_h = vecs.conj().mT
+    vecs_t, vecs_h = vecs.swapaxes(-1, -2), vecs.conj().swapaxes(-1, -2)
     # frame coordinates stay flat, the B states end to end, as DOP853 sees
     # them; ket phases are tiled to match (broadcast, they cost a lone state
     # 1.5 us per call); kets are one (1, B, dim) stack or B (1, dim) rows
@@ -211,16 +211,16 @@ def _segment(params, schedules, index, y0, t0, t_points, t1, density):
 
         def lab(t, c):
             u = np.exp(-1j * stacked * (t - t0))
-            return ((u * c).reshape(rows) @ vecs.mT).reshape(batch, dim)
+            return ((u * c).reshape(rows) @ vecs_t).reshape(batch, dim)
 
-        c0 = (y0.reshape(rows) @ vecs_h.mT).reshape(-1)
+        c0 = (y0.reshape(rows) @ vecs.conj()).reshape(-1)
     if not (driven or kappa > 0.0):
         return [lab(t, c0) for t in t_points], lab(t1, c0), "eigh", 0
 
     ops = (vecs_h[..., None, :, :] @ md.operator_stack(dim)
            @ vecs[..., None, :, :])
     a = ops[..., 3, :, :]
-    adag = a.conj().mT
+    adag = a.conj().swapaxes(-1, -2)
     n = adag @ a
     ops = ops.reshape(*ops.shape[:-2], -1)
     c_mid = coefficients(t_mid)
@@ -244,8 +244,8 @@ def _segment(params, schedules, index, y0, t0, t_points, t1, density):
     else:
         def rhs(t, y):
             u = np.exp(-1j * stacked * (t - t0))
-            return -1j * u.conj() * ((u * y).reshape(rows)
-                                     @ remainder(t).mT).reshape(-1)
+            r = remainder(t).swapaxes(-1, -2)
+            return -1j * u.conj() * ((u * y).reshape(rows) @ r).reshape(-1)
 
     cs, c1, nfev = _solve_segment(rhs, c0, t0, t1, t_points, params.rtol,
                                   params.atol)
@@ -292,7 +292,7 @@ def propagate_many(params, schedule, initials, sample_times=None):
     - a static segment with loss and no drive, a hold, conserves
       photon-number parity; up to dim ``_EXACT_HOLD_MAX_DIM`` one
       ``scipy.linalg.expm`` of each of the Liouvillian's two parity blocks
-      (r + c even, r + c odd) per sample step and schedule makes it exact
+      (r + c even, r + c odd) per sample step and distinct H makes it exact
       (``"parity-block expm"``), above it the exponentials cost more than
       DOP853;
     - on every other segment DOP853 integrates, at ``params.rtol`` and
@@ -420,8 +420,7 @@ def rabi_map(params, which, amplitude, detuning_grid, time_grid):
                                             detuning=md.Constant(d), **tone),))
                for d in det]
     trajs = propagate_many(params.with_(kappa=0.0), columns,
-                           [fs.fock_state(0, params.dim)] * det.size,
-                           sample_times=tg)
+                           [fs.fock_state(0, params.dim)] * det.size, tg)
     return np.array([[abs(s.amplitudes[0]) ** 2 for s in traj.states]
                      for traj in trajs])
 
@@ -448,11 +447,11 @@ def tls_rabi_map(variant, Omega_R, detuning_grid, time_grid):
     return np.sin(half_area * np.sinc(det * tg / np.pi)) ** 2
 
 
-def _cat_parity_rows(params, detunings, phases, time_grid, symmetrized):
+def _cat_parity_rows(params, grid, detunings, phases, tg, symmetrized):
     """Lossless <parity> at ``time_grid`` of each (detuning, phase) tone."""
-    tg = np.asarray(time_grid, dtype=float)
+    tg = np.asarray(tg, dtype=float)
     if detunings.size == 0 or tg.size == 0:
-        raise UsageError("tone and time grids must be nonempty")
+        raise UsageError(f"{grid} and time_grid must be nonempty")
     basis = md.cat_basis_from_model(params)
     par = fs.parity_op(params.dim)
     columns = []
@@ -491,15 +490,15 @@ def cat_rabi_map(params, detuning_grid, time_grid, symmetrized=True):
     elements between the two cat states.
     """
     det = np.asarray(detuning_grid, dtype=float)
-    return _cat_parity_rows(params, det, np.zeros_like(det), time_grid,
-                            symmetrized)
+    return _cat_parity_rows(params, "detuning_grid", det, np.zeros_like(det),
+                            time_grid, symmetrized)
 
 
 def cat_rabi_phase_map(params, phi_grid, time_grid, symmetrized=True):
     """Parity map of the resonantly driven cat vs drive phase and time."""
     phis = np.asarray(phi_grid, dtype=float)
-    return _cat_parity_rows(params, np.zeros_like(phis), phis, time_grid,
-                            symmetrized)
+    return _cat_parity_rows(params, "phi_grid", np.zeros_like(phis), phis,
+                            time_grid, symmetrized)
 
 
 def cat_ramsey_map(params, delta_peak_grid, tau_Z_grid, x2_duration):

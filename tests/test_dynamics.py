@@ -576,6 +576,44 @@ def test_per_state_schedule_validation():
         dyn.propagate_many(p, [short, split], kets)
 
 
+def test_equal_per_state_holds_share_their_exponentials(monkeypatch):
+    p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=8).with_(kappa=0.2)
+    rng = np.random.default_rng(5)
+    mixed = [fs.DensityMatrix(orc.random_density(8, rng)) for _ in range(3)]
+    times = np.linspace(0.0, 0.4, 5)
+    h0, h1 = (md.hold_schedule(0.4, p.P_max, d) for d in (p.Delta, 0.0))
+    # an equal hold built apart, placed so its states are not adjacent
+    scheds = [h0, h1, md.hold_schedule(0.4, p.P_max, p.Delta)]
+    calls = []
+    real_expm = dyn.expm
+
+    def counting(a):
+        calls.append(a.shape)
+        return real_expm(a)
+
+    monkeypatch.setattr(dyn, "expm", counting)
+    batch = dyn.propagate_many(p, scheds, mixed, sample_times=times)
+    counts = [len(calls)]
+    alone = []
+    for sched, initial in zip(scheds, mixed):
+        alone.append(dyn.propagate(p, sched, initial, sample_times=times))
+        counts.append(len(calls) - sum(counts))
+    # one exponential per parity block, shared by the uniform steps; the
+    # batch pays for h0 and h1, not for h0 twice
+    assert counts == [4, 2, 2, 2]
+    for traj, ref in zip(batch, alone):
+        for s, r in zip(traj.states, ref.states):
+            assert np.max(np.abs(s.entries - r.entries)) < 1e-12
+
+
+def test_cat_maps_name_their_empty_grid():
+    p = PARAMS.with_(dim=10)
+    with pytest.raises(UsageError, match="detuning_grid and time_grid"):
+        dyn.cat_rabi_map(p, [], [0.1])
+    with pytest.raises(UsageError, match="phi_grid and time_grid"):
+        dyn.cat_rabi_phase_map(p, [0.0], [])
+
+
 def test_cat_rabi_map_is_one_solve(monkeypatch):
     calls = _count_solves(monkeypatch)
     det = units.mhz_to_angular(np.array([-1.5, -0.5, 0.5, 1.5]))
