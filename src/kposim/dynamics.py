@@ -448,7 +448,7 @@ def tls_rabi_map(variant, Omega_R, detuning_grid, time_grid):
 
 
 def _cat_parity_rows(params, grid, detunings, phases, tg, symmetrized):
-    """Lossless <parity> at ``time_grid`` of each (detuning, phase) tone."""
+    """Lossless <parity> at times ``tg`` of each tone; ``grid`` names them."""
     tg = np.asarray(tg, dtype=float)
     if detunings.size == 0 or tg.size == 0:
         raise UsageError(f"{grid} and time_grid must be nonempty")
