@@ -80,11 +80,9 @@ def _solve_segment(rhs, y0, t0, t1, t_eval, rtol, atol):
 
 #: Largest Fock dimension whose holds take the exact path.  The block
 #: exponentials cost O(dim**6) and hold O(dim**4) memory, a DOP853 step
-#: O(dim**3).  On the relax grid (3 holds propagated together, 46 samples
-#: over 4.5 us, one BLAS thread, median of 5) the exact path takes 0.65 s
-#: against 0.91 s for DOP853 at dim 32; 1.04 s against 1.08 s at dim 34
-#: is within run-to-run noise, and 1.74 s against 1.59 s at dim 36 (median
-#: of 3) is a loss.
+#: O(dim**3).  On the relax grid (3 holds, 46 samples over 4.5 us, one BLAS
+#: thread, median of 5) exact takes 0.43 s against 0.67 s for DOP853 at
+#: dim 30, 0.63 s against 0.64 s at dim 32 and 0.89 s against 0.80 s at 34.
 _EXACT_HOLD_MAX_DIM = 32
 
 
@@ -157,11 +155,15 @@ def _segment(params, schedules, index, y0, t0, t_points, t1, density):
     With H_ref = H((t0+t1)/2) = V diag(E) V†, u = e^{-iE(t-t0)} and
     Φ = u u*ᵀ, a ket is V (u ∘ c) and a density matrix V (Φ ∘ σ) V†.
     DOP853 integrates dc/dt = -i u* ∘ R̃(u ∘ c), or
-    dσ/dt = Φ* ∘ (-i[R̃, Φ ∘ σ] + D̃(Φ ∘ σ)), where R̃(t) = Σ_i Δc_i(t) Õ_i
-    is the rest H(t) - H_ref rotated into the frame: Δc = c(t) - c(t_mid)
-    for the segment's coefficient function c over the rotated operator
-    stack Õ_i = V†O_iV (see :func:`kposim.model.operator_stack`), and D̃
-    the dissipator with ã = V†aV.
+    dσ/dt = G̃σ + (G̃σ)† + κ ã_t σ ã_t† with the non-Hermitian generator
+    G̃(t) = Φ* ∘ (-iR̃(t) - (κ/2) ã†ã) and ã_t = Φ* ∘ ã, where
+    R̃(t) = Σ_i Δc_i(t) Õ_i is the rest H(t) - H_ref rotated into the
+    frame: Δc = c(t) - c(t_mid) for the segment's coefficient function c
+    over the rotated operator stack Õ_i = V†O_iV (see
+    :func:`kposim.model.operator_stack`), and ã = V†aV.  The phases act on
+    dim x dim operators, not on the state stack, and σG̃† is taken as
+    (G̃σ)†, which holds for Hermitian σ only, so σ is made Hermitian once
+    at the start of the segment; the right-hand side keeps it so.
     H_ref's spectrum, with the Fock-truncation edge, never sets the step;
     ``params.rtol`` and ``params.atol`` bound c or σ.  A static segment has
     R̃ ≡ 0, so without loss c and σ stay constant and the result is exact
@@ -219,9 +221,6 @@ def _segment(params, schedules, index, y0, t0, t_points, t1, density):
 
     ops = (vecs_h[..., None, :, :] @ md.operator_stack(dim)
            @ vecs[..., None, :, :])
-    a = ops[..., 3, :, :]
-    adag = a.conj().swapaxes(-1, -2)
-    n = adag @ a
     ops = ops.reshape(*ops.shape[:-2], -1)
     c_mid = coefficients(t_mid)
 
@@ -229,18 +228,22 @@ def _segment(params, schedules, index, y0, t0, t_points, t1, density):
         return ((coefficients(t) - c_mid) @ ops).reshape(H_ref.shape)
 
     if density:
+        jump = np.sqrt(kappa) * ops[..., 3, :].reshape(H_ref.shape)
+        decay = -0.5 * (jump.conj().swapaxes(-1, -2) @ jump)
+        sigma = c0.reshape(batch, dim, dim)
+        c0 = (0.5 * (sigma + sigma.conj().swapaxes(-1, -2))).reshape(-1)
+
         def rhs(t, y):
             u = np.exp(-1j * evals * (t - t0))
-            phi = u[..., None] * u.conj()[..., None, :]
-            rho = phi * y.reshape(batch, dim, dim)
-            drho = 0.0
+            phi = u.conj()[..., None] * u[..., None, :]
+            sigma = y.reshape(batch, dim, dim)
+            g_sigma = (phi * (decay - 1j * remainder(t) if driven else decay)
+                       ) @ sigma
+            dsigma = g_sigma + g_sigma.conj().swapaxes(-1, -2)
             if kappa > 0.0:
-                drho = kappa * (a @ rho @ adag) - (0.5 * kappa) * (n @ rho
-                                                                   + rho @ n)
-            if driven:
-                r = remainder(t)
-                drho = drho - 1j * (r @ rho - rho @ r)
-            return (phi.conj() * drho).reshape(-1)
+                jump_t = phi * jump
+                dsigma += jump_t @ sigma @ jump_t.conj().swapaxes(-1, -2)
+            return dsigma.reshape(-1)
     else:
         def rhs(t, y):
             u = np.exp(-1j * stacked * (t - t0))

@@ -427,6 +427,24 @@ def test_purity_nonincreasing_under_loss():
     assert np.all(np.diff(purities) < 1e-10)
 
 
+def test_lossy_ramp_drops_an_anti_hermitian_input_part():
+    # the density RHS takes sigma G† as (G sigma)†, which holds only for a
+    # Hermitian sigma; an input just inside DensityMatrix's 1e-10 Hermiticity
+    # check must evolve as its Hermitian part does
+    p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=12,
+                                 kappa_per_us=0.2)
+    rng = np.random.default_rng(11)
+    rho = orc.random_density(12, rng)
+    k = rng.uniform(-1.0, 1.0, (12, 12))
+    skewed = fs.DensityMatrix(rho + 0.49e-10j * (k + k.T) / 2)
+    ramp = md.ramp_schedule(p.P_max, 0.3, p.Delta)
+    out = dyn.propagate(p, ramp, skewed)
+    ref = dyn.propagate(p, ramp, fs.DensityMatrix(rho))
+    assert out.meta["segments"][0]["solver"] == "eigenframe DOP853"
+    assert np.max(np.abs(out.final_state.entries
+                         - ref.final_state.entries)) < 1e-13
+
+
 def test_parity_conserved_without_drive():
     sched = md.ramp_schedule(PARAMS.P_max, 0.3, PARAMS.Delta).then(
         md.hold_schedule(0.5, PARAMS.P_max, PARAMS.Delta))
@@ -525,6 +543,9 @@ def _per_state_case(case):
     if case == "DOP853-ket":
         return (p, [drive(-2.0), drive(0.5), drive(3.0)], kets, times,
                 "eigenframe DOP853", 10 * p.rtol)
+    if case == "DOP853-density":
+        return (p.with_(kappa=0.2), [drive(-2.0), drive(0.5), drive(3.0)],
+                mixed[:2] + kets[2:], times, "eigenframe DOP853", 10 * p.rtol)
     if case == "eigh-ket":
         return (p, [pump(-3.0), pump(0.0), pump(4.0)], kets, times, "eigh",
                 1e-12)
@@ -542,8 +563,9 @@ def _per_state_case(case):
             1e-12)
 
 
-@pytest.mark.parametrize("case", ["DOP853-ket", "eigh-ket", "static-and-driven",
-                                  "eigh-density", "parity-block expm"])
+@pytest.mark.parametrize("case", ["DOP853-ket", "DOP853-density", "eigh-ket",
+                                  "static-and-driven", "eigh-density",
+                                  "parity-block expm"])
 def test_per_state_schedules_match_separate_runs(case):
     p, scheds, initials, times, solver, tol = _per_state_case(case)
     batch = dyn.propagate_many(p, scheds, initials, sample_times=times)

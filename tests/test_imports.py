@@ -1,6 +1,6 @@
 """Every name a package module imports is used in that module, every
-dataclass field is read somewhere, and every function reads its
-parameters."""
+dataclass field is read somewhere, every function reads its parameters,
+and no source uses a NumPy name newer than the declared floor."""
 
 import ast
 from pathlib import Path
@@ -238,3 +238,74 @@ def test_package_module_reads_no_private_name_of_another(module):
     source = (PACKAGE / module).read_text(encoding="utf-8")
     assert [name for name in private_reads(source)
             if (reader, name) not in PRIVATE_READS_ALLOWED] == []
+
+
+#: names NumPy added in 2.0 or later, absent from the ``numpy>=1.24`` that
+#: pyproject.toml declares; ``ndarray.mT`` is matched on any object
+NUMPY2_NAMES = {f"numpy.{n}" for n in (
+    "trapezoid", "concat", "permute_dims", "matrix_transpose", "unstack",
+    "cumulative_sum", "cumulative_prod", "isdtype", "vecdot", "astype",
+    "pow", "acos", "acosh", "asin", "asinh", "atan", "atan2", "atanh",
+    "bitwise_left_shift", "bitwise_right_shift", "bitwise_invert")} | {
+    f"numpy.linalg.{n}" for n in (
+        "matrix_norm", "vector_norm", "svdvals", "matrix_transpose", "vecdot",
+        "diagonal", "trace", "outer", "cross", "matmul", "tensordot")}
+
+
+def numpy2_names(source):
+    """``(line, name)`` for each use in ``source`` of a name in NUMPY2_NAMES.
+
+    A use is ``from numpy[.linalg] import name``, or an attribute chain
+    whose root is bound by ``import numpy [as np]`` or
+    ``import numpy.linalg as la``, such as ``np.linalg.vecdot``; any
+    ``.mT`` counts as ``.mT``.  The same name from another module, such as
+    ``scipy.integrate.trapezoid``, is not flagged.
+    """
+    tree = ast.parse(source)
+    roots, found = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numpy":
+                    roots[alias.asname or "numpy"] = (
+                        alias.name if alias.asname else "numpy")
+        elif isinstance(node, ast.ImportFrom) and node.module in (
+                "numpy", "numpy.linalg"):
+            found += [(node.lineno, f"{node.module}.{a.name}")
+                      for a in node.names
+                      if f"{node.module}.{a.name}" in NUMPY2_NAMES]
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        if node.attr == "mT":
+            found.append((node.lineno, ".mT"))
+        chain, head = [node.attr], node.value
+        while isinstance(head, ast.Attribute):
+            chain.append(head.attr)
+            head = head.value
+        if isinstance(head, ast.Name) and head.id in roots:
+            name = ".".join([roots[head.id]] + chain[::-1])
+            if name in NUMPY2_NAMES:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_checker_flags_a_numpy2_name():
+    src = ("import numpy as np\nimport numpy.linalg as la\nimport numpy\n"
+           "from numpy import concat, pi\n"
+           "from scipy.integrate import trapezoid\n"
+           "def f(x):\n"
+           "    y = np.trapezoid(x) + trapezoid(x) + numpy.unstack(x)\n"
+           "    return (la.vecdot(x, x), np.linalg.matrix_norm(x), x.mT,\n"
+           "            x.T, np.linalg.norm(x), x.trace(), np.trace(x))\n")
+    assert numpy2_names(src) == [
+        (4, "numpy.concat"), (7, "numpy.trapezoid"), (7, "numpy.unstack"),
+        (8, ".mT"), (8, "numpy.linalg.matrix_norm"),
+        (8, "numpy.linalg.vecdot")]
+
+
+@pytest.mark.parametrize("path", sorted(
+    str(p.relative_to(TESTS.parent))
+    for p in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]))
+def test_source_uses_no_numpy2_name(path):
+    assert numpy2_names((TESTS.parent / path).read_text(encoding="utf-8")) == []
