@@ -111,13 +111,18 @@ def load_config(path):
     return cfg
 
 
-def _write_map_csv(path, names, rows, cols, values):
-    """Write a (rows x cols) map as one CSV line per cell, row by row."""
-    io.write_csv(path, {
+def _write_map(out, stem, names, rows, cols, values, svg=False, title="",
+               xlabel="", ylabel=""):
+    """Write a (rows x cols) map to ``<stem>.csv``, one line per cell, row by
+    row, and with ``svg`` its heatmap, rows along y, to ``<stem>.svg``."""
+    io.write_csv(os.path.join(out, f"{stem}.csv"), {
         names[0]: np.repeat(rows, cols.size),
         names[1]: np.tile(cols, rows.size),
         names[2]: values.reshape(-1),
     })
+    if svg:
+        io.svg_heatmap(os.path.join(out, f"{stem}.svg"), cols, rows, values,
+                       title=title, xlabel=xlabel, ylabel=ylabel)
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +143,8 @@ def _run_rabi(which):
         pmap = dyn.rabi_map(params, which, amp, det, tus)
         dmhz = det / TWO_PI
         tns = us_to_ns(tus)
-        _write_map_csv(os.path.join(out, "map.csv"),
-                       ("detuning_MHz", "time_ns", "p0"), dmhz, tns, pmap)
-        if svg:
-            io.svg_heatmap(os.path.join(out, "map.svg"), tns, dmhz, pmap,
-                           title=f"rabi-{which}", xlabel="time (ns)",
-                           ylabel="detuning (MHz)")
+        _write_map(out, "map", ("detuning_MHz", "time_ns", "p0"), dmhz, tns,
+                   pmap, svg, f"rabi-{which}", "time (ns)", "detuning (MHz)")
         i, j = np.unravel_index(int(np.argmin(pmap)), pmap.shape)
         summary = {
             "experiment": f"rabi-{which}",
@@ -283,13 +284,9 @@ def _run_quasi_surface(cfg, params, out, svg):
     pg = _grid(cfg, "p_over_K_grid", "config")
     dg = _grid(cfg, "delta_over_K_grid", "config")
     surf = sp.splitting_surface(params.K, pg, dg, params.dim)
-    _write_map_csv(os.path.join(out, "surface.csv"),
-                   ("P_over_K", "Delta_over_K", "splitting_over_K"),
-                   pg, dg, surf)
-    if svg:
-        io.svg_heatmap(os.path.join(out, "surface.svg"), dg, pg, surf,
-                       title="quasi-surface", xlabel="Delta/K",
-                       ylabel="P/K")
+    _write_map(out, "surface",
+               ("P_over_K", "Delta_over_K", "splitting_over_K"), pg, dg, surf,
+               svg, "quasi-surface", "Delta/K", "P/K")
     spec = sp.quasienergies(params.K, params.P_max, params.Delta, params.dim)
     gap = sp.energy_gap(params.K, params.P_max, params.Delta, params.dim)
     summary = {
@@ -313,12 +310,9 @@ def _run_cat_rabi(cfg, params, out, svg):
     pmap = dyn.cat_rabi_map(params, det, tus, symmetrized=sym)
     dmhz = det / TWO_PI
     tns = us_to_ns(tus)
-    _write_map_csv(os.path.join(out, "detuning_map.csv"),
-                   ("detuning_MHz", "time_ns", "parity"), dmhz, tns, pmap)
-    if svg:
-        io.svg_heatmap(os.path.join(out, "detuning_map.svg"), tns, dmhz, pmap,
-                       title="cat-rabi", xlabel="time (ns)",
-                       ylabel="drive detuning (MHz)")
+    _write_map(out, "detuning_map", ("detuning_MHz", "time_ns", "parity"),
+               dmhz, tns, pmap, svg, "cat-rabi", "time (ns)",
+               "drive detuning (MHz)")
     asym = np.sqrt(np.mean((pmap - pmap[::-1]) ** 2)) if (
         np.allclose(dmhz, -dmhz[::-1])) else None
     k0 = int(np.argmin(np.abs(det)))
@@ -337,12 +331,9 @@ def _run_cat_rabi(cfg, params, out, svg):
     phig = _grid(cfg, "phi_grid_rad", "config", required=False)
     if phig is not None:
         phmap = dyn.cat_rabi_phase_map(params, phig, tus, symmetrized=sym)
-        _write_map_csv(os.path.join(out, "phase_map.csv"),
-                       ("phi_rad", "time_ns", "parity"), phig, tns, phmap)
-        if svg:
-            io.svg_heatmap(os.path.join(out, "phase_map.svg"), tns, phig,
-                           phmap, title="cat-rabi phase", xlabel="time (ns)",
-                           ylabel="drive phase (rad)")
+        _write_map(out, "phase_map", ("phi_rad", "time_ns", "parity"), phig,
+                   tns, phmap, svg, "cat-rabi phase", "time (ns)",
+                   "drive phase (rad)")
         summary["phase_rows"] = int(phig.size)
     return summary, checks
 
@@ -366,12 +357,8 @@ def _run_cat_ramsey(cfg, params, out, svg):
     pmap = dyn.cat_ramsey_map(params, dps, taus, cal["duration"])
     dmhz = dps / TWO_PI
     tns = us_to_ns(taus)
-    _write_map_csv(os.path.join(out, "ramsey.csv"),
-                   ("delta_peak_MHz", "tau_Z_ns", "parity"), dmhz, tns, pmap)
-    if svg:
-        io.svg_heatmap(os.path.join(out, "ramsey.svg"), tns, dmhz, pmap,
-                       title="cat-ramsey", xlabel="tau_Z (ns)",
-                       ylabel="chirp depth (MHz)")
+    _write_map(out, "ramsey", ("delta_peak_MHz", "tau_Z_ns", "parity"), dmhz,
+               tns, pmap, svg, "cat-ramsey", "tau_Z (ns)", "chirp depth (MHz)")
     summary = {
         "experiment": "cat-ramsey",
         "x2_duration_ns": us_to_ns(cal["duration"]),
@@ -419,12 +406,9 @@ def _run_tls_compare(cfg, params, out, svg):
     dmhz = det / TWO_PI
     tns = us_to_ns(tus)
     for variant, m in maps.items():
-        _write_map_csv(os.path.join(out, f"{variant}.csv"),
-                       ("detuning_MHz", "time_ns", "p_excited"), dmhz, tns, m)
-        if svg:
-            io.svg_heatmap(os.path.join(out, f"{variant}.svg"), tns, dmhz, m,
-                           title=f"TLS {variant}", xlabel="time (ns)",
-                           ylabel="detuning (MHz)")
+        _write_map(out, variant, ("detuning_MHz", "time_ns", "p_excited"),
+                   dmhz, tns, m, svg, f"TLS {variant}", "time (ns)",
+                   "detuning (MHz)")
     diff = float(np.sqrt(np.mean((maps["symmetrized"] - maps["standard"]) ** 2)))
     summary = {
         "experiment": "tls-compare",
@@ -556,9 +540,9 @@ def _run_wigner(cfg, params, out, svg):
                                  ns_to_us(_finite(tau_corr, "kerr_correct_ns")))
         wm = tg.wigner_ideal(wm_rho, re, im)
         summary["kerr_correct_ns"] = float(tau_corr)
-    _write_map_csv(os.path.join(out, "wigner.csv"), ("re", "im", "W"),
-                   re, im, wm.values.T)
+    _write_map(out, "wigner", ("re", "im", "W"), re, im, wm.values.T)
     if svg:
+        # Re alpha runs along x: the plot is the transpose of the CSV order
         io.svg_heatmap(os.path.join(out, "wigner.svg"), re, im, wm.values,
                        title="wigner", xlabel="Re alpha", ylabel="Im alpha")
     summary["integral"] = float(wm.integral())

@@ -5,9 +5,9 @@ Schroedinger and Lindblad integration of pulse schedules built in
 cardinal-state relaxation experiment, and deterministic least-squares fits
 (exponential decay, damped cosine) used to extract lifetimes and oscillation
 frequencies from the simulated data.  :func:`propagate_many` sends several
-states through one schedule, or each through its own (the columns of the
-Rabi and cat-Rabi maps), in shared solves, one stack per segment;
-:func:`propagate` is its batch of one.
+states through one schedule, or each through its own (every map sweep), in
+shared solves, one stack per segment; :func:`propagate` is its batch of
+one, and :func:`parity_rows` reads a stack out as <parity>.
 
 All frequencies are angular (rad/us) internally; fits report ordinary
 frequency in MHz.
@@ -117,35 +117,29 @@ def _parity_blocks(H, kappa):
 def _exact_hold(H, kappa, y0, t0, t_points, t1):
     """Propagate vec(rho) exactly under parity-conserving H with loss.
 
-    ``y0`` is a (B, dim**2) stack of vec(rho), ``H`` one H for all or a
-    (B, dim, dim) stack; all states under equal H share each parity block
-    L_b's exponential P(s) = exp(s L_b) of the sample step s.  A later gap
-    g = s + delta reuses it as P(s)(y + delta L_b y) while
-    |delta| ||L_b||_1 <= 2**-26: the dropped term, (delta ||L_b||_1)**2 / 2,
-    is then below the unit roundoff, so the float-jittered gaps of a uniform
-    grid share one exponential and samples land exactly at ``t_points``.
-    Returns (samples, state at ``t1``).
+    ``y0`` is a (B, dim**2) stack of vec(rho) under the one H; the states
+    share each parity block L_b's exponential P(s) = exp(s L_b) of the
+    sample step s.  A later gap g = s + delta reuses it as
+    P(s)(y + delta L_b y) while |delta| ||L_b||_1 <= 2**-26: the dropped
+    term, (delta ||L_b||_1)**2 / 2, is then below the unit roundoff, so the
+    float-jittered gaps of a uniform grid share one exponential and samples
+    land exactly at ``t_points``.  Returns (samples, state at ``t1``).
     """
     times = t_points
     if not len(times) or abs(times[-1] - t1) >= 1e-15:
         times = np.append(times, t1)
     gaps = np.diff(times, prepend=t0)
     ys = np.empty((gaps.size, *y0.shape), dtype=np.complex128)
-    H = H.reshape(-1, *H.shape[-2:])
-    first = np.repeat([min(k for k, g in enumerate(H) if np.array_equal(g, h))
-                       for h in H], len(y0) // len(H))
-    for f in np.unique(first):
-        for index, block in _parity_blocks(H[f], kappa):
-            norm = np.abs(block).sum(axis=0).max()
-            cells = np.ix_(np.flatnonzero(first == f), index)
-            y, step = y0[cells].T, None
-            for k, gap in enumerate(gaps):
-                if step is None or abs(gap - step) * norm > 2.0 ** -26:
-                    step, prop = gap, expm(gap * block)
-                elif gap != step:
-                    y = y + (gap - step) * (block @ y)
-                y = prop @ y
-                ys[k][cells] = y.T
+    for index, block in _parity_blocks(H, kappa):
+        norm = np.abs(block).sum(axis=0).max()
+        y, step = y0[:, index].T, None
+        for k, gap in enumerate(gaps):
+            if step is None or abs(gap - step) * norm > 2.0 ** -26:
+                step, prop = gap, expm(gap * block)
+            elif gap != step:
+                y = y + (gap - step) * (block @ y)
+            y = prop @ y
+            ys[k][:, index] = y.T
     return list(ys[:len(t_points)]), ys[-1]
 
 
@@ -168,12 +162,13 @@ def _segment(params, schedules, index, y0, t0, t_points, t1, density):
     ``params.rtol`` and ``params.atol`` bound c or σ.  A static segment has
     R̃ ≡ 0, so without loss c and σ stay constant and the result is exact
     (solver ``"eigh"``).  A lossy static density segment without drive, a
-    hold, conserves photon-number parity; up to ``_EXACT_HOLD_MAX_DIM`` it
-    skips the frame and is exact, one ``scipy.linalg.expm`` per parity block
-    of the Liouvillian and sample step (see :func:`_parity_blocks` and
-    :func:`_exact_hold`; solver ``"parity-block expm"``).  ``y0`` is a
-    (B, n) stack of kets or flattened density matrices, moved as one in one
-    frame per schedule of ``schedules``; a static member has R̃ ≡ 0.
+    hold, conserves photon-number parity; under one schedule and up to
+    ``_EXACT_HOLD_MAX_DIM`` it skips the frame and is exact, one
+    ``scipy.linalg.expm`` per parity block of the Liouvillian and sample
+    step (see :func:`_parity_blocks` and :func:`_exact_hold`; solver
+    ``"parity-block expm"``).  ``y0`` is a (B, n) stack of kets or flattened
+    density matrices, moved as one in one frame per schedule of
+    ``schedules``; a static member has R̃ ≡ 0.
     Returns (samples at ``t_points``, state at ``t1``, solver, nfev) in the
     layout of ``y0``.
     """
@@ -190,8 +185,8 @@ def _segment(params, schedules, index, y0, t0, t_points, t1, density):
         def coefficients(t):
             return np.array([[c(t)] for c in functions])
         H_ref = np.array(H_refs)
-    if (density and kappa > 0.0 and not driven and dim <= _EXACT_HOLD_MAX_DIM
-            and all(seg.drive.value(0.0) == 0.0 for seg in segs)):
+    if (density and kappa > 0.0 and not driven and len(schedules) == 1
+            and dim <= _EXACT_HOLD_MAX_DIM and segs[0].drive.value(0.0) == 0.0):
         return (*_exact_hold(H_ref, kappa, y0, t0, t_points, t1),
                 "parity-block expm", 0)
     evals, vecs = np.linalg.eigh(H_ref)
@@ -293,11 +288,11 @@ def propagate_many(params, schedule, initials, sample_times=None):
       loss is exact in the eigenframe of its H, from one ``eigh``
       (``"eigh"``);
     - a static segment with loss and no drive, a hold, conserves
-      photon-number parity; up to dim ``_EXACT_HOLD_MAX_DIM`` one
-      ``scipy.linalg.expm`` of each of the Liouvillian's two parity blocks
-      (r + c even, r + c odd) per sample step and distinct H makes it exact
-      (``"parity-block expm"``), above it the exponentials cost more than
-      DOP853;
+      photon-number parity; under one schedule and up to dim
+      ``_EXACT_HOLD_MAX_DIM`` one ``scipy.linalg.expm`` of each of the
+      Liouvillian's two parity blocks (r + c even, r + c odd) per sample
+      step makes it exact (``"parity-block expm"``), above it the
+      exponentials cost more than DOP853, and per-state holds take DOP853;
     - on every other segment DOP853 integrates, at ``params.rtol`` and
       ``params.atol``, only what the eigenframe of the midpoint H leaves:
       the rest of H(t) and the dissipator (``"eigenframe DOP853"``).
@@ -450,13 +445,26 @@ def tls_rabi_map(variant, Omega_R, detuning_grid, time_grid):
     return np.sin(half_area * np.sinc(det * tg / np.pi)) ** 2
 
 
+def parity_rows(params, schedules, initial, sample_times=None):
+    """<parity> of one state sent through each of ``schedules``.
+
+    One :func:`propagate_many` stack of ``initial`` under each schedule (of
+    equal segment durations), loss from ``params``; ``sample_times`` as
+    there.  Returns the real <parity> at the sample times, one row per
+    schedule, shape (len(schedules), len(sample_times)).
+    """
+    par = fs.parity_op(params.dim)
+    trajs = propagate_many(params, schedules, [initial] * len(schedules),
+                           sample_times)
+    return np.array([[float(np.real(s.expect(par))) for s in traj.states]
+                     for traj in trajs])
+
+
 def _cat_parity_rows(params, grid, detunings, phases, tg, symmetrized):
     """Lossless <parity> at times ``tg`` of each tone; ``grid`` names them."""
     tg = np.asarray(tg, dtype=float)
     if detunings.size == 0 or tg.size == 0:
         raise UsageError(f"{grid} and time_grid must be nonempty")
-    basis = md.cat_basis_from_model(params)
-    par = fs.parity_op(params.dim)
     columns = []
     for d, phi in zip(detunings, phases):
         if symmetrized:
@@ -469,10 +477,8 @@ def _cat_parity_rows(params, grid, detunings, phases, tg, symmetrized):
         else:
             columns.append(md.drive_schedule(tg[-1], params.beta, d, phi,
                                              params.P_max, params.Delta))
-    trajs = propagate_many(params.with_(kappa=0.0), columns,
-                           [basis.plus_cat] * len(columns), sample_times=tg)
-    return np.array([[float(np.real(s.expect(par))) for s in traj.states]
-                     for traj in trajs])
+    return parity_rows(params.with_(kappa=0.0), columns,
+                       md.cat_basis_from_model(params).plus_cat, tg)
 
 
 def cat_rabi_map(params, detuning_grid, time_grid, symmetrized=True):
@@ -512,28 +518,25 @@ def cat_ramsey_map(params, delta_peak_grid, tau_Z_grid, x2_duration):
     pulse of amplitude ``params.beta`` (see kposim.qpt.calibrate_x2 —
     passed in rather than imported to keep the module dependency one-way).
     The chirp's accumulated frame phase automatically retards the second
-    pulse's drive phase through the schedule bookkeeping.  Returns an array
+    pulse's drive phase through the schedule bookkeeping.  Each gate time is
+    one :func:`parity_rows` stack over the chirp depths.  Returns an array
     of shape (len(delta_peak_grid), len(tau_Z_grid)).
     """
     dps = np.asarray(delta_peak_grid, dtype=float)
     taus = np.asarray(tau_Z_grid, dtype=float)
     if dps.size == 0 or taus.size == 0:
         raise UsageError("delta_peak_grid and tau_Z_grid must be nonempty")
-    basis = md.cat_basis_from_model(params)
-    par = fs.parity_op(params.dim)
+    plus_cat = md.cat_basis_from_model(params).plus_cat
     pulse = md.drive_schedule(x2_duration, params.beta, 0.0, 0.0, params.P_max,
                               params.Delta)
 
-    def point(args):
-        dp, tau = args
-        sched = pulse.then(md.chirp_schedule(dp, tau, params.P_max,
-                                             params.Delta)).then(pulse)
-        out = propagate(params, sched, basis.plus_cat).final_state
-        return float(np.real(out.expect(par)))
+    def column(tau):
+        scheds = [pulse.then(md.chirp_schedule(dp, tau, params.P_max,
+                                               params.Delta)).then(pulse)
+                  for dp in dps]
+        return parity_rows(params, scheds, plus_cat)[:, 0]
 
-    pts = [(dp, tau) for dp in dps for tau in taus]
-    vals = parallel_map(point, pts)
-    return np.array(vals).reshape(dps.size, taus.size)
+    return np.array(parallel_map(column, taus)).T
 
 
 # ---------------------------------------------------------------------------

@@ -115,17 +115,10 @@ def write_chi_json(path, process_matrix):
 
 
 def write_chi_csv(path, process_matrix):
-    chi = process_matrix.chi
-    labels = process_matrix.labels
-    rows = {"row": [], "col": [], "real": [], "imag": []}
-    for i in range(4):
-        for j in range(4):
-            rows["row"].append(i)
-            rows["col"].append(j)
-            rows["real"].append(chi[i, j].real)
-            rows["imag"].append(chi[i, j].imag)
-    write_csv(path, rows)
-    return labels
+    chi = process_matrix.chi.reshape(-1)
+    row, col = np.divmod(np.arange(chi.size), 4)
+    write_csv(path, {"row": row, "col": col, "real": chi.real,
+                     "imag": chi.imag})
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +160,37 @@ def _text(x, y, s, size=12, anchor="middle"):
             f'font-size="{size}" text-anchor="{anchor}">{s}</text>\n')
 
 
+#: left and top margins, width and height of the plot box of an SVG plot
+_LEFT, _TOP, _PW, _PH = 70, 40, 480, 360
+
+
+def _write_plot(path, marks, title, xlabel, ylabel, x_ends, y_ends, note=""):
+    """Write ``marks`` in the plot frame: title, box, axis end values, axis
+    labels and a ``note`` line at the bottom."""
+    ml, mt, pw, ph = _LEFT, _TOP, _PW, _PH
+    w, h = ml + pw + 30, mt + ph + 55
+    parts = [_svg_header(w, h)]
+    if title:
+        parts.append(_text(ml + pw / 2, mt - 15, title, size=14))
+    parts += marks
+    parts.append(f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" '
+                 f'fill="none" stroke="black"/>\n')
+    parts.append(_text(ml, mt + ph + 18, "%.3g" % x_ends[0]))
+    parts.append(_text(ml + pw, mt + ph + 18, "%.3g" % x_ends[1]))
+    parts.append(_text(ml - 8, mt + ph, "%.3g" % y_ends[0], anchor="end"))
+    parts.append(_text(ml - 8, mt + 10, "%.3g" % y_ends[1], anchor="end"))
+    if xlabel:
+        parts.append(_text(ml + pw / 2, mt + ph + 40, xlabel))
+    if ylabel:
+        parts.append(f'<g transform="translate(15,{mt + ph / 2}) rotate(-90)">'
+                     + _text(0, 0, ylabel) + "</g>\n")
+    if note:
+        parts.append(_text(ml + pw / 2, h - 6, note, size=10))
+    parts.append("</svg>\n")
+    with open(path, "w") as fh:
+        fh.write("".join(parts))
+
+
 def svg_heatmap(path, x, y, values, title="", xlabel="", ylabel=""):
     """Grid heatmap; values[i, j] drawn at (x[j], y[i]), row-major."""
     x = np.asarray(x, dtype=float)
@@ -177,37 +201,18 @@ def svg_heatmap(path, x, y, values, title="", xlabel="", ylabel=""):
                          f"({y.size}, {x.size})")
     vmin, vmax = float(np.min(v)), float(np.max(v))
     span = vmax - vmin if vmax > vmin else 1.0
-    ml, mt, mr, mb = 70, 40, 30, 55
-    pw, ph = 480, 360
-    w, h = ml + pw + mr, mt + ph + mb
-    cw, ch = pw / x.size, ph / y.size
-    parts = [_svg_header(w, h)]
-    if title:
-        parts.append(_text(ml + pw / 2, mt - 15, title, size=14))
+    cw, ch = _PW / x.size, _PH / y.size
+    cells = []
     for i in range(y.size):
         # row 0 at the bottom (ascending y upward)
-        cy = mt + ph - (i + 1) * ch
+        cy = _TOP + _PH - (i + 1) * ch
         for j in range(x.size):
             col = _color((v[i, j] - vmin) / span)
-            parts.append(f'<rect x="{ml + j * cw:.2f}" y="{cy:.2f}" '
+            cells.append(f'<rect x="{_LEFT + j * cw:.2f}" y="{cy:.2f}" '
                          f'width="{cw + 0.5:.2f}" height="{ch + 0.5:.2f}" '
                          f'fill="{col}"/>\n')
-    parts.append(f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" '
-                 f'fill="none" stroke="black"/>\n')
-    parts.append(_text(ml, mt + ph + 18, "%.3g" % x[0]))
-    parts.append(_text(ml + pw, mt + ph + 18, "%.3g" % x[-1]))
-    parts.append(_text(ml - 8, mt + ph, "%.3g" % y[0], anchor="end"))
-    parts.append(_text(ml - 8, mt + 10, "%.3g" % y[-1], anchor="end"))
-    if xlabel:
-        parts.append(_text(ml + pw / 2, mt + ph + 40, xlabel))
-    if ylabel:
-        parts.append(f'<g transform="translate(15,{mt + ph / 2}) rotate(-90)">'
-                     + _text(0, 0, ylabel) + "</g>\n")
-    parts.append(_text(ml + pw / 2, h - 6,
-                       "range [%.3g, %.3g]" % (vmin, vmax), size=10))
-    parts.append("</svg>\n")
-    with open(path, "w") as fh:
-        fh.write("".join(parts))
+    _write_plot(path, cells, title, xlabel, ylabel, (x[0], x[-1]),
+                (y[0], y[-1]), "range [%.3g, %.3g]" % (vmin, vmax))
 
 
 def svg_lines(path, x, series, title="", xlabel="", ylabel=""):
@@ -221,40 +226,23 @@ def svg_lines(path, x, series, title="", xlabel="", ylabel=""):
     xmin, xmax = float(x[0]), float(x[-1])
     if xmax <= xmin:
         xmax = xmin + 1.0
-    ml, mt, mr, mb = 70, 40, 30, 55
-    pw, ph = 480, 360
-    w, h = ml + pw + mr, mt + ph + mb
+    ml, mt, pw, ph = _LEFT, _TOP, _PW, _PH
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                "#8c564b", "#e377c2", "#7f7f7f"]
-    parts = [_svg_header(w, h)]
-    if title:
-        parts.append(_text(ml + pw / 2, mt - 15, title, size=14))
+    marks = []
     for k, (name, yv) in enumerate(ys.items()):
         pts = " ".join(
             f"{ml + (xi - xmin) / (xmax - xmin) * pw:.2f},"
             f"{mt + ph - (yi - ymin) / (ymax - ymin) * ph:.2f}"
             for xi, yi in zip(x, yv))
         col = palette[k % len(palette)]
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{col}" '
+        marks.append(f'<polyline points="{pts}" fill="none" stroke="{col}" '
                      f'stroke-width="1.5"/>\n')
-        parts.append(f'<g><rect x="{ml + pw - 150}" y="{mt + 8 + 16 * k}" '
+        marks.append(f'<g><rect x="{ml + pw - 150}" y="{mt + 8 + 16 * k}" '
                      f'width="12" height="3" fill="{col}"/></g>\n')
-        parts.append(_text(ml + pw - 132, mt + 14 + 16 * k, name, size=10,
+        marks.append(_text(ml + pw - 132, mt + 14 + 16 * k, name, size=10,
                            anchor="start"))
-    parts.append(f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" '
-                 f'fill="none" stroke="black"/>\n')
-    parts.append(_text(ml, mt + ph + 18, "%.3g" % xmin))
-    parts.append(_text(ml + pw, mt + ph + 18, "%.3g" % xmax))
-    parts.append(_text(ml - 8, mt + ph, "%.3g" % ymin, anchor="end"))
-    parts.append(_text(ml - 8, mt + 10, "%.3g" % ymax, anchor="end"))
-    if xlabel:
-        parts.append(_text(ml + pw / 2, mt + ph + 40, xlabel))
-    if ylabel:
-        parts.append(f'<g transform="translate(15,{mt + ph / 2}) rotate(-90)">'
-                     + _text(0, 0, ylabel) + "</g>\n")
-    parts.append("</svg>\n")
-    with open(path, "w") as fh:
-        fh.write("".join(parts))
+    _write_plot(path, marks, title, xlabel, ylabel, (xmin, xmax), (ymin, ymax))
 
 
 def svg_chi_bars(path, process_matrix, part="real", title=""):

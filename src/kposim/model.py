@@ -298,11 +298,11 @@ _CONTINUITY_TOL = 1e-9
 class PulseSchedule:
     """An ordered, validated sequence of segments.
 
-    Frame phases are derived here: segment ``i`` starts at frame phase
-    ``frame_phase_start(i)``, the cumulative chirp integral of all earlier
-    segments.  The pump envelope must be continuous across boundaries within
-    1e-9 rad/us.  Each segment gets its coefficient function c(t) of the
-    Hamiltonian once, at construction (see :meth:`coefficients`).
+    Frame phases are derived here: each segment starts at the cumulative
+    chirp integral of all earlier segments.  The pump envelope must be
+    continuous across boundaries within 1e-9 rad/us.  Each segment gets its
+    coefficient function c(t) of the Hamiltonian once, at construction (see
+    :meth:`coefficients`).
     """
 
     segments: tuple
@@ -338,9 +338,6 @@ class PulseSchedule:
     def total_frame_phase(self):
         """Accumulated pump-frame phase phi_acc over the whole schedule."""
         return float(self._frame_phases[-1])
-
-    def frame_phase_start(self, index):
-        return float(self._frame_phases[index])
 
     def locate(self, t, index=None):
         """Map global time ``t`` to ``(index, t)``, ``t`` clamped to the schedule.

@@ -23,7 +23,6 @@ from . import fockspace as fs
 from . import model as md
 from .errors import (GridExtentError, ReconstructionError, TruncationError,
                      UsageError)
-from .parallel import parallel_map
 
 TWO_OVER_PI = 2.0 / np.pi
 
@@ -214,35 +213,28 @@ def simulate_ld_tomography(params, rho, alphas, pulse_duration=0.02):
     *linear* model would displace by exactly -alpha_i; the state is then
     propagated under the full Hamiltonian with the pump off (Kerr on,
     detuning ``params.Delta``, loss ``params.kappa``) and the number parity
-    is recorded.
+    is recorded.  Each row of equal Im alpha is one
+    :func:`kposim.dynamics.parity_rows` stack, which bounds its memory.
     """
     al = np.asarray(alphas, dtype=complex).reshape(-1)
     if al.size == 0:
         raise UsageError("alphas must be nonempty")
     if pulse_duration <= 0:
         raise UsageError(f"pulse_duration must be positive, got {pulse_duration}")
-    detuning = params.Delta
-    gain = _linear_displacement_gain(pulse_duration, detuning)
-    drives = -al / gain
+    drives = -al / _linear_displacement_gain(pulse_duration, params.Delta)
     rho_arr = fs._as_density_array(rho)
     if rho_arr.shape[0] != params.dim:
         raise UsageError("state dimension does not match params.dim")
-    par = fs.parity_op(params.dim)
-
-    def one(drive):
-        beta = abs(drive)
-        phi = -np.angle(drive) if beta > 0 else 0.0
-        seg = md.Segment(duration=pulse_duration,
-                         detuning=md.Constant(detuning),
-                         drive=md.Constant(beta), drive_detuning=0.0,
-                         drive_phase=phi)
-        sched = md.PulseSchedule((seg,))
-        out = dyn.propagate(params, sched,
-                            fs.DensityMatrix(rho_arr)).final_state
-        return float(np.clip(np.real(out.expect(par)), -1.0, 1.0))
-
-    parities = np.array(parallel_map(one, drives))
-    return MeasurementRecord(al, parities)
+    initial = fs.DensityMatrix(rho_arr)
+    parities = np.empty(al.size)
+    for y in np.unique(al.imag):
+        row = np.flatnonzero(al.imag == y)
+        pulses = [md.PulseSchedule((md.Segment(
+            duration=pulse_duration, detuning=md.Constant(params.Delta),
+            drive=md.Constant(abs(d)), drive_detuning=0.0,
+            drive_phase=-np.angle(d) if d else 0.0),)) for d in drives[row]]
+        parities[row] = dyn.parity_rows(params, pulses, initial)[:, 0]
+    return MeasurementRecord(al, np.clip(parities, -1.0, 1.0))
 
 
 def grid_points(re_grid, im_grid):

@@ -142,6 +142,35 @@ def test_pulse_record_converges_to_ideal_parities():
     assert rms[5e-5] < 1e-4
 
 
+@pytest.mark.parametrize("kappa", [0.0, 0.1])
+def test_record_rows_match_per_point_propagation(kappa):
+    # the record stacks the points of equal Im alpha; scrambled points on
+    # ragged rows must each come back to their own slot.  Without loss every
+    # point is exact from its own eigh, bit for bit, the origin's too; with
+    # loss the stacked DOP853 solve bounds the error of the whole row
+    p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=10,
+                                 kappa_per_us=kappa)
+    rho = fs.DensityMatrix(orc.random_density(10, np.random.default_rng(3)))
+    grid = tg.grid_points(np.linspace(-1.0, 1.0, 5), [-0.5, 0.0, 0.5])
+    # rows of 5, 4, 3 and 1 points
+    al = np.random.default_rng(4).permutation(
+        np.append(np.delete(grid, [2, 10, 14]), 0.3 + 0.7j))
+    rec = tg.simulate_ld_tomography(p, rho, al, pulse_duration=0.02)
+    drives = -al / tg._linear_displacement_gain(0.02, p.Delta)
+    ref = []
+    for d in drives:
+        seg = md.Segment(duration=0.02, detuning=md.Constant(p.Delta),
+                         drive=md.Constant(abs(d)), drive_detuning=0.0,
+                         drive_phase=-np.angle(d) if abs(d) > 0 else 0.0)
+        out = dyn.propagate(p, md.PulseSchedule((seg,)), rho).final_state
+        ref.append(np.clip(out.expect(fs.parity_op(10)).real, -1.0, 1.0))
+    assert 0j in al
+    if kappa == 0.0:
+        assert np.array_equal(rec.parities, ref)
+    else:
+        assert np.max(np.abs(rec.parities - ref)) < 10 * p.rtol
+
+
 @pytest.mark.parametrize("duration, detuning", [
     (0.02, units.mhz_to_angular(1.0)), (0.02, 0.0), (0.3, -7.0)])
 def test_linear_displacement_gain_matches_the_integrated_pulse(duration,
