@@ -259,8 +259,8 @@ def _run_relax(cfg, params, out, svg):
     io.write_csv(os.path.join(out, "axes.csv"), sd_cols)
     decay = dyn.fit_exp_decay(waits, res.differences["z"])
     osc = dyn.fit_damped_cosine(waits, res.differences["x"])
-    spec = sp.quasienergies(params.K, params.P_max, params.Delta, params.dim,
-                            check_convergence=False)
+    split_mhz = angular_to_mhz(sp.qubit_splitting(
+        params.K, params.P_max, params.Delta, params.dim)[0])
     if svg:
         io.svg_lines(os.path.join(out, "axes.svg"), waits,
                      {"diff_z": sd_cols["diff_z"], "diff_x": sd_cols["diff_x"],
@@ -271,9 +271,9 @@ def _run_relax(cfg, params, out, svg):
         "T_z_us": decay.decay_time,
         "oscillation_MHz": osc.frequency,
         "oscillation_decay_us": (1.0 / osc.rate) if osc.rate > 0 else None,
-        "splitting_MHz": spec.splitting_mhz,
+        "splitting_MHz": split_mhz,
         "frequency_vs_splitting": float(
-            abs(osc.frequency - spec.splitting_mhz) / spec.splitting_mhz),
+            abs(osc.frequency - split_mhz) / split_mhz),
     }
     return summary, {"T_z_us": 0.5, "oscillation_MHz": 0.02}
 
@@ -504,10 +504,15 @@ def _run_wigner(cfg, params, out, svg):
     elif mode == "simulated":
         dur = ns_to_us(_finite(cfg.get("pulse_duration_ns", 20.0),
                                "pulse_duration_ns"))
+        sigma = _finite(cfg.get("noise_sigma", 0.0), "noise_sigma")
+        if sigma < 0:
+            raise ConfigError("noise_sigma must be >= 0")
+        reconstruct = cfg.get("reconstruct", False)
+        if not isinstance(reconstruct, bool):
+            raise ConfigError("reconstruct must be a boolean")
         alphas = tg.grid_points(re, im)
         record = tg.simulate_ld_tomography(params, rho, alphas,
                                            pulse_duration=dur)
-        sigma = _finite(cfg.get("noise_sigma", 0.0), "noise_sigma")
         parities = record.parities
         if sigma > 0:
             seed = cfg.get("seed", 0)
@@ -522,7 +527,7 @@ def _run_wigner(cfg, params, out, svg):
         wm = record.to_wigner(re, im)
         summary["pulse_duration_ns"] = us_to_ns(dur)
         summary["noise_sigma"] = sigma
-        if cfg.get("reconstruct", False):
+        if reconstruct:
             rec = tg.reconstruct_density(record, params.dim)
             # the target ket selects the exact <psi|rec|psi> path
             fid = fs.state_fidelity(state, rec)

@@ -73,8 +73,7 @@ def _solve_segment(rhs, y0, t0, t1, t_eval, rtol, atol):
     if not sol.success:
         reached = sol.t[-1] if sol.t.size else t0
         raise StiffnessError(
-            f"integrator failed near t = {reached:.6f} us: {sol.message}",
-            time=reached)
+            f"integrator failed near t = {reached:.6f} us: {sol.message}")
     return [sol.y[:, k] for k in range(n)], sol.y[:, -1], sol.nfev
 
 
@@ -274,7 +273,7 @@ def propagate_many(params, schedule, initials, sample_times=None):
     schedule's end) selects the returned samples, so the returned states end
     at the last sample, and segments after it are not propagated.
     Norm/trace drift beyond 1e-8 raises :class:`AccuracyError`; integrator
-    breakdown raises :class:`StiffnessError` with the time reached.
+    breakdown raises :class:`StiffnessError` naming the time reached.
     ``schedule`` is one :class:`kposim.model.PulseSchedule` for all states
     or B, one per state (a Rabi map's columns), of equal segment durations.
     An empty ``initials``, a state whose dim is not ``params.dim``, another
@@ -518,23 +517,23 @@ def cat_ramsey_map(params, delta_peak_grid, tau_Z_grid, x2_duration):
     pulse of amplitude ``params.beta`` (see kposim.qpt.calibrate_x2 —
     passed in rather than imported to keep the module dependency one-way).
     The chirp's accumulated frame phase automatically retards the second
-    pulse's drive phase through the schedule bookkeeping.  Each gate time is
-    one :func:`parity_rows` stack over the chirp depths.  Returns an array
-    of shape (len(delta_peak_grid), len(tau_Z_grid)).
+    pulse's drive phase through the schedule bookkeeping.  The first pulse
+    runs once; each gate time is one :func:`parity_rows` stack over the
+    chirp depths from its end.  Returns an array of shape
+    (len(delta_peak_grid), len(tau_Z_grid)).
     """
     dps = np.asarray(delta_peak_grid, dtype=float)
     taus = np.asarray(tau_Z_grid, dtype=float)
     if dps.size == 0 or taus.size == 0:
         raise UsageError("delta_peak_grid and tau_Z_grid must be nonempty")
-    plus_cat = md.cat_basis_from_model(params).plus_cat
     pulse = md.drive_schedule(x2_duration, params.beta, 0.0, 0.0, params.P_max,
                               params.Delta)
+    after_x2 = propagate(params, pulse, md.cat_basis_from_model(params).plus_cat)
 
     def column(tau):
-        scheds = [pulse.then(md.chirp_schedule(dp, tau, params.P_max,
-                                               params.Delta)).then(pulse)
-                  for dp in dps]
-        return parity_rows(params, scheds, plus_cat)[:, 0]
+        scheds = [md.chirp_schedule(dp, tau, params.P_max, params.Delta)
+                  .then(pulse) for dp in dps]
+        return parity_rows(params, scheds, after_x2.final_state)[:, 0]
 
     return np.array(parallel_map(column, taus)).T
 

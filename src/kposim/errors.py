@@ -39,14 +39,7 @@ class InvalidDimensionError(UsageError):
 
 
 class TruncationError(KposimError):
-    """The requested object does not fit in the truncated Fock space.
-
-    Carries ``required_dim`` with a safe dimension estimate when one is known.
-    """
-
-    def __init__(self, message, required_dim=None):
-        super().__init__(message)
-        self.required_dim = required_dim
+    """The requested object does not fit in the truncated Fock space."""
 
 
 class BasisError(KposimError):
@@ -58,14 +51,7 @@ class ScheduleError(UsageError):
 
 
 class StiffnessError(KposimError):
-    """The adaptive integrator failed to advance (step size underflow).
-
-    ``time`` records where integration stalled, in microseconds.
-    """
-
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time
+    """The adaptive integrator failed to advance (step size underflow)."""
 
 
 class AccuracyError(KposimError):
@@ -85,14 +71,7 @@ class CalibrationError(KposimError):
 
 
 class ReconstructionError(KposimError):
-    """Density-matrix reconstruction failed (conditioning or convergence).
-
-    ``condition`` carries the design-operator condition number when relevant.
-    """
-
-    def __init__(self, message, condition=None):
-        super().__init__(message)
-        self.condition = condition
+    """Density-matrix reconstruction failed (conditioning or convergence)."""
 
 
 class SpanError(KposimError):

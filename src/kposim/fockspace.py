@@ -212,21 +212,18 @@ class DensityMatrix:
         return complex(np.trace(np.asarray(op) @ self.entries))
 
 
-def _as_density_array(rho):
+def dm(rho):
+    """A state as a plain density array.
+
+    A ket (:class:`StateVector` or 1-D array) gives |psi><psi|, a
+    :class:`DensityMatrix` its entries, and a 2-D array is returned as is.
+    """
     if isinstance(rho, DensityMatrix):
         return rho.entries
     if isinstance(rho, StateVector):
-        return np.outer(rho.amplitudes, rho.amplitudes.conj())
+        rho = rho.amplitudes
     arr = np.asarray(rho, dtype=np.complex128)
-    if arr.ndim == 1:
-        return np.outer(arr, arr.conj())
-    return arr
-
-
-def dm(psi):
-    """Outer product |psi><psi| as a plain array."""
-    amp = psi.amplitudes if isinstance(psi, StateVector) else np.asarray(psi)
-    return np.outer(amp, amp.conj())
+    return np.outer(arr, arr.conj()) if arr.ndim == 1 else arr
 
 
 def state_fidelity(rho, sigma):
@@ -248,9 +245,9 @@ def state_fidelity(rho, sigma):
         rho, sigma = sigma, rho
     if isinstance(rho, StateVector):
         amp = rho.amplitudes
-        return float(np.real(np.vdot(amp, _as_density_array(sigma) @ amp)))
-    r = _as_density_array(rho)
-    s = _as_density_array(sigma)
+        return float(np.real(np.vdot(amp, dm(sigma) @ amp)))
+    r = dm(rho)
+    s = dm(sigma)
     vals, vecs = np.linalg.eigh((r + r.conj().T) / 2.0)
     vals = np.clip(vals, 0.0, None)
     sqrt_r = (vecs * np.sqrt(vals)) @ vecs.conj().T
@@ -277,8 +274,7 @@ def _check_alpha_fits(alpha, dim, what):
     if nbar > dim / 4.0:
         raise TruncationError(
             f"{what} with |alpha|^2 = {nbar:.3f} does not fit safely in dim={dim} "
-            "(need |alpha|^2 <= dim/4)",
-            required_dim=int(np.ceil(4.0 * nbar)),
+            f"(need |alpha|^2 <= dim/4, so dim >= {int(np.ceil(4.0 * nbar))})"
         )
 
 
@@ -394,7 +390,7 @@ def cardinal_populations(rho, basis):
     one axis sum to the same qubit-subspace weight.
     """
     states = cardinal_states(basis)
-    rho_arr = _as_density_array(rho)
+    rho_arr = dm(rho)
     if rho_arr.shape[0] != states["+Cat"].dim:
         raise BasisError(
             f"dimension mismatch: state dim {rho_arr.shape[0]}, "

@@ -19,7 +19,9 @@ on.
 Schedules are ordered lists of :class:`Segment`, each holding named envelope
 shapes for the pump, detuning, chirp, and drive.  :class:`PulseSchedule`
 derives the frame phases and builds one coefficient function c(t) per
-segment; :func:`operator_stack` caches O per Fock dimension.
+segment; :func:`operator_stack` caches O per Fock dimension.  One
+parity-sector pick of the qubit pair gives the cat basis, its phases and
+(through :mod:`kposim.spectral`) the splitting that frames the gates.
 """
 
 from __future__ import annotations
@@ -574,7 +576,7 @@ def _qubit_pair(K, P, Delta, dim):
     ``(energies, states)`` of the even, then the odd sector, energies
     ascending (B, m) and eigenvector columns over that parity's Fock levels
     (B, m, m); the (B, 2) sector indices of the qubit levels; and their
-    (B, 2) squared overlaps.
+    (B, 2) complex overlaps <cat|level>.
     """
     P, Delta = np.broadcast_arrays(np.atleast_1d(P), np.atleast_1d(Delta))
     alpha_c = np.sqrt(np.maximum(P + Delta, 0.0) / K)
@@ -587,8 +589,9 @@ def _qubit_pair(K, P, Delta, dim):
         np.einsum("bii->bi", block)[...] -= 0.5 * K * _kerr_diagonal(dim)[s]
         energies, states = np.linalg.eigh(block)
         ref = fs.cat_amplitudes(np.where(alpha_c < 1e-6, 0, alpha_c), parity, dim)[:, s]
-        ovl = np.abs(ref.conj()[:, None] @ states)[:, 0] ** 2
-        k = ovl.shape[1] - 1 - np.argmax(ovl[:, ::-1], axis=1)
+        ovl = (ref.conj()[:, None] @ states)[:, 0]
+        sq = np.abs(ovl) ** 2
+        k = sq.shape[1] - 1 - np.argmax(sq[:, ::-1], axis=1)
         sectors.append((energies, states))
         picks.append(k)
         overlaps.append(ovl[np.arange(k.size), k])
@@ -598,35 +601,29 @@ def _qubit_pair(K, P, Delta, dim):
 def cat_basis_from_model(params):
     """Cat-qubit basis from the pumped-Hamiltonian eigenstates.
 
-    Diagonalizes the drive-free Hamiltonian at pump level ``params.P_max``
-    and detuning ``params.Delta``, picks in each parity sector the
-    eigenstate closest to the analytic cat of amplitude
-    ``alpha_c = sqrt((P + Delta)/K)``, and fixes phases so the overlap with
-    the coherent state ``|alpha_c>`` (Fock 0 and 1 when ``alpha_c``
-    vanishes) is real positive.
+    Takes the qubit pair of :func:`_qubit_pair` at pump level
+    ``params.P_max`` and detuning ``params.Delta``: in each parity sector
+    the eigenstate closest to the analytic cat of amplitude
+    ``alpha_c = sqrt((P + Delta)/K)``.  Phases are fixed so that the overlap
+    with that cat (Fock 0 and 1 when ``alpha_c`` vanishes) is real positive;
+    the parity part of the coherent state ``|alpha_c>`` is a positive
+    multiple of the cat, so ``<alpha_c|level>`` is real positive too.
 
-    Raises ``BasisError`` if the best overlap falls below 0.8 (the requested
-    working point does not host an identifiable cat qubit).
+    Raises ``BasisError`` if the best squared overlap falls below 0.8 (the
+    requested working point does not host an identifiable cat qubit).
     """
     P, Delta, dim = params.P_max, params.Delta, params.dim
     sectors, picks, overlaps = _qubit_pair(params.K, P, Delta, dim)
-    for par, ovl in zip((+1, -1), overlaps[0]):
-        if ovl < 0.8:
-            raise BasisError(
-                f"no eigenstate with parity {par:+d} overlaps the analytic cat "
-                f"(best overlap {ovl:.3f} < 0.8) at P={P:.3f}, Delta={Delta:.3f}"
-            )
-
-    alpha_c = math.sqrt(max(P + Delta, 0.0) / params.K)
-    coh = fs.coherent_state(alpha_c, dim) if alpha_c > 1e-6 else None
     pair = []
-    for par, ((_, states), k) in enumerate(zip(sectors, picks[0])):
+    for par, ((_, states), k, ovl) in enumerate(zip(sectors, picks[0], overlaps[0])):
+        if abs(ovl) ** 2 < 0.8:
+            raise BasisError(
+                f"no eigenstate with parity {1 - 2 * par:+d} overlaps the analytic "
+                f"cat (best overlap {abs(ovl) ** 2:.3f} < 0.8) at P={P:.3f}, "
+                f"Delta={Delta:.3f}"
+            )
         v = np.zeros(dim, dtype=np.complex128)
         v[par::2] = states[0, :, k]
-        ref_amp = coh.amplitudes if coh is not None else fs.fock_state(par, dim).amplitudes
-        ph = np.vdot(ref_amp, v)
-        if abs(ph) < 1e-12:
-            raise BasisError("cannot fix cat-basis phase: reference overlap vanishes")
-        v = v * (np.conj(ph) / abs(ph))
+        v = v * (np.conj(ovl) / abs(ovl))
         pair.append(fs.StateVector(v / np.linalg.norm(v)))
     return CatBasis(*pair)

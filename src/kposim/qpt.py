@@ -105,7 +105,7 @@ def effective_qubit(rho_full, basis):
 
     The 2x2 result's trace deficit measures leakage out of the qubit space.
     """
-    rho = fs._as_density_array(rho_full)
+    rho = fs.dm(rho_full)
     if basis.dim != rho.shape[0]:
         raise UsageError(
             f"basis dim {basis.dim} != state dim {rho.shape[0]}")
@@ -234,19 +234,17 @@ def calibrate_x2(params):
 
     Scans the lossless pulse duration around the two-level estimate
     t = (pi/2) / (2 beta g), beta = ``params.beta``, and maximizes overlap
-    with the target action on |+Cat> (free qubit precession divided out), so
-    the calibration absorbs the drive's effect on the full oscillator rather
-    than trusting the projected two-level rate.
+    with the target action on |+Cat> (free qubit precession at the splitting
+    w of :func:`kposim.spectral.qubit_splitting` divided out, returned as
+    ``"splitting"``), so the calibration absorbs the drive's effect on the
+    full oscillator rather than trusting the projected two-level rate.
     """
     beta = params.beta
     if beta <= 0:
         raise CalibrationError("x2 calibration needs a positive drive amplitude")
     basis = md.cat_basis_from_model(params)
     g = x2_coupling(basis)
-    spec = sp.quasienergies(params.K, params.P_max, params.Delta, params.dim,
-                            check_convergence=False)
-    e_even = spec.energies[spec.qubit_indices[0]]
-    e_odd = spec.energies[spec.qubit_indices[1]]
+    w = sp.qubit_splitting(params.K, params.P_max, params.Delta, params.dim)[0]
     t0 = 0.25 * np.pi / (beta * abs(g))
     bp = basis.plus_cat.amplitudes
     bm = basis.minus_cat.amplitudes
@@ -257,8 +255,8 @@ def calibrate_x2(params):
         sched = md.drive_schedule(tau, beta, 0.0, 0.0, params.P_max,
                                   params.Delta)
         out = dyn.propagate(lossless, sched, psi0).final_state.amplitudes
-        target = (np.exp(-1j * e_even * tau) * bp
-                  - 1j * np.exp(-1j * e_odd * tau) * bm) / np.sqrt(2.0)
+        # the global phase exp(-i E_even tau) drops out of the overlap
+        target = (bp - 1j * np.exp(-1j * w * tau) * bm) / np.sqrt(2.0)
         return 1.0 - abs(np.vdot(target, out)) ** 2
 
     res = minimize_scalar(infidelity, bounds=(0.6 * t0, 1.6 * t0),
@@ -269,7 +267,7 @@ def calibrate_x2(params):
             f"x2 duration scan failed (best infidelity {res.fun:.3f})")
     return {"duration": float(res.x), "beta": float(beta),
             "coupling": g, "infidelity": float(res.fun),
-            "two_level_estimate": float(t0)}
+            "two_level_estimate": float(t0), "splitting": float(w)}
 
 
 def calibrate_z2(params, tau_Z=0.5):
@@ -385,10 +383,6 @@ def qpt_experiment(kind, params, tau_ramp=0.3, tau_Z=0.5,
                        "tau_ramp": tau_ramp}
     elif kind in ("x2", "z2"):
         kets = _cardinal_kets(basis)
-        spec = sp.quasienergies(params.K, params.P_max, params.Delta,
-                                params.dim, check_convergence=False)
-        e_even = spec.energies[spec.qubit_indices[0]]
-        e_odd = spec.energies[spec.qubit_indices[1]]
         if kind == "x2":
             cal = calibrate_x2(params)
             tau_gate = cal["duration"]
@@ -403,10 +397,10 @@ def qpt_experiment(kind, params, tau_ramp=0.3, tau_Z=0.5,
             # counterclockwise quarter turn: R_z(pi/2)
             ideal = ideal_chi(np.diag([np.exp(-0.25j * np.pi),
                                        np.exp(0.25j * np.pi)]))
-        # free-precession frame: outputs are read against the freely evolved
-        # basis phases over the gate duration
-        out_tag_basis = _phase_shifted_basis(basis, -e_even * tau_gate,
-                                             -e_odd * tau_gate)
+        # free-precession frame: outputs are read against the basis phases
+        # freely evolved over the gate duration, up to a global phase
+        out_tag_basis = _phase_shifted_basis(basis, 0.0,
+                                             -cal["splitting"] * tau_gate)
         calibration = dict(cal)
         calibration["duration"] = tau_gate
     else:

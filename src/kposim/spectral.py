@@ -2,10 +2,11 @@
 
 The rotating-frame Hamiltonian without linear drive conserves photon-number
 parity, so its spectrum is computed per parity sector and every level carries
-an exact parity label.  The two qubit levels are identified by overlap with
-the analytic cat pair at alpha_c = sqrt((P+Delta)/K) — near the operating
-point they are the two highest quasienergies.  Sweeps stack their points,
-one ``eigh`` per sector for a whole grid row or quadrature set.  The
+an exact parity label.  The two qubit levels are the pair of the cat basis
+(one pick, :func:`kposim.model._qubit_pair`, by overlap with the analytic
+cat at alpha_c = sqrt((P+Delta)/K)); near the operating point they are the
+two highest quasienergies, and :func:`qubit_splitting` frames the gates.
+Sweeps stack their points, one ``eigh`` per sector per grid row.  The
 classical-energy surface (operators replaced by complex amplitudes) provides
 the lobe positions: its stationary points are known in closed form, the
 origin, the lobes +-sqrt((Delta+P)/K) on the real axis and
@@ -58,11 +59,11 @@ def _sectors(K, P, Delta, dim):
     return md._qubit_pair(K, P, Delta, dim)
 
 
-def quasienergies(K, P, Delta, dim, check_convergence=True):
+def quasienergies(K, P, Delta, dim):
     """Parity-labelled spectrum of ``Delta n - (K/2) n(n-1) + (P/2)(a†²+a²)``.
 
-    With ``check_convergence`` the six highest levels are recomputed at
-    ``dim+10``; a shift above ``1e-6 K`` raises :class:`TruncationError`.
+    The six highest levels are recomputed at ``dim+10``; a shift above
+    ``1e-6 K`` raises :class:`TruncationError`.
     """
     sectors, picks, _ = _sectors(K, P, Delta, dim)
     energies = np.empty(dim)
@@ -70,14 +71,12 @@ def quasienergies(K, P, Delta, dim, check_convergence=True):
     for par, (vals, vecs) in enumerate(sectors):
         energies[par::2], states[par::2, par::2] = vals[0], vecs[0]
     order = np.argsort(energies)[::-1]          # descending
-    if check_convergence:
-        big = np.concatenate([v[0] for v, _ in _sectors(K, P, Delta, dim + 10)[0]])
-        shift = np.max(np.abs(energies[order[:6]] - np.sort(big)[::-1][:6]))
-        if shift > 1e-6 * K:
-            raise TruncationError(
-                f"top-6 quasienergies shift by {shift:.3e} rad/us between "
-                f"dim={dim} and dim={dim + 10}; increase dim",
-                required_dim=dim + 10)
+    big = np.concatenate([v[0] for v, _ in _sectors(K, P, Delta, dim + 10)[0]])
+    shift = np.max(np.abs(energies[order[:6]] - np.sort(big)[::-1][:6]))
+    if shift > 1e-6 * K:
+        raise TruncationError(
+            f"top-6 quasienergies shift by {shift:.3e} rad/us between "
+            f"dim={dim} and dim={dim + 10}; increase dim")
     rank = np.argsort(order)
     return QuasiSpectrum(energies=energies[order], parities=1 - 2 * (order % 2),
                          states=states[:, order], qubit_indices=tuple(

@@ -146,8 +146,8 @@ def _check_extent(re_grid, im_grid, dim):
     if extent > safe + 1e-12:
         raise TruncationError(
             f"grid extent {extent:.3f} exceeds the truncation-safe bound "
-            f"sqrt(dim)/2 = {safe:.3f}; increase dim or shrink the grid",
-            required_dim=int(np.ceil((2.0 * extent) ** 2)))
+            f"sqrt(dim)/2 = {safe:.3f}; increase dim to at least "
+            f"{int(np.ceil((2.0 * extent) ** 2))} or shrink the grid")
 
 
 def wigner_ideal(rho, re_grid, im_grid=None):
@@ -156,7 +156,7 @@ def wigner_ideal(rho, re_grid, im_grid=None):
     im = re.copy() if im_grid is None else np.asarray(im_grid, dtype=float)
     if re.size == 0 or im.size == 0:
         raise UsageError("grids must be nonempty")
-    rho_arr = fs._as_density_array(rho)
+    rho_arr = fs.dm(rho)
     dim = rho_arr.shape[0]
     _check_extent(re, im, dim)
     values = TWO_OVER_PI * _displacements(dim).parities(
@@ -222,7 +222,7 @@ def simulate_ld_tomography(params, rho, alphas, pulse_duration=0.02):
     if pulse_duration <= 0:
         raise UsageError(f"pulse_duration must be positive, got {pulse_duration}")
     drives = -al / _linear_displacement_gain(pulse_duration, params.Delta)
-    rho_arr = fs._as_density_array(rho)
+    rho_arr = fs.dm(rho)
     if rho_arr.shape[0] != params.dim:
         raise UsageError("state dimension does not match params.dim")
     initial = fs.DensityMatrix(rho_arr)
@@ -257,7 +257,7 @@ def ideal_record(rho, alphas):
     al = np.asarray(alphas, dtype=complex).reshape(-1)
     if al.size == 0:
         raise UsageError("alphas must be nonempty")
-    rho_arr = fs._as_density_array(rho)
+    rho_arr = fs.dm(rho)
     parities = _displacements(rho_arr.shape[0]).parities(rho_arr, al)
     return MeasurementRecord(al, np.clip(parities, -1.0, 1.0))
 
@@ -270,7 +270,7 @@ def kerr_correct(rho, K, Delta, tau_corr):
     """
     if tau_corr < 0:
         raise UsageError(f"tau_corr must be >= 0, got {tau_corr}")
-    rho_arr = fs._as_density_array(rho)
+    rho_arr = fs.dm(rho)
     dim = rho_arr.shape[0]
     n = np.arange(dim)
     phases = np.exp(-1j * (Delta * n - 0.5 * K * n * (n - 1.0)) * tau_corr)
@@ -334,7 +334,7 @@ def reconstruct_density(record, dim, max_iters=200, tol=1e-10,
     if cond > cond_limit:
         raise ReconstructionError(
             f"design matrix condition number {cond:.3e} exceeds {cond_limit:.0e}; "
-            "spread the sample points", condition=cond)
+            "spread the sample points")
     # the min-norm solution has no identity component, so it is traceless
     x, *_ = np.linalg.lstsq(design, y - offset, rcond=None)
     n_up = upper[0].size

@@ -107,6 +107,26 @@ def test_physics_error_exits_3(tmp_path, capsys):
     assert err["exit_code"] == 3
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("reconstruct", "no", "reconstruct must be a boolean"),
+    ("noise_sigma", -0.1, "noise_sigma must be >= 0"),
+])
+def test_simulated_wigner_invalid_option_exits_2(tmp_path, capsys, key, value,
+                                                message):
+    cfg = _write_config(tmp_path, "wig.json", {
+        "system": {"K_MHz": 3.1, "dim": 8},
+        "state": {"kind": "fock", "n": 0},
+        "points": 9,
+        "mode": "simulated",
+        key: value,
+    })
+    rc = cli.main(["wigner", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError"
+    assert message in err["message"]
+
+
 def test_wigner_ideal_summary(tmp_path):
     cfg = _write_config(tmp_path, "wig.json", {
         "system": {"K_MHz": 3.1, "P_MHz": 3.13, "Delta_MHz": 1.0, "dim": 30},

@@ -190,8 +190,6 @@ def test_package_function_reads_every_parameter(module):
 #: ``(reader, "module._name")``
 PRIVATE_READS_ALLOWED = {
     ("spectral", "model._qubit_pair"),
-    ("qpt", "fockspace._as_density_array"),
-    ("tomography", "fockspace._as_density_array"),
     ("tomography", "fockspace._readonly"),
 }
 

@@ -7,6 +7,7 @@ import oracles as orc
 from kposim import fockspace as fs
 from kposim import model as md
 from kposim import qpt
+from kposim import spectral as sp
 from kposim.errors import CalibrationError, SpanError, UsageError
 
 PARAMS = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=30)
@@ -169,6 +170,14 @@ def test_calibrate_x2():
     assert abs(cal["duration"] / cal["two_level_estimate"] - 1.0) < 0.05
     assert cal["infidelity"] == pytest.approx(0.02000645208105023, abs=1e-6)
     assert cal["infidelity"] < 0.05
+
+
+def test_calibrate_x2_frames_with_the_qubit_splitting():
+    # the gate frames read the splitting of the cat basis's own pair
+    w = qpt.calibrate_x2(PARAMS)["splitting"]
+    args = (PARAMS.K, PARAMS.P_max, PARAMS.Delta, PARAMS.dim)
+    assert w == sp.qubit_splitting(*args)[0]
+    assert w == sp.quasienergies(*args).splitting
 
 
 def test_calibrate_x2_needs_positive_drive():

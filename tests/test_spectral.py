@@ -20,7 +20,7 @@ DELTA = units.mhz_to_angular(1.0)
 
 
 def test_kerr_ladder_spectrum():
-    spec = sp.quasienergies(K, 0.0, 0.0, 20, check_convergence=False)
+    spec = sp.quasienergies(K, 0.0, 0.0, 20)
     # energies sorted descending must match -(K/2) n(n-1) with parity (-1)^n
     n = np.arange(20)
     ladder = -0.5 * K * n * (n - 1)
@@ -51,8 +51,7 @@ def test_spectrum_and_cat_basis_pick_the_same_pair():
     # so both must name the same two eigenstates
     for delta_mhz in np.linspace(0.0, 2.0, 9):
         params = md.SystemParams.from_mhz(3.1, 3.13, delta_mhz, dim=30)
-        spec = sp.quasienergies(params.K, params.P_max, params.Delta, 30,
-                                check_convergence=False)
+        spec = sp.quasienergies(params.K, params.P_max, params.Delta, 30)
         basis = md.cat_basis_from_model(params)
         for k, cat in zip(spec.qubit_indices,
                           (basis.plus_cat, basis.minus_cat)):
@@ -78,8 +77,8 @@ def test_qubit_states_are_the_normalized_parity_pair():
 
 
 def test_dim_convergence_of_top_levels():
-    s30 = sp.quasienergies(K, P, DELTA, 30, check_convergence=False)
-    s40 = sp.quasienergies(K, P, DELTA, 40, check_convergence=False)
+    s30 = sp.quasienergies(K, P, DELTA, 30)
+    s40 = sp.quasienergies(K, P, DELTA, 40)
     assert np.max(np.abs(s30.energies[:6] - s40.energies[:6])) < 1e-6 * K
 
 
@@ -181,7 +180,7 @@ def test_stacked_splitting_matches_per_point_on_the_z2_nodes():
 def test_stack_of_one_is_the_quasienergies_splitting():
     for pk, dk in ((0.0, 0.0), (1.01, 0.32), (2.0, -0.5), (0.5, 1.0)):
         one = sp.qubit_splitting(K, pk * K, dk * K, 30)
-        spec = sp.quasienergies(K, pk * K, dk * K, 30, check_convergence=False)
+        spec = sp.quasienergies(K, pk * K, dk * K, 30)
         assert one.shape == (1,)
         assert one[0] == spec.splitting
 
