@@ -288,11 +288,10 @@ def _run_quasi_surface(cfg, params, out, svg):
                ("P_over_K", "Delta_over_K", "splitting_over_K"), pg, dg, surf,
                svg, "quasi-surface", "Delta/K", "P/K")
     spec = sp.quasienergies(params.K, params.P_max, params.Delta, params.dim)
-    gap = sp.energy_gap(params.K, params.P_max, params.Delta, params.dim)
     summary = {
         "experiment": "quasi-surface",
         "splitting_MHz": spec.splitting_mhz,
-        "gap_over_K": float(gap / params.K),
+        "gap_over_K": float(spec.gap / params.K),
         "surface_min_over_K": float(np.min(surf)),
         "surface_max_over_K": float(np.max(surf)),
     }
@@ -456,6 +455,10 @@ def _run_qpt(cfg, params, out, svg):
 
 
 _WIGNER_STATE_KEYS = {"kind", "alpha", "n"}
+_WIGNER_KEYS = {"system", "state", "points", "extent", "mode", "out_dir"}
+# keys only one mode reads; a key of the other mode is a ConfigError
+_WIGNER_MODE_KEYS = {"ideal": {"kerr_correct_ns"}, "simulated": {
+    "pulse_duration_ns", "noise_sigma", "seed", "reconstruct"}}
 
 
 def _wigner_state(cfg, params):
@@ -481,9 +484,11 @@ def _wigner_state(cfg, params):
 
 
 def _run_wigner(cfg, params, out, svg):
-    _check_keys(cfg, {"system", "state", "points", "extent", "mode",
-                      "pulse_duration_ns", "noise_sigma", "seed",
-                      "reconstruct", "kerr_correct_ns", "out_dir"}, "config")
+    mode = cfg.get("mode", "ideal")
+    if mode not in ("ideal", "simulated"):
+        raise ConfigError(f"mode must be 'ideal' or 'simulated', got {mode!r}")
+    _check_keys(cfg, _WIGNER_KEYS | _WIGNER_MODE_KEYS[mode],
+                f"config ({mode} mode)")
     state = _wigner_state(cfg, params)
     points = cfg.get("points", 81)
     if not isinstance(points, int) or points < 9:
@@ -496,12 +501,16 @@ def _run_wigner(cfg, params, out, svg):
         ext = _finite(extent, "extent")
         re = np.linspace(-ext, ext, points)
         im = np.linspace(-ext, ext, points)
-    mode = cfg.get("mode", "ideal")
     rho = state.to_density()
     summary = {"experiment": "wigner", "mode": mode}
     if mode == "ideal":
+        tau_corr = cfg.get("kerr_correct_ns")
+        if tau_corr is not None:
+            rho = tg.kerr_correct(rho, params.K, params.Delta, ns_to_us(
+                _finite(tau_corr, "kerr_correct_ns")))
+            summary["kerr_correct_ns"] = float(tau_corr)
         wm = tg.wigner_ideal(rho, re, im)
-    elif mode == "simulated":
+    else:
         dur = ns_to_us(_finite(cfg.get("pulse_duration_ns", 20.0),
                                "pulse_duration_ns"))
         sigma = _finite(cfg.get("noise_sigma", 0.0), "noise_sigma")
@@ -533,18 +542,6 @@ def _run_wigner(cfg, params, out, svg):
             fid = fs.state_fidelity(state, rec)
             summary["reconstruction_fidelity"] = float(fid)
             summary["reconstruction_purity"] = float(rec.purity())
-    else:
-        raise ConfigError(f"mode must be 'ideal' or 'simulated', got {mode!r}")
-    tau_corr = cfg.get("kerr_correct_ns")
-    if tau_corr is not None:
-        if mode != "ideal":
-            raise ConfigError(
-                "kerr_correct_ns applies the rotation to the state and "
-                "recomputes the map; it is only meaningful in ideal mode")
-        wm_rho = tg.kerr_correct(rho, params.K, params.Delta,
-                                 ns_to_us(_finite(tau_corr, "kerr_correct_ns")))
-        wm = tg.wigner_ideal(wm_rho, re, im)
-        summary["kerr_correct_ns"] = float(tau_corr)
     _write_map(out, "wigner", ("re", "im", "W"), re, im, wm.values.T)
     if svg:
         # Re alpha runs along x: the plot is the transpose of the CSV order

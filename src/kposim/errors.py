@@ -19,7 +19,6 @@ __all__ = [
     "CalibrationError",
     "ReconstructionError",
     "SpanError",
-    "BasisDegeneracyError",
     "GridExtentError",
     "ConvergenceError",
     "ConfigError",
@@ -76,10 +75,6 @@ class ReconstructionError(KposimError):
 
 class SpanError(KposimError):
     """Process-tomography input states do not span the operator space."""
-
-
-class BasisDegeneracyError(KposimError):
-    """The process-matrix operator basis is degenerate (singular beta tensor)."""
 
 
 class GridExtentError(KposimError):

@@ -33,12 +33,7 @@ from math import lgamma
 
 import numpy as np
 
-from .errors import (
-    BasisError,
-    InvalidDimensionError,
-    TruncationError,
-    UsageError,
-)
+from .errors import InvalidDimensionError, TruncationError, UsageError
 
 __all__ = [
     "ladder_ops",
@@ -49,6 +44,7 @@ __all__ = [
     "cat_amplitudes",
     "cat_state",
     "dm",
+    "qubit_block",
     "state_fidelity",
     "assert_hermitian",
     "StateVector",
@@ -359,6 +355,28 @@ def cat_state(alpha, parity, dim):
 
 CARDINAL_LABELS = ("+Cat", "-Cat", "+Coh", "-Coh", "+iCat", "-iCat")
 
+# each cardinal state as (plus_cat, minus_cat) coefficients, in
+# CARDINAL_LABELS order
+_S = 1.0 / np.sqrt(2.0)
+_CARDINAL_COEFFS = np.array([[1.0, 0.0], [0.0, 1.0], [_S, _S], [_S, -_S],
+                             [_S, 1j * _S], [_S, -1j * _S]])
+
+
+def qubit_block(rho, basis):
+    """The 2x2 block V† rho V on the pair of a :class:`kposim.model.CatBasis`.
+
+    V has ``plus_cat`` and ``minus_cat`` as its columns.  ``rho`` is any
+    state :func:`dm` takes; a state whose dim differs from the basis's
+    raises :class:`InvalidDimensionError`.
+    """
+    rho_arr = dm(rho)
+    if rho_arr.shape[0] != basis.dim:
+        raise InvalidDimensionError(
+            f"dimension mismatch: state dim {rho_arr.shape[0]}, "
+            f"basis dim {basis.dim}")
+    v = np.array([basis.plus_cat.amplitudes, basis.minus_cat.amplitudes]).T
+    return v.conj().T @ rho_arr @ v
+
 
 def cardinal_states(basis):
     """The six cardinal states of a :class:`kposim.model.CatBasis`.
@@ -368,32 +386,19 @@ def cardinal_states(basis):
     here, and (p +- m)/sqrt(2) has squared norm 1 + O(deviation).  Returns
     a dict keyed by :data:`CARDINAL_LABELS`.
     """
-    p, m = basis.plus_cat.amplitudes, basis.minus_cat.amplitudes
-    s = 1.0 / np.sqrt(2.0)
-    return {
-        "+Cat": basis.plus_cat,
-        "-Cat": basis.minus_cat,
-        "+Coh": StateVector(s * (p + m)),
-        "-Coh": StateVector(s * (p - m)),
-        "+iCat": StateVector(s * (p + 1j * m)),
-        "-iCat": StateVector(s * (p - 1j * m)),
-    }
+    kets = _CARDINAL_COEFFS @ [basis.plus_cat.amplitudes,
+                               basis.minus_cat.amplitudes]
+    return {c: StateVector(k) for c, k in zip(CARDINAL_LABELS, kets)}
 
 
 def cardinal_populations(rho, basis):
     """Populations of the six cardinal states in state ``rho``.
 
-    ``rho`` may be a ket, a DensityMatrix, or a raw array; ``basis`` is as
-    for :func:`cardinal_states`.  Returns a (6,) array in
-    :data:`CARDINAL_LABELS` order.  Values land in [0, 1] up to numerical
-    noise for physical states and are reported unclipped; the pairs along
-    one axis sum to the same qubit-subspace weight.
+    Read off the :func:`qubit_block` of ``rho``, in :data:`CARDINAL_LABELS`
+    order.  Values land in [0, 1] up to numerical noise for physical states
+    and are reported unclipped; the pairs along one axis sum to the same
+    qubit-subspace weight.
     """
-    states = cardinal_states(basis)
-    rho_arr = dm(rho)
-    if rho_arr.shape[0] != states["+Cat"].dim:
-        raise BasisError(
-            f"dimension mismatch: state dim {rho_arr.shape[0]}, "
-            f"basis dim {states['+Cat'].dim}"
-        )
-    return np.array([states[c].expect(rho_arr).real for c in CARDINAL_LABELS])
+    block = qubit_block(rho, basis)
+    return np.einsum("ki,ij,kj->k", _CARDINAL_COEFFS.conj(), block,
+                     _CARDINAL_COEFFS).real

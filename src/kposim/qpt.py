@@ -3,11 +3,9 @@
 The qubit lives in the pair of a :class:`kposim.model.CatBasis`: the cat
 pair, or the Fock pair (|0>, |1>) before the mapping ramp.  Effective qubit
 matrices are deliberately left unnormalized so population leaking out of the
-qubit space stays visible as a trace deficit.  The chi matrix is assembled
-by the standard linear-inversion procedure: expand the channel action over
-the four input states, expand conjugations by the fixed operator basis
-(I, X, -iY, Z) over the same states, and solve the resulting 16x16 linear
-system.
+qubit space stays visible as a trace deficit.  The chi matrix comes from one
+linear solve: the channel's 4x4 superoperator from the four input/output
+pairs, read in the fixed operator basis (I, X, -iY, Z).
 
 Gate and mapping experiments are evaluated in the frame co-rotating with the
 qubit's free evolution: the deterministic dynamical phase accumulated at the
@@ -29,8 +27,7 @@ from . import dynamics as dyn
 from . import fockspace as fs
 from . import model as md
 from . import spectral as sp
-from .errors import (BasisDegeneracyError, CalibrationError, SpanError,
-                     UsageError)
+from .errors import CalibrationError, SpanError, UsageError
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -41,6 +38,11 @@ _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 # four matrices real, the convention the bar plots use
 CHI_OPS = (_I2, _X, -1j * _Y, _Z)
 CHI_LABELS = ("I", "X", "-iY", "Z")
+
+# column 4m+n is the row-major vec of E_m (x) conj E_n, the superoperator of
+# rho -> E_m rho E_n†
+_CHI_FRAME = np.stack([np.kron(em, en.conj()).reshape(-1)
+                       for em in CHI_OPS for en in CHI_OPS], axis=1)
 
 
 @dataclass(frozen=True)
@@ -103,19 +105,11 @@ class ProcessMatrix:
 def effective_qubit(rho_full, basis):
     """Project a full state onto the pair of a CatBasis without renormalizing.
 
-    The 2x2 result's trace deficit measures leakage out of the qubit space.
+    The Hermitized :func:`kposim.fockspace.qubit_block`; its trace deficit
+    measures leakage out of the qubit space.
     """
-    rho = fs.dm(rho_full)
-    if basis.dim != rho.shape[0]:
-        raise UsageError(
-            f"basis dim {basis.dim} != state dim {rho.shape[0]}")
-    vecs = (basis.plus_cat.amplitudes, basis.minus_cat.amplitudes)
-    m = np.empty((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            m[i, j] = vecs[i].conj() @ rho @ vecs[j]
-    m = 0.5 * (m + m.conj().T)
-    return QubitDensity(m)
+    m = fs.qubit_block(rho_full, basis)
+    return QubitDensity(0.5 * (m + m.conj().T))
 
 
 # ---------------------------------------------------------------------------
@@ -138,44 +132,26 @@ def _as_matrix(q):
 def chi_matrix(inputs, outputs):
     """Process matrix from four input/output effective-qubit pairs.
 
-    Expands each output over the input set (lambda), expands conjugations of
-    the inputs by the fixed operator basis over the same set (beta tensor),
-    and solves beta * chi = lambda.  Inputs failing to span the qubit
-    operator space raise :class:`SpanError`; a singular beta system raises
-    :class:`BasisDegeneracyError`.  The returned chi is Hermitized and the
-    removed anti-Hermitian residual reported.
+    Solves S R_in = R_out for the channel's 4x4 superoperator S (R holds
+    the row-major vec of each state as a column) and reads chi off S in
+    the fixed frame :data:`_CHI_FRAME`: S = sum_mn chi_mn E_m (x) conj E_n,
+    and the frame's columns are orthogonal with norm 2.  This is the unique
+    chi of the linear inversion of Chuang & Nielsen (J. Mod. Opt. 44, 2455,
+    1997).  Inputs failing to span the qubit operator space raise
+    :class:`SpanError`.  The returned chi is Hermitized and the removed
+    anti-Hermitian residual reported.
     """
     if len(inputs) != 4 or len(outputs) != 4:
         raise UsageError("need exactly 4 input and 4 output states")
-    rho_in = [_as_matrix(q) for q in inputs]
-    rho_out = [_as_matrix(q) for q in outputs]
-    span = np.stack([r.reshape(-1) for r in rho_in], axis=1)  # 4x4, columns
-    sv = np.linalg.svd(span, compute_uv=False)
+    r_in = np.stack([_as_matrix(q).reshape(-1) for q in inputs], axis=1)
+    r_out = np.stack([_as_matrix(q).reshape(-1) for q in outputs], axis=1)
+    sv = np.linalg.svd(r_in, compute_uv=False)
     if sv[-1] < 1e-8:
         raise SpanError(
             f"input states do not span the qubit operator space "
             f"(smallest singular value {sv[-1]:.3e})")
-
-    def expand(mat):
-        coef, *_ = np.linalg.lstsq(span, mat.reshape(-1), rcond=None)
-        return coef
-
-    lam = np.empty((4, 4), dtype=complex)  # lam[j, k]
-    for j in range(4):
-        lam[j] = expand(rho_out[j])
-    beta = np.empty((4, 4, 4, 4), dtype=complex)  # beta[j, k, m, n]
-    for m in range(4):
-        for n in range(4):
-            em, en = CHI_OPS[m], CHI_OPS[n]
-            for j in range(4):
-                beta[j, :, m, n] = expand(em @ rho_in[j] @ en.conj().T)
-    bmat = beta.reshape(16, 16)
-    cond = np.linalg.cond(bmat)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise BasisDegeneracyError(
-            f"beta system is singular (condition {cond:.3e})")
-    chi_vec = np.linalg.solve(bmat, lam.reshape(16))
-    chi = chi_vec.reshape(4, 4)
+    sup = np.linalg.solve(r_in.T, r_out.T).T
+    chi = (_CHI_FRAME.conj().T @ sup.reshape(-1) / 4.0).reshape(4, 4)
     herm_res = float(np.max(np.abs(chi - chi.conj().T)))
     chi = 0.5 * (chi + chi.conj().T)
     tp = sum(chi[m, n] * (CHI_OPS[n].conj().T @ CHI_OPS[m])

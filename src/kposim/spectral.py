@@ -50,6 +50,13 @@ class QuasiSpectrum:
     def splitting_mhz(self):
         return self.splitting / TWO_PI
 
+    @property
+    def gap(self):
+        """Distance (rad/us) from the qubit pair to the nearest other level."""
+        pair = list(self.qubit_indices)
+        others = np.delete(self.energies, pair)
+        return float(np.min(np.abs(others[:, None] - self.energies[pair])))
+
 
 def _sectors(K, P, Delta, dim):
     if K <= 0:
@@ -118,13 +125,7 @@ def splitting_surface(K, P_over_K_grid, Delta_over_K_grid, dim):
 
 def energy_gap(K, P, Delta, dim):
     """Distance (rad/us) from the qubit manifold to the nearest other level."""
-    spec = quasienergies(K, P, Delta, dim)
-    i_even, i_odd = spec.qubit_indices
-    mask = np.ones(spec.energies.size, dtype=bool)
-    mask[[i_even, i_odd]] = False
-    others = spec.energies[mask]
-    pair = spec.energies[[i_even, i_odd]]
-    return float(np.min(np.abs(others[:, None] - pair[None, :])))
+    return quasienergies(K, P, Delta, dim).gap
 
 
 # ---------------------------------------------------------------------------

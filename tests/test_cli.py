@@ -127,6 +127,26 @@ def test_simulated_wigner_invalid_option_exits_2(tmp_path, capsys, key, value,
     assert message in err["message"]
 
 
+@pytest.mark.parametrize("mode, key, value", [
+    ("ideal", "noise_sigma", -1.0),
+    ("simulated", "kerr_correct_ns", 10.0),
+])
+def test_wigner_key_of_the_other_mode_exits_2(tmp_path, capsys, mode, key,
+                                              value):
+    cfg = _write_config(tmp_path, "wig.json", {
+        "system": {"K_MHz": 3.1, "dim": 8},
+        "state": {"kind": "fock", "n": 0},
+        "points": 9,
+        "mode": mode,
+        key: value,
+    })
+    rc = cli.main(["wigner", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError"
+    assert key in err["message"]
+
+
 def test_wigner_ideal_summary(tmp_path):
     cfg = _write_config(tmp_path, "wig.json", {
         "system": {"K_MHz": 3.1, "P_MHz": 3.13, "Delta_MHz": 1.0, "dim": 30},

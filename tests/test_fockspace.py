@@ -251,6 +251,20 @@ def test_cardinal_populations_plus_icat():
     assert arr[5] == pytest.approx(0.0, abs=1e-10)
 
 
+def test_qubit_block_and_cardinal_populations_match_their_loop_references():
+    basis = _toy_basis(dim=12, alpha=0.9)
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    pair = (basis.plus_cat.amplitudes, basis.minus_cat.amplitudes)
+    block = [[np.vdot(u, rho @ v) for v in pair] for u in pair]
+    assert np.max(np.abs(fs.qubit_block(rho, basis) - block)) < 1e-15
+    expect = [np.vdot(c.amplitudes, rho @ c.amplitudes).real
+              for c in fs.cardinal_states(basis).values()]
+    assert np.max(np.abs(fs.cardinal_populations(rho, basis) - expect)) < 1e-15
+
+
 def test_cardinal_pair_sums_equal_qubit_population():
     # each axis pair sums to the same qubit-space population, also with
     # deliberate leakage outside the qubit plane

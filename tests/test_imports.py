@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
 dataclass field is read somewhere, every function reads its parameters,
-and no source uses a NumPy name newer than the declared floor."""
+every exported error class is raised somewhere, and no source uses a
+NumPy name newer than the declared floor."""
 
 import ast
 from pathlib import Path
@@ -184,6 +185,46 @@ def test_checker_flags_an_unused_parameter():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_package_function_reads_every_parameter(module):
     assert unused_parameters((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def unraised_errors(errors_source, package_sources):
+    """Names in ``__all__`` of ``errors_source`` that no package source raises.
+
+    A class counts as raised when some ``raise`` statement's exception is
+    the bare name or a call of it (``raise E`` or ``raise E(...)``).  The
+    base class ``KposimError`` is exempt: callers catch it, nothing raises
+    it directly.
+    """
+    tree = ast.parse(errors_source)
+    exported = next(
+        [e.value for e in node.value.elts] for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets))
+    raised = set()
+    for source in package_sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    return [name for name in exported
+            if name != "KposimError" and name not in raised]
+
+
+def test_checker_flags_an_unraised_error():
+    errors = ('__all__ = ["KposimError", "AError", "BError", "CError"]\n'
+              "class KposimError(Exception):\n    pass\n")
+    use = ("def f(x):\n    if x:\n        raise AError('a')\n"
+           "    raise BError\n"
+           "def g():\n    return CError('built, never raised')\n")
+    assert unraised_errors(errors, [use]) == ["CError"]
+
+
+def test_every_exported_error_has_a_raise_site():
+    sources = [p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")]
+    errors = (PACKAGE / "errors.py").read_text(encoding="utf-8")
+    assert unraised_errors(errors, sources) == []
 
 
 #: private names that one package module may still load from another, as

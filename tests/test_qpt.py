@@ -8,7 +8,8 @@ from kposim import fockspace as fs
 from kposim import model as md
 from kposim import qpt
 from kposim import spectral as sp
-from kposim.errors import CalibrationError, SpanError, UsageError
+from kposim.errors import (CalibrationError, InvalidDimensionError, SpanError,
+                           UsageError)
 
 PARAMS = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=30)
 FOCK = md.CatBasis(fs.fock_state(0, 30), fs.fock_state(1, 30))
@@ -46,6 +47,14 @@ def test_effective_qubit_is_linear():
     sep = (0.3 * qpt.effective_qubit(r1, FOCK).matrix
            + 0.7 * qpt.effective_qubit(r2, FOCK).matrix)
     assert np.max(np.abs(both - sep)) < 1e-12
+
+
+def test_dim_mismatch_raises_the_same_error_from_both_block_readers():
+    rho = fs.dm(fs.fock_state(0, 20))
+    for read in (fs.cardinal_populations, qpt.effective_qubit):
+        with pytest.raises(InvalidDimensionError, match="state dim 20"):
+            read(rho, FOCK)
+    assert issubclass(InvalidDimensionError, UsageError)
 
 
 def test_qubit_density_validation():
@@ -100,6 +109,30 @@ def test_quarter_x_rotation_closed_form():
     # cross-check against the rank-1 construction from the unitary itself
     assert np.max(np.abs(pm.chi - orc.chi_of_unitary(u))) < 1e-9
     assert np.max(np.abs(qpt.ideal_chi(u).chi - orc.chi_of_unitary(u))) < 1e-12
+
+
+def test_chi_of_a_trace_decreasing_channel_reproduces_its_action():
+    rng = np.random.default_rng(11)
+    kraus = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+             for _ in range(3)]
+    gram = sum(k.conj().T @ k for k in kraus)
+    kraus = [k / np.sqrt(1.25 * np.linalg.eigvalsh(gram)[-1]) for k in kraus]
+
+    def channel(rho):
+        return sum(k @ rho @ k.conj().T for k in kraus)
+
+    def from_chi(chi, rho):
+        return sum(chi[m, n] * qpt.CHI_OPS[m] @ rho @ qpt.CHI_OPS[n].conj().T
+                   for m in range(4) for n in range(4))
+
+    inputs = qpt.standard_input_states()
+    pm = qpt.chi_matrix(inputs, [channel(r) for r in inputs])
+    psi = np.array([0.6, 0.8 * np.exp(0.7j)])
+    fifth = np.outer(psi, psi.conj())
+    for rho in [*inputs, fifth]:
+        assert np.max(np.abs(from_chi(pm.chi, rho) - channel(rho))) < 1e-12
+    assert pm.herm_residual < 1e-12
+    assert pm.tp_residual > 0.1
 
 
 def test_non_spanning_inputs_raise():
