@@ -28,68 +28,104 @@ from . import tomography as tg
 from .errors import ConfigError, ConvergenceError, KposimError, UsageError
 from .units import TWO_PI, angular_to_mhz, mhz_to_angular, ns_to_us, us_to_ns
 
-SYSTEM_KEYS = {"K_MHz", "P_MHz", "Delta_MHz", "beta_MHz", "kappa_per_us",
-               "dim"}
-GRID_KEYS = {"start", "stop", "count"}
+_REQUIRED = object()
 
 
-def _check_keys(d, allowed, where):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where}: expected an object, got {type(d).__name__}")
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; "
-                          f"allowed {sorted(allowed)}")
+class _Config:
+    """One JSON object of a config, read through typed getters.
+
+    Every getter records its key, and :meth:`done` rejects the keys no
+    getter asked for, so the keys a runner reads are the keys it accepts.
+    Numbers are JSON numbers, integers are not booleans, and a key given as
+    ``null`` is a type error, not an absent key.
+    """
+
+    def __init__(self, data, where):
+        if not isinstance(data, dict):
+            raise ConfigError(f"{where} must be an object, "
+                              f"got {type(data).__name__}")
+        self.data, self.where, self.read = data, where, set()
+
+    def _get(self, key, default, ok, expected, minimum=None, strict=False):
+        self.read.add(key)
+        if key not in self.data:
+            if default is _REQUIRED:
+                raise ConfigError(f"{self.where}: missing {key!r}")
+            return default
+        value = self.data[key]
+        if not ok(value):
+            raise ConfigError(f"{self.where}.{key} must be {expected}, "
+                              f"got {value!r}")
+        if minimum is not None and (value <= minimum if strict
+                                    else value < minimum):
+            raise ConfigError(f"{self.where}.{key} must be "
+                              f"{'>' if strict else '>='} {minimum}, "
+                              f"got {value!r}")
+        return value
+
+    def number(self, key, default=_REQUIRED, minimum=None, strict=False):
+        """A finite number, >= ``minimum`` (> with ``strict``)."""
+        value = self._get(key, default, lambda v: isinstance(v, (int, float))
+                          and not isinstance(v, bool)
+                          and abs(v) <= sys.float_info.max,
+                          "a finite number", minimum, strict)
+        return None if value is None else float(value)
+
+    def integer(self, key, default=_REQUIRED, minimum=None):
+        return self._get(key, default, lambda v: isinstance(v, int)
+                         and not isinstance(v, bool), "an integer", minimum)
+
+    def flag(self, key, default):
+        return self._get(key, default, lambda v: isinstance(v, bool),
+                         "a boolean")
+
+    def text(self, key, default):
+        return self._get(key, default, lambda v: isinstance(v, str),
+                         "a string")
+
+    def choice(self, key, default, options):
+        return self._get(key, default, lambda v: v in options,
+                         f"one of {list(options)}")
+
+    def section(self, key, default=_REQUIRED):
+        """The reader of the object under ``key``, or of ``default`` if it
+        is absent; None for an absent key whose default is None."""
+        value = self._get(key, default, lambda v: isinstance(v, dict),
+                          "an object")
+        return None if value is None else _Config(value,
+                                                  f"{self.where}.{key}")
+
+    def grid(self, key, scale=1.0, required=True):
+        """The linspace of a {start, stop, count} block (count >= 2); None
+        for an absent optional grid."""
+        g = self.section(key, _REQUIRED if required else None)
+        if g is None:
+            return None
+        start, stop = g.number("start"), g.number("stop")
+        count = g.integer("count", minimum=2)
+        g.done()
+        return np.linspace(start * scale, stop * scale, count)
+
+    def done(self):
+        unknown = sorted(set(self.data) - self.read)
+        if unknown:
+            raise ConfigError(f"{self.where}: unknown keys {unknown}; "
+                              f"allowed {sorted(self.read)}")
 
 
-def _finite(value, where):
-    v = float(value)
-    if not np.isfinite(v):
-        raise ConfigError(f"{where}: value must be finite, got {value}")
-    return v
-
-
-def _grid(cfg, key, where, required=True, scale=1.0):
-    """Parse a {start, stop, count} block into a linspace (count >= 2)."""
-    if key not in cfg:
-        if required:
-            raise ConfigError(f"{where}: missing grid {key!r}")
-        return None
-    g = cfg[key]
-    _check_keys(g, GRID_KEYS, f"{where}.{key}")
-    for k in GRID_KEYS:
-        if k not in g:
-            raise ConfigError(f"{where}.{key}: missing {k!r}")
-    count = g["count"]
-    if not isinstance(count, int) or count < 2:
-        raise ConfigError(f"{where}.{key}: count must be an integer >= 2, "
-                          f"got {count!r}")
-    start = _finite(g["start"], f"{where}.{key}.start")
-    stop = _finite(g["stop"], f"{where}.{key}.stop")
-    return np.linspace(start * scale, stop * scale, count)
-
-
-def _system(cfg, refine=False):
-    """The SystemParams of the config's ``system`` block.
+def _system(config, refine=False):
+    """The SystemParams of the ``system`` block of the config's _Config.
 
     With ``refine`` they are those of the ``--check`` rerun: dim doubled,
     ``rtol`` and ``atol`` halved.
     """
-    where = "config.system"
-    if "system" not in cfg:
-        raise ConfigError("config: missing 'system' block")
-    s = cfg["system"]
-    _check_keys(s, SYSTEM_KEYS, where)
-    if "K_MHz" not in s:
-        raise ConfigError(f"{where}: missing 'K_MHz'")
-    kwargs = {}
-    for key in ("K_MHz", "P_MHz", "Delta_MHz", "beta_MHz", "kappa_per_us"):
-        if key in s:
-            kwargs[key] = _finite(s[key], f"{where}.{key}")
-    dim = s.get("dim", 30)
-    if not isinstance(dim, int) or dim < 2:
-        raise ConfigError(f"{where}.dim: must be an integer >= 2")
-    params = md.SystemParams.from_mhz(dim=dim, **kwargs)
+    s = config.section("system")
+    K_MHz = s.number("K_MHz")
+    rest = {key: s.number(key, 0.0)
+            for key in ("P_MHz", "Delta_MHz", "beta_MHz", "kappa_per_us")}
+    dim = s.integer("dim", 30, minimum=2)
+    s.done()
+    params = md.SystemParams.from_mhz(K_MHz, dim=dim, **rest)
     if refine:
         params = params.with_(dim=2 * dim, rtol=0.5 * params.rtol,
                               atol=0.5 * params.atol)
@@ -103,12 +139,9 @@ def load_config(path):
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}")
     try:
-        cfg = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}")
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    return cfg
 
 
 def _write_map(out, stem, names, rows, cols, values, svg=False, title="",
@@ -126,20 +159,17 @@ def _write_map(out, stem, names, rows, cols, values, svg=False, title="",
 
 
 # ---------------------------------------------------------------------------
-# experiment runners; each takes (cfg, params, out, svg) and returns
-# (summary, checks) where checks maps summary scalar names to the tolerance
-# used by --check
+# experiment runners; each takes (cfg, params, out, svg), cfg a _Config it
+# reads in full and closes with cfg.done() before it computes, and returns
+# (summary, checks): checks maps summary scalars to their --check tolerance
 
 
 def _run_rabi(which):
     def run(cfg, params, out, svg):
-        _check_keys(cfg, {"system", "amplitude_MHz", "detuning_grid_MHz",
-                          "time_grid_ns", "out_dir"}, "config")
-        if "amplitude_MHz" not in cfg:
-            raise ConfigError("config: missing 'amplitude_MHz'")
-        amp = mhz_to_angular(_finite(cfg["amplitude_MHz"], "amplitude_MHz"))
-        det = _grid(cfg, "detuning_grid_MHz", "config", scale=TWO_PI)
-        tus = ns_to_us(_grid(cfg, "time_grid_ns", "config"))
+        amp = mhz_to_angular(cfg.number("amplitude_MHz"))
+        det = cfg.grid("detuning_grid_MHz", scale=TWO_PI)
+        tus = ns_to_us(cfg.grid("time_grid_ns"))
+        cfg.done()
         pmap = dyn.rabi_map(params, which, amp, det, tus)
         dmhz = det / TWO_PI
         tns = us_to_ns(tus)
@@ -158,15 +188,10 @@ def _run_rabi(which):
 
 
 def _run_map_cat(cfg, params, out, svg):
-    _check_keys(cfg, {"system", "tau_ramp_ns", "counterdiabatic", "samples",
-                      "out_dir"}, "config")
-    tau = ns_to_us(_finite(cfg.get("tau_ramp_ns", 300.0), "tau_ramp_ns"))
-    cd = cfg.get("counterdiabatic", True)
-    if not isinstance(cd, bool):
-        raise ConfigError("counterdiabatic must be a boolean")
-    nsamp = cfg.get("samples", 41)
-    if not isinstance(nsamp, int) or nsamp < 2:
-        raise ConfigError("samples must be an integer >= 2")
+    tau = ns_to_us(cfg.number("tau_ramp_ns", 300.0))
+    cd = cfg.flag("counterdiabatic", True)
+    nsamp = cfg.integer("samples", 41, minimum=2)
+    cfg.done()
     sched = md.ramp_schedule(params.P_max, tau, params.Delta,
                              counterdiabatic=cd)
     basis = md.cat_basis_from_model(params)
@@ -199,12 +224,9 @@ def _run_map_cat(cfg, params, out, svg):
 
 
 def _run_cat_size(cfg, params, out, svg):
-    _check_keys(cfg, {"system", "delta_grid_MHz", "wigner_points", "out_dir"},
-                "config")
-    deltas = _grid(cfg, "delta_grid_MHz", "config", scale=TWO_PI)
-    points = cfg.get("wigner_points", 81)
-    if not isinstance(points, int) or points < 9:
-        raise ConfigError("wigner_points must be an integer >= 9")
+    deltas = cfg.grid("delta_grid_MHz", scale=TWO_PI)
+    points = cfg.integer("wigner_points", 81, minimum=9)
+    cfg.done()
     sizes, formula = [], []
     for d in deltas:
         p_i = params.with_(Delta=float(d))
@@ -239,11 +261,10 @@ def _run_cat_size(cfg, params, out, svg):
 
 
 def _run_relax(cfg, params, out, svg):
-    _check_keys(cfg, {"system", "wait_grid_us", "prepare", "tau_ramp_ns",
-                      "out_dir"}, "config")
-    waits = _grid(cfg, "wait_grid_us", "config")
-    prepare = cfg.get("prepare", "ramp")
-    tau = ns_to_us(_finite(cfg.get("tau_ramp_ns", 300.0), "tau_ramp_ns"))
+    waits = cfg.grid("wait_grid_us")
+    prepare = cfg.choice("prepare", "ramp", ("ramp", "ideal"))
+    tau = ns_to_us(cfg.number("tau_ramp_ns", 300.0))
+    cfg.done()
     res = dyn.relaxation_experiment(params, waits, prepare=prepare,
                                     tau_ramp=tau)
     pop_cols = {"wait_us": waits}
@@ -279,10 +300,9 @@ def _run_relax(cfg, params, out, svg):
 
 
 def _run_quasi_surface(cfg, params, out, svg):
-    _check_keys(cfg, {"system", "p_over_K_grid", "delta_over_K_grid",
-                      "out_dir"}, "config")
-    pg = _grid(cfg, "p_over_K_grid", "config")
-    dg = _grid(cfg, "delta_over_K_grid", "config")
+    pg = cfg.grid("p_over_K_grid")
+    dg = cfg.grid("delta_over_K_grid")
+    cfg.done()
     surf = sp.splitting_surface(params.K, pg, dg, params.dim)
     _write_map(out, "surface",
                ("P_over_K", "Delta_over_K", "splitting_over_K"), pg, dg, surf,
@@ -299,13 +319,11 @@ def _run_quasi_surface(cfg, params, out, svg):
 
 
 def _run_cat_rabi(cfg, params, out, svg):
-    _check_keys(cfg, {"system", "detuning_grid_MHz", "time_grid_ns",
-                      "phi_grid_rad", "symmetrized", "out_dir"}, "config")
-    det = _grid(cfg, "detuning_grid_MHz", "config", scale=TWO_PI)
-    tus = ns_to_us(_grid(cfg, "time_grid_ns", "config"))
-    sym = cfg.get("symmetrized", True)
-    if not isinstance(sym, bool):
-        raise ConfigError("symmetrized must be a boolean")
+    det = cfg.grid("detuning_grid_MHz", scale=TWO_PI)
+    tus = ns_to_us(cfg.grid("time_grid_ns"))
+    phig = cfg.grid("phi_grid_rad", required=False)
+    sym = cfg.flag("symmetrized", True)
+    cfg.done()
     pmap = dyn.cat_rabi_map(params, det, tus, symmetrized=sym)
     dmhz = det / TWO_PI
     tns = us_to_ns(tus)
@@ -327,7 +345,6 @@ def _run_cat_rabi(cfg, params, out, svg):
         "symmetrized": sym,
     }
     checks = {"resonant_rabi_MHz": 0.05} if rabi_mhz is not None else {}
-    phig = _grid(cfg, "phi_grid_rad", "config", required=False)
     if phig is not None:
         phmap = dyn.cat_rabi_phase_map(params, phig, tus, symmetrized=sym)
         _write_map(out, "phase_map", ("phi_rad", "time_ns", "parity"), phig,
@@ -348,10 +365,10 @@ def _ripple_metric(row):
 
 
 def _run_cat_ramsey(cfg, params, out, svg):
-    _check_keys(cfg, {"system", "delta_peak_grid_MHz", "tau_Z_grid_ns",
-                      "ripple_beta_grid_MHz", "out_dir"}, "config")
-    dps = _grid(cfg, "delta_peak_grid_MHz", "config", scale=TWO_PI)
-    taus = ns_to_us(_grid(cfg, "tau_Z_grid_ns", "config"))
+    dps = cfg.grid("delta_peak_grid_MHz", scale=TWO_PI)
+    taus = ns_to_us(cfg.grid("tau_Z_grid_ns"))
+    betas = cfg.grid("ripple_beta_grid_MHz", scale=TWO_PI, required=False)
+    cfg.done()
     cal = qp.calibrate_x2(params)
     pmap = dyn.cat_ramsey_map(params, dps, taus, cal["duration"])
     dmhz = dps / TWO_PI
@@ -365,8 +382,6 @@ def _run_cat_ramsey(cfg, params, out, svg):
         "fringe_column_span": float(np.ptp(pmap[:, -1])),
     }
     checks = {"x2_duration_ns": 2.0}
-    betas = _grid(cfg, "ripple_beta_grid_MHz", "config", required=False,
-                  scale=TWO_PI)
     if betas is not None:
         tau_fix = taus[-1]
         ripples = []
@@ -390,15 +405,12 @@ def _run_cat_ramsey(cfg, params, out, svg):
 
 
 def _run_tls_compare(cfg, params, out, svg):
-    _check_keys(cfg, {"system", "Omega_R_MHz", "detuning_grid_MHz",
-                      "time_grid_ns", "out_dir"}, "config")
-    if "Omega_R_MHz" in cfg:
-        omega = mhz_to_angular(_finite(cfg["Omega_R_MHz"], "Omega_R_MHz"))
-    else:
-        basis = md.cat_basis_from_model(params)
-        omega = 2.0 * params.beta * qp.x2_coupling(basis)
-    det = _grid(cfg, "detuning_grid_MHz", "config", scale=TWO_PI)
-    tus = ns_to_us(_grid(cfg, "time_grid_ns", "config"))
+    omega_mhz = cfg.number("Omega_R_MHz", None)
+    det = cfg.grid("detuning_grid_MHz", scale=TWO_PI)
+    tus = ns_to_us(cfg.grid("time_grid_ns"))
+    cfg.done()
+    omega = (2.0 * params.beta * qp.x2_coupling(md.cat_basis_from_model(params))
+             if omega_mhz is None else mhz_to_angular(omega_mhz))
     maps = {}
     for variant in ("symmetrized", "standard"):
         maps[variant] = dyn.tls_rabi_map(variant, omega, det, tus)
@@ -422,15 +434,11 @@ def _run_tls_compare(cfg, params, out, svg):
 
 
 def _run_qpt(cfg, params, out, svg):
-    _check_keys(cfg, {"system", "kind", "tau_ramp_ns", "tau_Z_ns",
-                      "detuning_offset_MHz", "out_dir"}, "config")
-    kind = cfg.get("kind", "mapping")
-    if kind not in ("mapping", "x2", "z2"):
-        raise ConfigError(f"kind must be 'mapping', 'x2' or 'z2', got {kind!r}")
-    tau_ramp = ns_to_us(_finite(cfg.get("tau_ramp_ns", 300.0), "tau_ramp_ns"))
-    tau_Z = ns_to_us(_finite(cfg.get("tau_Z_ns", 500.0), "tau_Z_ns"))
-    offset = mhz_to_angular(_finite(cfg.get("detuning_offset_MHz", 0.0),
-                                    "detuning_offset_MHz"))
+    kind = cfg.choice("kind", "mapping", ("mapping", "x2", "z2"))
+    tau_ramp = ns_to_us(cfg.number("tau_ramp_ns", 300.0))
+    tau_Z = ns_to_us(cfg.number("tau_Z_ns", 500.0))
+    offset = mhz_to_angular(cfg.number("detuning_offset_MHz", 0.0))
+    cfg.done()
     res = qp.qpt_experiment(kind, params, tau_ramp=tau_ramp, tau_Z=tau_Z,
                             detuning_offset=offset)
     io.write_chi_json(os.path.join(out, "chi.json"), res.chi)
@@ -454,79 +462,58 @@ def _run_qpt(cfg, params, out, svg):
     return summary, {"process_fidelity": 0.01}
 
 
-_WIGNER_STATE_KEYS = {"kind", "alpha", "n"}
-_WIGNER_KEYS = {"system", "state", "points", "extent", "mode", "out_dir"}
-# keys only one mode reads; a key of the other mode is a ConfigError
-_WIGNER_MODE_KEYS = {"ideal": {"kerr_correct_ns"}, "simulated": {
-    "pulse_duration_ns", "noise_sigma", "seed", "reconstruct"}}
-
-
-def _wigner_state(cfg, params):
-    block = cfg.get("state", {"kind": "model_even"})
-    _check_keys(block, _WIGNER_STATE_KEYS, "config.state")
-    kind = block.get("kind", "model_even")
+def _wigner_state(block, params):
+    """The state of the ``state`` block: ``alpha`` is read for the cat and
+    coherent kinds, ``n`` for ``fock``."""
+    kind = block.choice("kind", "model_even", (
+        "model_even", "model_odd", "cat_even", "cat_odd", "coherent", "fock"))
+    if kind in ("cat_even", "cat_odd", "coherent"):
+        alpha = complex(block.number("alpha", 1.0))
+    elif kind == "fock":
+        n = block.integer("n", 0, minimum=0)
+    block.done()
     if kind in ("model_even", "model_odd"):
         basis = md.cat_basis_from_model(params)
         return (basis.plus_cat if kind == "model_even" else basis.minus_cat)
-    if kind in ("cat_even", "cat_odd"):
-        alpha = complex(_finite(block.get("alpha", 1.0), "state.alpha"))
-        return fs.cat_state(alpha, "even" if kind == "cat_even" else "odd",
-                            params.dim)
     if kind == "coherent":
-        alpha = complex(_finite(block.get("alpha", 1.0), "state.alpha"))
         return fs.coherent_state(alpha, params.dim)
     if kind == "fock":
-        n = block.get("n", 0)
-        if not isinstance(n, int) or n < 0:
-            raise ConfigError("state.n must be a nonnegative integer")
         return fs.fock_state(n, params.dim)
-    raise ConfigError(f"unknown state kind {kind!r}")
+    return fs.cat_state(alpha, "even" if kind == "cat_even" else "odd",
+                        params.dim)
 
 
 def _run_wigner(cfg, params, out, svg):
-    mode = cfg.get("mode", "ideal")
-    if mode not in ("ideal", "simulated"):
-        raise ConfigError(f"mode must be 'ideal' or 'simulated', got {mode!r}")
-    _check_keys(cfg, _WIGNER_KEYS | _WIGNER_MODE_KEYS[mode],
-                f"config ({mode} mode)")
-    state = _wigner_state(cfg, params)
-    points = cfg.get("points", 81)
-    if not isinstance(points, int) or points < 9:
-        raise ConfigError("points must be an integer >= 9")
-    extent = cfg.get("extent")
-    if extent is None:
-        re = tg.default_grid(params.dim, points=points)
-        im = re
+    mode = cfg.choice("mode", "ideal", ("ideal", "simulated"))
+    state_block = cfg.section("state", {})
+    points = cfg.integer("points", 81, minimum=9)
+    ext = cfg.number("extent", None, minimum=0, strict=True)
+    # each mode reads, and so accepts, only its own keys
+    if mode == "ideal":
+        tau_corr = cfg.number("kerr_correct_ns", None)
     else:
-        ext = _finite(extent, "extent")
-        re = np.linspace(-ext, ext, points)
-        im = np.linspace(-ext, ext, points)
+        dur = ns_to_us(cfg.number("pulse_duration_ns", 20.0))
+        sigma = cfg.number("noise_sigma", 0.0, minimum=0)
+        seed = cfg.integer("seed", 0, minimum=0)
+        reconstruct = cfg.flag("reconstruct", False)
+    cfg.done()
+    state = _wigner_state(state_block, params)
+    re = im = (tg.default_grid(params.dim, points=points) if ext is None
+               else np.linspace(-ext, ext, points))
     rho = state.to_density()
     summary = {"experiment": "wigner", "mode": mode}
     if mode == "ideal":
-        tau_corr = cfg.get("kerr_correct_ns")
         if tau_corr is not None:
-            rho = tg.kerr_correct(rho, params.K, params.Delta, ns_to_us(
-                _finite(tau_corr, "kerr_correct_ns")))
-            summary["kerr_correct_ns"] = float(tau_corr)
+            rho = tg.kerr_correct(rho, params.K, params.Delta,
+                                  ns_to_us(tau_corr))
+            summary["kerr_correct_ns"] = tau_corr
         wm = tg.wigner_ideal(rho, re, im)
     else:
-        dur = ns_to_us(_finite(cfg.get("pulse_duration_ns", 20.0),
-                               "pulse_duration_ns"))
-        sigma = _finite(cfg.get("noise_sigma", 0.0), "noise_sigma")
-        if sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
-        reconstruct = cfg.get("reconstruct", False)
-        if not isinstance(reconstruct, bool):
-            raise ConfigError("reconstruct must be a boolean")
         alphas = tg.grid_points(re, im)
         record = tg.simulate_ld_tomography(params, rho, alphas,
                                            pulse_duration=dur)
         parities = record.parities
         if sigma > 0:
-            seed = cfg.get("seed", 0)
-            if not isinstance(seed, int):
-                raise ConfigError("seed must be an integer")
             rng = np.random.default_rng(seed)
             parities = np.clip(parities
                                + sigma * rng.standard_normal(parities.shape),
@@ -581,11 +568,14 @@ def run_experiment(name, cfg, out_root, svg=False, check=False):
         raise UsageError(f"unknown experiment {name!r}; known: "
                          f"{', '.join(RUNNERS)}")
     runner = RUNNERS[name]
+    config = _Config(cfg, "config")
+    config.text("out_dir", None)  # the output root main reads
+    params = _system(config)
     out = io.ensure_dir(os.path.join(out_root, name))
-    summary, tolerances = runner(cfg, _system(cfg), out, svg)
+    summary, tolerances = runner(config, params, out, svg)
     if check:
         out2 = io.ensure_dir(os.path.join(out, "check"))
-        summary2, _ = runner(cfg, _system(cfg, refine=True), out2, False)
+        summary2, _ = runner(config, _system(config, refine=True), out2, False)
         moves = {}
         for key, tol in tolerances.items():
             a, b = summary.get(key), summary2.get(key)
@@ -627,9 +617,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        out_root = args.out or cfg.get("out_dir") or "out"
-        run_experiment(args.experiment, cfg, out_root, svg=args.svg,
-                       check=args.check)
+        out_dir = _Config(cfg, "config").text("out_dir", None)
+        run_experiment(args.experiment, cfg, args.out or out_dir or "out",
+                       svg=args.svg, check=args.check)
         return 0
     except (ConfigError, UsageError) as e:
         _emit_error(e, 2)

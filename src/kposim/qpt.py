@@ -27,7 +27,7 @@ from . import dynamics as dyn
 from . import fockspace as fs
 from . import model as md
 from . import spectral as sp
-from .errors import CalibrationError, SpanError, UsageError
+from .errors import CalibrationError, ScheduleError, SpanError, UsageError
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -256,10 +256,11 @@ def calibrate_z2(params, tau_Z=0.5):
     solved for the chirp depth with a bracketing root finder.  Positive
     depth lowers the splitting, rotating counterclockwise (+z).  A pulse
     too short to reach the angle below a depth of 6K raises
-    :class:`CalibrationError`.
+    :class:`CalibrationError`; a nonpositive ``tau_Z`` raises
+    :class:`ScheduleError`, as :func:`kposim.model.chirp_schedule` does.
     """
     if tau_Z <= 0:
-        raise CalibrationError("tau_Z must be positive")
+        raise ScheduleError(f"tau_Z must be positive, got {tau_Z}")
     angle = 0.5 * np.pi
     cap = 6.0 * params.K
     K, P, dim = params.K, params.P_max, params.dim

@@ -284,3 +284,112 @@ def test_console_script_help():
     assert proc.returncode == 0
     for name in ("quasi-surface", "cat-rabi", "wigner", "qpt", "relax"):
         assert name in proc.stdout
+
+
+def _grid(start, stop, count):
+    return {"start": start, "stop": stop, "count": count}
+
+
+_SYSTEM = {"K_MHz": 3.1, "P_MHz": 3.13, "Delta_MHz": 1.0, "beta_MHz": 0.65,
+           "dim": 8}
+
+# the smallest valid config of every experiment (its "system" block, if any,
+# replaces _SYSTEM)
+MINIMAL_CONFIGS = {
+    "rabi-drive": {"amplitude_MHz": 1.0, "detuning_grid_MHz": _grid(-1, 1, 2),
+                   "time_grid_ns": _grid(0, 100, 2)},
+    "rabi-pump": {"amplitude_MHz": 1.0, "detuning_grid_MHz": _grid(-1, 1, 2),
+                  "time_grid_ns": _grid(0, 100, 2)},
+    "map-cat": {"samples": 2},
+    "cat-size": {"delta_grid_MHz": _grid(0, 1, 2), "wigner_points": 9},
+    "relax": {"system": dict(_SYSTEM, kappa_per_us=0.1),
+              "wait_grid_us": _grid(0, 4.5, 10)},
+    "quasi-surface": {"system": dict(_SYSTEM, dim=20),
+                      "p_over_K_grid": _grid(0.9, 1.2, 2),
+                      "delta_over_K_grid": _grid(0.1, 0.5, 2)},
+    "cat-rabi": {"detuning_grid_MHz": _grid(-1, 1, 2),
+                 "time_grid_ns": _grid(0, 100, 2)},
+    "cat-ramsey": {"delta_peak_grid_MHz": _grid(0, 10, 2),
+                   "tau_Z_grid_ns": _grid(100, 200, 2)},
+    "tls-compare": {"detuning_grid_MHz": _grid(-1, 1, 2),
+                    "time_grid_ns": _grid(0, 100, 2)},
+    "qpt": {"kind": "z2"},
+    "wigner": {"points": 9},
+}
+
+
+def _minimal(name, **changes):
+    return {"system": _SYSTEM, **MINIMAL_CONFIGS[name], **changes}
+
+
+def _run_rejected(tmp_path, capsys, name, cfg):
+    """Run a config that must be rejected: exit 2, a ConfigError, and no file
+    under the experiment's output directory.  Returns the error message."""
+    out = tmp_path / "o"
+    rc = cli.main([name, "--config", _write_config(tmp_path, "c.json", cfg),
+                   "--out", str(out)])
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert (rc, err["error"], err["exit_code"]) == (2, "ConfigError", 2)
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+    return err["message"]
+
+
+@pytest.mark.parametrize("name", sorted(cli.RUNNERS))
+def test_minimal_config_runs_and_rejects_an_unknown_key(tmp_path, capsys,
+                                                        name):
+    cfg = _write_config(tmp_path, "ok.json", _minimal(name))
+    assert cli.main([name, "--config", cfg,
+                     "--out", str(tmp_path / "ok")]) == 0
+    message = _run_rejected(tmp_path, capsys, name,
+                            _minimal(name, bogus_key=1))
+    assert "bogus_key" in message
+
+
+def test_cat_rabi_rejects_a_short_phase_grid_before_computing(tmp_path,
+                                                              capsys):
+    message = _run_rejected(tmp_path, capsys, "cat-rabi", _minimal(
+        "cat-rabi", phi_grid_rad=_grid(0.0, 1.0, 1)))
+    assert "phi_grid_rad.count" in message
+
+
+@pytest.mark.parametrize("name, changes, key", [
+    ("map-cat", {"tau_ramp_ns": [300]}, "tau_ramp_ns"),
+    ("map-cat", {"tau_ramp_ns": 10 ** 400}, "tau_ramp_ns"),
+    ("map-cat", {"samples": 2.0}, "samples"),
+    ("map-cat", {"system": dict(_SYSTEM, K_MHz=None)}, "system.K_MHz"),
+    ("quasi-surface", {"p_over_K_grid": _grid("0.9", 1.2, 2)},
+     "p_over_K_grid.start"),
+    ("wigner", {"state": {"kind": "fock", "n": True}}, "state.n"),
+    ("wigner", {"state": {"kind": "fock", "alpha": 1.0}}, "alpha"),
+    ("wigner", {"mode": "simulated", "noise_sigma": 0.01, "seed": -1},
+     "seed"),
+    ("wigner", {"extent": -1.0}, "extent"),
+    ("wigner", {"extent": None}, "extent"),
+])
+def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, name, changes,
+                                          key):
+    assert key in _run_rejected(tmp_path, capsys, name,
+                                _minimal(name, **changes))
+
+
+def test_config_root_must_be_an_object(tmp_path, capsys):
+    assert "must be an object" in _run_rejected(tmp_path, capsys, "map-cat",
+                                                [_minimal("map-cat")])
+
+
+def test_non_string_out_dir_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "c.json", _minimal("map-cat", out_dir=5))
+    assert cli.main(["map-cat", "--config", cfg]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError"
+    assert "out_dir" in err["message"]
+
+
+def test_nonpositive_z2_gate_time_is_a_usage_error(tmp_path, capsys):
+    # as in cat-ramsey, whose chirp schedule rejects a zero gate time
+    cfg = _write_config(tmp_path, "c.json", _minimal("qpt", tau_Z_ns=0))
+    assert cli.main(["qpt", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ScheduleError"
+    assert "tau_Z" in err["message"]

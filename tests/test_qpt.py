@@ -8,8 +8,8 @@ from kposim import fockspace as fs
 from kposim import model as md
 from kposim import qpt
 from kposim import spectral as sp
-from kposim.errors import (CalibrationError, InvalidDimensionError, SpanError,
-                           UsageError)
+from kposim.errors import (CalibrationError, InvalidDimensionError,
+                           ScheduleError, SpanError, UsageError)
 
 PARAMS = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=30)
 FOCK = md.CatBasis(fs.fock_state(0, 30), fs.fock_state(1, 30))
@@ -230,6 +230,16 @@ def test_calibrate_z2():
 def test_calibrate_z2_depth_cap():
     with pytest.raises(CalibrationError):
         qpt.calibrate_z2(PARAMS, tau_Z=0.01)
+
+
+@pytest.mark.parametrize("tau_Z", [0.0, -0.5])
+def test_calibrate_z2_rejects_a_nonpositive_gate_time_as_chirp_schedule_does(
+        tau_Z):
+    for call in (lambda: qpt.calibrate_z2(PARAMS, tau_Z=tau_Z),
+                 lambda: md.chirp_schedule(1.0, tau_Z, PARAMS.P_max,
+                                           PARAMS.Delta)):
+        with pytest.raises(ScheduleError, match="tau_Z must be positive"):
+            call()
 
 
 # ---------------------------------------------------------------------------
