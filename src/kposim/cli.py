@@ -435,12 +435,15 @@ def _run_tls_compare(cfg, params, out, svg):
 
 def _run_qpt(cfg, params, out, svg):
     kind = cfg.choice("kind", "mapping", ("mapping", "x2", "z2"))
-    tau_ramp = ns_to_us(cfg.number("tau_ramp_ns", 300.0))
-    tau_Z = ns_to_us(cfg.number("tau_Z_ns", 500.0))
+    # each kind reads, and so accepts, only its own gate time
+    times = {}
+    if kind == "mapping":
+        times["tau_ramp"] = ns_to_us(cfg.number("tau_ramp_ns", 300.0))
+    elif kind == "z2":
+        times["tau_Z"] = ns_to_us(cfg.number("tau_Z_ns", 500.0))
     offset = mhz_to_angular(cfg.number("detuning_offset_MHz", 0.0))
     cfg.done()
-    res = qp.qpt_experiment(kind, params, tau_ramp=tau_ramp, tau_Z=tau_Z,
-                            detuning_offset=offset)
+    res = qp.qpt_experiment(kind, params, detuning_offset=offset, **times)
     io.write_chi_json(os.path.join(out, "chi.json"), res.chi)
     io.write_chi_csv(os.path.join(out, "chi.csv"), res.chi)
     if svg:
@@ -560,6 +563,8 @@ RUNNERS = {
 def run_experiment(name, cfg, out_root, svg=False, check=False):
     """Execute one experiment and write its artifacts; returns the summary.
 
+    Artifacts go to ``<out_root or config out_dir or "out">/<name>/``, made
+    by the first artifact written, so a rejected config writes nothing.
     With ``check`` the experiment reruns on the refined SystemParams of
     :func:`_system`, and no summary value the runner declares may move by
     more than its tolerance.
@@ -569,13 +574,12 @@ def run_experiment(name, cfg, out_root, svg=False, check=False):
                          f"{', '.join(RUNNERS)}")
     runner = RUNNERS[name]
     config = _Config(cfg, "config")
-    config.text("out_dir", None)  # the output root main reads
-    params = _system(config)
-    out = io.ensure_dir(os.path.join(out_root, name))
-    summary, tolerances = runner(config, params, out, svg)
+    out_dir = config.text("out_dir", None)  # read even when out_root wins
+    out = os.path.join(out_root or out_dir or "out", name)
+    summary, tolerances = runner(config, _system(config), out, svg)
     if check:
-        out2 = io.ensure_dir(os.path.join(out, "check"))
-        summary2, _ = runner(config, _system(config, refine=True), out2, False)
+        summary2, _ = runner(config, _system(config, refine=True),
+                             os.path.join(out, "check"), False)
         moves = {}
         for key, tol in tolerances.items():
             a, b = summary.get(key), summary2.get(key)
@@ -616,9 +620,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        out_dir = _Config(cfg, "config").text("out_dir", None)
-        run_experiment(args.experiment, cfg, args.out or out_dir or "out",
+        run_experiment(args.experiment, load_config(args.config), args.out,
                        svg=args.svg, check=args.check)
         return 0
     except (ConfigError, UsageError) as e:

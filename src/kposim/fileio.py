@@ -3,6 +3,8 @@
 Everything here is byte-reproducible: floats are written with 17 significant
 digits (enough to round-trip IEEE doubles exactly), JSON keys are sorted,
 and the hand-rolled SVG output contains no timestamps or generated ids.
+Every writer creates the directory of its file, so a directory exists only
+once an artifact is written into it.
 """
 
 from __future__ import annotations
@@ -17,8 +19,11 @@ from .errors import UsageError
 FLOAT_FMT = "%.17g"
 
 
-def _fmt(x):
-    return FLOAT_FMT % float(x)
+def _write_text(path, text):
+    """Write ``text`` to ``path``, creating its directory first."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def write_csv(path, columns):
@@ -31,11 +36,9 @@ def write_csv(path, columns):
     for name, arr in zip(names, arrays):
         if arr.size != n:
             raise UsageError(f"column {name!r} has length {arr.size}, expected {n}")
-    lines = [",".join(names)]
-    for i in range(n):
-        lines.append(",".join(_fmt(arr[i]) for arr in arrays))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    row = ",".join([FLOAT_FMT] * len(names)) + "\n"
+    cells = tuple(np.column_stack(arrays).ravel().tolist())
+    _write_text(path, ",".join(names) + "\n" + (row * n) % cells)
 
 
 def read_csv(path):
@@ -69,9 +72,8 @@ def _jsonable(obj):
 
 
 def write_json(path, obj):
-    with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_text(path, json.dumps(_jsonable(obj), sort_keys=True, indent=2)
+                + "\n")
 
 
 def read_json(path):
@@ -81,12 +83,10 @@ def read_json(path):
 
 def write_record_jsonl(path, record):
     """Persist a tomography measurement record, one point per line."""
-    with open(path, "w") as fh:
-        for alpha, parity in zip(record.alphas, record.parities):
-            fh.write(json.dumps({"re": float(alpha.real),
-                                 "im": float(alpha.imag),
-                                 "parity": float(parity)},
-                                sort_keys=True) + "\n")
+    _write_text(path, "".join(
+        json.dumps({"re": float(alpha.real), "im": float(alpha.imag),
+                    "parity": float(parity)}, sort_keys=True) + "\n"
+        for alpha, parity in zip(record.alphas, record.parities)))
 
 
 def read_record_jsonl(path):
@@ -187,8 +187,7 @@ def _write_plot(path, marks, title, xlabel, ylabel, x_ends, y_ends, note=""):
     if note:
         parts.append(_text(ml + pw / 2, h - 6, note, size=10))
     parts.append("</svg>\n")
-    with open(path, "w") as fh:
-        fh.write("".join(parts))
+    _write_text(path, "".join(parts))
 
 
 def svg_heatmap(path, x, y, values, title="", xlabel="", ylabel=""):
@@ -278,10 +277,4 @@ def svg_chi_bars(path, process_matrix, part="real", title=""):
     parts.append(_text(ml - 8, zero_y + lim * scale + 4, "%.2g" % -lim,
                        anchor="end"))
     parts.append("</svg>\n")
-    with open(path, "w") as fh:
-        fh.write("".join(parts))
-
-
-def ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
-    return path
+    _write_text(path, "".join(parts))

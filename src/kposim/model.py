@@ -72,7 +72,7 @@ class SystemParams:
     (0 disables dissipation); a step that must run without loss propagates
     ``params.with_(kappa=0.0)``.  ``dim`` is the Fock truncation, and
     ``rtol`` and ``atol`` are the integrator tolerances of every segment
-    that is not exact.
+    that is not exact.  Every float field must be finite.
     """
 
     K: float
@@ -85,18 +85,16 @@ class SystemParams:
     atol: float = 1e-10
 
     def __post_init__(self):
-        if not self.K > 0:
-            raise UsageError(f"K must be positive, got {self.K}")
-        if self.kappa < 0:
-            raise UsageError(f"kappa must be >= 0, got {self.kappa}")
+        for name in ("K", "P_max", "Delta", "beta", "kappa", "rtol", "atol"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise UsageError(f"{name} must be finite, got {value}")
+            if name in ("K", "rtol", "atol") and not value > 0:
+                raise UsageError(f"{name} must be positive, got {value}")
+            if name in ("P_max", "kappa") and value < 0:
+                raise UsageError(f"{name} must be >= 0, got {value}")
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
             raise UsageError(f"dim must be an int >= 2, got {self.dim!r}")
-        if self.P_max < 0:
-            raise UsageError(f"P_max must be >= 0, got {self.P_max}")
-        for name in ("rtol", "atol"):
-            if not getattr(self, name) > 0:
-                raise UsageError(
-                    f"{name} must be positive, got {getattr(self, name)}")
 
     @classmethod
     def from_mhz(cls, K_MHz, P_MHz=0.0, Delta_MHz=0.0, beta_MHz=0.0,
@@ -214,7 +212,7 @@ class Cosine(Envelope):
             math.sin(self.omega * t + self.phase) - math.sin(self.phase))
 
     def is_constant(self):
-        return self.omega == 0.0 and self.phase == 0.0
+        return self.omega == 0.0
 
 
 # ---------------------------------------------------------------------------

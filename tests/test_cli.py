@@ -323,14 +323,14 @@ def _minimal(name, **changes):
 
 
 def _run_rejected(tmp_path, capsys, name, cfg):
-    """Run a config that must be rejected: exit 2, a ConfigError, and no file
-    under the experiment's output directory.  Returns the error message."""
+    """Run a config that must be rejected: exit 2, a ConfigError, and nothing
+    on disk, not even the output root.  Returns the error message."""
     out = tmp_path / "o"
     rc = cli.main([name, "--config", _write_config(tmp_path, "c.json", cfg),
                    "--out", str(out)])
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert (rc, err["error"], err["exit_code"]) == (2, "ConfigError", 2)
-    assert [p for p in out.rglob("*") if p.is_file()] == []
+    assert not out.exists()
     return err["message"]
 
 
@@ -365,6 +365,11 @@ def test_cat_rabi_rejects_a_short_phase_grid_before_computing(tmp_path,
      "seed"),
     ("wigner", {"extent": -1.0}, "extent"),
     ("wigner", {"extent": None}, "extent"),
+    ("map-cat", {"samples": "x"}, "samples"),
+    ("qpt", {"kind": "x2", "tau_Z_ns": 500.0}, "tau_Z_ns"),
+    ("qpt", {"kind": "x2", "tau_ramp_ns": 300.0}, "tau_ramp_ns"),
+    ("qpt", {"kind": "z2", "tau_ramp_ns": 300.0}, "tau_ramp_ns"),
+    ("qpt", {"kind": "mapping", "tau_Z_ns": 500.0}, "tau_Z_ns"),
 ])
 def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, name, changes,
                                           key):
@@ -383,6 +388,16 @@ def test_non_string_out_dir_exits_2(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ConfigError"
     assert "out_dir" in err["message"]
+
+
+def test_output_root_under_a_regular_file_exits_4(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = _write_config(tmp_path, "c.json", _minimal("map-cat"))
+    assert cli.main(["map-cat", "--config", cfg,
+                     "--out", str(blocker / "o")]) == 4
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert (err["error"], err["exit_code"]) == ("NotADirectoryError", 4)
 
 
 def test_nonpositive_z2_gate_time_is_a_usage_error(tmp_path, capsys):

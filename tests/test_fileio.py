@@ -139,8 +139,18 @@ def test_svg_files_are_wellformed(tmp_path):
     assert root.tag.endswith("svg")
 
 
-def test_ensure_dir(tmp_path):
-    target = tmp_path / "deep" / "nested"
-    out = io.ensure_dir(target)
-    assert target.is_dir()
-    assert str(out) == str(target)
+def test_writers_create_their_parent_directory(tmp_path):
+    pm = qpt.ideal_chi(np.eye(2))
+    rec = tg.ideal_record(fs.fock_state(0, 4), np.array([0.0j]))
+    writers = {
+        "table.csv": lambda p: io.write_csv(p, {"x": np.arange(2.0)}),
+        "summary.json": lambda p: io.write_json(p, {"a": 1}),
+        "record.jsonl": lambda p: io.write_record_jsonl(p, rec),
+        "lines.svg": lambda p: io.svg_lines(p, np.arange(2.0),
+                                            {"y": np.arange(2.0)}),
+        "bars.svg": lambda p: io.svg_chi_bars(p, pm),
+    }
+    for name, write in writers.items():
+        target = tmp_path / name / "deep" / name
+        write(target)
+        assert target.is_file()

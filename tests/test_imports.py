@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 dataclass field is read somewhere, every function reads its parameters,
-every exported error class is raised somewhere, and no source uses a
-NumPy name newer than the declared floor."""
+every exported error class is raised somewhere, only one function opens a
+file for writing, and no source uses a NumPy name newer than the declared
+floor."""
 
 import ast
 from pathlib import Path
@@ -277,6 +278,60 @@ def test_package_module_reads_no_private_name_of_another(module):
     source = (PACKAGE / module).read_text(encoding="utf-8")
     assert [name for name in private_reads(source)
             if (reader, name) not in PRIVATE_READS_ALLOWED] == []
+
+
+def file_writers(source):
+    """``(line, function)`` for each call of the builtin ``open`` in
+    ``source`` that may write.
+
+    A call may write when its mode, the second positional argument or
+    ``mode=``, holds ``w``, ``a``, ``x`` or ``+``, or is not a string
+    literal.  ``function`` is the innermost enclosing function, None at
+    module level.
+    """
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "open"):
+                mode = (child.args[1] if len(child.args) > 1 else
+                        next((k.value for k in child.keywords
+                              if k.arg == "mode"), None))
+                if mode is not None and not (
+                        isinstance(mode, ast.Constant)
+                        and isinstance(mode.value, str)
+                        and not set(mode.value) & set("wax+")):
+                    found.append((child.lineno, function))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sorted(found, key=lambda f: f[0])
+
+
+def test_checker_flags_a_second_writer():
+    src = ("def _write_text(path, text):\n"
+           "    with open(path, 'w') as fh:\n        fh.write(text)\n"
+           "def read(path):\n"
+           "    return open(path).read(), open(path, mode='rb'), fh.open('w')\n"
+           "def append(path, mode):\n"
+           "    return open(path, 'a'), open(path, mode=mode)\n"
+           "    def inner(p):\n        return open(p, 'r+')\n"
+           "LOG = open('log', 'x')\n")
+    assert file_writers(src) == [(2, "_write_text"), (7, "append"),
+                                 (7, "append"), (9, "inner"), (10, None)]
+
+
+def test_only_write_text_opens_a_file_for_writing():
+    # every artifact reaches the disk through fileio._write_text, which
+    # creates the file's directory; a second writer would bypass it
+    found = [(path.stem, function)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for _, function in file_writers(path.read_text(encoding="utf-8"))]
+    assert found == [("fileio", "_write_text")]
 
 
 #: names NumPy added in 2.0 or later, absent from the ``numpy>=1.24`` that

@@ -36,6 +36,15 @@ def test_params_tolerances_must_be_positive(name, value):
         PARAMS.with_(**{name: value})
 
 
+@pytest.mark.parametrize("name", ["K", "P_max", "Delta", "beta", "kappa",
+                                  "rtol", "atol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_params_fields_must_be_finite(name, value):
+    # a NaN kappa would fail "kappa > 0" and silently run without loss
+    with pytest.raises(UsageError, match=f"{name} must be finite"):
+        PARAMS.with_(**{name: value})
+
+
 def test_kerr_only_hamiltonian_diagonal():
     p = md.SystemParams.from_mhz(3.1, 0.0, 0.0, 0.0, dim=12)
     sched = md.hold_schedule(1.0, 0.0, 0.0)
@@ -334,6 +343,19 @@ def test_cosine_envelope_value_and_integral():
     tt = np.linspace(0.0, 1.5, 200001)
     riemann = trapezoid(1.3 * np.cos(2.1 * tt + 0.4), tt)
     assert env.integral(1.5) == pytest.approx(riemann, abs=1e-8)
+
+
+def test_resonant_cosine_drive_with_a_phase_is_static():
+    # A cos(phi) is constant in time: the segment is propagated exactly
+    p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=20)
+    assert md.Cosine(p.beta, 0.0, 0.7).is_constant()
+    assert not md.Cosine(p.beta, 1.3, 0.0).is_constant()
+    seg = md.Segment(duration=0.5, pump=md.Constant(p.P_max),
+                     detuning=md.Constant(p.Delta),
+                     drive=md.Cosine(p.beta, 0.0, 0.7))
+    assert seg.is_static()
+    traj = dyn.propagate(p, md.PulseSchedule((seg,)), fs.fock_state(0, 20))
+    assert traj.meta["segments"] == [{"solver": "eigh", "nfev": 0}]
 
 
 def test_pump_continuity_check():
