@@ -1,9 +1,10 @@
 """Command-line experiment runners with deterministic file outputs.
 
 Each subcommand reads a JSON config (units spelled out in the key names:
-``K_MHz``, ``tau_ramp_ns``, ...), runs one experiment, and writes CSV data,
-a ``summary.json``, and optional SVG plots under ``<out>/<experiment>/``.
-Reruns with the same config and seed are byte-identical.
+``K_MHz``, ``tau_ramp_ns``, ...) and runs one experiment; once it has
+returned, CSV data, a ``summary.json``, and optional SVG plots are written
+under ``<out>/<experiment>/``.  Reruns with the same config and seed are
+byte-identical.
 
 Exit codes: 0 success, 2 config error, 3 physics/convergence error,
 4 I/O error.  Failures print a machine-readable JSON line on stderr.
@@ -15,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -135,37 +137,32 @@ def _system(config, refine=False):
 def load_config(path):
     try:
         with open(path) as fh:
-            text = fh.read()
+            return json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}")
-    try:
-        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}")
 
 
-def _write_map(out, stem, names, rows, cols, values, svg=False, title="",
-               xlabel="", ylabel=""):
-    """Write a (rows x cols) map to ``<stem>.csv``, one line per cell, row by
-    row, and with ``svg`` its heatmap, rows along y, to ``<stem>.svg``."""
-    io.write_csv(os.path.join(out, f"{stem}.csv"), {
-        names[0]: np.repeat(rows, cols.size),
-        names[1]: np.tile(cols, rows.size),
-        names[2]: values.reshape(-1),
-    })
-    if svg:
-        io.svg_heatmap(os.path.join(out, f"{stem}.svg"), cols, rows, values,
-                       title=title, xlabel=xlabel, ylabel=ylabel)
+def _map(names, rows, cols, values, title="", xlabel="", ylabel=""):
+    """The table of a (rows x cols) map, one line per cell, row by row, and
+    the plot of its heatmap, rows along y."""
+    return ({names[0]: np.repeat(rows, cols.size),
+             names[1]: np.tile(cols, rows.size),
+             names[2]: values.reshape(-1)},
+            partial(io.svg_heatmap, x=cols, y=rows, values=values,
+                    title=title, xlabel=xlabel, ylabel=ylabel))
 
 
 # ---------------------------------------------------------------------------
-# experiment runners; each takes (cfg, params, out, svg), cfg a _Config it
-# reads in full and closes with cfg.done() before it computes, and returns
-# (summary, checks): checks maps summary scalars to their --check tolerance
+# experiment runners; each takes (cfg, params), cfg a _Config it reads in
+# full and closes with cfg.done() before it computes, writes nothing, and
+# returns (summary, checks, files): checks maps summary scalars to their
+# --check tolerance, files each artifact stem to (data, plot) for _write
 
 
 def _run_rabi(which):
-    def run(cfg, params, out, svg):
+    def run(cfg, params):
         amp = mhz_to_angular(cfg.number("amplitude_MHz"))
         det = cfg.grid("detuning_grid_MHz", scale=TWO_PI)
         tus = ns_to_us(cfg.grid("time_grid_ns"))
@@ -173,8 +170,9 @@ def _run_rabi(which):
         pmap = dyn.rabi_map(params, which, amp, det, tus)
         dmhz = det / TWO_PI
         tns = us_to_ns(tus)
-        _write_map(out, "map", ("detuning_MHz", "time_ns", "p0"), dmhz, tns,
-                   pmap, svg, f"rabi-{which}", "time (ns)", "detuning (MHz)")
+        files = {"map": _map(("detuning_MHz", "time_ns", "p0"), dmhz, tns,
+                             pmap, f"rabi-{which}", "time (ns)",
+                             "detuning (MHz)")}
         i, j = np.unravel_index(int(np.argmin(pmap)), pmap.shape)
         summary = {
             "experiment": f"rabi-{which}",
@@ -183,11 +181,11 @@ def _run_rabi(which):
             "min_at_time_ns": float(tns[j]),
             "final_row_mean_p0": float(np.mean(pmap[:, -1])),
         }
-        return summary, {"min_p0": 0.02}
+        return summary, {"min_p0": 0.02}, files
     return run
 
 
-def _run_map_cat(cfg, params, out, svg):
+def _run_map_cat(cfg, params):
     tau = ns_to_us(cfg.number("tau_ramp_ns", 300.0))
     cd = cfg.flag("counterdiabatic", True)
     nsamp = cfg.integer("samples", 41, minimum=2)
@@ -195,39 +193,34 @@ def _run_map_cat(cfg, params, out, svg):
     sched = md.ramp_schedule(params.P_max, tau, params.Delta,
                              counterdiabatic=cd)
     basis = md.cat_basis_from_model(params)
-    lossless = params.with_(kappa=0.0)
     times = np.linspace(0.0, tau, nsamp)
     cols = {"time_ns": us_to_ns(times)}
-    finals = {}
-    trajs = dyn.propagate_many(lossless, sched,
+    trajs = dyn.propagate_many(params.with_(kappa=0.0), sched,
                                [fs.fock_state(k, params.dim) for k in (0, 1)],
                                sample_times=times)
-    for label, bvec, traj in zip(("even", "odd"), (basis.plus_cat.amplitudes,
-                                                   basis.minus_cat.amplitudes),
-                                 trajs):
-        fid = [abs(np.vdot(bvec, s.amplitudes)) ** 2 for s in traj.states]
-        cols[f"fid_{label}"] = fid
-        finals[label] = fid[-1]
-    io.write_csv(os.path.join(out, "mapping.csv"), cols)
-    if svg:
-        io.svg_lines(os.path.join(out, "mapping.svg"), cols["time_ns"],
-                     {"even": cols["fid_even"], "odd": cols["fid_odd"]},
-                     title="map-cat", xlabel="time (ns)", ylabel="fidelity")
+    for label, cat, traj in zip(("even", "odd"),
+                                (basis.plus_cat, basis.minus_cat), trajs):
+        cols[f"fid_{label}"] = [abs(np.vdot(cat.amplitudes, s.amplitudes)) ** 2
+                                for s in traj.states]
+    plot = partial(io.svg_lines, x=cols["time_ns"],
+                   series={"even": cols["fid_even"], "odd": cols["fid_odd"]},
+                   title="map-cat", xlabel="time (ns)", ylabel="fidelity")
     summary = {
         "experiment": "map-cat",
-        "final_fidelity_even": finals["even"],
-        "final_fidelity_odd": finals["odd"],
+        "final_fidelity_even": cols["fid_even"][-1],
+        "final_fidelity_odd": cols["fid_odd"][-1],
         "frame_phase_rad": float(sched.total_frame_phase),
         "counterdiabatic": cd,
     }
-    return summary, {"final_fidelity_even": 5e-3, "final_fidelity_odd": 5e-3}
+    return (summary, {"final_fidelity_even": 5e-3, "final_fidelity_odd": 5e-3},
+            {"mapping": (cols, plot)})
 
 
-def _run_cat_size(cfg, params, out, svg):
+def _run_cat_size(cfg, params):
     deltas = cfg.grid("delta_grid_MHz", scale=TWO_PI)
     points = cfg.integer("wigner_points", 81, minimum=9)
     cfg.done()
-    sizes, formula = [], []
+    sizes = []
     for d in deltas:
         p_i = params.with_(Delta=float(d))
         basis = md.cat_basis_from_model(p_i)
@@ -239,28 +232,27 @@ def _run_cat_size(cfg, params, out, svg):
         axis = tg.default_grid(p_i.dim, points=points)
         wm = tg.wigner_ideal(rho, axis, axis)
         sizes.append(tg.cat_size(wm))
-        formula.append(np.sqrt((p_i.P_max + p_i.Delta) / p_i.K))
     sizes = np.array(sizes)
-    formula = np.array(formula)
-    io.write_csv(os.path.join(out, "cat_size.csv"), {
+    formula = np.sqrt((params.P_max + deltas) / params.K)
+    table = {
         "Delta_MHz": deltas / TWO_PI,
         "size": sizes,
         "stationary_radius": formula,
-    })
-    if svg:
-        io.svg_lines(os.path.join(out, "cat_size.svg"), deltas / TWO_PI,
-                     {"size": sizes, "formula": formula},
-                     title="cat-size", xlabel="Delta (MHz)", ylabel="|alpha|")
+    }
+    plot = partial(io.svg_lines, x=deltas / TWO_PI,
+                   series={"size": sizes, "formula": formula},
+                   title="cat-size", xlabel="Delta (MHz)", ylabel="|alpha|")
     rel = np.abs(sizes - formula) / formula
     summary = {
         "experiment": "cat-size",
         "rms_relative_deviation": float(np.sqrt(np.mean(rel ** 2))),
         "max_relative_deviation": float(np.max(rel)),
     }
-    return summary, {"max_relative_deviation": 0.05}
+    return (summary, {"max_relative_deviation": 0.05},
+            {"cat_size": (table, plot)})
 
 
-def _run_relax(cfg, params, out, svg):
+def _run_relax(cfg, params):
     waits = cfg.grid("wait_grid_us")
     prepare = cfg.choice("prepare", "ramp", ("ramp", "ideal"))
     tau = ns_to_us(cfg.number("tau_ramp_ns", 300.0))
@@ -268,25 +260,21 @@ def _run_relax(cfg, params, out, svg):
     res = dyn.relaxation_experiment(params, waits, prepare=prepare,
                                     tau_ramp=tau)
     pop_cols = {"wait_us": waits}
-    plus_cat_run = res.populations["z"]
-    for k, label in enumerate(fs.CARDINAL_LABELS):
+    for label, p in zip(fs.CARDINAL_LABELS, res.populations["z"]):
         name = label.replace("+", "plus_").replace("-", "minus_")
-        pop_cols[f"p_{name}"] = plus_cat_run[k]
-    io.write_csv(os.path.join(out, "populations.csv"), pop_cols)
+        pop_cols[f"p_{name}"] = p
     sd_cols = {"wait_us": waits}
     for axis in ("z", "x", "y"):
         sd_cols[f"sum_{axis}"] = res.sums[axis]
         sd_cols[f"diff_{axis}"] = res.differences[axis]
-    io.write_csv(os.path.join(out, "axes.csv"), sd_cols)
     decay = dyn.fit_exp_decay(waits, res.differences["z"])
     osc = dyn.fit_damped_cosine(waits, res.differences["x"])
     split_mhz = angular_to_mhz(sp.qubit_splitting(
         params.K, params.P_max, params.Delta, params.dim)[0])
-    if svg:
-        io.svg_lines(os.path.join(out, "axes.svg"), waits,
-                     {"diff_z": sd_cols["diff_z"], "diff_x": sd_cols["diff_x"],
-                      "sum_z": sd_cols["sum_z"]},
-                     title="relax", xlabel="wait (us)", ylabel="population")
+    plot = partial(
+        io.svg_lines, x=waits,
+        series={k: sd_cols[k] for k in ("diff_z", "diff_x", "sum_z")},
+        title="relax", xlabel="wait (us)", ylabel="population")
     summary = {
         "experiment": "relax",
         "T_z_us": decay.decay_time,
@@ -296,17 +284,17 @@ def _run_relax(cfg, params, out, svg):
         "frequency_vs_splitting": float(
             abs(osc.frequency - split_mhz) / split_mhz),
     }
-    return summary, {"T_z_us": 0.5, "oscillation_MHz": 0.02}
+    return (summary, {"T_z_us": 0.5, "oscillation_MHz": 0.02},
+            {"populations": (pop_cols, None), "axes": (sd_cols, plot)})
 
 
-def _run_quasi_surface(cfg, params, out, svg):
+def _run_quasi_surface(cfg, params):
     pg = cfg.grid("p_over_K_grid")
     dg = cfg.grid("delta_over_K_grid")
     cfg.done()
     surf = sp.splitting_surface(params.K, pg, dg, params.dim)
-    _write_map(out, "surface",
-               ("P_over_K", "Delta_over_K", "splitting_over_K"), pg, dg, surf,
-               svg, "quasi-surface", "Delta/K", "P/K")
+    files = {"surface": _map(("P_over_K", "Delta_over_K", "splitting_over_K"),
+                             pg, dg, surf, "quasi-surface", "Delta/K", "P/K")}
     spec = sp.quasienergies(params.K, params.P_max, params.Delta, params.dim)
     summary = {
         "experiment": "quasi-surface",
@@ -315,10 +303,10 @@ def _run_quasi_surface(cfg, params, out, svg):
         "surface_min_over_K": float(np.min(surf)),
         "surface_max_over_K": float(np.max(surf)),
     }
-    return summary, {"splitting_MHz": 1e-4, "gap_over_K": 1e-4}
+    return summary, {"splitting_MHz": 1e-4, "gap_over_K": 1e-4}, files
 
 
-def _run_cat_rabi(cfg, params, out, svg):
+def _run_cat_rabi(cfg, params):
     det = cfg.grid("detuning_grid_MHz", scale=TWO_PI)
     tus = ns_to_us(cfg.grid("time_grid_ns"))
     phig = cfg.grid("phi_grid_rad", required=False)
@@ -327,9 +315,9 @@ def _run_cat_rabi(cfg, params, out, svg):
     pmap = dyn.cat_rabi_map(params, det, tus, symmetrized=sym)
     dmhz = det / TWO_PI
     tns = us_to_ns(tus)
-    _write_map(out, "detuning_map", ("detuning_MHz", "time_ns", "parity"),
-               dmhz, tns, pmap, svg, "cat-rabi", "time (ns)",
-               "drive detuning (MHz)")
+    files = {"detuning_map": _map(("detuning_MHz", "time_ns", "parity"),
+                                  dmhz, tns, pmap, "cat-rabi", "time (ns)",
+                                  "drive detuning (MHz)")}
     asym = np.sqrt(np.mean((pmap - pmap[::-1]) ** 2)) if (
         np.allclose(dmhz, -dmhz[::-1])) else None
     k0 = int(np.argmin(np.abs(det)))
@@ -347,11 +335,11 @@ def _run_cat_rabi(cfg, params, out, svg):
     checks = {"resonant_rabi_MHz": 0.05} if rabi_mhz is not None else {}
     if phig is not None:
         phmap = dyn.cat_rabi_phase_map(params, phig, tus, symmetrized=sym)
-        _write_map(out, "phase_map", ("phi_rad", "time_ns", "parity"), phig,
-                   tns, phmap, svg, "cat-rabi phase", "time (ns)",
-                   "drive phase (rad)")
+        files["phase_map"] = _map(("phi_rad", "time_ns", "parity"), phig, tns,
+                                  phmap, "cat-rabi phase", "time (ns)",
+                                  "drive phase (rad)")
         summary["phase_rows"] = int(phig.size)
-    return summary, checks
+    return summary, checks, files
 
 
 def _ripple_metric(row):
@@ -364,7 +352,7 @@ def _ripple_metric(row):
     return float(np.sqrt(np.mean(resid ** 2)))
 
 
-def _run_cat_ramsey(cfg, params, out, svg):
+def _run_cat_ramsey(cfg, params):
     dps = cfg.grid("delta_peak_grid_MHz", scale=TWO_PI)
     taus = ns_to_us(cfg.grid("tau_Z_grid_ns"))
     betas = cfg.grid("ripple_beta_grid_MHz", scale=TWO_PI, required=False)
@@ -373,67 +361,62 @@ def _run_cat_ramsey(cfg, params, out, svg):
     pmap = dyn.cat_ramsey_map(params, dps, taus, cal["duration"])
     dmhz = dps / TWO_PI
     tns = us_to_ns(taus)
-    _write_map(out, "ramsey", ("delta_peak_MHz", "tau_Z_ns", "parity"), dmhz,
-               tns, pmap, svg, "cat-ramsey", "tau_Z (ns)", "chirp depth (MHz)")
+    files = {"ramsey": _map(("delta_peak_MHz", "tau_Z_ns", "parity"), dmhz,
+                            tns, pmap, "cat-ramsey", "tau_Z (ns)",
+                            "chirp depth (MHz)")}
     summary = {
         "experiment": "cat-ramsey",
         "x2_duration_ns": us_to_ns(cal["duration"]),
         "parity_range": [float(np.min(pmap)), float(np.max(pmap))],
         "fringe_column_span": float(np.ptp(pmap[:, -1])),
     }
-    checks = {"x2_duration_ns": 2.0}
     if betas is not None:
-        tau_fix = taus[-1]
         ripples = []
         for b in betas:
             p_b = params.with_(beta=float(b), kappa=0.0)
             cal_b = qp.calibrate_x2(p_b)
-            row = dyn.cat_ramsey_map(p_b, dps, [tau_fix], cal_b["duration"])
+            row = dyn.cat_ramsey_map(p_b, dps, [taus[-1]], cal_b["duration"])
             ripples.append(_ripple_metric(row[:, 0]))
-        io.write_csv(os.path.join(out, "ripple.csv"), {
-            "beta_MHz": betas / TWO_PI,
-            "ripple_rms": np.array(ripples),
-        })
-        if svg:
-            io.svg_lines(os.path.join(out, "ripple.svg"), betas / TWO_PI,
-                         {"ripple": np.array(ripples)}, title="ramsey ripple",
-                         xlabel="beta (MHz)", ylabel="ripple RMS")
+        files["ripple"] = (
+            {"beta_MHz": betas / TWO_PI, "ripple_rms": np.array(ripples)},
+            partial(io.svg_lines, x=betas / TWO_PI,
+                    series={"ripple": np.array(ripples)},
+                    title="ramsey ripple", xlabel="beta (MHz)",
+                    ylabel="ripple RMS"))
         summary["ripple_rms"] = [float(r) for r in ripples]
         summary["ripple_monotone_increase"] = bool(
             ripples[-1] > ripples[0])
-    return summary, checks
+    return summary, {"x2_duration_ns": 2.0}, files
 
 
-def _run_tls_compare(cfg, params, out, svg):
+def _run_tls_compare(cfg, params):
     omega_mhz = cfg.number("Omega_R_MHz", None)
     det = cfg.grid("detuning_grid_MHz", scale=TWO_PI)
     tus = ns_to_us(cfg.grid("time_grid_ns"))
     cfg.done()
     omega = (2.0 * params.beta * qp.x2_coupling(md.cat_basis_from_model(params))
              if omega_mhz is None else mhz_to_angular(omega_mhz))
-    maps = {}
-    for variant in ("symmetrized", "standard"):
-        maps[variant] = dyn.tls_rabi_map(variant, omega, det, tus)
+    maps = {variant: dyn.tls_rabi_map(variant, omega, det, tus)
+            for variant in ("symmetrized", "standard")}
     dmhz = det / TWO_PI
     tns = us_to_ns(tus)
-    for variant, m in maps.items():
-        _write_map(out, variant, ("detuning_MHz", "time_ns", "p_excited"),
-                   dmhz, tns, m, svg, f"TLS {variant}", "time (ns)",
-                   "detuning (MHz)")
+    files = {variant: _map(("detuning_MHz", "time_ns", "p_excited"), dmhz,
+                           tns, m, f"TLS {variant}", "time (ns)",
+                           "detuning (MHz)")
+             for variant, m in maps.items()}
     diff = float(np.sqrt(np.mean((maps["symmetrized"] - maps["standard"]) ** 2)))
     summary = {
         "experiment": "tls-compare",
         "Omega_R_MHz": angular_to_mhz(omega),
         "rms_between_variants": diff,
-        "evenness_symmetrized": float(np.sqrt(np.mean(
-            (maps["symmetrized"] - maps["symmetrized"][::-1]) ** 2))),
-        "evenness_standard": float(np.sqrt(np.mean(
-            (maps["standard"] - maps["standard"][::-1]) ** 2))),
     }
-    return summary, {"rms_between_variants": 1e-6}
+    for variant, m in maps.items():
+        summary[f"evenness_{variant}"] = float(
+            np.sqrt(np.mean((m - m[::-1]) ** 2)))
+    return summary, {"rms_between_variants": 1e-6}, files
 
 
-def _run_qpt(cfg, params, out, svg):
+def _run_qpt(cfg, params):
     kind = cfg.choice("kind", "mapping", ("mapping", "x2", "z2"))
     # each kind reads, and so accepts, only its own gate time
     times = {}
@@ -444,25 +427,22 @@ def _run_qpt(cfg, params, out, svg):
     offset = mhz_to_angular(cfg.number("detuning_offset_MHz", 0.0))
     cfg.done()
     res = qp.qpt_experiment(kind, params, detuning_offset=offset, **times)
-    io.write_chi_json(os.path.join(out, "chi.json"), res.chi)
-    io.write_chi_csv(os.path.join(out, "chi.csv"), res.chi)
-    if svg:
-        io.svg_chi_bars(os.path.join(out, "chi_real.svg"), res.chi,
-                        part="real", title=f"chi real ({kind})")
-        io.svg_chi_bars(os.path.join(out, "chi_imag.svg"), res.chi,
-                        part="imag", title=f"chi imag ({kind})")
-    diag = np.diag(res.chi.chi).real
+    files = {"chi": (res.chi, None)}
+    for part in ("real", "imag"):
+        files[f"chi_{part}"] = (None, partial(
+            io.svg_chi_bars, process_matrix=res.chi, part=part,
+            title=f"chi {part} ({kind})"))
     summary = {
         "experiment": "qpt",
         "kind": kind,
         "process_fidelity": res.fidelity,
-        "chi_diag": [float(v) for v in diag],
+        "chi_diag": [float(v) for v in np.diag(res.chi.chi).real],
         "max_leakage": float(max(res.leakages)),
         "tp_residual": res.chi.tp_residual,
         "calibration": {k: (float(v) if isinstance(v, (int, float)) else v)
                         for k, v in res.calibration.items()},
     }
-    return summary, {"process_fidelity": 0.01}
+    return summary, {"process_fidelity": 0.01}, files
 
 
 def _wigner_state(block, params):
@@ -486,7 +466,7 @@ def _wigner_state(block, params):
                         params.dim)
 
 
-def _run_wigner(cfg, params, out, svg):
+def _run_wigner(cfg, params):
     mode = cfg.choice("mode", "ideal", ("ideal", "simulated"))
     state_block = cfg.section("state", {})
     points = cfg.integer("points", 81, minimum=9)
@@ -505,6 +485,7 @@ def _run_wigner(cfg, params, out, svg):
                else np.linspace(-ext, ext, points))
     rho = state.to_density()
     summary = {"experiment": "wigner", "mode": mode}
+    files = {}
     if mode == "ideal":
         if tau_corr is not None:
             rho = tg.kerr_correct(rho, params.K, params.Delta,
@@ -522,7 +503,7 @@ def _run_wigner(cfg, params, out, svg):
                                + sigma * rng.standard_normal(parities.shape),
                                -1.0, 1.0)
             record = tg.MeasurementRecord(record.alphas, parities)
-        io.write_record_jsonl(os.path.join(out, "record.jsonl"), record)
+        files["record"] = (record, None)
         wm = record.to_wigner(re, im)
         summary["pulse_duration_ns"] = us_to_ns(dur)
         summary["noise_sigma"] = sigma
@@ -532,17 +513,17 @@ def _run_wigner(cfg, params, out, svg):
             fid = fs.state_fidelity(state, rec)
             summary["reconstruction_fidelity"] = float(fid)
             summary["reconstruction_purity"] = float(rec.purity())
-    _write_map(out, "wigner", ("re", "im", "W"), re, im, wm.values.T)
-    if svg:
-        # Re alpha runs along x: the plot is the transpose of the CSV order
-        io.svg_heatmap(os.path.join(out, "wigner.svg"), re, im, wm.values,
-                       title="wigner", xlabel="Re alpha", ylabel="Im alpha")
+    table, _ = _map(("re", "im", "W"), re, im, wm.values.T)
+    # Re alpha runs along x: the plot is the transpose of the CSV order
+    files["wigner"] = (table, partial(
+        io.svg_heatmap, x=re, y=im, values=wm.values, title="wigner",
+        xlabel="Re alpha", ylabel="Im alpha"))
     summary["integral"] = float(wm.integral())
     summary["w_origin"] = float(wm.at_origin())
     summary["parity"] = float(wm.at_origin() * np.pi / 2.0)
     # integral is deliberately absent from the checks: the map-safe grid
     # extent grows with dim, so the Riemann integral legitimately moves
-    return summary, {"parity": 1e-3}
+    return summary, {"parity": 1e-3}, files
 
 
 RUNNERS = {
@@ -560,14 +541,32 @@ RUNNERS = {
 }
 
 
+def _write(out, files, svg):
+    """Write a runner's ``files`` under ``out``: named columns as CSV, a
+    ProcessMatrix as JSON and CSV, a MeasurementRecord as JSONL, and with
+    ``svg`` each plot, an SVG writer bound to all but its path."""
+    for stem, (data, plot) in files.items():
+        path = os.path.join(out, stem)
+        if isinstance(data, qp.ProcessMatrix):
+            io.write_chi_json(path + ".json", data)
+            io.write_chi_csv(path + ".csv", data)
+        elif isinstance(data, tg.MeasurementRecord):
+            io.write_record_jsonl(path + ".jsonl", data)
+        elif data is not None:
+            io.write_csv(path + ".csv", data)
+        if svg and plot is not None:
+            plot(path + ".svg")
+
+
 def run_experiment(name, cfg, out_root, svg=False, check=False):
     """Execute one experiment and write its artifacts; returns the summary.
 
     Artifacts go to ``<out_root or config out_dir or "out">/<name>/``, made
-    by the first artifact written, so a rejected config writes nothing.
-    With ``check`` the experiment reruns on the refined SystemParams of
-    :func:`_system`, and no summary value the runner declares may move by
-    more than its tolerance.
+    by the first artifact written after the run returns, so a rejected
+    config or a run that raises writes nothing.  With ``check`` the
+    experiment reruns on the refined SystemParams of :func:`_system`, its
+    tables go to ``check/``, and a summary value the runner declares that is
+    no number in either run or moves by more than its tolerance raises.
     """
     if name not in RUNNERS:
         raise UsageError(f"unknown experiment {name!r}; known: "
@@ -576,18 +575,21 @@ def run_experiment(name, cfg, out_root, svg=False, check=False):
     config = _Config(cfg, "config")
     out_dir = config.text("out_dir", None)  # read even when out_root wins
     out = os.path.join(out_root or out_dir or "out", name)
-    summary, tolerances = runner(config, _system(config), out, svg)
+    summary, tolerances, files = runner(config, _system(config))
+    _write(out, files, svg)
     if check:
-        summary2, _ = runner(config, _system(config, refine=True),
-                             os.path.join(out, "check"), False)
+        summary2, _, files2 = runner(config, _system(config, refine=True))
+        _write(os.path.join(out, "check"), files2, False)
         moves = {}
         for key, tol in tolerances.items():
             a, b = summary.get(key), summary2.get(key)
-            if not (isinstance(a, (int, float)) and isinstance(b, (int, float))):
-                continue
+            for value, run in ((a, "run"), (b, "--check rerun")):
+                if not isinstance(value, (int, float)):
+                    raise ConvergenceError(f"{name}: summary value {key} is "
+                                           f"{value!r} in the {run}")
             moves[key] = {"value": a, "check_value": b, "tolerance": tol,
                           "moved": abs(a - b)}
-            if abs(a - b) > tol:
+            if not abs(a - b) <= tol:  # a NaN fails too
                 raise ConvergenceError(
                     f"{name}: summary value {key} moved {abs(a - b):.3e} "
                     f"under doubled dim / halved tolerance "
@@ -617,21 +619,17 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         run_experiment(args.experiment, load_config(args.config), args.out,
                        svg=args.svg, check=args.check)
         return 0
     except (ConfigError, UsageError) as e:
-        _emit_error(e, 2)
-        return 2
+        return _emit_error(e, 2)
     except KposimError as e:
-        _emit_error(e, 3)
-        return 3
+        return _emit_error(e, 3)
     except OSError as e:
-        _emit_error(e, 4)
-        return 4
+        return _emit_error(e, 4)
 
 
 def _emit_error(exc, code):
@@ -640,6 +638,7 @@ def _emit_error(exc, code):
         "message": str(exc),
         "exit_code": code,
     }, sort_keys=True) + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -425,10 +425,11 @@ def rabi_map(params, which, amplitude, detuning_grid, time_grid):
 def tls_rabi_map(variant, Omega_R, detuning_grid, time_grid):
     """Excited-state population map of the two-level comparison models.
 
-    Closed forms for the 2x2 Hamiltonians of
-    :func:`kposim.model.tls_rabi_hamiltonian`, from the ground state:
-    ``'standard'`` gives (Omega/Omega')^2 sin^2(Omega' t/2) with
-    Omega' = sqrt(Omega^2 + Delta^2); the ``'symmetrized'`` H(t) commutes
+    Closed forms from the ground state.  ``'standard'`` is the rotating-frame
+    Rabi model H = (Omega/2)(sp e^{+i Delta t} + sm e^{-i Delta t}), giving
+    (Omega/Omega')^2 sin^2(Omega' t/2) with Omega' = sqrt(Omega^2 + Delta^2).
+    ``'symmetrized'`` drives two tones at opposite detunings,
+    H = (Omega/2) cos(Delta t) sigma_x, exactly even in Delta; H(t) commutes
     with itself at all times, so P1 = sin^2((Omega t/2) sinc(Delta t/pi)).
     Returns an array of shape (len(detuning_grid), len(time_grid)).
     """
@@ -436,7 +437,9 @@ def tls_rabi_map(variant, Omega_R, detuning_grid, time_grid):
     tg = np.asarray(time_grid, dtype=float)
     if det.size == 0 or tg.size == 0:
         raise UsageError("detuning_grid and time_grid must be nonempty")
-    md.tls_rabi_hamiltonian(variant, Omega_R, 0.0, 0.0)  # validate variant early
+    if variant not in ("symmetrized", "standard"):
+        raise UsageError("variant must be 'symmetrized' or 'standard', "
+                         f"got {variant!r}")
     half_area = 0.5 * Omega_R * tg
     if variant == "standard":
         # (Omega/Omega')^2 sin^2(Omega' t/2), finite at Omega' = 0

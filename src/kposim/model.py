@@ -51,7 +51,6 @@ __all__ = [
     "operator_stack",
     "hamiltonian_at",
     "static_hamiltonian",
-    "tls_rabi_hamiltonian",
     "CatBasis",
     "cat_basis_from_model",
 ]
@@ -494,36 +493,6 @@ def static_hamiltonian(K, P, Delta, dim):
     """Drive-free Hamiltonian ``Delta n - (K/2) adag adag a a + (P/2)(adag^2+a^2)``."""
     return _hamiltonian(K, np.array([Delta, 0.5 * P, 0.0, 0.0],
                                     dtype=np.complex128), dim)
-
-
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-
-
-def tls_rabi_hamiltonian(variant, Omega_R, Delta_dT, t):
-    """Two-level comparison Hamiltonians for the cat Rabi experiment.
-
-    ``variant='symmetrized'`` drives with two tones at opposite detunings,
-
-        H = (Omega_R/4) (e^{-i Delta t} + e^{+i Delta t}) (sp + sm)
-          = (Omega_R/2) cos(Delta t) sigma_x,
-
-    exactly even in ``Delta_dT``.  ``variant='standard'`` is the usual
-    rotating-frame Rabi model
-
-        H = (Omega_R/2) (sp e^{+i Delta t} + sm e^{-i Delta t}),
-
-    whose excitation dynamics follow the generalized Rabi frequency
-    sqrt(Omega_R^2 + Delta_dT^2).
-    """
-    if variant == "symmetrized":
-        return (0.5 * Omega_R * math.cos(Delta_dT * t)) * _SIGMA_X
-    if variant == "standard":
-        phase = np.exp(1j * Delta_dT * t)
-        H = np.zeros((2, 2), dtype=np.complex128)
-        H[0, 1] = 0.5 * Omega_R * phase        # sigma_plus = |0><1| in our ordering
-        H[1, 0] = 0.5 * Omega_R * np.conj(phase)
-        return H
-    raise UsageError(f"variant must be 'symmetrized' or 'standard', got {variant!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from kposim import model as md
+from kposim.errors import UsageError
 
 
 def ladder(dim):
@@ -150,12 +151,41 @@ def chevron_excited(Omega_R, delta, t):
     return (Omega_R / Op) ** 2 * np.sin(0.5 * Op * np.asarray(t)) ** 2
 
 
+def tls_rabi_hamiltonian(variant, Omega_R, Delta_dT, t):
+    """Two-level comparison Hamiltonians for the cat Rabi experiment.
+
+    ``variant='symmetrized'`` drives with two tones at opposite detunings,
+
+        H = (Omega_R/4) (e^{-i Delta t} + e^{+i Delta t}) (sp + sm)
+          = (Omega_R/2) cos(Delta t) sigma_x,
+
+    exactly even in ``Delta_dT``.  ``variant='standard'`` is the usual
+    rotating-frame Rabi model
+
+        H = (Omega_R/2) (sp e^{+i Delta t} + sm e^{-i Delta t}),
+
+    whose excitation dynamics follow the generalized Rabi frequency
+    sqrt(Omega_R^2 + Delta_dT^2).
+    """
+    if variant == "symmetrized":
+        return 0.5 * Omega_R * np.cos(Delta_dT * t) * np.array(
+            [[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    if variant == "standard":
+        phase = np.exp(1j * Delta_dT * t)
+        H = np.zeros((2, 2), dtype=complex)
+        H[0, 1] = 0.5 * Omega_R * phase        # sigma_plus = |0><1|
+        H[1, 0] = 0.5 * Omega_R * np.conj(phase)
+        return H
+    raise UsageError("variant must be 'symmetrized' or 'standard', "
+                     f"got {variant!r}")
+
+
 def tls_excited(variant, Omega_R, delta, times):
     """Two-level excited population from adaptive RK45 on the Hamiltonian."""
     times = np.asarray(times, dtype=float)
 
     def rhs(t, y):
-        return -1j * (md.tls_rabi_hamiltonian(variant, Omega_R, delta, t) @ y)
+        return -1j * (tls_rabi_hamiltonian(variant, Omega_R, delta, t) @ y)
 
     sol = solve_ivp(rhs, (0.0, times[-1]), np.array([1.0 + 0j, 0j]),
                     t_eval=times, rtol=1e-10, atol=1e-12)

@@ -11,7 +11,7 @@ from kposim import dynamics as dyn
 from kposim import fileio as io
 from kposim import fockspace as fs
 from kposim import tomography as tg
-from kposim.errors import UsageError
+from kposim.errors import FitError, ReconstructionError, UsageError
 
 
 def _write_config(tmp_path, name, cfg):
@@ -408,3 +408,123 @@ def test_nonpositive_z2_gate_time_is_a_usage_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ScheduleError"
     assert "tau_Z" in err["message"]
+
+
+# the files of every experiment at its minimal config with --svg, besides
+# summary.json
+_LAYOUT = {
+    "rabi-drive": ["map.csv", "map.svg"],
+    "rabi-pump": ["map.csv", "map.svg"],
+    "map-cat": ["mapping.csv", "mapping.svg"],
+    "cat-size": ["cat_size.csv", "cat_size.svg"],
+    "relax": ["populations.csv", "axes.csv", "axes.svg"],
+    "quasi-surface": ["surface.csv", "surface.svg"],
+    "cat-rabi": ["detuning_map.csv", "detuning_map.svg"],
+    "cat-ramsey": ["ramsey.csv", "ramsey.svg"],
+    "tls-compare": ["symmetrized.csv", "symmetrized.svg", "standard.csv",
+                    "standard.svg"],
+    "qpt": ["chi.json", "chi.csv", "chi_real.svg", "chi_imag.svg"],
+    "wigner": ["wigner.csv", "wigner.svg"],
+}
+
+
+def _tree(root):
+    """The sorted paths of the files under ``root``, relative to it."""
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*")
+                  if p.is_file())
+
+
+@pytest.mark.parametrize("name", sorted(cli.RUNNERS))
+def test_artifact_layout_and_byte_identical_rerun(tmp_path, name):
+    cfg = _write_config(tmp_path, "c.json", _minimal(name))
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    for out in (out1, out2):
+        assert cli.main([name, "--config", cfg, "--out", str(out),
+                         "--svg"]) == 0
+    tree = _tree(out1)
+    assert tree == sorted(f"{name}/{f}"
+                          for f in _LAYOUT[name] + ["summary.json"])
+    assert _tree(out2) == tree
+    for f in tree:
+        assert (out1 / f).read_bytes() == (out2 / f).read_bytes(), f
+
+
+def test_check_writes_the_rerun_tables_without_plots(tmp_path):
+    cfg = _write_config(tmp_path, "c.json", _minimal("relax"))
+    out = tmp_path / "o"
+    assert cli.main(["relax", "--config", cfg, "--out", str(out), "--svg",
+                     "--check"]) == 0
+    assert _tree(out) == sorted(
+        ["relax/summary.json", "relax/populations.csv", "relax/axes.csv",
+         "relax/axes.svg", "relax/check/populations.csv",
+         "relax/check/axes.csv"])
+
+
+def test_failed_check_leaves_both_tables_and_no_summary(tmp_path, capsys):
+    # truncation at dim 8: the cat size moves by 0.14 under the rerun,
+    # against a tolerance of 0.05
+    cfg = _write_config(tmp_path, "c.json", _minimal("cat-size"))
+    out = tmp_path / "o"
+    assert cli.main(["cat-size", "--config", cfg, "--out", str(out), "--svg",
+                     "--check"]) == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConvergenceError"
+    assert "max_relative_deviation" in err["message"]
+    assert _tree(out) == ["cat-size/cat_size.csv", "cat-size/cat_size.svg",
+                          "cat-size/check/cat_size.csv"]
+
+
+def test_check_fails_on_a_declared_value_the_rerun_lacks(tmp_path, capsys,
+                                                         monkeypatch):
+    dims = []
+    cat_rabi_map, fit = dyn.cat_rabi_map, dyn.fit_damped_cosine
+
+    def spy(params, *args, **kwargs):
+        dims.append(params.dim)
+        return cat_rabi_map(params, *args, **kwargs)
+
+    def fit_fails_when_refined(*args, **kwargs):
+        if dims[-1] == 16:
+            raise FitError("no oscillation resolved")
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(dyn, "cat_rabi_map", spy)
+    monkeypatch.setattr(dyn, "fit_damped_cosine", fit_fails_when_refined)
+    # the resonant row of this grid fits at dim 8 (3.09 MHz)
+    cfg = _write_config(tmp_path, "c.json", _minimal(
+        "cat-rabi", detuning_grid_MHz=_grid(-1, 1, 3),
+        time_grid_ns=_grid(0, 600, 13)))
+    out = tmp_path / "o"
+    assert cli.main(["cat-rabi", "--config", cfg, "--out", str(out),
+                     "--check"]) == 3
+    assert dims == [8, 16]
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConvergenceError"
+    assert "resonant_rabi_MHz is None in the --check rerun" in err["message"]
+    assert not (out / "cat-rabi" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("name", sorted(cli.RUNNERS))
+def test_a_runner_writes_nothing(monkeypatch, name):
+    def refuse(path, text):
+        raise AssertionError(f"a runner wrote {path}")
+
+    monkeypatch.setattr(io, "_write_text", refuse)
+    config = cli._Config(_minimal(name), "config")
+    summary, _, files = cli.RUNNERS[name](config, cli._system(config))
+    assert summary["experiment"] == name
+    assert files
+
+
+def test_a_run_that_raises_writes_nothing(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ReconstructionError("no fit to the record")
+
+    monkeypatch.setattr(tg, "reconstruct_density", fail)
+    cfg = _write_config(tmp_path, "c.json", _minimal(
+        "wigner", mode="simulated", reconstruct=True))
+    out = tmp_path / "o"
+    assert cli.main(["wigner", "--config", cfg, "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ReconstructionError"
+    assert not out.exists()

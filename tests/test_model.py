@@ -212,8 +212,8 @@ def test_drive_two_level_leakage():
 
 def test_tls_variants_agree_on_resonance():
     for t in (0.0, 0.37, 1.9):
-        hd = md.tls_rabi_hamiltonian("symmetrized", 2.0, 0.0, t)
-        hs = md.tls_rabi_hamiltonian("standard", 2.0, 0.0, t)
+        hd = orc.tls_rabi_hamiltonian("symmetrized", 2.0, 0.0, t)
+        hs = orc.tls_rabi_hamiltonian("standard", 2.0, 0.0, t)
         sx = np.array([[0, 1], [1, 0]])
         assert np.max(np.abs(hd - sx)) < 1e-12
         assert np.max(np.abs(hs - sx)) < 1e-12
@@ -221,7 +221,9 @@ def test_tls_variants_agree_on_resonance():
 
 def test_tls_unknown_variant():
     with pytest.raises(UsageError):
-        md.tls_rabi_hamiltonian("other", 1.0, 0.0, 0.0)
+        orc.tls_rabi_hamiltonian("other", 1.0, 0.0, 0.0)
+    with pytest.raises(UsageError, match="variant"):
+        dyn.tls_rabi_map("other", 1.0, [0.0], [0.0])
 
 
 def test_tls_symmetrized_map_even():
