@@ -195,13 +195,13 @@ def _run_map_cat(cfg, params):
     basis = md.cat_basis_from_model(params)
     times = np.linspace(0.0, tau, nsamp)
     cols = {"time_ns": us_to_ns(times)}
-    trajs = dyn.propagate_many(params.with_(kappa=0.0), sched,
-                               [fs.fock_state(k, params.dim) for k in (0, 1)],
-                               sample_times=times)
-    for label, cat, traj in zip(("even", "odd"),
-                                (basis.plus_cat, basis.minus_cat), trajs):
-        cols[f"fid_{label}"] = [abs(np.vdot(cat.amplitudes, s.amplitudes)) ** 2
-                                for s in traj.states]
+    traj = dyn.propagate_many(params.with_(kappa=0.0), sched,
+                              [fs.fock_state(k, params.dim) for k in (0, 1)],
+                              sample_times=times)
+    cats = np.array([basis.plus_cat.amplitudes, basis.minus_cat.amplitudes])
+    # |<cat|psi(t)>|^2 as the dot products of np.vdot
+    overlaps = cats.conj()[:, None, None, :] @ traj.states[..., None]
+    cols["fid_even"], cols["fid_odd"] = np.abs(overlaps[..., 0, 0]) ** 2
     plot = partial(io.svg_lines, x=cols["time_ns"],
                    series={"even": cols["fid_even"], "odd": cols["fid_odd"]},
                    title="map-cat", xlabel="time (ns)", ylabel="fidelity")

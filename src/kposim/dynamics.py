@@ -6,8 +6,10 @@ cardinal-state relaxation experiment, and deterministic least-squares fits
 (exponential decay, damped cosine) used to extract lifetimes and oscillation
 frequencies from the simulated data.  :func:`propagate_many` sends several
 states through one schedule, or each through its own (every map sweep), in
-shared solves, one stack per segment; :func:`propagate` is its batch of
-one, and :func:`parity_rows` reads a stack out as <parity>.
+shared solves, one stack per segment, and returns one checked (B, T, ...)
+array of the B states at T samples; :func:`propagate` is its batch of one,
+and every sweep reads the stack in array expressions, :func:`parity_rows`
+as <parity>.
 
 All frequencies are angular (rad/us) internally; fits report ordinary
 frequency in MHz.
@@ -38,26 +40,22 @@ from .units import TWO_PI
 class Trajectory:
     """Sampled solution of a propagation run.
 
-    ``states`` holds one StateVector (unitary branch) or DensityMatrix
-    (Lindblad branch) per entry of ``times``.  ``meta`` records the
-    ``branch`` and the RHS evaluations, ``nfev``, in all and per segment
-    (see :func:`propagate_many`).
+    ``states`` is one read-only array of the states at ``times``, laid out
+    as :func:`propagate_many` returns it; :func:`propagate` drops the batch
+    axis.  ``meta`` records the ``branch`` and the RHS evaluations,
+    ``nfev``, in all and per segment (see :func:`propagate_many`).
     """
 
     times: np.ndarray
-    states: tuple
+    states: np.ndarray
     meta: dict
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size != len(self.states):
-            raise UsageError("times and states must have matching length")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
-            raise UsageError("sample times must be strictly increasing")
-
     @property
-    def final_state(self):
-        return self.states[-1]
+    def densities(self):
+        """``states`` as density matrices: |psi><psi| of each ket."""
+        if self.meta["branch"] == "lindblad":
+            return self.states
+        return self.states[..., :, None] * self.states[..., None, :].conj()
 
 
 def _solve_segment(rhs, y0, t0, t1, t_eval, rtol, atol):
@@ -255,9 +253,10 @@ def propagate(params, schedule, initial, sample_times=None):
 
     The batch of one of :func:`propagate_many`, which documents the
     arguments, the solvers and ``meta``; returns that one state's
-    :class:`Trajectory`.
+    :class:`Trajectory`, whose ``states`` is (T, dim) or (T, dim, dim).
     """
-    return propagate_many(params, schedule, (initial,), sample_times)[0]
+    traj = propagate_many(params, schedule, (initial,), sample_times)
+    return Trajectory(traj.times, traj.states[0], traj.meta)
 
 
 def propagate_many(params, schedule, initials, sample_times=None):
@@ -272,8 +271,8 @@ def propagate_many(params, schedule, initials, sample_times=None):
     step).  ``sample_times`` (us, within the schedule; default: the
     schedule's end) selects the returned samples, so the returned states end
     at the last sample, and segments after it are not propagated.
-    Norm/trace drift beyond 1e-8 raises :class:`AccuracyError`; integrator
-    breakdown raises :class:`StiffnessError` naming the time reached.
+    Integrator breakdown raises :class:`StiffnessError` naming the time
+    reached.
     ``schedule`` is one :class:`kposim.model.PulseSchedule` for all states
     or B, one per state (a Rabi map's columns), of equal segment durations.
     An empty ``initials``, a state whose dim is not ``params.dim``, another
@@ -298,8 +297,13 @@ def propagate_many(params, schedule, initials, sample_times=None):
       DOP853 bounds the RMS error over the whole stack, so one state's local
       error may exceed the bound of its own solve by up to sqrt(B).
 
-    Returns one :class:`Trajectory` per initial state, in order.  They share
-    one ``meta``: ``meta["branch"]`` is ``"unitary"`` or ``"lindblad"``,
+    Returns one :class:`Trajectory` whose ``states`` is one read-only
+    array, the B initial states in order by the T samples: (B, T, dim)
+    kets, each renormalized, on the unitary branch, or (B, T, dim, dim)
+    density matrices, each Hermitized, on the Lindblad branch.  A norm or
+    trace off 1 by more than 1e-8, or an eigenvalue below -1e-7, raises
+    :class:`AccuracyError` naming the earliest failing sample.
+    ``meta["branch"]`` is ``"unitary"`` or ``"lindblad"``,
     ``meta["segments"]`` holds one ``{"solver", "nfev"}`` entry per
     propagated segment and ``meta["nfev"]`` their sum, each shared solve
     counted once, not once per state.
@@ -340,8 +344,8 @@ def propagate_many(params, schedule, initials, sample_times=None):
     y = np.array([s.entries.reshape(-1) if density else s.amplitudes
                   for s in initials], dtype=np.complex128)
 
-    samples = [(0.0, y)] if abs(t_s[0]) < 1e-15 else []
-    t_pending = t_s[len(samples):]
+    times, samples = ([0.0], [y]) if abs(t_s[0]) < 1e-15 else ([], [])
+    t_pending = t_s[len(times):]
     seg_stats = []
     t_cursor = 0.0
     for index, seg in enumerate(schedules[0].segments):
@@ -354,40 +358,38 @@ def propagate_many(params, schedule, initials, sample_times=None):
         ys, y, solver, nfev = _segment(params, schedules, index, y, t0,
                                        in_seg, t1, density)
         seg_stats.append({"solver": solver, "nfev": nfev})
-        samples += zip(in_seg, ys)
+        times += list(in_seg)
+        samples += ys
         t_cursor = t1
 
     meta = {"nfev": sum(s["nfev"] for s in seg_stats),
             "branch": "lindblad" if density else "unitary",
             "segments": seg_stats}
-    times = np.array([t for t, _ in samples])
-    return tuple(Trajectory(times, tuple(_freeze(ys[b], density, params.dim, t)
-                                         for t, ys in samples), meta)
-                 for b in range(len(initials)))
-
-
-def _freeze(y, density, dim, t):
-    """Wrap raw solver output into a state object, checking it here only."""
+    times = np.array(times)
+    stack = np.stack(samples, axis=1)
     if density:
-        rho = y.reshape(dim, dim)
-        tr = np.trace(rho).real
-        if abs(tr - 1.0) > 1e-8:
-            raise AccuracyError(
-                f"trace drifted to {tr:.12f} at t = {t:.6f} us; "
-                "tighten tolerances")
-        rho = 0.5 * (rho + rho.conj().T)
-        eigmin = float(np.linalg.eigvalsh(rho)[0])
-        if eigmin < -1e-7:
-            raise AccuracyError(
-                f"negative population {eigmin:.3e} at t = {t:.6f} us; "
-                "tighten tolerances")
-        return fs.DensityMatrix(rho, physical=False)
-    nrm = np.linalg.norm(y)
-    if abs(nrm - 1.0) > 1e-8:
-        raise AccuracyError(
-            f"norm drifted to {nrm:.12f} at t = {t:.6f} us; "
-            "tighten tolerances")
-    return fs.StateVector(y / nrm, normalized=False)
+        rho = stack.reshape(*stack.shape[:2], params.dim, params.dim)
+        trace = np.trace(rho, axis1=-2, axis2=-1).real
+        _require(abs(trace - 1.0) > 1e-8, trace, times,
+                 "trace drifted to {:.12f}")
+        states = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+        eigmin = np.linalg.eigvalsh(states)[..., 0]
+        _require(eigmin < -1e-7, eigmin, times, "negative population {:.3e}")
+    else:
+        norm = fs.norms(stack)
+        _require(abs(norm - 1.0) > 1e-8, norm, times, "norm drifted to {:.12f}")
+        states = stack / norm[..., None]
+    states.setflags(write=False)
+    return Trajectory(times, states, meta)
+
+
+def _require(bad, values, times, message):
+    """Raise AccuracyError at the earliest of the (B, T) samples ``bad``."""
+    failures = np.argwhere(bad.T)
+    if failures.size:
+        k, b = failures[0]
+        raise AccuracyError(f"{message.format(values[b, k])} at "
+                            f"t = {times[k]:.6f} us; tighten tolerances")
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +418,9 @@ def rabi_map(params, which, amplitude, detuning_grid, time_grid):
     columns = [md.PulseSchedule((md.Segment(duration=tg[-1],
                                             detuning=md.Constant(d), **tone),))
                for d in det]
-    trajs = propagate_many(params.with_(kappa=0.0), columns,
-                           [fs.fock_state(0, params.dim)] * det.size, tg)
-    return np.array([[abs(s.amplitudes[0]) ** 2 for s in traj.states]
-                     for traj in trajs])
+    traj = propagate_many(params.with_(kappa=0.0), columns,
+                          [fs.fock_state(0, params.dim)] * det.size, tg)
+    return np.abs(traj.states[..., 0]) ** 2
 
 
 def tls_rabi_map(variant, Omega_R, detuning_grid, time_grid):
@@ -453,13 +454,17 @@ def parity_rows(params, schedules, initial, sample_times=None):
     One :func:`propagate_many` stack of ``initial`` under each schedule (of
     equal segment durations), loss from ``params``; ``sample_times`` as
     there.  Returns the real <parity> at the sample times, one row per
-    schedule, shape (len(schedules), len(sample_times)).
+    schedule, shape (len(schedules), len(sample_times)): the parity signs
+    against |c_n|^2 of the kets, or against the diagonal of the density
+    matrices.
     """
-    par = fs.parity_op(params.dim)
-    trajs = propagate_many(params, schedules, [initial] * len(schedules),
-                           sample_times)
-    return np.array([[float(np.real(s.expect(par))) for s in traj.states]
-                     for traj in trajs])
+    traj = propagate_many(params, schedules, [initial] * len(schedules),
+                          sample_times)
+    if traj.meta["branch"] == "unitary":
+        populations = np.abs(traj.states) ** 2
+    else:
+        populations = np.diagonal(traj.states, axis1=-2, axis2=-1).real
+    return populations @ fs.parity_op(params.dim).diagonal().real
 
 
 def _cat_parity_rows(params, grid, detunings, phases, tg, symmetrized):
@@ -531,12 +536,15 @@ def cat_ramsey_map(params, delta_peak_grid, tau_Z_grid, x2_duration):
         raise UsageError("delta_peak_grid and tau_Z_grid must be nonempty")
     pulse = md.drive_schedule(x2_duration, params.beta, 0.0, 0.0, params.P_max,
                               params.Delta)
-    after_x2 = propagate(params, pulse, md.cat_basis_from_model(params).plus_cat)
+    traj = propagate(params, pulse, md.cat_basis_from_model(params).plus_cat)
+    after_x2 = (fs.DensityMatrix(traj.states[-1], physical=False)
+                if traj.meta["branch"] == "lindblad"
+                else fs.StateVector(traj.states[-1], normalized=False))
 
     def column(tau):
         scheds = [md.chirp_schedule(dp, tau, params.P_max, params.Delta)
                   .then(pulse) for dp in dps]
-        return parity_rows(params, scheds, after_x2.final_state)[:, 0]
+        return parity_rows(params, scheds, after_x2)[:, 0]
 
     return np.array(parallel_map(column, taus)).T
 
@@ -591,22 +599,22 @@ def relaxation_experiment(params, wait_grid, prepare="ramp", tau_ramp=0.3):
         dim = params.dim
         fock = fs.cardinal_states(md.CatBasis(fs.fock_state(0, dim),
                                               fs.fock_state(1, dim)))
-        preps = [traj.final_state for traj in propagate_many(
-            lossless, ramp, [fock[c] for c in _PREPARED.values()])]
+        ramped = propagate_many(lossless, ramp,
+                                [fock[c] for c in _PREPARED.values()])
+        preps = [fs.StateVector(psi, normalized=False)
+                 for psi in ramped.states[:, -1]]
     else:
         raise UsageError(f"prepare must be 'ramp' or 'ideal', got {prepare!r}")
 
     hold = md.hold_schedule(wg[-1], params.P_max, params.Delta)
-    trajs = propagate_many(params, hold, preps, sample_times=wg)
-    populations = {
-        lbl: np.array([fs.cardinal_populations(s, basis)
-                       for s in traj.states]).T
-        for lbl, traj in zip(_PREPARED, trajs)}
-    sums, diffs = {}, {}
-    for k, (lbl, pops) in enumerate(populations.items()):
-        sums[lbl] = pops[2 * k] + pops[2 * k + 1]
-        diffs[lbl] = pops[2 * k] - pops[2 * k + 1]
-    return RelaxationResult(populations, sums, diffs)
+    pops = fs.cardinal_populations(
+        propagate_many(params, hold, preps, sample_times=wg).densities, basis)
+    # preparation k is read along axis k, the cardinal pair 2k and 2k + 1
+    k = np.arange(len(_PREPARED))
+    first, second = pops[k, :, 2 * k], pops[k, :, 2 * k + 1]
+    return RelaxationResult(dict(zip(_PREPARED, pops.swapaxes(-1, -2))),
+                            dict(zip(_PREPARED, first + second)),
+                            dict(zip(_PREPARED, first - second)))
 
 
 # ---------------------------------------------------------------------------

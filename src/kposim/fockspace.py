@@ -43,6 +43,7 @@ __all__ = [
     "coherent_state",
     "cat_amplitudes",
     "cat_state",
+    "norms",
     "dm",
     "qubit_block",
     "state_fidelity",
@@ -146,18 +147,6 @@ class StateVector:
     def dim(self):
         return self.amplitudes.size
 
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other):
-        """Inner product ``<self|other>``."""
-        other_amp = other.amplitudes if isinstance(other, StateVector) else np.asarray(other)
-        return complex(np.vdot(self.amplitudes, other_amp))
-
-    def expect(self, op):
-        """Expectation value ``<psi|op|psi>`` (complex in general)."""
-        return complex(np.vdot(self.amplitudes, np.asarray(op) @ self.amplitudes))
-
     def to_density(self):
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
@@ -194,18 +183,15 @@ class DensityMatrix:
     def dim(self):
         return self.entries.shape[0]
 
-    def trace(self):
-        return float(np.trace(self.entries).real)
-
     def purity(self):
         return float(np.trace(self.entries @ self.entries).real)
 
-    def eigmin(self):
-        return float(np.linalg.eigvalsh((self.entries + self.entries.conj().T) / 2.0)[0])
 
-    def expect(self, op):
-        """Expectation value ``Tr[op rho]`` (complex in general)."""
-        return complex(np.trace(np.asarray(op) @ self.entries))
+def norms(amplitudes):
+    """Norms along the last axis, each ``np.linalg.norm`` bit for bit."""
+    re, im = amplitudes.real[..., None, :], amplitudes.imag[..., None, :]
+    sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return np.sqrt(sq[..., 0, 0])
 
 
 def dm(rho):
@@ -333,10 +319,7 @@ def cat_amplitudes(alphas, parity, dim):
     amp = _coherent_amplitudes(np.where(zero, 1.0, alphas)[:, None], dim)
     amp[zero] = np.arange(dim) == odd
     amp[:, 1 - odd::2] = 0.0
-    # per-row dot products: each row gets exactly np.linalg.norm(row)
-    re, im = amp.real, amp.imag
-    sq = re[:, None] @ re[..., None] + im[:, None] @ im[..., None]
-    return amp / np.sqrt(sq[:, 0])
+    return amp / norms(amp)[:, None]
 
 
 def cat_state(alpha, parity, dim):
@@ -366,13 +349,14 @@ def qubit_block(rho, basis):
     """The 2x2 block V† rho V on the pair of a :class:`kposim.model.CatBasis`.
 
     V has ``plus_cat`` and ``minus_cat`` as its columns.  ``rho`` is any
-    state :func:`dm` takes; a state whose dim differs from the basis's
-    raises :class:`InvalidDimensionError`.
+    state :func:`dm` takes, or a (..., dim, dim) stack of density arrays,
+    which gives the (..., 2, 2) stack of blocks; a state whose dim differs
+    from the basis's raises :class:`InvalidDimensionError`.
     """
     rho_arr = dm(rho)
-    if rho_arr.shape[0] != basis.dim:
+    if rho_arr.shape[-1] != basis.dim:
         raise InvalidDimensionError(
-            f"dimension mismatch: state dim {rho_arr.shape[0]}, "
+            f"dimension mismatch: state dim {rho_arr.shape[-1]}, "
             f"basis dim {basis.dim}")
     v = np.array([basis.plus_cat.amplitudes, basis.minus_cat.amplitudes]).T
     return v.conj().T @ rho_arr @ v
@@ -395,10 +379,11 @@ def cardinal_populations(rho, basis):
     """Populations of the six cardinal states in state ``rho``.
 
     Read off the :func:`qubit_block` of ``rho``, in :data:`CARDINAL_LABELS`
-    order.  Values land in [0, 1] up to numerical noise for physical states
-    and are reported unclipped; the pairs along one axis sum to the same
-    qubit-subspace weight.
+    order, along a new last axis for a stack of states.  Values land in
+    [0, 1] up to numerical noise for physical states and are reported
+    unclipped; the pairs along one axis sum to the same qubit-subspace
+    weight.
     """
     block = qubit_block(rho, basis)
-    return np.einsum("ki,ij,kj->k", _CARDINAL_COEFFS.conj(), block,
+    return np.einsum("ki,...ij,kj->...k", _CARDINAL_COEFFS.conj(), block,
                      _CARDINAL_COEFFS).real

@@ -108,8 +108,11 @@ def effective_qubit(rho_full, basis):
     The Hermitized :func:`kposim.fockspace.qubit_block`; its trace deficit
     measures leakage out of the qubit space.
     """
-    m = fs.qubit_block(rho_full, basis)
-    return QubitDensity(0.5 * (m + m.conj().T))
+    return QubitDensity(_hermitian_part(fs.qubit_block(rho_full, basis)))
+
+
+def _hermitian_part(m):
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +233,7 @@ def calibrate_x2(params):
     def infidelity(tau):
         sched = md.drive_schedule(tau, beta, 0.0, 0.0, params.P_max,
                                   params.Delta)
-        out = dyn.propagate(lossless, sched, psi0).final_state.amplitudes
+        out = dyn.propagate(lossless, sched, psi0).states[-1]
         # the global phase exp(-i E_even tau) drops out of the overlap
         target = (bp - 1j * np.exp(-1j * w * tau) * bm) / np.sqrt(2.0)
         return 1.0 - abs(np.vdot(target, out)) ** 2
@@ -345,15 +348,16 @@ def qpt_experiment(kind, params, tau_ramp=0.3, tau_Z=0.5,
         # reference propagation at nominal parameters fixes the output-basis
         # phases (the deterministic branch phases of the ramp)
         refs = dyn.propagate_many(params.with_(kappa=0.0), ref_sched,
-                                  kets[:2])
-        phis = []
-        for bvec, ref in zip((basis.plus_cat, basis.minus_cat), refs):
-            ov = np.vdot(bvec.amplitudes, ref.final_state.amplitudes)
-            if abs(ov) < 0.5:
-                raise CalibrationError(
-                    f"reference mapping overlap {abs(ov):.3f} too small to "
-                    "fix the output phase")
-            phis.append(np.angle(ov))
+                                  kets[:2]).states[:, -1]
+        pair = np.array([basis.plus_cat.amplitudes,
+                         basis.minus_cat.amplitudes])
+        # the per-row dot products of np.vdot
+        ovs = (pair.conj()[:, None, :] @ refs[:, :, None])[:, 0, 0]
+        if np.abs(ovs).min() < 0.5:
+            raise CalibrationError(
+                f"reference mapping overlap {np.abs(ovs).min():.3f} too small "
+                "to fix the output phase")
+        phis = np.angle(ovs)
         out_tag_basis = _phase_shifted_basis(basis, phis[0], phis[1])
         ideal = ideal_chi(_I2)
         calibration = {"phase_plus": phis[0], "phase_minus": phis[1],
@@ -383,9 +387,10 @@ def qpt_experiment(kind, params, tau_ramp=0.3, tau_Z=0.5,
     else:
         raise UsageError(f"kind must be 'mapping', 'x2' or 'z2', got {kind!r}")
 
-    outputs = [effective_qubit(traj.final_state, out_tag_basis)
-               for traj in dyn.propagate_many(run_params, sched, kets)]
+    final = dyn.propagate_many(run_params, sched, kets).densities[:, -1]
+    outputs = tuple(map(QubitDensity, _hermitian_part(
+        fs.qubit_block(final, out_tag_basis))))
     chi = chi_matrix(standard_input_states(), outputs)
     fid = process_fidelity(chi, ideal)
     return QptResult(kind=kind, chi=chi, fidelity=fid,
-                     outputs=tuple(outputs), calibration=calibration)
+                     outputs=outputs, calibration=calibration)

@@ -89,8 +89,8 @@ def test_05_relaxation_time_and_parity_transfer():
 def test_06_mapping_fidelity_and_process_tomography():
     sched = md.ramp_schedule(PARAMS.P_max, 0.3, PARAMS.Delta)
     basis = md.cat_basis_from_model(PARAMS)
-    out = dyn.propagate(PARAMS, sched, fs.fock_state(0, 30)).final_state
-    fid = abs(np.vdot(basis.plus_cat.amplitudes, out.amplitudes)) ** 2
+    out = dyn.propagate(PARAMS, sched, fs.fock_state(0, 30)).states[-1]
+    fid = abs(np.vdot(basis.plus_cat.amplitudes, out)) ** 2
     assert fid >= 0.99
     res = qpt.qpt_experiment("mapping", PARAMS)
     assert res.fidelity >= 0.95

@@ -58,10 +58,10 @@ def test_constant_diagonal_hamiltonian_exact_phases():
     psi0 = fs.StateVector(amps)
     t_end = 0.7
     sched = md.hold_schedule(t_end, 0.0, 0.0)
-    out = dyn.propagate(p, sched, psi0).final_state
+    out = dyn.propagate(p, sched, psi0).states[-1]
     n = np.arange(12)
     expected = amps * np.exp(1j * 0.5 * p.K * n * (n - 1) * t_end)
-    assert np.max(np.abs(out.amplitudes - expected)) < 1e-9
+    assert np.max(np.abs(out - expected)) < 1e-9
 
 
 def test_single_photon_decay():
@@ -71,17 +71,17 @@ def test_single_photon_decay():
     times = np.linspace(0.5, 3.0, 6)
     traj = dyn.propagate(p, sched, fs.fock_state(1, 8), sample_times=times)
     for t, state in zip(times, traj.states):
-        assert state.entries[1, 1].real == pytest.approx(np.exp(-0.1 * t), abs=1e-6)
+        assert state[1, 1].real == pytest.approx(np.exp(-0.1 * t), abs=1e-6)
 
 
 def test_lindblad_matches_rk4_oracle():
     p = md.SystemParams.from_mhz(3.1, 2.0, 0.5, dim=12)
     sched = md.hold_schedule(1.0, p.P_max, p.Delta)
     rho0 = fs.cat_state(1.0, "even", 12).to_density()
-    out = dyn.propagate(p.with_(kappa=0.3), sched, rho0).final_state
+    out = dyn.propagate(p.with_(kappa=0.3), sched, rho0).states[-1]
     # agreement is limited by the oracle's own fixed-step error (~3e-8 here)
     ref = orc.rk4_propagate_lindblad(p, sched, rho0.entries, 0.3, n_steps=8000)
-    assert np.max(np.abs(out.entries - ref)) < 1e-7
+    assert np.max(np.abs(out - ref)) < 1e-7
 
 
 def _phased_drive_schedule(p, duration):
@@ -100,8 +100,7 @@ def test_exact_density_path_matches_the_ket_path_for_a_pure_state():
     assert rhos.meta["branch"] == "lindblad"
     assert rhos.meta["nfev"] == 0
     for ket, rho in zip(kets.states, rhos.states):
-        outer = np.outer(ket.amplitudes, ket.amplitudes.conj())
-        assert np.max(np.abs(rho.entries - outer)) < 1e-12
+        assert np.max(np.abs(rho - np.outer(ket, ket.conj()))) < 1e-12
 
 
 def test_exact_density_path_matches_expm_for_a_mixed_state():
@@ -115,7 +114,7 @@ def test_exact_density_path_matches_expm_for_a_mixed_state():
     H = md.hamiltonian_at(p, sched, 0.25)
     for t, rho in zip(times, traj.states):
         u = expm(-1j * H * t)
-        assert np.max(np.abs(rho.entries - u @ rho0 @ u.conj().T)) < 1e-10
+        assert np.max(np.abs(rho - u @ rho0 @ u.conj().T)) < 1e-10
 
 
 def test_mixed_static_and_driven_schedule_matches_the_ket_path():
@@ -133,8 +132,7 @@ def test_mixed_static_and_driven_schedule_matches_the_ket_path():
     assert [s["solver"] for s in rhos.meta["segments"]] == \
         ["eigenframe DOP853", "eigh", "eigenframe DOP853", "eigh"]
     for ket, rho in zip(kets.states, rhos.states):
-        outer = np.outer(ket.amplitudes, ket.amplitudes.conj())
-        assert np.max(np.abs(rho.entries - outer)) < 1e-8
+        assert np.max(np.abs(rho - np.outer(ket, ket.conj()))) < 1e-8
 
 
 @pytest.mark.parametrize("case", ["phased-drive-mixed", "pumped-hold-cat"])
@@ -158,7 +156,7 @@ def test_lossy_static_segment_matches_liouvillian_expm(case):
     assert traj.meta["segments"][0]["solver"] == solver
     ref = orc.expm_propagate_lindblad(p, sched, rho0, 0.2, times)
     for rho, r in zip(traj.states, ref):
-        assert np.max(np.abs(rho.entries - r)) < 1e-8
+        assert np.max(np.abs(rho - r)) < 1e-8
 
 
 def test_lossy_static_and_driven_schedule_matches_liouvillian_expm():
@@ -176,7 +174,7 @@ def test_lossy_static_and_driven_schedule_matches_liouvillian_expm():
         ["parity-block expm", "eigenframe DOP853", "parity-block expm"]
     ref = orc.expm_propagate_lindblad(p, sched, rho0, 0.2, times, n_steps=160)
     for rho, r in zip(traj.states, ref):
-        assert np.max(np.abs(rho.entries - r)) < 1e-8
+        assert np.max(np.abs(rho - r)) < 1e-8
 
 
 @pytest.mark.parametrize("dim, times", [
@@ -200,7 +198,7 @@ def test_exact_hold_matches_liouvillian_expm(dim, times):
     assert np.array_equal(traj.times, times)
     ref = orc.expm_propagate_lindblad(p, sched, rho0, 0.2, times)
     for rho, r in zip(traj.states, ref):
-        assert np.max(np.abs(rho.entries - r)) < 1e-11
+        assert np.max(np.abs(rho - r)) < 1e-11
 
 
 class _Flat(md.Envelope):
@@ -233,7 +231,7 @@ def test_exact_hold_matches_tight_dop853_on_the_relax_grid():
     assert exact.meta["segments"][0]["solver"] == "parity-block expm"
     assert ref.meta["segments"][0]["solver"] == "eigenframe DOP853"
     for rho, r in zip(exact.states, ref.states):
-        assert np.max(np.abs(rho.entries - r.entries)) < 1e-10
+        assert np.max(np.abs(rho - r)) < 1e-10
 
 
 def test_exact_hold_takes_one_exponential_per_block(monkeypatch):
@@ -285,16 +283,32 @@ def test_holds_above_the_exact_dim_take_dop853():
 
 
 def test_exact_density_path_checks_trace_and_positivity():
+    # the second state of each stack is bad from its first sample on; the
+    # error names that earliest failing sample
     p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=8)
     sched = _phased_drive_schedule(p, 0.2)
-    heavy = 1.1 * fs.fock_state(0, 8).to_density().entries
-    with pytest.raises(AccuracyError, match="trace"):
-        dyn.propagate(p, sched, fs.DensityMatrix(heavy, physical=False),
-                      sample_times=[0.1, 0.2])
+    good = fs.fock_state(0, 8).to_density()
+    heavy = 1.1 * good.entries
+    with pytest.raises(AccuracyError, match=r"trace drifted to 1\.1.* "
+                       r"t = 0\.100000 us"):
+        dyn.propagate_many(p, sched, [good, fs.DensityMatrix(
+            heavy, physical=False)], sample_times=[0.1, 0.2])
     negative = np.diag([1.05, -0.05, 0, 0, 0, 0, 0, 0]).astype(complex)
-    with pytest.raises(AccuracyError, match="negative population"):
-        dyn.propagate(p, sched, fs.DensityMatrix(negative, physical=False),
-                      sample_times=[0.1, 0.2])
+    with pytest.raises(AccuracyError, match="negative population .* "
+                       r"t = 0\.100000 us"):
+        dyn.propagate_many(p, sched, [good, fs.DensityMatrix(
+            negative, physical=False)], sample_times=[0.1, 0.2])
+
+
+def test_ket_path_checks_the_norm():
+    p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=8)
+    long_ket = fs.StateVector(1.1 * fs.fock_state(1, 8).amplitudes,
+                              normalized=False)
+    with pytest.raises(AccuracyError, match=r"norm drifted to 1\.1.* "
+                       r"t = 0\.100000 us"):
+        dyn.propagate_many(p, _phased_drive_schedule(p, 0.2),
+                           [fs.fock_state(0, 8), long_ket],
+                           sample_times=[0.1, 0.2])
 
 
 def test_meta_reports_the_solver_of_each_segment():
@@ -388,10 +402,10 @@ def test_driven_segment_ends_on_its_own_hamiltonian():
     ramp = md.ramp_schedule(PARAMS.P_max, 0.3, PARAMS.Delta)
     kick = md.drive_schedule(0.05, 50.0, 0.0, 0.3, PARAMS.P_max, PARAMS.Delta)
     psi0 = fs.fock_state(0, 30)
-    alone = dyn.propagate(PARAMS, ramp, psi0).final_state
+    alone = dyn.propagate(PARAMS, ramp, psi0).states[-1]
     both = dyn.propagate(PARAMS, ramp.then(kick), psi0,
                          sample_times=[0.3, 0.35])
-    assert np.max(np.abs(both.states[0].amplitudes - alone.amplitudes)) < 1e-12
+    assert np.max(np.abs(both.states[0] - alone)) < 1e-12
 
 
 def test_unitary_norm_preserved():
@@ -399,7 +413,7 @@ def test_unitary_norm_preserved():
     traj = dyn.propagate(PARAMS, sched, fs.fock_state(0, 30),
                          sample_times=np.linspace(0.03, 0.3, 10))
     for s in traj.states:
-        assert abs(s.norm() - 1.0) < 1e-8
+        assert abs(np.linalg.norm(s) - 1.0) < 1e-8
 
 
 def test_lindblad_trace_and_positivity():
@@ -408,8 +422,8 @@ def test_lindblad_trace_and_positivity():
     traj = dyn.propagate(PARAMS.with_(kappa=0.1), sched, basis.plus_cat,
                          sample_times=np.linspace(0.25, 2.0, 8))
     for s in traj.states:
-        assert abs(s.trace() - 1.0) < 1e-8
-        assert s.eigmin() > -1e-7
+        assert abs(np.trace(s).real - 1.0) < 1e-8
+        assert np.linalg.eigvalsh((s + s.conj().T) / 2.0)[0] > -1e-7
 
 
 def test_purity_nonincreasing_under_loss():
@@ -423,7 +437,7 @@ def test_purity_nonincreasing_under_loss():
     sched = md.hold_schedule(1.0, 0.0, 0.0)
     traj = dyn.propagate(p.with_(kappa=0.2), sched, rho0,
                          sample_times=np.linspace(0.0, 1.0, 9))
-    purities = [s.purity() for s in traj.states]
+    purities = [np.trace(s @ s).real for s in traj.states]
     assert np.all(np.diff(purities) < 1e-10)
 
 
@@ -441,8 +455,7 @@ def test_lossy_ramp_drops_an_anti_hermitian_input_part():
     out = dyn.propagate(p, ramp, skewed)
     ref = dyn.propagate(p, ramp, fs.DensityMatrix(rho))
     assert out.meta["segments"][0]["solver"] == "eigenframe DOP853"
-    assert np.max(np.abs(out.final_state.entries
-                         - ref.final_state.entries)) < 1e-13
+    assert np.max(np.abs(out.states[-1] - ref.states[-1])) < 1e-13
 
 
 def test_parity_conserved_without_drive():
@@ -452,17 +465,17 @@ def test_parity_conserved_without_drive():
     traj = dyn.propagate(PARAMS, sched, fs.fock_state(0, 30),
                          sample_times=np.linspace(0.1, 0.8, 8))
     for s in traj.states:
-        assert abs(s.expect(pi).real - 1.0) < 1e-8
+        assert abs(np.vdot(s, pi @ s).real - 1.0) < 1e-8
 
 
 def test_tolerance_convergence():
     sched = md.ramp_schedule(PARAMS.P_max, 0.3, PARAMS.Delta)
-    out1 = dyn.propagate(PARAMS, sched, fs.fock_state(0, 30)).final_state
+    out1 = dyn.propagate(PARAMS, sched, fs.fock_state(0, 30)).states[-1]
     out2 = dyn.propagate(PARAMS.with_(rtol=0.5 * PARAMS.rtol,
                                       atol=0.5 * PARAMS.atol),
-                         sched, fs.fock_state(0, 30)).final_state
-    pops1 = np.abs(out1.amplitudes) ** 2
-    pops2 = np.abs(out2.amplitudes) ** 2
+                         sched, fs.fock_state(0, 30)).states[-1]
+    pops1 = np.abs(out1) ** 2
+    pops2 = np.abs(out2) ** 2
     assert np.max(np.abs(pops1 - pops2)) < 1e-6
 
 
@@ -510,18 +523,16 @@ def test_batch_matches_separate_runs(case):
     # differ from its own run by the solve tolerance, not by roundoff
     p, sched, initials, times, solver, tol = _batch_case(case)
     batch = dyn.propagate_many(p, sched, initials, sample_times=times)
-    assert len(batch) == len(initials)
-    density = batch[0].meta["branch"] == "lindblad"
-    for initial, traj in zip(initials, batch):
+    assert len(batch.states) == len(initials)
+    density = batch.meta["branch"] == "lindblad"
+    assert batch.meta["segments"][0]["solver"] == solver
+    for initial, states in zip(initials, batch.states):
         if density and isinstance(initial, fs.StateVector):
             initial = initial.to_density()
         alone = dyn.propagate(p, sched, initial, sample_times=times)
-        assert traj.meta["segments"][0]["solver"] == solver
-        assert np.array_equal(traj.times, alone.times)
-        for s, r in zip(traj.states, alone.states):
-            a, b = ((s.entries, r.entries) if density
-                    else (s.amplitudes, r.amplitudes))
-            assert np.max(np.abs(a - b)) < tol
+        assert np.array_equal(batch.times, alone.times)
+        for s, r in zip(states, alone.states):
+            assert np.max(np.abs(s - r)) < tol
 
 
 def _per_state_case(case):
@@ -570,16 +581,13 @@ def _per_state_case(case):
 def test_per_state_schedules_match_separate_runs(case):
     p, scheds, initials, times, solver, tol = _per_state_case(case)
     batch = dyn.propagate_many(p, scheds, initials, sample_times=times)
-    assert batch[0].meta["segments"] == [{"solver": solver,
-                                          "nfev": batch[0].meta["nfev"]}]
-    for sched, initial, traj in zip(scheds, initials, batch):
+    assert batch.meta["segments"] == [{"solver": solver,
+                                       "nfev": batch.meta["nfev"]}]
+    for sched, initial, states in zip(scheds, initials, batch.states):
         alone = dyn.propagate(p, sched, initial, sample_times=times)
-        assert np.array_equal(traj.times, alone.times)
-        for s, r in zip(traj.states, alone.states):
-            a, b = ((s.entries, r.entries) if p.kappa > 0.0
-                    or isinstance(initial, fs.DensityMatrix)
-                    else (s.amplitudes, r.amplitudes))
-            assert np.max(np.abs(a - b)) < tol
+        assert np.array_equal(batch.times, alone.times)
+        for s, r in zip(states, alone.states):
+            assert np.max(np.abs(s - r)) < tol
 
 
 def test_per_state_schedule_validation():
@@ -642,8 +650,10 @@ def test_batch_shares_one_meta_and_one_solve(monkeypatch, lossy):
     batch = dyn.propagate_many(p, sched, [fs.fock_state(k, 10)
                                           for k in range(3)])
     assert len(calls) == 1
-    assert all(traj.meta is batch[0].meta for traj in batch)
-    assert batch[0].meta == {
+    # one read-only (B, T, dim) or (B, T, dim, dim) stack
+    assert batch.states.shape == ((3, 1, 10, 10) if lossy else (3, 1, 10))
+    assert not batch.states.flags.writeable
+    assert batch.meta == {
         "nfev": calls[0], "branch": "lindblad" if lossy else "unitary",
         "segments": [{"solver": "eigenframe DOP853", "nfev": calls[0]}]}
 
@@ -708,9 +718,9 @@ def test_strong_drive_resembles_coherent_state():
     beta = 10.0 * K
     t = 0.005  # t*K ~ 0.1
     sched = md.drive_schedule(t, beta, 0.0, 0.0, 0.0, 0.0)
-    psi = dyn.propagate(PARAMS, sched, fs.fock_state(0, 30)).final_state
+    psi = dyn.propagate(PARAMS, sched, fs.fock_state(0, 30)).states[-1]
     target = fs.coherent_state(-1j * beta * t, 30)
-    assert abs(np.vdot(target.amplitudes, psi.amplitudes)) ** 2 > 0.95
+    assert abs(np.vdot(target.amplitudes, psi)) ** 2 > 0.95
 
 
 def _bare_drive_hamiltonian(K, d, beta):
@@ -828,8 +838,8 @@ def test_cat_ramsey_columns_match_per_point_propagation():
         for j, tau in enumerate(taus):
             sched = pulse.then(md.chirp_schedule(dp, tau, p.P_max,
                                                  p.Delta)).then(pulse)
-            out = dyn.propagate(p, sched, plus_cat).final_state
-            parity = out.expect(fs.parity_op(12)).real
+            out = dyn.propagate(p, sched, plus_cat).states[-1]
+            parity = np.trace(fs.parity_op(12) @ out).real
             assert abs(m[i, j] - parity) < 10 * p.rtol
 
 
