@@ -57,6 +57,13 @@ class Trajectory:
             return self.states
         return self.states[..., :, None] * self.states[..., None, :].conj()
 
+    @property
+    def populations(self):
+        """Fock populations of ``states``: |c_n|^2 of a ket, diag rho."""
+        if self.meta["branch"] == "lindblad":
+            return np.diagonal(self.states, axis1=-2, axis2=-1).real
+        return np.abs(self.states) ** 2
+
 
 def _solve_segment(rhs, y0, t0, t1, t_eval, rtol, atol):
     """Integrate one segment in one solve, returning (samples, y_end, nfev)."""
@@ -266,7 +273,7 @@ def propagate_many(params, schedule, initials, sample_times=None):
     single-photon-loss Lindblad equation
     drho/dt = -i[H, rho] + kappa (a rho a† - {n, rho}/2) is integrated and
     pure initial states are promoted to density matrices, as they are when
-    any of ``initials`` is a DensityMatrix; otherwise the Schroedinger
+    any of ``initials`` is a density matrix; otherwise the Schroedinger
     equation is solved (pass ``params.with_(kappa=0.0)`` for a lossless
     step).  ``sample_times`` (us, within the schedule; default: the
     schedule's end) selects the returned samples, so the returned states end
@@ -275,8 +282,10 @@ def propagate_many(params, schedule, initials, sample_times=None):
     reached.
     ``schedule`` is one :class:`kposim.model.PulseSchedule` for all states
     or B, one per state (a Rabi map's columns), of equal segment durations.
-    An empty ``initials``, a state whose dim is not ``params.dim``, another
-    count of schedules or unequal durations raise :class:`UsageError`.
+    ``initials`` takes any state :func:`kposim.fockspace.state_array` takes,
+    such as a sample of a returned ``states``.  An empty ``initials``, a
+    state whose dim is not ``params.dim``, another count of schedules or
+    unequal durations raise :class:`UsageError`.
 
     All states move together, one (B, n) stack per segment, sharing each
     DOP853 step and, with one schedule, each ``eigh`` and block exponential.
@@ -308,13 +317,14 @@ def propagate_many(params, schedule, initials, sample_times=None):
     propagated segment and ``meta["nfev"]`` their sum, each shared solve
     counted once, not once per state.
     """
-    initials = tuple(initials)
+    initials = [fs.state_array(s) for s in initials]
     if not initials:
         raise UsageError("initials must hold at least one state")
     for initial in initials:
-        if initial.dim != params.dim:
+        if initial.shape not in ((params.dim,), (params.dim, params.dim)):
             raise UsageError(
-                f"state dimension {initial.dim} != params.dim {params.dim}")
+                f"state dimension {'x'.join(map(str, initial.shape))} != "
+                f"params.dim {params.dim}")
     shared = isinstance(schedule, md.PulseSchedule)
     schedules = (schedule,) if shared else tuple(schedule)
     if not shared and (len(schedules) != len(initials) or len(
@@ -336,13 +346,9 @@ def propagate_many(params, schedule, initials, sample_times=None):
             f"[{t_s[0]}, {t_s[-1]}]")
     t_s = np.clip(t_s, 0.0, total)
 
-    density = params.kappa > 0.0 or any(
-        isinstance(s, fs.DensityMatrix) for s in initials)
-    if density:
-        initials = [s.to_density() if isinstance(s, fs.StateVector) else s
-                    for s in initials]
-    y = np.array([s.entries.reshape(-1) if density else s.amplitudes
-                  for s in initials], dtype=np.complex128)
+    density = params.kappa > 0.0 or any(s.ndim == 2 for s in initials)
+    y = np.array([fs.dm(s).reshape(-1) if density else s for s in initials],
+                 dtype=np.complex128)
 
     times, samples = ([0.0], [y]) if abs(t_s[0]) < 1e-15 else ([], [])
     t_pending = t_s[len(times):]
@@ -460,11 +466,7 @@ def parity_rows(params, schedules, initial, sample_times=None):
     """
     traj = propagate_many(params, schedules, [initial] * len(schedules),
                           sample_times)
-    if traj.meta["branch"] == "unitary":
-        populations = np.abs(traj.states) ** 2
-    else:
-        populations = np.diagonal(traj.states, axis1=-2, axis2=-1).real
-    return populations @ fs.parity_op(params.dim).diagonal().real
+    return traj.populations @ fs.parity_op(params.dim).diagonal().real
 
 
 def _cat_parity_rows(params, grid, detunings, phases, tg, symmetrized):
@@ -536,10 +538,8 @@ def cat_ramsey_map(params, delta_peak_grid, tau_Z_grid, x2_duration):
         raise UsageError("delta_peak_grid and tau_Z_grid must be nonempty")
     pulse = md.drive_schedule(x2_duration, params.beta, 0.0, 0.0, params.P_max,
                               params.Delta)
-    traj = propagate(params, pulse, md.cat_basis_from_model(params).plus_cat)
-    after_x2 = (fs.DensityMatrix(traj.states[-1], physical=False)
-                if traj.meta["branch"] == "lindblad"
-                else fs.StateVector(traj.states[-1], normalized=False))
+    after_x2 = propagate(params, pulse,
+                         md.cat_basis_from_model(params).plus_cat).states[-1]
 
     def column(tau):
         scheds = [md.chirp_schedule(dp, tau, params.P_max, params.Delta)
@@ -595,14 +595,12 @@ def relaxation_experiment(params, wait_grid, prepare="ramp", tau_ramp=0.3):
         preps = [cards[c] for c in _PREPARED.values()]
     elif prepare == "ramp":
         ramp = md.ramp_schedule(params.P_max, tau_ramp, params.Delta)
-        lossless = params.with_(kappa=0.0)
         dim = params.dim
         fock = fs.cardinal_states(md.CatBasis(fs.fock_state(0, dim),
                                               fs.fock_state(1, dim)))
-        ramped = propagate_many(lossless, ramp,
+        ramped = propagate_many(params.with_(kappa=0.0), ramp,
                                 [fock[c] for c in _PREPARED.values()])
-        preps = [fs.StateVector(psi, normalized=False)
-                 for psi in ramped.states[:, -1]]
+        preps = ramped.states[:, -1]
     else:
         raise UsageError(f"prepare must be 'ramp' or 'ideal', got {prepare!r}")
 

@@ -44,6 +44,7 @@ __all__ = [
     "cat_amplitudes",
     "cat_state",
     "norms",
+    "state_array",
     "dm",
     "qubit_block",
     "state_fidelity",
@@ -194,17 +195,22 @@ def norms(amplitudes):
     return np.sqrt(sq[..., 0, 0])
 
 
+def state_array(state):
+    """A ket's amplitudes, a DensityMatrix's entries, or an array as is."""
+    if isinstance(state, StateVector):
+        return state.amplitudes
+    if isinstance(state, DensityMatrix):
+        return state.entries
+    return np.asarray(state, dtype=np.complex128)
+
+
 def dm(rho):
     """A state as a plain density array.
 
     A ket (:class:`StateVector` or 1-D array) gives |psi><psi|, a
     :class:`DensityMatrix` its entries, and a 2-D array is returned as is.
     """
-    if isinstance(rho, DensityMatrix):
-        return rho.entries
-    if isinstance(rho, StateVector):
-        rho = rho.amplitudes
-    arr = np.asarray(rho, dtype=np.complex128)
+    arr = state_array(rho)
     return np.outer(arr, arr.conj()) if arr.ndim == 1 else arr
 
 
@@ -354,10 +360,10 @@ def qubit_block(rho, basis):
     from the basis's raises :class:`InvalidDimensionError`.
     """
     rho_arr = dm(rho)
-    if rho_arr.shape[-1] != basis.dim:
+    if rho_arr.shape[-2:] != (basis.dim, basis.dim):
         raise InvalidDimensionError(
-            f"dimension mismatch: state dim {rho_arr.shape[-1]}, "
-            f"basis dim {basis.dim}")
+            "dimension mismatch: state dim "
+            f"{'x'.join(map(str, rho_arr.shape[-2:]))}, basis dim {basis.dim}")
     v = np.array([basis.plus_cat.amplitudes, basis.minus_cat.amplitudes]).T
     return v.conj().T @ rho_arr @ v
 

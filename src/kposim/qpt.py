@@ -102,17 +102,15 @@ class ProcessMatrix:
         return complex(self.chi[self.labels.index(a), self.labels.index(b)])
 
 
-def effective_qubit(rho_full, basis):
-    """Project a full state onto the pair of a CatBasis without renormalizing.
+def effective_qubits(rhos, basis):
+    """Project a (B, dim, dim) stack onto a CatBasis pair, unrenormalized.
 
-    The Hermitized :func:`kposim.fockspace.qubit_block`; its trace deficit
-    measures leakage out of the qubit space.
+    Each state's Hermitized :func:`kposim.fockspace.qubit_block`, in a
+    tuple of B QubitDensity; its trace deficit measures leakage.
     """
-    return QubitDensity(_hermitian_part(fs.qubit_block(rho_full, basis)))
-
-
-def _hermitian_part(m):
-    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+    block = fs.qubit_block(rhos, basis)
+    hermitian = 0.5 * (block + block.conj().swapaxes(-1, -2))
+    return tuple(map(QubitDensity, hermitian))
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +386,7 @@ def qpt_experiment(kind, params, tau_ramp=0.3, tau_Z=0.5,
         raise UsageError(f"kind must be 'mapping', 'x2' or 'z2', got {kind!r}")
 
     final = dyn.propagate_many(run_params, sched, kets).densities[:, -1]
-    outputs = tuple(map(QubitDensity, _hermitian_part(
-        fs.qubit_block(final, out_tag_basis))))
+    outputs = effective_qubits(final, out_tag_basis)
     chi = chi_matrix(standard_input_states(), outputs)
     fid = process_fidelity(chi, ideal)
     return QptResult(kind=kind, chi=chi, fidelity=fid,

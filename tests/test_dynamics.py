@@ -666,6 +666,29 @@ def test_batch_validation():
     with pytest.raises(UsageError, match="state dimension 6"):
         dyn.propagate_many(p, sched, [fs.fock_state(0, 8),
                                       fs.fock_state(0, 6)])
+    # raw arrays are read as (dim,) kets or (dim, dim) density matrices
+    for shape in ((6,), (8, 6), (8, 8, 8)):
+        with pytest.raises(UsageError, match="state dimension "
+                           + "x".join(map(str, shape)) + " "):
+            dyn.propagate_many(p, sched, [np.zeros(shape)])
+
+
+@pytest.mark.parametrize("lossy", [False, True])
+def test_batch_runs_samples_of_a_returned_stack_as_state_objects(lossy):
+    # a (dim,) or (dim, dim) sample goes back in as it stands, with the
+    # bits and the branch of the StateVector or DensityMatrix it holds
+    p = PARAMS.with_(dim=10, kappa=0.2 if lossy else 0.0)
+    sched = md.drive_schedule(0.2, p.beta, 0.0, 0.0, p.P_max, p.Delta)
+    first = dyn.propagate_many(p, sched, [fs.fock_state(k, 10)
+                                          for k in range(2)])
+    samples = first.states[:, -1]
+    wrapped = [fs.DensityMatrix(s, physical=False) if lossy
+               else fs.StateVector(s, normalized=False) for s in samples]
+    raw = dyn.propagate_many(p.with_(kappa=0.0), sched, samples)
+    objects = dyn.propagate_many(p.with_(kappa=0.0), sched, wrapped)
+    assert raw.meta == objects.meta
+    assert raw.meta["branch"] == ("lindblad" if lossy else "unitary")
+    assert np.array_equal(raw.states, objects.states)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 def test_effective_qubit_fock_ground_state():
-    q = qpt.effective_qubit(fs.dm(fs.fock_state(0, 30)), FOCK)
+    q, = qpt.effective_qubits([fs.dm(fs.fock_state(0, 30))], FOCK)
     assert np.max(np.abs(q.matrix - np.diag([1.0, 0.0]))) < 1e-12
     assert q.trace == pytest.approx(1.0, abs=1e-12)
     assert q.leakage == pytest.approx(0.0, abs=1e-12)
@@ -29,13 +29,13 @@ def test_effective_qubit_fock_ground_state():
 
 def test_effective_qubit_cat_basis():
     basis = md.cat_basis_from_model(PARAMS)
-    q = qpt.effective_qubit(basis.plus_cat.to_density(), basis)
+    q, = qpt.effective_qubits([fs.dm(basis.plus_cat)], basis)
     assert np.max(np.abs(q.matrix - np.diag([1.0, 0.0]))) < 1e-9
 
 
 def test_effective_qubit_reports_leakage():
     rho = 0.95 * fs.dm(fs.fock_state(0, 30)) + 0.05 * fs.dm(fs.fock_state(5, 30))
-    q = qpt.effective_qubit(rho, FOCK)
+    q, = qpt.effective_qubits([rho], FOCK)
     assert q.trace == pytest.approx(0.95, abs=1e-6)
     assert q.leakage == pytest.approx(0.05, abs=1e-6)
 
@@ -43,17 +43,19 @@ def test_effective_qubit_reports_leakage():
 def test_effective_qubit_is_linear():
     r1 = fs.dm(fs.fock_state(0, 30))
     r2 = fs.dm(fs.coherent_state(0.4, 30))
-    both = qpt.effective_qubit(0.3 * r1 + 0.7 * r2, FOCK).matrix
-    sep = (0.3 * qpt.effective_qubit(r1, FOCK).matrix
-           + 0.7 * qpt.effective_qubit(r2, FOCK).matrix)
-    assert np.max(np.abs(both - sep)) < 1e-12
+    both, q1, q2 = qpt.effective_qubits([0.3 * r1 + 0.7 * r2, r1, r2], FOCK)
+    sep = 0.3 * q1.matrix + 0.7 * q2.matrix
+    assert np.max(np.abs(both.matrix - sep)) < 1e-12
 
 
 def test_dim_mismatch_raises_the_same_error_from_both_block_readers():
     rho = fs.dm(fs.fock_state(0, 20))
-    for read in (fs.cardinal_populations, qpt.effective_qubit):
+    for read in (fs.cardinal_populations, qpt.effective_qubits):
         with pytest.raises(InvalidDimensionError, match="state dim 20"):
-            read(rho, FOCK)
+            read(rho[None], FOCK)
+        # a (B, dim) array of kets is not a stack of density matrices
+        with pytest.raises(InvalidDimensionError, match="state dim 3x30"):
+            read(np.zeros((3, 30)), FOCK)
     assert issubclass(InvalidDimensionError, UsageError)
 
 
