@@ -220,19 +220,16 @@ def _run_cat_size(cfg, params):
     deltas = cfg.grid("delta_grid_MHz", scale=TWO_PI)
     points = cfg.integer("wigner_points", 81, minimum=9)
     cfg.done()
-    sizes = []
+    rhos = []
     for d in deltas:
-        p_i = params.with_(Delta=float(d))
-        basis = md.cat_basis_from_model(p_i)
+        basis = md.cat_basis_from_model(params.with_(Delta=float(d)))
         # parity-mixed state: the lobe position is only the map maximum
         # once the interference fringes are washed out
-        rho = fs.DensityMatrix(
+        rhos.append(fs.DensityMatrix(
             0.5 * basis.plus_cat.to_density().entries
-            + 0.5 * basis.minus_cat.to_density().entries)
-        axis = tg.default_grid(p_i.dim, points=points)
-        wm = tg.wigner_ideal(rho, axis, axis)
-        sizes.append(tg.cat_size(wm))
-    sizes = np.array(sizes)
+            + 0.5 * basis.minus_cat.to_density().entries))
+    maps = tg.wigner_maps(rhos, tg.default_grid(params.dim, points=points))
+    sizes = np.array([tg.cat_size(wm) for wm in maps])
     formula = np.sqrt((params.P_max + deltas) / params.K)
     table = {
         "Delta_MHz": deltas / TWO_PI,

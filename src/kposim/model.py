@@ -536,7 +536,9 @@ def _qubit_pair(K, P, Delta, dim):
 
     ``P`` and ``Delta`` broadcast to a 1-D stack of B points; one point is a
     stack of one.  Each parity sector is one (B, m, m) block stack, equal to
-    that sector of :func:`static_hamiltonian`, and one ``eigh``.  A sector's
+    that sector of :func:`static_hamiltonian`, and one real ``eigh``: n and
+    adag^2 + a^2 are real in the Fock basis, so the eigenvectors are float64
+    (sectors as in Albert & Jiang, PRA 89, 022118 (2014)).  A sector's
     qubit level overlaps most with the analytic cat at ``alpha_c = sqrt((P +
     Delta)/K)`` (Fock 0 and 1 where ``alpha_c < 1e-6``); of equal overlaps
     the higher energy wins.  Returns ``(sectors, picks, overlaps)``:
@@ -547,7 +549,7 @@ def _qubit_pair(K, P, Delta, dim):
     """
     P, Delta = np.broadcast_arrays(np.atleast_1d(P), np.atleast_1d(Delta))
     alpha_c = np.sqrt(np.maximum(P + Delta, 0.0) / K)
-    n, pump = operator_stack(dim)[:2]
+    n, pump = operator_stack(dim)[:2].real
     sectors, picks, overlaps = [], [], []
     for par, parity in enumerate(("even", "odd")):
         s = slice(par, None, 2)

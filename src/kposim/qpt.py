@@ -18,6 +18,7 @@ loss, and miscalibration.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -271,6 +272,7 @@ def calibrate_z2(params, tau_Z=0.5):
     w_scaled = 0.5 * tau_Z * weights
     prof = np.sin(np.pi * t_nodes / tau_Z) ** 2
 
+    @functools.lru_cache(maxsize=None)  # brentq re-asks the bracket ends
     def extra_angle(depth):
         deltas = params.Delta - 0.5 * depth * prof
         w = sp.qubit_splitting(K, P, deltas, dim)
@@ -284,7 +286,7 @@ def calibrate_z2(params, tau_Z=0.5):
             raise CalibrationError(
                 f"chirp depth above cap {cap:.1f} rad/us cannot reach "
                 f"rotation angle {angle:.3f}")
-    depth = brentq(lambda d: extra_angle(d), lo, hi, xtol=1e-10, rtol=1e-12)
+    depth = brentq(extra_angle, lo, hi, xtol=1e-10, rtol=1e-12)
     if depth <= 0.0 and f_lo < 0.0:
         raise CalibrationError("z2 calibration found no positive chirp depth")
     return {"delta_peak": float(depth), "tau_Z": float(tau_Z),

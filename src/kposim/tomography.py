@@ -3,12 +3,12 @@
 The Wigner function is evaluated in its displaced-parity form
 W(alpha) = (2/pi) Tr[D(alpha) Pi D†(alpha) rho], with D(x + iy) split as
 D(iy) D(x) for maps, records and the reconstruction design alike, one row
-of fixed Im alpha at a time, each point of a row costing O(dim²).  A
-simulated measurement applies a short, strong displacement pulse under the
-full nonlinear model (the Kerr term distorts the displacement — the effect
-the postprocessing correction removes) followed by a parity readout.
-Density matrices are recovered from parity records by projected least
-squares.
+of fixed Im alpha at a time, each point of a row costing O(dim²); a stack
+of states shares each row's displacement.  A simulated measurement applies
+a short, strong displacement pulse under the full nonlinear model (the Kerr
+term distorts the displacement — the effect the postprocessing correction
+removes) followed by a parity readout.  Density matrices are recovered from
+parity records by projected least squares.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import numpy as np
 from . import dynamics as dyn
 from . import fockspace as fs
 from . import model as md
-from .errors import (GridExtentError, ReconstructionError, TruncationError,
-                     UsageError)
+from .errors import (GridExtentError, InvalidDimensionError,
+                     ReconstructionError, TruncationError, UsageError)
 
 TWO_OVER_PI = 2.0 / np.pi
 
@@ -112,16 +112,17 @@ class _DisplacementFactory:
             b = (self._qv * np.exp(1j * y * self._q)) @ self._qw
             yield idx, b, vs[col[idx]]
 
-    def parities(self, rho, alphas):
-        """Tr[D(alpha) Pi D†(alpha) rho] at each of ``alphas``.
+    def parities(self, rhos, alphas):
+        """Tr[D(alpha) Pi D†(alpha) rho] at each of ``alphas``, shape (S, n).
 
-        M = (B_y† rho B_y) ∘ Pᵀ costs dim³ once per row, and each point is
-        Re[v† M v], O(dim²).
+        ``rhos`` is a (S, dim, dim) stack that shares each row's B_y.
+        M = (B_y† rho B_y) ∘ Pᵀ costs dim³ once per state and row, and each
+        point is Re[v† M v], O(dim²).
         """
-        out = np.empty(alphas.size)
+        out = np.empty((len(rhos), alphas.size))
         for idx, b, v in self._rows(alphas):
-            m = (b.conj().T @ rho @ b) * self._parity.T
-            out[idx] = np.real(np.sum((v.conj() @ m) * v, axis=1))
+            m = (b.conj().T @ rhos @ b) * self._parity.T
+            out[:, idx] = np.real(np.sum((v.conj() @ m) * v, axis=-1))
         return out
 
     def observables(self, alphas):
@@ -150,18 +151,30 @@ def _check_extent(re_grid, im_grid, dim):
             f"{int(np.ceil((2.0 * extent) ** 2))} or shrink the grid")
 
 
-def wigner_ideal(rho, re_grid, im_grid=None):
-    """Exact displaced-parity Wigner map of a state or density matrix."""
+def wigner_maps(states, re_grid, im_grid=None):
+    """Exact displaced-parity Wigner maps of a stack of states, one each.
+
+    ``states`` are kets or density matrices of one dim; an empty stack or a
+    state of another dim raises :class:`InvalidDimensionError`.
+    """
     re = np.asarray(re_grid, dtype=float)
     im = re.copy() if im_grid is None else np.asarray(im_grid, dtype=float)
     if re.size == 0 or im.size == 0:
         raise UsageError("grids must be nonempty")
-    rho_arr = fs.dm(rho)
-    dim = rho_arr.shape[0]
+    rhos = [fs.dm(s) for s in states]
+    dim = rhos[0].shape[0] if rhos else 0
+    if not rhos or any(r.shape != (dim, dim) for r in rhos):
+        raise InvalidDimensionError("need a nonempty stack of states of one "
+                                    f"dim, got {[r.shape for r in rhos]}")
     _check_extent(re, im, dim)
     values = TWO_OVER_PI * _displacements(dim).parities(
-        rho_arr, grid_points(re, im))
-    return WignerMap(re, im, values.reshape(im.size, re.size))
+        np.array(rhos), grid_points(re, im))
+    return [WignerMap(re, im, v.reshape(im.size, re.size)) for v in values]
+
+
+def wigner_ideal(rho, re_grid, im_grid=None):
+    """Exact displaced-parity Wigner map of a state: a stack of one."""
+    return wigner_maps([rho], re_grid, im_grid)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +271,7 @@ def ideal_record(rho, alphas):
     if al.size == 0:
         raise UsageError("alphas must be nonempty")
     rho_arr = fs.dm(rho)
-    parities = _displacements(rho_arr.shape[0]).parities(rho_arr, al)
+    parities = _displacements(rho_arr.shape[0]).parities(rho_arr[None], al)[0]
     return MeasurementRecord(al, np.clip(parities, -1.0, 1.0))
 
 
@@ -350,8 +363,9 @@ def reconstruct_density(record, dim, max_iters=200, tol=1e-10,
     z = rho
     t_mom = 1.0
     delta = np.inf
+    obs_conj = obs_flat.conj()
     for _ in range(max_iters):
-        resid = np.real(obs_flat.conj() @ z.reshape(-1)) - y
+        resid = np.real(obs_conj @ z.reshape(-1)) - y
         grad = 2.0 * (resid @ obs_flat).reshape(dim, dim)
         new = _project_state(z - step * grad)
         move = new - rho

@@ -41,6 +41,32 @@ def coherent_amplitudes(alpha, dim):
     return c / np.linalg.norm(c)
 
 
+def qubit_pair(K, P, Delta, dim):
+    """Per-sector spectra and qubit picks by complex-Hermitian eigensolves.
+
+    Each parity sector of :func:`kpo_hamiltonian` is solved as a complex
+    Hermitian matrix, one point at a time.  The qubit level of a sector is
+    the one whose overlap with the analytic cat at alpha_c = sqrt((P +
+    Delta)/K) (Fock 0 or 1 when alpha_c vanishes) is largest, ties going to
+    the higher energy.  Returns ``(energies, picks, overlaps)``: the
+    ascending energies of the even and odd sector, the two picks, and the
+    two |overlaps|.
+    """
+    h = kpo_hamiltonian(K, P, Delta, dim).astype(np.complex128)
+    alpha_c = np.sqrt(max(P + Delta, 0.0) / K)
+    energies, picks, overlaps = [], [], []
+    for par in (0, 1):
+        vals, vecs = np.linalg.eigh(h[par::2, par::2])
+        ref = (np.eye(dim)[par] if alpha_c == 0.0
+               else coherent_amplitudes(alpha_c, dim))[par::2]
+        sq = np.abs(ref.conj() @ vecs / np.linalg.norm(ref)) ** 2
+        k = max(range(vals.size), key=lambda i: (sq[i], vals[i]))
+        energies.append(vals)
+        picks.append(k)
+        overlaps.append(np.sqrt(sq[k]))
+    return energies, picks, overlaps
+
+
 def expm_propagate(params, schedule, psi0, n_steps=4000):
     """Fine-step midpoint-expm propagation of a ket through a schedule.
 

@@ -10,6 +10,7 @@ from kposim import cli
 from kposim import dynamics as dyn
 from kposim import fileio as io
 from kposim import fockspace as fs
+from kposim import model as md
 from kposim import tomography as tg
 from kposim.errors import FitError, ReconstructionError, UsageError
 
@@ -472,6 +473,24 @@ def test_failed_check_leaves_both_tables_and_no_summary(tmp_path, capsys):
     assert "max_relative_deviation" in err["message"]
     assert _tree(out) == ["cat-size/cat_size.csv", "cat-size/cat_size.svg",
                           "cat-size/check/cat_size.csv"]
+
+
+def test_cat_size_column_equals_the_per_state_path():
+    # the runner maps its states as one stack; each size must equal the one
+    # read off that state's own map
+    cfg = {"system": dict(_SYSTEM, dim=20), "wigner_points": 21,
+           "delta_grid_MHz": _grid(0.0, 1.0, 3)}
+    config = cli._Config(cfg, "config")
+    params = cli._system(config)
+    table = cli.RUNNERS["cat-size"](config, params)[2]["cat_size"][0]
+    axis = tg.default_grid(params.dim, points=21)
+    deltas = np.linspace(0.0, 2 * np.pi, 3)   # the runner's grid, rad/us
+    assert len(table["size"]) == deltas.size
+    for d, size in zip(deltas, table["size"]):
+        basis = md.cat_basis_from_model(params.with_(Delta=float(d)))
+        rho = fs.DensityMatrix(0.5 * basis.plus_cat.to_density().entries
+                               + 0.5 * basis.minus_cat.to_density().entries)
+        assert size == tg.cat_size(tg.wigner_ideal(rho, axis, axis))
 
 
 def test_check_fails_on_a_declared_value_the_rerun_lacks(tmp_path, capsys,

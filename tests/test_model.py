@@ -284,6 +284,36 @@ def test_hamiltonian_terms_rebuild_the_hamiltonian(case):
         start += seg.duration
 
 
+@pytest.mark.parametrize("P_rel, Delta_rel, dim", [
+    (1.01, 0.32, 30),     # the operating point
+    (1.01, 0.32, 31),     # odd dim: the even sector is one level larger
+    (0.5, -0.5, 17),      # alpha_c = 0 at a nonzero pump
+    (0.2, -1.0, 16),      # P + Delta < 0: alpha_c clipped to 0
+])
+def test_qubit_pair_matches_the_complex_hermitian_oracle(P_rel, Delta_rel,
+                                                         dim):
+    K = PARAMS.K
+    sectors, picks, overlaps = md._qubit_pair(K, P_rel * K, Delta_rel * K, dim)
+    energies, want_picks, want_overlaps = orc.qubit_pair(
+        K, P_rel * K, Delta_rel * K, dim)
+    for (vals, _), want in zip(sectors, energies):
+        np.testing.assert_allclose(vals[0], want, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want)))
+    assert list(picks[0]) == want_picks
+    np.testing.assert_allclose(np.abs(overlaps[0]), want_overlaps, rtol=0,
+                               atol=1e-10)
+
+
+def test_sector_eigenvectors_are_real():
+    # the sector blocks are real symmetric; a complex cast would double the
+    # cost of every sector solve
+    sectors = md._qubit_pair(PARAMS.K, [PARAMS.P_max, 0.0],
+                             [PARAMS.Delta, 0.0], 15)[0]
+    for energies, states in sectors:
+        assert energies.dtype == np.float64
+        assert states.dtype == np.float64
+
+
 def test_cat_basis_overlap_with_analytic_cat():
     basis = md.cat_basis_from_model(PARAMS)
     alpha_c = np.sqrt((PARAMS.P_max + PARAMS.Delta) / PARAMS.K)

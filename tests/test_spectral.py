@@ -131,35 +131,14 @@ def test_splitting_surface_shape_and_point():
     assert val == pytest.approx(0.318 / 3.1, abs=0.01)
 
 
-def per_point_pair(K, P, Delta, dim):
-    """(picks, splitting) of one point from eigh of each sector of H.
-
-    Each pick indexes its sector's ascending eigenvalues; the argmax over
-    the overlaps with the reference cat runs in descending-energy order.
-    """
-    H = md.static_hamiltonian(K, P, Delta, dim)
-    alpha_c = np.sqrt(max(P + Delta, 0.0) / K)
-    picks, levels = [], []
-    for par in (0, 1):
-        vals, vecs = np.linalg.eigh(H[par::2, par::2])
-        if alpha_c < 1e-6:
-            ref = np.eye(dim)[par]
-        else:
-            ref = orc.coherent_amplitudes(alpha_c, dim)
-        ref = ref[par::2] / np.linalg.norm(ref[par::2])
-        k = int(np.argmax(np.abs(ref.conj() @ vecs[:, ::-1]) ** 2))
-        picks.append(vals.size - 1 - k)
-        levels.append(vals[::-1][k])
-    return tuple(picks), levels[1] - levels[0]
-
-
 def assert_stack_matches_points(K, P, Delta, dim):
     P, Delta = np.broadcast_arrays(P, Delta)
     got = sp.qubit_splitting(K, P, Delta, dim)
     picks = md._qubit_pair(K, P, Delta, dim)[1]
     for b, (p, d) in enumerate(zip(P, Delta)):
-        want_picks, want = per_point_pair(K, p, d, dim)
-        assert tuple(picks[b]) == want_picks
+        (e_even, e_odd), want_picks, _ = orc.qubit_pair(K, p, d, dim)
+        assert list(picks[b]) == want_picks
+        want = e_odd[want_picks[1]] - e_even[want_picks[0]]
         assert abs(got[b] - want) <= 1e-12
 
 

@@ -12,8 +12,8 @@ from kposim import model as md
 from kposim import spectral as sp
 from kposim import tomography as tg
 from kposim import units
-from kposim.errors import (GridExtentError, ReconstructionError,
-                           TruncationError, UsageError)
+from kposim.errors import (GridExtentError, InvalidDimensionError,
+                           ReconstructionError, TruncationError, UsageError)
 
 PARAMS = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=30)
 TWO_OVER_PI = 2.0 / np.pi
@@ -366,6 +366,32 @@ def test_reconstruction_needs_enough_points():
     rec = tg.ideal_record(fs.fock_state(0, 20), tg.grid_points(g, g))
     with pytest.raises(UsageError):
         tg.reconstruct_density(rec, 20)  # 25 < 400 points
+
+
+def test_wigner_maps_equal_the_per_state_maps_bit_for_bit():
+    # one shared displacement per row must not change a single bit
+    rng = np.random.default_rng(11)
+    states = [fs.cat_state(1.1, "even", 20),
+              fs.DensityMatrix(orc.random_density(20, rng)),
+              fs.coherent_state(0.7 - 0.4j, 20)]
+    re, im = np.linspace(-2.0, 2.0, 9), np.linspace(-1.5, 1.5, 7)
+    maps = tg.wigner_maps(states, re, im)
+    assert len(maps) == len(states)
+    for state, wm in zip(states, maps):
+        one = tg.wigner_ideal(state, re, im)
+        assert np.array_equal(wm.values, one.values)
+        assert np.array_equal(wm.re_grid, re)
+        assert np.array_equal(wm.im_grid, im)
+        assert np.array_equal(tg.wigner_maps([state], re, im)[0].values,
+                              one.values)
+
+
+def test_wigner_maps_reject_an_empty_stack_and_mixed_dims():
+    grid = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(UsageError, match="nonempty"):
+        tg.wigner_maps([], grid)
+    with pytest.raises(InvalidDimensionError, match="one dim"):
+        tg.wigner_maps([fs.fock_state(0, 12), fs.fock_state(0, 14)], grid)
 
 
 # ---------------------------------------------------------------------------
