@@ -6,10 +6,10 @@ cardinal-state relaxation experiment, and deterministic least-squares fits
 (exponential decay, damped cosine) used to extract lifetimes and oscillation
 frequencies from the simulated data.  :func:`propagate_many` sends several
 states through one schedule, or each through its own (every map sweep), in
-shared solves, one stack per segment, and returns one checked (B, T, ...)
-array of the B states at T samples; :func:`propagate` is its batch of one,
-and every sweep reads the stack in array expressions, :func:`parity_rows`
-as <parity>.
+shared solves, one array per segment, and returns one checked (B, T, ...)
+array of the B states at T samples, one per requested time;
+:func:`propagate` is its batch of one, and every sweep reads the stack in
+array expressions, :func:`parity_rows` as <parity>.
 
 All frequencies are angular (rad/us) internally; fits report ordinary
 frequency in MHz.
@@ -65,23 +65,6 @@ class Trajectory:
         return np.abs(self.states) ** 2
 
 
-def _solve_segment(rhs, y0, t0, t1, t_eval, rtol, atol):
-    """Integrate one segment in one solve, returning (samples, y_end, nfev)."""
-    n = len(t_eval)
-    if n and abs(t_eval[-1] - t1) >= 1e-15:
-        # end the solve at t1 too; that point is not a sample
-        t_eval = np.append(t_eval, t1)
-    # without t_eval the solver returns its own steps, ending at t1
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853",
-                    t_eval=t_eval if n else None,
-                    rtol=rtol, atol=atol, dense_output=False)
-    if not sol.success:
-        reached = sol.t[-1] if sol.t.size else t0
-        raise StiffnessError(
-            f"integrator failed near t = {reached:.6f} us: {sol.message}")
-    return [sol.y[:, k] for k in range(n)], sol.y[:, -1], sol.nfev
-
-
 #: Largest Fock dimension whose holds take the exact path.  The block
 #: exponentials cost O(dim**6) and hold O(dim**4) memory, a DOP853 step
 #: O(dim**3).  On the relax grid (3 holds, 46 samples over 4.5 us, one BLAS
@@ -118,7 +101,7 @@ def _parity_blocks(H, kappa):
     return blocks
 
 
-def _exact_hold(H, kappa, y0, t0, t_points, t1):
+def _exact_hold(H, kappa, y0, t0, ts):
     """Propagate vec(rho) exactly under parity-conserving H with loss.
 
     ``y0`` is a (B, dim**2) stack of vec(rho) under the one H; the states
@@ -127,12 +110,9 @@ def _exact_hold(H, kappa, y0, t0, t_points, t1):
     P(s)(y + delta L_b y) while |delta| ||L_b||_1 <= 2**-26: the dropped
     term, (delta ||L_b||_1)**2 / 2, is then below the unit roundoff, so the
     float-jittered gaps of a uniform grid share one exponential and samples
-    land exactly at ``t_points``.  Returns (samples, state at ``t1``).
+    land exactly at ``ts``.  Returns the (len(ts), B, dim**2) states there.
     """
-    times = t_points
-    if not len(times) or abs(times[-1] - t1) >= 1e-15:
-        times = np.append(times, t1)
-    gaps = np.diff(times, prepend=t0)
+    gaps = np.diff(ts, prepend=t0)
     ys = np.empty((gaps.size, *y0.shape), dtype=np.complex128)
     for index, block in _parity_blocks(H, kappa):
         norm = np.abs(block).sum(axis=0).max()
@@ -144,11 +124,11 @@ def _exact_hold(H, kappa, y0, t0, t_points, t1):
                 y = y + (gap - step) * (block @ y)
             y = prop @ y
             ys[k][:, index] = y.T
-    return list(ys[:len(t_points)]), ys[-1]
+    return ys
 
 
-def _segment(params, schedules, index, y0, t0, t_points, t1, density):
-    """Propagate segment ``index`` in the eigenframe of its midpoint H.
+def _segment(params, schedules, index, y0, t0, t1, ts, sampled, density):
+    """Propagate segment ``index``, from t0 to t1, to each time of ``ts``.
 
     With H_ref = H((t0+t1)/2) = V diag(E) V†, u = e^{-iE(t-t0)} and
     Φ = u u*ᵀ, a ket is V (u ∘ c) and a density matrix V (Φ ∘ σ) V†.
@@ -172,15 +152,19 @@ def _segment(params, schedules, index, y0, t0, t_points, t1, density):
     step (see :func:`_parity_blocks` and :func:`_exact_hold`; solver
     ``"parity-block expm"``).  ``y0`` is a (B, n) stack of kets or flattened
     density matrices, moved as one in one frame per schedule of
-    ``schedules``; a static member has R̃ ≡ 0.
-    Returns (samples at ``t_points``, state at ``t1``, solver, nfev) in the
-    layout of ``y0``.
+    ``schedules``; a static member has R̃ ≡ 0.  ``ts[-1]`` is t1 or, within
+    1e-15 of it, the last sample, and stands for the end.  Without a sample
+    (``sampled`` false, ``ts`` = [t1]) DOP853 ends on its own last step,
+    not on its interpolant.  All of ``ts`` goes back to the lab frame in
+    one transform.  Returns (the (len(ts), B, n) states at ``ts``, solver,
+    nfev).
     """
     dim, kappa, batch = params.dim, params.kappa, len(y0)
     t_mid = 0.5 * (t0 + t1)
     segs = [s.segments[index] for s in schedules]
     driven = not all(seg.is_static() for seg in segs)
-    H_refs = [md.hamiltonian_at(params, s, t_mid, index) for s in schedules]
+    H_refs = np.array([md.hamiltonian_at(params, s, t_mid, index)
+                       for s in schedules])
     functions = [s.coefficients(index) for s in schedules]
     # one schedule keeps one frame without a stack axis, which would cost a
     # lone state about 1.3 us per ket RHS call and 10 us per density point
@@ -188,71 +172,75 @@ def _segment(params, schedules, index, y0, t0, t_points, t1, density):
     if len(schedules) > 1:
         def coefficients(t):
             return np.array([[c(t)] for c in functions])
-        H_ref = np.array(H_refs)
+        H_ref = H_refs
     if (density and kappa > 0.0 and not driven and len(schedules) == 1
             and dim <= _EXACT_HOLD_MAX_DIM and segs[0].drive.value(0.0) == 0.0):
-        return (*_exact_hold(H_ref, kappa, y0, t0, t_points, t1),
-                "parity-block expm", 0)
+        return _exact_hold(H_ref, kappa, y0, t0, ts), "parity-block expm", 0
     evals, vecs = np.linalg.eigh(H_ref)
     vecs_t, vecs_h = vecs.swapaxes(-1, -2), vecs.conj().swapaxes(-1, -2)
     # frame coordinates stay flat, the B states end to end, as DOP853 sees
     # them; ket phases are tiled to match (broadcast, they cost a lone state
     # 1.5 us per call); kets are one (1, B, dim) stack or B (1, dim) rows
     if density:
-        def lab(t, sigma):
-            u = np.exp(-1j * evals * (t - t0))
-            return (vecs @ (u[..., None] * sigma.reshape(batch, dim, dim)
-                            * u.conj()[..., None, :]) @ vecs_h
-                    ).reshape(batch, -1)
-
         c0 = (vecs_h @ y0.reshape(batch, dim, dim) @ vecs).reshape(-1)
     else:
         rows = (len(schedules), batch // len(schedules), dim)
         stacked = np.broadcast_to(evals, (batch, dim)).reshape(-1)
-
-        def lab(t, c):
-            u = np.exp(-1j * stacked * (t - t0))
-            return ((u * c).reshape(rows) @ vecs_t).reshape(batch, dim)
-
         c0 = (y0.reshape(rows) @ vecs.conj()).reshape(-1)
-    if not (driven or kappa > 0.0):
-        return [lab(t, c0) for t in t_points], lab(t1, c0), "eigh", 0
+    # the frame coordinates at ts, one row each; a constant row broadcasts
+    cs, solver, nfev = c0[None], "eigh", 0
+    if driven or kappa > 0.0:
+        ops = (vecs_h[..., None, :, :] @ md.operator_stack(dim)
+               @ vecs[..., None, :, :])
+        ops = ops.reshape(*ops.shape[:-2], -1)
+        c_mid = coefficients(t_mid)
 
-    ops = (vecs_h[..., None, :, :] @ md.operator_stack(dim)
-           @ vecs[..., None, :, :])
-    ops = ops.reshape(*ops.shape[:-2], -1)
-    c_mid = coefficients(t_mid)
+        def remainder(t):
+            return ((coefficients(t) - c_mid) @ ops).reshape(H_ref.shape)
 
-    def remainder(t):
-        return ((coefficients(t) - c_mid) @ ops).reshape(H_ref.shape)
+        if density:
+            jump = np.sqrt(kappa) * ops[..., 3, :].reshape(H_ref.shape)
+            decay = -0.5 * (jump.conj().swapaxes(-1, -2) @ jump)
+            sigma = c0.reshape(batch, dim, dim)
+            c0 = (0.5 * (sigma + sigma.conj().swapaxes(-1, -2))).reshape(-1)
 
+            def rhs(t, y):
+                u = np.exp(-1j * evals * (t - t0))
+                phi = u.conj()[..., None] * u[..., None, :]
+                sigma = y.reshape(batch, dim, dim)
+                g_sigma = (phi * (decay - 1j * remainder(t) if driven
+                                  else decay)) @ sigma
+                dsigma = g_sigma + g_sigma.conj().swapaxes(-1, -2)
+                if kappa > 0.0:
+                    jump_t = phi * jump
+                    dsigma += jump_t @ sigma @ jump_t.conj().swapaxes(-1, -2)
+                return dsigma.reshape(-1)
+        else:
+            def rhs(t, y):
+                u = np.exp(-1j * stacked * (t - t0))
+                r = remainder(t).swapaxes(-1, -2)
+                return -1j * u.conj() * ((u * y).reshape(rows) @ r).reshape(-1)
+
+        # without t_eval the solver returns its own steps, ending at t1
+        sol = solve_ivp(rhs, (t0, t1), c0, method="DOP853",
+                        t_eval=ts if sampled else None,
+                        rtol=params.rtol, atol=params.atol, dense_output=False)
+        if not sol.success:
+            reached = sol.t[-1] if sol.t.size else t0
+            raise StiffnessError(
+                f"integrator failed near t = {reached:.6f} us: {sol.message}")
+        cs = (sol.y if sampled else sol.y[:, -1:]).T
+        solver, nfev = "eigenframe DOP853", sol.nfev
+    dt = (ts - t0)[:, None]
     if density:
-        jump = np.sqrt(kappa) * ops[..., 3, :].reshape(H_ref.shape)
-        decay = -0.5 * (jump.conj().swapaxes(-1, -2) @ jump)
-        sigma = c0.reshape(batch, dim, dim)
-        c0 = (0.5 * (sigma + sigma.conj().swapaxes(-1, -2))).reshape(-1)
-
-        def rhs(t, y):
-            u = np.exp(-1j * evals * (t - t0))
-            phi = u.conj()[..., None] * u[..., None, :]
-            sigma = y.reshape(batch, dim, dim)
-            g_sigma = (phi * (decay - 1j * remainder(t) if driven else decay)
-                       ) @ sigma
-            dsigma = g_sigma + g_sigma.conj().swapaxes(-1, -2)
-            if kappa > 0.0:
-                jump_t = phi * jump
-                dsigma += jump_t @ sigma @ jump_t.conj().swapaxes(-1, -2)
-            return dsigma.reshape(-1)
+        u = np.exp(-1j * evals * dt[..., None])
+        sigma = cs.reshape(-1, batch, dim, dim)
+        ys = vecs @ (u[..., None] * sigma * u.conj()[..., None, :]) @ vecs_h
     else:
-        def rhs(t, y):
-            u = np.exp(-1j * stacked * (t - t0))
-            r = remainder(t).swapaxes(-1, -2)
-            return -1j * u.conj() * ((u * y).reshape(rows) @ r).reshape(-1)
-
-    cs, c1, nfev = _solve_segment(rhs, c0, t0, t1, t_points, params.rtol,
-                                  params.atol)
-    return ([lab(t, c) for t, c in zip(t_points, cs)], lab(t1, c1),
-            "eigenframe DOP853", nfev)
+        u = np.exp(-1j * stacked * dt)
+        u *= cs  # in place: a (S, B, dim) map holds one array less
+        ys = u.reshape(-1, *rows) @ vecs_t
+    return ys.reshape(len(ts), batch, -1), solver, nfev
 
 
 def propagate(params, schedule, initial, sample_times=None):
@@ -276,7 +264,9 @@ def propagate_many(params, schedule, initials, sample_times=None):
     any of ``initials`` is a density matrix; otherwise the Schroedinger
     equation is solved (pass ``params.with_(kappa=0.0)`` for a lossless
     step).  ``sample_times`` (us, within the schedule; default: the
-    schedule's end) selects the returned samples, so the returned states end
+    schedule's end) selects the returned samples, one per time: a time up
+    to 1e-15 past a segment's end is reported at that end, and one up to
+    1e-15 past 0 is the initial state, reported at 0.  The returned states end
     at the last sample, and segments after it are not propagated.
     Integrator breakdown raises :class:`StiffnessError` naming the time
     reached.
@@ -287,8 +277,11 @@ def propagate_many(params, schedule, initials, sample_times=None):
     state whose dim is not ``params.dim``, another count of schedules or
     unequal durations raise :class:`UsageError`.
 
-    All states move together, one (B, n) stack per segment, sharing each
-    DOP853 step and, with one schedule, each ``eigh`` and block exponential.
+    All states move together, sharing each DOP853 step and, with one
+    schedule, each ``eigh`` and block exponential.  Each segment is one call
+    on its samples, plus its end unless the last sample lies within 1e-15
+    of it, which returns one (S, B, n) array; its last row starts the next
+    segment.
     Each segment takes one of three solvers, by what it is in every member:
 
     - a static segment (see :meth:`kposim.model.Segment.is_static`) without
@@ -350,29 +343,31 @@ def propagate_many(params, schedule, initials, sample_times=None):
     y = np.array([fs.dm(s).reshape(-1) if density else s for s in initials],
                  dtype=np.complex128)
 
-    times, samples = ([0.0], [y]) if abs(t_s[0]) < 1e-15 else ([], [])
-    t_pending = t_s[len(times):]
+    # a sample up to 1e-15 past a segment's end belongs to that segment and
+    # is clipped to its end; one up to 1e-15 past 0 is the initial state
+    bounds = np.concatenate(
+        ([0.0], np.cumsum([seg.duration for seg in schedules[0].segments])))
+    owner = np.searchsorted(bounds + 1e-15, t_s)
+    times = np.minimum(t_s, bounds[owner])
+    chunks = [np.broadcast_to(y, (np.count_nonzero(owner == 0), *y.shape))]
     seg_stats = []
-    t_cursor = 0.0
-    for index, seg in enumerate(schedules[0].segments):
-        t0, t1 = t_cursor, t_cursor + seg.duration
-        if not t_pending.size or t_pending[-1] <= t0 + 1e-15:
-            break
-        in_seg = t_pending[(t_pending > t0 + 1e-15) & (t_pending <= t1 + 1e-15)]
-        # samples caught by the boundary tolerance must not leave the span
-        in_seg = np.clip(in_seg, t0, t1)
-        ys, y, solver, nfev = _segment(params, schedules, index, y, t0,
-                                       in_seg, t1, density)
+    for index in range(owner[-1]):
+        t0, t1 = bounds[index], bounds[index + 1]
+        ts = times[owner == index + 1]
+        k = ts.size
+        # a last sample within 1e-15 of t1 is the segment's end
+        if not k or t1 - ts[-1] >= 1e-15:
+            ts = np.append(ts, t1)
+        ys, solver, nfev = _segment(params, schedules, index, y, t0, t1, ts,
+                                    k > 0, density)
         seg_stats.append({"solver": solver, "nfev": nfev})
-        times += list(in_seg)
-        samples += ys
-        t_cursor = t1
+        chunks.append(ys[:k])
+        y = ys[-1]
 
     meta = {"nfev": sum(s["nfev"] for s in seg_stats),
             "branch": "lindblad" if density else "unitary",
             "segments": seg_stats}
-    times = np.array(times)
-    stack = np.stack(samples, axis=1)
+    stack = np.concatenate([c.swapaxes(0, 1) for c in chunks], axis=1)
     if density:
         rho = stack.reshape(*stack.shape[:2], params.dim, params.dim)
         trace = np.trace(rho, axis1=-2, axis2=-1).real

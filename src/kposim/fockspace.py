@@ -3,7 +3,7 @@
 Everything in the package lives in a photon-number basis truncated at ``dim``
 levels, with the annihilation operator ``a[n-1, n] = sqrt(n)``.  Operators are
 plain complex numpy arrays (returned read-only); states and density matrices
-get thin dataclass wrappers that carry their validation flags.
+get thin dataclass wrappers that validate them at construction.
 
 Cat-qubit conventions
 ---------------------
@@ -52,6 +52,7 @@ __all__ = [
     "StateVector",
     "DensityMatrix",
     "CARDINAL_LABELS",
+    "CARDINAL_COEFFS",
     "cardinal_states",
     "cardinal_populations",
 ]
@@ -120,29 +121,23 @@ def assert_hermitian(op, name="operator"):
 
 @dataclass(frozen=True)
 class StateVector:
-    """A ket in the truncated Fock space.
+    """A ket in the truncated Fock space, of unit norm within 1e-10.
 
-    ``normalized=True`` (the default) asserts unit norm within 1e-10 at
-    construction; vectors that are deliberately unnormalized must be flagged
-    with ``normalized=False``, and so may vectors whose norm the caller has
-    already checked.
+    Construction checks the norm; an unnormalized vector stays a plain
+    array.
     """
 
     amplitudes: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=np.complex128)
         if amp.ndim != 1 or amp.size < 2:
             raise InvalidDimensionError("StateVector needs a 1-d array of length >= 2")
         object.__setattr__(self, "amplitudes", _readonly(amp))
-        if self.normalized:
-            nrm = np.linalg.norm(amp)
-            if abs(nrm - 1.0) > 1e-10:
-                raise UsageError(
-                    f"state flagged normalized has norm {nrm!r}; "
-                    "pass normalized=False for unnormalized vectors"
-                )
+        nrm = np.linalg.norm(amp)
+        if abs(nrm - 1.0) > 1e-10:
+            raise UsageError(f"state has norm {nrm!r}; an unnormalized "
+                             "vector stays a plain array")
 
     @property
     def dim(self):
@@ -154,31 +149,28 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A density matrix; ``physical=True`` enforces the standard invariants.
+    """A density matrix, checked at construction.
 
     Hermitian within 1e-10 entrywise, unit trace within 1e-8, and smallest
-    eigenvalue above -1e-8.  Intermediate unnormalized objects can opt out
-    with ``physical=False``.
+    eigenvalue above -1e-8; an unphysical matrix stays a plain array.
     """
 
     entries: np.ndarray
-    physical: bool = True
 
     def __post_init__(self):
         rho = np.asarray(self.entries, dtype=np.complex128)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
             raise InvalidDimensionError("DensityMatrix needs a square array of size >= 2")
         object.__setattr__(self, "entries", _readonly(rho))
-        if self.physical:
-            herm_err = np.max(np.abs(rho - rho.conj().T))
-            if herm_err > 1e-10:
-                raise UsageError(f"density matrix not Hermitian (err {herm_err:.3e})")
-            tr = np.trace(rho).real
-            if abs(tr - 1.0) > 1e-8:
-                raise UsageError(f"density matrix trace {tr!r} != 1")
-            eigmin = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
-            if eigmin < -1e-8:
-                raise UsageError(f"density matrix has negative eigenvalue {eigmin:.3e}")
+        herm_err = np.max(np.abs(rho - rho.conj().T))
+        if herm_err > 1e-10:
+            raise UsageError(f"density matrix not Hermitian (err {herm_err:.3e})")
+        tr = np.trace(rho).real
+        if abs(tr - 1.0) > 1e-8:
+            raise UsageError(f"density matrix trace {tr!r} != 1")
+        eigmin = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)[0])
+        if eigmin < -1e-8:
+            raise UsageError(f"density matrix has negative eigenvalue {eigmin:.3e}")
 
     @property
     def dim(self):
@@ -344,11 +336,11 @@ def cat_state(alpha, parity, dim):
 
 CARDINAL_LABELS = ("+Cat", "-Cat", "+Coh", "-Coh", "+iCat", "-iCat")
 
-# each cardinal state as (plus_cat, minus_cat) coefficients, in
-# CARDINAL_LABELS order
 _S = 1.0 / np.sqrt(2.0)
-_CARDINAL_COEFFS = np.array([[1.0, 0.0], [0.0, 1.0], [_S, _S], [_S, -_S],
-                             [_S, 1j * _S], [_S, -1j * _S]])
+#: each cardinal state as (plus_cat, minus_cat) coefficients, in
+#: CARDINAL_LABELS order
+CARDINAL_COEFFS = _readonly(np.array([[1.0, 0.0], [0.0, 1.0], [_S, _S],
+                                      [_S, -_S], [_S, 1j * _S], [_S, -1j * _S]]))
 
 
 def qubit_block(rho, basis):
@@ -376,8 +368,8 @@ def cardinal_states(basis):
     here, and (p +- m)/sqrt(2) has squared norm 1 + O(deviation).  Returns
     a dict keyed by :data:`CARDINAL_LABELS`.
     """
-    kets = _CARDINAL_COEFFS @ [basis.plus_cat.amplitudes,
-                               basis.minus_cat.amplitudes]
+    kets = CARDINAL_COEFFS @ [basis.plus_cat.amplitudes,
+                              basis.minus_cat.amplitudes]
     return {c: StateVector(k) for c, k in zip(CARDINAL_LABELS, kets)}
 
 
@@ -391,5 +383,5 @@ def cardinal_populations(rho, basis):
     weight.
     """
     block = qubit_block(rho, basis)
-    return np.einsum("ki,...ij,kj->...k", _CARDINAL_COEFFS.conj(), block,
-                     _CARDINAL_COEFFS).real
+    return np.einsum("ki,...ij,kj->...k", CARDINAL_COEFFS.conj(), block,
+                     CARDINAL_COEFFS).real

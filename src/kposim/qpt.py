@@ -118,12 +118,18 @@ def effective_qubits(rhos, basis):
 # chi assembly
 
 
+#: the cardinal states each process is run on, as the textbook preparation
+#: set |0>, |1>, |+>, |+i> of the qubit
+_PREPARED = ("+Cat", "-Cat", "+Coh", "+iCat")
+
+
 def standard_input_states():
-    """The textbook preparation set: |0><0|, |1><1|, |+><+|, |+i><+i|."""
-    kets = (np.array([1.0, 0.0], dtype=complex),
-            np.array([0.0, 1.0], dtype=complex),
-            np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
-            np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0))
+    """The qubit density matrices of the preparations :data:`_PREPARED`.
+
+    |0><0|, |1><1|, |+><+| and |+i><+i|, from their rows of
+    :data:`kposim.fockspace.CARDINAL_COEFFS`.
+    """
+    kets = fs.CARDINAL_COEFFS[[fs.CARDINAL_LABELS.index(c) for c in _PREPARED]]
     return [np.outer(k, k.conj()) for k in kets]
 
 
@@ -307,7 +313,7 @@ def _phase_shifted_basis(basis, phi_plus, phi_minus):
 
 def _cardinal_kets(basis):
     cards = fs.cardinal_states(basis)
-    return [cards["+Cat"], cards["-Cat"], cards["+Coh"], cards["+iCat"]]
+    return [cards[c] for c in _PREPARED]
 
 
 @dataclass(frozen=True)

@@ -291,19 +291,17 @@ def test_exact_density_path_checks_trace_and_positivity():
     heavy = 1.1 * good.entries
     with pytest.raises(AccuracyError, match=r"trace drifted to 1\.1.* "
                        r"t = 0\.100000 us"):
-        dyn.propagate_many(p, sched, [good, fs.DensityMatrix(
-            heavy, physical=False)], sample_times=[0.1, 0.2])
+        dyn.propagate_many(p, sched, [good, heavy], sample_times=[0.1, 0.2])
     negative = np.diag([1.05, -0.05, 0, 0, 0, 0, 0, 0]).astype(complex)
     with pytest.raises(AccuracyError, match="negative population .* "
                        r"t = 0\.100000 us"):
-        dyn.propagate_many(p, sched, [good, fs.DensityMatrix(
-            negative, physical=False)], sample_times=[0.1, 0.2])
+        dyn.propagate_many(p, sched, [good, negative],
+                           sample_times=[0.1, 0.2])
 
 
 def test_ket_path_checks_the_norm():
     p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=8)
-    long_ket = fs.StateVector(1.1 * fs.fock_state(1, 8).amplitudes,
-                              normalized=False)
+    long_ket = 1.1 * fs.fock_state(1, 8).amplitudes
     with pytest.raises(AccuracyError, match=r"norm drifted to 1\.1.* "
                        r"t = 0\.100000 us"):
         dyn.propagate_many(p, _phased_drive_schedule(p, 0.2),
@@ -361,6 +359,67 @@ def test_sample_free_segment_is_integrated_once(monkeypatch):
     assert len(calls) == 1
     assert [s["nfev"] for s in traj.meta["segments"]] == [0, calls[0], 0]
     assert traj.meta["nfev"] == calls[0]
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.1])
+@pytest.mark.parametrize("sample_times", [[0.0, 5e-16, 0.1], [1e-15, 0.1],
+                                          [1e-15]])
+def test_every_requested_sample_is_returned(sample_times, kappa):
+    # samples within 1e-15 of 0 are the initial state, reported at 0
+    p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, kappa, dim=8)
+    psi0 = fs.fock_state(0, 8)
+    traj = dyn.propagate(p, md.hold_schedule(0.2, p.P_max, p.Delta), psi0,
+                         sample_times=sample_times)
+    assert len(traj.times) == len(sample_times)
+    start = psi0.amplitudes if kappa == 0.0 else psi0.to_density().entries
+    for t, requested, state in zip(traj.times, sample_times, traj.states):
+        if requested <= 1e-15:
+            assert t == 0.0
+            assert np.array_equal(state, start)
+        else:
+            assert t == requested
+
+
+def _four_segment_schedules(p, path):
+    # four segments of one solver path; their pumps meet at the boundaries
+    durations = (0.1, 0.15, 0.1, 0.1)
+    if path == "parity-block expm":
+        segs = [md.hold_schedule(d, p.P_max, delta).segments[0]
+                for d, delta in zip(durations, p.Delta * np.array(
+                    [1.0, 0.5, 1.0, 0.8]))]
+    else:
+        # a drive detuning moves the drive phase, so the segment is driven
+        omega = 0.0 if path == "eigh" else 2.0
+        segs = [md.drive_schedule(d, p.beta, omega, phi, p.P_max,
+                                  p.Delta).segments[0]
+                for d, phi in zip(durations, (0.0, 0.7, -0.4, 1.2))]
+    return md.PulseSchedule(tuple(segs)), [md.PulseSchedule((s,)) for s in segs]
+
+
+@pytest.mark.parametrize("path, kappa", [
+    ("eigh", 0.0), ("eigenframe DOP853", 0.0), ("eigenframe DOP853", 0.1),
+    ("parity-block expm", 0.1)], ids=["eigh-ket", "DOP853-ket",
+                                      "DOP853-density", "parity-block expm"])
+def test_segment_ends_hand_on_the_state_of_chained_runs(path, kappa):
+    # segment 0 is sampled inside and at its end, segment 1 not, segment 2
+    # inside only and segment 3 inside and at its end; each segment's end
+    # state is where the next one starts.  The schedule's end, summed to
+    # 0.44999999999999996, is requested as 0.45 and reported at the end.
+    p = PARAMS.with_(dim=8, kappa=kappa)
+    whole, parts = _four_segment_schedules(p, path)
+    psi0 = fs.StateVector(np.sqrt([0.5, 0.5, 0, 0, 0, 0, 0, 0]) + 0j)
+    traj = dyn.propagate(p, whole, psi0,
+                         sample_times=[0.05, 0.1, 0.3, 0.4, 0.45])
+    assert [s["solver"] for s in traj.meta["segments"]] == [path] * 4
+    assert list(traj.times) == [0.05, 0.1, 0.3, 0.4, whole.total_duration]
+    first = dyn.propagate(p, parts[0], psi0, sample_times=[0.05, 0.1])
+    second = dyn.propagate(p, parts[1], first.states[-1])
+    third = dyn.propagate(p, parts[2], second.states[-1],
+                          sample_times=[0.3 - 0.25, 0.1])
+    fourth = dyn.propagate(p, parts[3], third.states[-1],
+                           sample_times=[0.4 - 0.35, 0.1])
+    chained = np.concatenate([first.states, third.states[:1], fourth.states])
+    assert np.max(np.abs(traj.states - chained)) < 1e-12
 
 
 @pytest.mark.parametrize("lossy", [False, True])
@@ -433,7 +492,7 @@ def test_purity_nonincreasing_under_loss():
     p = md.SystemParams.from_mhz(3.1, 0.0, 0.0, 0.0, dim=10)
     ent = 0.6 * fs.fock_state(0, 10).to_density().entries \
         + 0.4 * fs.fock_state(2, 10).to_density().entries
-    rho0 = fs.DensityMatrix(ent, physical=False)
+    rho0 = fs.DensityMatrix(ent)
     sched = md.hold_schedule(1.0, 0.0, 0.0)
     traj = dyn.propagate(p.with_(kappa=0.2), sched, rho0,
                          sample_times=np.linspace(0.0, 1.0, 9))
@@ -682,8 +741,8 @@ def test_batch_runs_samples_of_a_returned_stack_as_state_objects(lossy):
     first = dyn.propagate_many(p, sched, [fs.fock_state(k, 10)
                                           for k in range(2)])
     samples = first.states[:, -1]
-    wrapped = [fs.DensityMatrix(s, physical=False) if lossy
-               else fs.StateVector(s, normalized=False) for s in samples]
+    wrapped = [fs.DensityMatrix(s) if lossy else fs.StateVector(s)
+               for s in samples]
     raw = dyn.propagate_many(p.with_(kappa=0.0), sched, samples)
     objects = dyn.propagate_many(p.with_(kappa=0.0), sched, wrapped)
     assert raw.meta == objects.meta

@@ -171,8 +171,6 @@ def test_displacement_generates_coherent():
 def test_state_vector_norm_flag():
     with pytest.raises(UsageError):
         fs.StateVector(np.array([1.0, 1.0], dtype=complex))
-    unnorm = fs.StateVector(np.array([1.0, 1.0], dtype=complex), normalized=False)
-    assert np.linalg.norm(unnorm.amplitudes) == pytest.approx(np.sqrt(2))
 
 
 def test_density_matrix_invariants():
@@ -238,8 +236,7 @@ def test_cardinal_populations_plus_cat():
 def test_cardinal_populations_mixed_qubit():
     basis = _toy_basis()
     rho = fs.DensityMatrix(0.5 * (basis.plus_cat.to_density().entries
-                                  + basis.minus_cat.to_density().entries),
-                           physical=False)
+                                  + basis.minus_cat.to_density().entries))
     arr = fs.cardinal_populations(rho, basis)
     assert np.max(np.abs(arr - 0.5)) < 1e-10
 

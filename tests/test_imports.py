@@ -1,10 +1,11 @@
 """Every name a package module imports is used in that module, every
 dataclass field is read somewhere, every function reads its parameters,
 every exported error class is raised somewhere, only one function opens a
-file for writing, and no source uses a NumPy name newer than the declared
-floor."""
+file for writing, no source uses a NumPy name newer than the declared
+floor, and every function the benchmark's tracer wraps exists."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -403,3 +404,16 @@ def test_checker_flags_a_numpy2_name():
     for p in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]))
 def test_source_uses_no_numpy2_name(path):
     assert numpy2_names((TESTS.parent / path).read_text(encoding="utf-8")) == []
+
+
+def test_every_traced_target_resolves():
+    # perfbench/spans.py wraps each (module, attribute) of TARGETS by name
+    # and only counts one that is gone, in the benchmark's trace record
+    path = TESTS.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    absent = [f"{module}.{attr}" for module, attr, _ in spans.TARGETS
+              if getattr(importlib.import_module(f"kposim.{module}"), attr,
+                         None) is None]
+    assert spans.TARGETS and absent == []
