@@ -130,62 +130,77 @@ def _exact_hold(H, kappa, y0, t0, ts):
 def _segment(params, schedules, index, y0, t0, t1, ts, sampled, density):
     """Propagate segment ``index``, from t0 to t1, to each time of ``ts``.
 
-    With H_ref = H((t0+t1)/2) = V diag(E) V†, u = e^{-iE(t-t0)} and
-    Φ = u u*ᵀ, a ket is V (u ∘ c) and a density matrix V (Φ ∘ σ) V†.
-    DOP853 integrates dc/dt = -i u* ∘ R̃(u ∘ c), or
+    The frame is that of a reference H_ref = V diag(E) V†, from the
+    coefficient rows c_ref of the segment midpoint t_mid = (t0+t1)/2: the
+    whole H(t_mid) for a static segment, and with the two drive terms set to
+    zero for a driven one (static in no member, see
+    :meth:`kposim.model.Segment.is_static`).  Members whose reference rows
+    are equal share one frame (F = 1): the columns of a drive sweep, which
+    differ only in the drive, and states under one schedule; otherwise each
+    member keeps its own (F = B).  With u = e^{-iE(t-t0)} and Φ = u u*ᵀ, a
+    ket is V (u ∘ c) and a density matrix V (Φ ∘ σ) V†.  DOP853 integrates
+    dc/dt = -i u* ∘ R̃(u ∘ c), or
     dσ/dt = G̃σ + (G̃σ)† + κ ã_t σ ã_t† with the non-Hermitian generator
     G̃(t) = Φ* ∘ (-iR̃(t) - (κ/2) ã†ã) and ã_t = Φ* ∘ ã, where
-    R̃(t) = Σ_i Δc_i(t) Õ_i is the rest H(t) - H_ref rotated into the
-    frame: Δc = c(t) - c(t_mid) for the segment's coefficient function c
-    over the rotated operator stack Õ_i = V†O_iV (see
-    :func:`kposim.model.operator_stack`), and ã = V†aV.  The phases act on
-    dim x dim operators, not on the state stack, and σG̃† is taken as
-    (G̃σ)†, which holds for Hermitian σ only, so σ is made Hermitian once
-    at the start of the segment; the right-hand side keeps it so.
-    H_ref's spectrum, with the Fock-truncation edge, never sets the step;
-    ``params.rtol`` and ``params.atol`` bound c or σ.  A static segment has
-    R̃ ≡ 0, so without loss c and σ stay constant and the result is exact
-    (solver ``"eigh"``).  A lossy static density segment without drive, a
-    hold, conserves photon-number parity; under one schedule and up to
-    ``_EXACT_HOLD_MAX_DIM`` it skips the frame and is exact, one
+    R̃(t) = Σ_i Δc_i(t) Õ_i is each member's rest H(t) - H_ref rotated into
+    its frame: Δc = c(t) - c_ref for the member's coefficient row c (all
+    rows from one :func:`kposim.model.coefficient_stack` evaluation) over
+    the rotated operator stack Õ_i = V†O_iV (see
+    :func:`kposim.model.operator_stack`), and ã = V†aV.  A frame of members
+    with their own Δc applies its rest to the kets as one contraction,
+    (u ∘ c) @ Õᵀ weighted by each Δc, over the terms whose Δc is not zero
+    throughout; density matrices form each R̃ from one Δc @ Õ product.
+    The phases act on dim x dim operators, not on the state stack, and σG̃†
+    is taken as (G̃σ)†, which holds for Hermitian σ only, so σ is made
+    Hermitian once at the start of the segment; the right-hand side keeps
+    it so.  H_ref's spectrum, with the Fock-truncation edge, never sets the
+    step; ``params.rtol`` and ``params.atol`` bound c or σ.  A static
+    segment has R̃ ≡ 0, so without loss c and σ stay constant and the
+    result is exact (solver ``"eigh"``).  A lossy static density segment
+    without drive, a hold, conserves photon-number parity; in one frame and
+    up to ``_EXACT_HOLD_MAX_DIM`` it skips the frame and is exact, one
     ``scipy.linalg.expm`` per parity block of the Liouvillian and sample
     step (see :func:`_parity_blocks` and :func:`_exact_hold`; solver
-    ``"parity-block expm"``).  ``y0`` is a (B, n) stack of kets or flattened
-    density matrices, moved as one in one frame per schedule of
-    ``schedules``; a static member has R̃ ≡ 0.  ``ts[-1]`` is t1 or, within
-    1e-15 of it, the last sample, and stands for the end.  Without a sample
-    (``sampled`` false, ``ts`` = [t1]) DOP853 ends on its own last step,
-    not on its interpolant.  All of ``ts`` goes back to the lab frame in
-    one transform.  Returns (the (len(ts), B, n) states at ``ts``, solver,
+    ``"parity-block expm"``).  ``y0`` is a (B, n) stack of kets or
+    flattened density matrices, moved as one; a static member of a static
+    segment has R̃ ≡ 0.  ``ts[-1]`` is t1 or, within 1e-15 of it, the last
+    sample, and stands for the end.  Without a sample (``sampled`` false,
+    ``ts`` = [t1]) DOP853 ends on its own last step, not on its
+    interpolant.  All of ``ts`` goes back to the lab frame in one
+    transform.  Returns (the (len(ts), B, n) states at ``ts``, solver,
     nfev).
     """
     dim, kappa, batch = params.dim, params.kappa, len(y0)
     t_mid = 0.5 * (t0 + t1)
-    segs = [s.segments[index] for s in schedules]
-    driven = not all(seg.is_static() for seg in segs)
-    H_refs = np.array([md.hamiltonian_at(params, s, t_mid, index)
-                       for s in schedules])
-    functions = [s.coefficients(index) for s in schedules]
-    # one schedule keeps one frame without a stack axis, which would cost a
-    # lone state about 1.3 us per ket RHS call and 10 us per density point
-    H_ref, coefficients = H_refs[0], functions[0]
-    if len(schedules) > 1:
-        def coefficients(t):
-            return np.array([[c(t)] for c in functions])
-        H_ref = H_refs
-    if (density and kappa > 0.0 and not driven and len(schedules) == 1
-            and dim <= _EXACT_HOLD_MAX_DIM and segs[0].drive.value(0.0) == 0.0):
+    driven = not all(s.segments[index].is_static() for s in schedules)
+    coefficients, moving = md.coefficient_stack(schedules, index)
+    # the reference rows: a driven segment's leave the drive out, so the
+    # columns of a drive sweep, which differ only in it, share one frame;
+    # one frame has no stack axis, one (dim, dim) eigh
+    c_mid = coefficients(t_mid)
+    c_ref = c_mid.copy()
+    if driven:
+        c_ref[:, 2:] = 0.0
+    frames = 1 if (c_ref == c_ref[0]).all() else len(c_ref)
+    H_ref = (md.hamiltonian(params.K, c_ref[:frames], dim) if driven else
+             np.array([md.hamiltonian_at(params, s, t_mid, index)
+                       for s in schedules[:frames]]))
+    if frames == 1:
+        H_ref = H_ref[0]
+    if (density and kappa > 0.0 and not driven and frames == 1
+            and dim <= _EXACT_HOLD_MAX_DIM and c_ref[0, 2] == 0.0):
         return _exact_hold(H_ref, kappa, y0, t0, ts), "parity-block expm", 0
     evals, vecs = np.linalg.eigh(H_ref)
     vecs_t, vecs_h = vecs.swapaxes(-1, -2), vecs.conj().swapaxes(-1, -2)
     # frame coordinates stay flat, the B states end to end, as DOP853 sees
-    # them; ket phases are tiled to match (broadcast, they cost a lone state
-    # 1.5 us per call); kets are one (1, B, dim) stack or B (1, dim) rows
+    # them; ket phase rates -iE are tiled to match, and the kets of each
+    # frame are one (F, B/F, dim) stack
+    rows = (frames, batch // frames, dim)
     if density:
+        rate = -1j * evals
         c0 = (vecs_h @ y0.reshape(batch, dim, dim) @ vecs).reshape(-1)
     else:
-        rows = (len(schedules), batch // len(schedules), dim)
-        stacked = np.broadcast_to(evals, (batch, dim)).reshape(-1)
+        rate = -1j * np.broadcast_to(evals, (batch, dim)).reshape(-1)
         c0 = (y0.reshape(rows) @ vecs.conj()).reshape(-1)
     # the frame coordinates at ts, one row each; a constant row broadcasts
     cs, solver, nfev = c0[None], "eigh", 0
@@ -193,10 +208,11 @@ def _segment(params, schedules, index, y0, t0, t1, ts, sampled, density):
         ops = (vecs_h[..., None, :, :] @ md.operator_stack(dim)
                @ vecs[..., None, :, :])
         ops = ops.reshape(*ops.shape[:-2], -1)
-        c_mid = coefficients(t_mid)
 
         def remainder(t):
-            return ((coefficients(t) - c_mid) @ ops).reshape(H_ref.shape)
+            """R̃ of each member: one Δc @ Õ product per frame."""
+            dc = (coefficients(t) - c_ref).reshape(frames, -1, 4)
+            return (dc @ ops).reshape(-1, dim, dim)
 
         if density:
             jump = np.sqrt(kappa) * ops[..., 3, :].reshape(H_ref.shape)
@@ -205,7 +221,7 @@ def _segment(params, schedules, index, y0, t0, t1, ts, sampled, density):
             c0 = (0.5 * (sigma + sigma.conj().swapaxes(-1, -2))).reshape(-1)
 
             def rhs(t, y):
-                u = np.exp(-1j * evals * (t - t0))
+                u = np.exp(rate * (t - t0))
                 phi = u.conj()[..., None] * u[..., None, :]
                 sigma = y.reshape(batch, dim, dim)
                 g_sigma = (phi * (decay - 1j * remainder(t) if driven
@@ -215,11 +231,29 @@ def _segment(params, schedules, index, y0, t0, t1, ts, sampled, density):
                     jump_t = phi * jump
                     dsigma += jump_t @ sigma @ jump_t.conj().swapaxes(-1, -2)
                 return dsigma.reshape(-1)
-        else:
+        elif len(c_ref) == frames:
             def rhs(t, y):
-                u = np.exp(-1j * stacked * (t - t0))
+                u = np.exp(rate * (t - t0))
                 r = remainder(t).swapaxes(-1, -2)
                 return -1j * u.conj() * ((u * y).reshape(rows) @ r).reshape(-1)
+        else:
+            # one frame, a Δc per member: (u∘Y) @ Õᵀ, weighted by each Δc,
+            # over the terms whose Δc is not zero throughout, -i folded into
+            # Õ.  At dim 30, one BLAS thread, a call takes 10.5, 15.8 and
+            # 18.5 us at B = 4, 9 and 13 with the two drive terms live, 13.6,
+            # 19.3 and 22.7 us with all four, and 16.3, 27.7 and 35.6 us
+            # when each member's R̃ is formed first and applied, as the
+            # branch above does for one Δc per frame
+            live = moving | (c_mid != c_ref).any(axis=0)
+            ops_t = (-1j * ops.reshape(4, dim, dim)[live]).transpose(
+                2, 0, 1).reshape(dim, -1)
+            c_live = c_ref[:, live]
+
+            def rhs(t, y):
+                u = np.exp(rate * (t - t0))
+                z = ((u * y).reshape(batch, dim) @ ops_t).reshape(batch, -1, dim)
+                dc = coefficients(t)[:, live] - c_live
+                return u.conj() * (dc[:, None] @ z).reshape(-1)
 
         # without t_eval the solver returns its own steps, ending at t1
         sol = solve_ivp(rhs, (t0, t1), c0, method="DOP853",
@@ -233,11 +267,11 @@ def _segment(params, schedules, index, y0, t0, t1, ts, sampled, density):
         solver, nfev = "eigenframe DOP853", sol.nfev
     dt = (ts - t0)[:, None]
     if density:
-        u = np.exp(-1j * evals * dt[..., None])
+        u = np.exp(rate * dt[..., None])
         sigma = cs.reshape(-1, batch, dim, dim)
         ys = vecs @ (u[..., None] * sigma * u.conj()[..., None, :]) @ vecs_h
     else:
-        u = np.exp(-1j * stacked * dt)
+        u = np.exp(rate * dt)
         u *= cs  # in place: a (S, B, dim) map holds one array less
         ys = u.reshape(-1, *rows) @ vecs_t
     return ys.reshape(len(ts), batch, -1), solver, nfev
@@ -277,25 +311,31 @@ def propagate_many(params, schedule, initials, sample_times=None):
     state whose dim is not ``params.dim``, another count of schedules or
     unequal durations raise :class:`UsageError`.
 
-    All states move together, sharing each DOP853 step and, with one
-    schedule, each ``eigh`` and block exponential.  Each segment is one call
-    on its samples, plus its end unless the last sample lies within 1e-15
-    of it, which returns one (S, B, n) array; its last row starts the next
-    segment.
+    All states move together, sharing each DOP853 step and, in one frame,
+    each ``eigh`` and block exponential.  A segment's frame is the
+    eigenframe of its midpoint H, without the drive terms where the segment
+    is driven (static in no member): members whose midpoint coefficients
+    are then equal share one frame, as the columns of a drive sweep and the
+    states under one schedule do; otherwise each member has its own.  Each
+    segment is one call on its samples, plus its end unless the last sample
+    lies within 1e-15 of it, which returns one (S, B, n) array; its last
+    row starts the next segment.
     Each segment takes one of three solvers, by what it is in every member:
 
     - a static segment (see :meth:`kposim.model.Segment.is_static`) without
       loss is exact in the eigenframe of its H, from one ``eigh``
       (``"eigh"``);
     - a static segment with loss and no drive, a hold, conserves
-      photon-number parity; under one schedule and up to dim
+      photon-number parity; in one frame and up to dim
       ``_EXACT_HOLD_MAX_DIM`` one ``scipy.linalg.expm`` of each of the
       Liouvillian's two parity blocks (r + c even, r + c odd) per sample
       step makes it exact (``"parity-block expm"``), above it the
-      exponentials cost more than DOP853, and per-state holds take DOP853;
+      exponentials cost more than DOP853, and holds that differ from
+      member to member take DOP853;
     - on every other segment DOP853 integrates, at ``params.rtol`` and
-      ``params.atol``, only what the eigenframe of the midpoint H leaves:
-      the rest of H(t) and the dissipator (``"eigenframe DOP853"``).
+      ``params.atol``, only what the frame leaves: the rest of H(t), the
+      drive included where it was left out, and the dissipator
+      (``"eigenframe DOP853"``).
       DOP853 bounds the RMS error over the whole stack, so one state's local
       error may exceed the bound of its own solve by up to sqrt(B).
 

@@ -44,11 +44,13 @@ __all__ = [
     "SinSquaredBump",
     "Segment",
     "PulseSchedule",
+    "coefficient_stack",
     "hold_schedule",
     "ramp_schedule",
     "chirp_schedule",
     "drive_schedule",
     "operator_stack",
+    "hamiltonian",
     "hamiltonian_at",
     "static_hamiltonian",
     "CatBasis",
@@ -251,42 +253,61 @@ class Segment:
         """Accumulated frame phase int_0^t delta_p/2 within this segment."""
         return 0.5 * self.chirp.integral(t)
 
-    def is_static(self):
-        """True when the Hamiltonian is constant over the whole segment.
+    def moving_terms(self):
+        """Whether c_0 (detuning), c_1 (pump) and c_2, c_3 (drive) move.
 
         A drive that is on needs a still phase: a drive detuning advances
         it, and a chirp's frame phase is subtracted from it.
         """
-        envs_const = all(
-            e.is_constant() for e in (self.pump, self.detuning, self.chirp)
-        )
-        phase_moves = self.drive_detuning != 0.0 or self.chirp.value(0.0) != 0.0
-        drive_static = self.drive.is_constant() and (
-            self.drive.value(0.0) == 0.0 or not phase_moves
-        )
-        return envs_const and drive_static
+        chirp_still = self.chirp.is_constant()
+        return (not (self.detuning.is_constant() and chirp_still),
+                not self.pump.is_constant(),
+                not (self.drive.is_constant() and (
+                    self.drive.value(0.0) == 0.0 or _phase_is_still(self))))
+
+    def is_static(self):
+        """True when the Hamiltonian is constant over the whole segment."""
+        return not any(self.moving_terms())
+
+
+def _phase_is_still(seg):
+    """True when the drive phase of ``seg`` is the same at every time."""
+    chirp = seg.chirp
+    return (seg.drive_detuning == 0.0 and chirp.is_constant()
+            and chirp.value(0.0) == 0.0)
+
+
+def _drive_angle(seg, frame0):
+    """theta(t) = Delta_d t + phi_d - phi_frame(t) of ``seg``, t segment-local.
+
+    The frame phase of earlier chirps, ``frame0``, and of an in-progress one
+    is subtracted: a drive phase-locked to the original frame appears in the
+    chirped frame retarded by phi_acc.
+    """
+    omega, phi, frame = seg.drive_detuning, seg.drive_phase, seg.frame_phase_increment
+    return lambda t: omega * t + phi - (frame0 + frame(t))
 
 
 def _coefficient_function(seg, start, frame0):
-    """c(t) of ``seg`` starting at global time ``start`` and frame phase ``frame0``.
-
-    The drive phase theta = Delta_d t + phi_d - phi_frame(t) subtracts the
-    frame phase of earlier and in-progress chirps: a drive phase-locked to
-    the original frame appears in the chirped frame retarded by phi_acc.
-    """
-    pump, drive = seg.pump.value, seg.drive.value
-    detuning, frame = seg.detuning_value, seg.frame_phase_increment
-    omega, phi = seg.drive_detuning, seg.drive_phase
+    """c(t) of ``seg`` starting at global time ``start`` and frame phase ``frame0``."""
+    pump, drive, detuning = seg.pump.value, seg.drive.value, seg.detuning_value
+    angle = _drive_angle(seg, frame0)
 
     def c(t):
         t = t - start
         b = drive(t)
-        phase = (np.exp(-1j * (omega * t + phi - (frame0 + frame(t))))
-                 if b != 0.0 else 1.0)
+        phase = np.exp(-1j * angle(t)) if b != 0.0 else 1.0
         return np.array([detuning(t), 0.5 * pump(t), b * phase,
                          b * np.conj(phase)])
 
     return c
+
+
+def _member_values(functions, keys):
+    """t -> each of ``functions`` at t; one call when all ``keys`` are equal."""
+    if len(set(keys)) == 1:
+        return functions[0]
+    return lambda t: np.array([f(t) for f in functions])
 
 
 #: tolerance for the pump-continuity check across segment boundaries (rad/us)
@@ -365,6 +386,52 @@ class PulseSchedule:
         """Concatenate with another schedule (pump continuity re-checked)."""
         other_segs = other.segments if isinstance(other, PulseSchedule) else tuple(other)
         return PulseSchedule(self.segments + tuple(other_segs))
+
+
+def coefficient_stack(schedules, index):
+    """c(t) of segment ``index`` of each of ``schedules``, one (S, 4) array.
+
+    The schedules have equal segment durations, so the segment starts at one
+    time in all of them.  Row s equals ``schedules[s].coefficients(index)(t)``
+    bit for bit (a zero may differ in sign): a term that stands still in
+    every member is read once from each member's own c; a moving one is
+    evaluated once when every member shares it, else once per member as a
+    plain float, and the drive phases take one array exponential.  Returns
+    (c, the (4,) flags of the terms that move in some member).
+    """
+    segs = [s.segments[index] for s in schedules]
+    start = float(schedules[0]._starts[index])
+    phases = [s._frame_phases[index] for s in schedules]
+    template = np.array([s.coefficients(index)(start) for s in schedules])
+    detuning_moves, pump_moves, drive_moves = (
+        any(flags) for flags in zip(*(g.moving_terms() for g in segs)))
+    detuning = _member_values([g.detuning_value for g in segs],
+                              [(g.detuning, g.chirp) for g in segs])
+    pump = _member_values([g.pump.value for g in segs], [g.pump for g in segs])
+    drive = _member_values([g.drive.value for g in segs],
+                           [g.drive for g in segs])
+    angle = _member_values(
+        [_drive_angle(g, f) for g, f in zip(segs, phases)],
+        [(g.drive_detuning, g.drive_phase, g.chirp, f)
+         for g, f in zip(segs, phases)])
+    still = all(_phase_is_still(g) for g in segs)
+    phase0 = np.exp(-1j * angle(0.0)) if still else None
+
+    def c(t):
+        t = t - start
+        rows = template.copy()
+        if detuning_moves:
+            rows[:, 0] = detuning(t)
+        if pump_moves:
+            rows[:, 1] = 0.5 * pump(t)
+        if drive_moves:
+            b = drive(t)
+            phase = phase0 if still else np.exp(-1j * angle(t))
+            rows[:, 2] = b * phase
+            rows[:, 3] = b * np.conj(phase)
+        return rows
+
+    return c, np.array([detuning_moves, pump_moves, drive_moves, drive_moves])
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +537,15 @@ def _kerr_diagonal(dim):
     return kerr
 
 
-def _hamiltonian(K, c, dim):
-    """Dense ``-(K/2) adag adag a a + sum_i c_i O_i``."""
-    H = (c @ operator_stack(dim).reshape(4, -1)).reshape(dim, dim)
-    H.flat[::dim + 1] -= 0.5 * K * _kerr_diagonal(dim)
-    return H
+def hamiltonian(K, c, dim):
+    """Dense ``-(K/2) adag adag a a + sum_i c_i O_i`` (rad/us), Hermitian.
+
+    ``c`` is one (4,) coefficient row over :func:`operator_stack`, or a
+    stack of rows with one H each.
+    """
+    H = c @ operator_stack(dim).reshape(4, -1)
+    H[..., ::dim + 1] -= 0.5 * K * _kerr_diagonal(dim)
+    return H.reshape(*c.shape[:-1], dim, dim)
 
 
 def hamiltonian_at(params, schedule, t, index=None):
@@ -486,13 +557,13 @@ def hamiltonian_at(params, schedule, t, index=None):
     :meth:`PulseSchedule.locate`).
     """
     index, t = schedule.locate(t, index)
-    return _hamiltonian(params.K, schedule.coefficients(index)(t), params.dim)
+    return hamiltonian(params.K, schedule.coefficients(index)(t), params.dim)
 
 
 def static_hamiltonian(K, P, Delta, dim):
     """Drive-free Hamiltonian ``Delta n - (K/2) adag adag a a + (P/2)(adag^2+a^2)``."""
-    return _hamiltonian(K, np.array([Delta, 0.5 * P, 0.0, 0.0],
-                                    dtype=np.complex128), dim)
+    return hamiltonian(K, np.array([Delta, 0.5 * P, 0.0, 0.0],
+                                   dtype=np.complex128), dim)
 
 
 # ---------------------------------------------------------------------------

@@ -626,6 +626,17 @@ def _per_state_case(case):
     if case == "eigh-density":
         return (p, [drive(0.0, 0.3), pump(1.0), drive(0.0, -1.1)], mixed,
                 times, "eigh", 1e-12)
+    # a symmetrized drive sweep shares one frame, the drive-free midpoint H;
+    # the static d = 0 column rides it with its constant drive
+    cosines = [md.PulseSchedule((md.Segment(
+        duration=0.4, pump=md.Constant(p.P_max), detuning=md.Constant(p.Delta),
+        drive=md.Cosine(p.beta, d, phi)),))
+        for d, phi in ((-2.0, 0.0), (0.0, 0.4), (3.0, -0.8))]
+    if case == "cosine-ket":
+        return (p, cosines, kets, times, "eigenframe DOP853", 10 * p.rtol)
+    if case == "cosine-density":
+        return (p.with_(kappa=0.2), cosines, mixed[:2] + kets[2:], times,
+                "eigenframe DOP853", 10 * p.rtol)
     # per-state holds take DOP853; alone, each is exact
     holds = [md.hold_schedule(0.4, P, d)
              for P, d in ((p.P_max, p.Delta), (0.5 * p.P_max, 0.0),
@@ -636,7 +647,7 @@ def _per_state_case(case):
 
 @pytest.mark.parametrize("case", ["DOP853-ket", "DOP853-density", "eigh-ket",
                                   "static-and-driven", "eigh-density",
-                                  "holds"])
+                                  "holds", "cosine-ket", "cosine-density"])
 def test_per_state_schedules_match_separate_runs(case):
     p, scheds, initials, times, solver, tol = _per_state_case(case)
     batch = dyn.propagate_many(p, scheds, initials, sample_times=times)
@@ -681,13 +692,19 @@ def test_cat_rabi_map_is_one_solve(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("per_state", [False, True])
-def test_one_eigh_per_segment(monkeypatch, per_state):
-    # a shared schedule keeps one frame per segment, a (dim, dim) eigh;
-    # per-state schedules take one stacked eigh per segment
+@pytest.mark.parametrize("stack, shape", [
+    pytest.param("shared", (10, 10), id="False"),
+    pytest.param("equal", (10, 10), id="True"),
+    pytest.param("different", (3, 10, 10), id="different-references")])
+def test_one_eigh_per_segment(monkeypatch, stack, shape):
+    # a shared schedule keeps one frame per segment, a (dim, dim) eigh, and
+    # so do per-state schedules whose reference rows are equal; per-state
+    # references that differ take one stacked eigh per segment
     p = PARAMS.with_(dim=10)
-    ramp = md.ramp_schedule(p.P_max, 0.3, p.Delta)
-    sched = ramp.then(md.hold_schedule(0.2, p.P_max, p.Delta))
+    scheds = [md.ramp_schedule(p.P_max, 0.3, Delta).then(
+        md.hold_schedule(0.2, p.P_max, Delta))
+        for Delta in ((p.Delta,) * 3 if stack != "different"
+                      else (p.Delta, 0.0, -p.Delta))]
     kets = [fs.fock_state(k, 10) for k in range(3)]
     shapes = []
     real_eigh = np.linalg.eigh
@@ -697,8 +714,8 @@ def test_one_eigh_per_segment(monkeypatch, per_state):
         return real_eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    dyn.propagate_many(p, [sched] * 3 if per_state else sched, kets)
-    assert shapes == ([(3, 10, 10)] if per_state else [(10, 10)]) * 2
+    dyn.propagate_many(p, scheds[0] if stack == "shared" else scheds, kets)
+    assert shapes == [shape] * 2
 
 
 @pytest.mark.parametrize("lossy", [False, True])

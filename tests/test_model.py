@@ -284,6 +284,63 @@ def test_hamiltonian_terms_rebuild_the_hamiltonian(case):
         start += seg.duration
 
 
+def _stack_family(case):
+    """Schedules of equal segment durations that differ member by member."""
+    p = PARAMS
+    if case == "ramp-then-hold":
+        # SinSquaredRamp pumps, SinBump chirps beside a zero chirp
+        return [md.ramp_schedule(P, 0.3, D, counterdiabatic=cd).then(
+            md.hold_schedule(0.1, P, D))
+            for P, D, cd in ((p.P_max, p.Delta, True), (0.7 * p.P_max, 0.0,
+                                                        True),
+                             (p.P_max, p.Delta, False))]
+    if case == "chirp-then-drive":
+        # the chirp's frame phase retards the drive phase after it
+        return [md.chirp_schedule(units.mhz_to_angular(dp), 0.2, p.P_max,
+                                  p.Delta).then(
+            md.drive_schedule(0.15, p.beta, dd, phi, p.P_max, p.Delta))
+            for dp, dd, phi in ((0.0, 0.0, 0.0), (2.0, 1.3, 0.7),
+                                (4.0, 0.0, -0.4))]
+    if case == "shared":
+        # every term the same in every member: each evaluated once
+        return [md.ramp_schedule(p.P_max, 0.3, p.Delta).then(
+            md.drive_schedule(0.15, p.beta, 1.3, 0.7, p.P_max, p.Delta))] * 3
+    # one envelope class per member in the drive slot, Cosine at omega = 0
+    # and omega != 0, with and without a drive detuning
+    drives = [(md.Cosine(p.beta, 0.0, 0.3), 0.0), (md.Cosine(p.beta, 2.5), 0.0),
+              (md.Cosine(p.beta, -1.5, 0.9), 1.1), (md.Constant(p.beta), 0.8),
+              (md.Constant(0.0), 0.0), (md.SinSquaredRamp(p.beta, 0.2), 0.0),
+              (md.SinBump(p.beta, 0.2), -0.6),
+              (md.SinSquaredBump(p.beta, 0.2), 0.0)]
+    return [md.PulseSchedule((md.Segment(
+        duration=0.2, pump=md.Constant(p.P_max), detuning=md.Constant(p.Delta),
+        chirp=md.SinSquaredBump(units.mhz_to_angular(1.0), 0.2) if k == 6
+        else md.Constant(0.0),
+        drive=drive, drive_detuning=dd, drive_phase=0.2 * k),))
+        for k, (drive, dd) in enumerate(drives)]
+
+
+@pytest.mark.parametrize("case", ["ramp-then-hold", "chirp-then-drive",
+                                  "shared", "envelope-classes"])
+def test_coefficient_stack_is_each_members_coefficients(case):
+    # bit for bit, at both ends of every segment and inside it; a term
+    # flagged still is the same at every time
+    scheds = _stack_family(case)
+    start = 0.0
+    for index, seg in enumerate(scheds[0].segments):
+        stack, moving = md.coefficient_stack(scheds, index)
+        first = None
+        for frac in (0.0, 0.37, 0.81, 1.0):
+            t = start + frac * seg.duration
+            rows = stack(t)
+            assert rows.shape == (len(scheds), 4)
+            for row, sched in zip(rows, scheds):
+                assert np.array_equal(row, sched.coefficients(index)(t))
+            first = rows if first is None else first
+            assert np.array_equal(rows[:, ~moving], first[:, ~moving])
+        start += seg.duration
+
+
 @pytest.mark.parametrize("P_rel, Delta_rel, dim", [
     (1.01, 0.32, 30),     # the operating point
     (1.01, 0.32, 31),     # odd dim: the even sector is one level larger
