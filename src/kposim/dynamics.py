@@ -133,7 +133,7 @@ def _segment(params, schedules, index, y0, t0, t1, ts, sampled, density):
     The frame is that of a reference H_ref = V diag(E) V†, from the
     coefficient rows c_ref of the segment midpoint t_mid = (t0+t1)/2: the
     whole H(t_mid) for a static segment, and with the two drive terms set to
-    zero for a driven one (static in no member, see
+    zero for a driven one (one that some member does not hold static, see
     :meth:`kposim.model.Segment.is_static`).  Members whose reference rows
     are equal share one frame (F = 1): the columns of a drive sweep, which
     differ only in the drive, and states under one schedule; otherwise each
@@ -314,12 +314,12 @@ def propagate_many(params, schedule, initials, sample_times=None):
     All states move together, sharing each DOP853 step and, in one frame,
     each ``eigh`` and block exponential.  A segment's frame is the
     eigenframe of its midpoint H, without the drive terms where the segment
-    is driven (static in no member): members whose midpoint coefficients
-    are then equal share one frame, as the columns of a drive sweep and the
-    states under one schedule do; otherwise each member has its own.  Each
-    segment is one call on its samples, plus its end unless the last sample
-    lies within 1e-15 of it, which returns one (S, B, n) array; its last
-    row starts the next segment.
+    is driven (not static in some member): members whose midpoint
+    coefficients are then equal share one frame, as the columns of a drive
+    sweep and the states under one schedule do; otherwise each member has
+    its own.  Each segment is one call on its samples, plus its end unless
+    the last sample lies within 1e-15 of it, which returns one (S, B, n)
+    array; its last row starts the next segment.
     Each segment takes one of three solvers, by what it is in every member:
 
     - a static segment (see :meth:`kposim.model.Segment.is_static`) without

@@ -19,9 +19,11 @@ on.
 Schedules are ordered lists of :class:`Segment`, each holding named envelope
 shapes for the pump, detuning, chirp, and drive.  :class:`PulseSchedule`
 derives the frame phases and builds one coefficient function c(t) per
-segment; :func:`operator_stack` caches O per Fock dimension.  One
-parity-sector pick of the qubit pair gives the cat basis, its phases and
-(through :mod:`kposim.spectral`) the splitting that frames the gates.
+segment, and :func:`coefficient_stack` evaluates those of a stack of
+schedules as one array; :func:`operator_stack` caches O per Fock
+dimension.  One parity-sector pick of the qubit pair gives the cat basis,
+its phases and (through :mod:`kposim.spectral`) the splitting that frames
+the gates.
 """
 
 from __future__ import annotations

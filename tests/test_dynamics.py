@@ -620,7 +620,8 @@ def _per_state_case(case):
         return (p, [pump(-3.0), pump(0.0), pump(4.0)], kets, times, "eigh",
                 1e-12)
     if case == "static-and-driven":
-        # the static member rides the driven solve with a zero remainder
+        # the static member shares the driven member's drive-free frame and
+        # integrates its constant drive as the remainder
         return (p, [drive(0.0, 0.7), drive(2.0)], kets[1:], times,
                 "eigenframe DOP853", 10 * p.rtol)
     if case == "eigh-density":
