@@ -305,9 +305,9 @@ def _coefficient_function(seg, start, frame0):
     return c
 
 
-def _member_values(functions, keys):
-    """t -> each of ``functions`` at t; one call when all ``keys`` are equal."""
-    if len(set(keys)) == 1:
+def _member_values(functions):
+    """t -> each of ``functions`` at t; a lone one's value as it is."""
+    if len(functions) == 1:
         return functions[0]
     return lambda t: np.array([f(t) for f in functions])
 
@@ -397,25 +397,23 @@ def coefficient_stack(schedules, index):
     time in all of them.  Row s equals ``schedules[s].coefficients(index)(t)``
     bit for bit (a zero may differ in sign): a term that stands still in
     every member is read once from each member's own c; a moving one is
-    evaluated once when every member shares it, else once per member as a
-    plain float, and the drive phases take one array exponential.  Returns
-    (c, the (4,) flags of the terms that move in some member).
+    evaluated once per member as a plain float, and the drive phases take
+    one array exponential.  Returns (c, the (4,) flags of the terms that
+    move in some member).
     """
     segs = [s.segments[index] for s in schedules]
     start = float(schedules[0]._starts[index])
     phases = [s._frame_phases[index] for s in schedules]
-    template = np.array([s.coefficients(index)(start) for s in schedules])
+    # complex even when every drive is zero at the start, where each c
+    # gives a real row, so the drive slots written later keep their phase
+    template = np.array([s.coefficients(index)(start) for s in schedules],
+                        dtype=np.complex128)
     detuning_moves, pump_moves, drive_moves = (
         any(flags) for flags in zip(*(g.moving_terms() for g in segs)))
-    detuning = _member_values([g.detuning_value for g in segs],
-                              [(g.detuning, g.chirp) for g in segs])
-    pump = _member_values([g.pump.value for g in segs], [g.pump for g in segs])
-    drive = _member_values([g.drive.value for g in segs],
-                           [g.drive for g in segs])
-    angle = _member_values(
-        [_drive_angle(g, f) for g, f in zip(segs, phases)],
-        [(g.drive_detuning, g.drive_phase, g.chirp, f)
-         for g, f in zip(segs, phases)])
+    detuning = _member_values([g.detuning_value for g in segs])
+    pump = _member_values([g.pump.value for g in segs])
+    drive = _member_values([g.drive.value for g in segs])
+    angle = _member_values([_drive_angle(g, f) for g, f in zip(segs, phases)])
     still = all(_phase_is_still(g) for g in segs)
     phase0 = np.exp(-1j * angle(0.0)) if still else None
 

@@ -199,6 +199,23 @@ def test_drive_under_a_constant_chirp_is_not_static():
     assert np.max(np.abs(out - ref)) < 1e-6
 
 
+@pytest.mark.parametrize("chirp_mhz", [None, 2.0])
+def test_drive_zero_at_its_start_keeps_its_phase(chirp_mhz):
+    # a half-sine drive starts at zero, so c at the segment start is real;
+    # the complex drive terms after it must still carry the phase, alone
+    # and after a chirp that retards it
+    p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=12)
+    sched = _zero_start_drive(p, md.SinBump(3.0 * p.beta, 0.15), 0.0, 0.7)
+    if chirp_mhz is not None:
+        sched = md.chirp_schedule(units.mhz_to_angular(chirp_mhz), 0.2,
+                                  p.P_max, p.Delta).then(sched)
+    psi0 = fs.fock_state(0, 12)
+    out = dyn.propagate(p.with_(rtol=1e-10, atol=1e-12), sched,
+                        psi0).states[-1]
+    ref = orc.expm_propagate(p, sched, psi0.amplitudes, n_steps=2000)
+    assert np.max(np.abs(out - ref)) < 1e-6
+
+
 def test_drive_two_level_leakage():
     # weak resonant drive on the Kerr ladder stays a |0>,|1> two-level system
     beta = 0.05 * PARAMS.K
@@ -284,6 +301,13 @@ def test_hamiltonian_terms_rebuild_the_hamiltonian(case):
         start += seg.duration
 
 
+def _zero_start_drive(p, drive, drive_detuning, drive_phase):
+    return md.PulseSchedule((md.Segment(
+        duration=0.15, pump=md.Constant(p.P_max),
+        detuning=md.Constant(p.Delta), drive=drive,
+        drive_detuning=drive_detuning, drive_phase=drive_phase),))
+
+
 def _stack_family(case):
     """Schedules of equal segment durations that differ member by member."""
     p = PARAMS
@@ -301,8 +325,18 @@ def _stack_family(case):
             md.drive_schedule(0.15, p.beta, dd, phi, p.P_max, p.Delta))
             for dp, dd, phi in ((0.0, 0.0, 0.0), (2.0, 1.3, 0.7),
                                 (4.0, 0.0, -0.4))]
+    if case == "zero-at-start":
+        # every drive is zero where its segment starts, so each member's c
+        # gives a real row there; the drive phases must survive after it
+        def member(dp, drive, dd, phi):
+            return md.chirp_schedule(units.mhz_to_angular(dp), 0.2, p.P_max,
+                                     p.Delta).then(_zero_start_drive(
+                                         p, drive, dd, phi))
+        return [member(0.0, md.SinBump(p.beta, 0.15), 0.0, 0.7),
+                member(0.0, md.SinSquaredRamp(p.beta, 0.15), 1.3, 0.0),
+                member(2.0, md.SinBump(p.beta, 0.15), 0.0, 0.0)]
     if case == "shared":
-        # every term the same in every member: each evaluated once
+        # every term the same in every member
         return [md.ramp_schedule(p.P_max, 0.3, p.Delta).then(
             md.drive_schedule(0.15, p.beta, 1.3, 0.7, p.P_max, p.Delta))] * 3
     # one envelope class per member in the drive slot, Cosine at omega = 0
@@ -321,7 +355,8 @@ def _stack_family(case):
 
 
 @pytest.mark.parametrize("case", ["ramp-then-hold", "chirp-then-drive",
-                                  "shared", "envelope-classes"])
+                                  "zero-at-start", "shared",
+                                  "envelope-classes"])
 def test_coefficient_stack_is_each_members_coefficients(case):
     # bit for bit, at both ends of every segment and inside it; a term
     # flagged still is the same at every time
