@@ -220,15 +220,13 @@ def _run_cat_size(cfg, params):
     deltas = cfg.grid("delta_grid_MHz", scale=TWO_PI)
     points = cfg.integer("wigner_points", 81, minimum=9)
     cfg.done()
-    rhos = []
-    for d in deltas:
-        basis = md.cat_basis_from_model(params.with_(Delta=float(d)))
-        # parity-mixed state: the lobe position is only the map maximum
-        # once the interference fringes are washed out
-        rhos.append(fs.DensityMatrix(
-            0.5 * basis.plus_cat.to_density().entries
-            + 0.5 * basis.minus_cat.to_density().entries))
-    maps = tg.wigner_maps(rhos, tg.default_grid(params.dim, points=points))
+    bases = [md.cat_basis_from_model(params.with_(Delta=float(d)))
+             for d in deltas]
+    # parity-mixed states: the lobe position is only the map maximum once
+    # the interference fringes are washed out
+    maps = tg.wigner_maps(
+        [0.5 * (fs.dm(b.plus_cat) + fs.dm(b.minus_cat)) for b in bases],
+        tg.default_grid(params.dim, points=points))
     sizes = np.array([tg.cat_size(wm) for wm in maps])
     formula = np.sqrt((params.P_max + deltas) / params.K)
     table = {
@@ -480,26 +478,22 @@ def _run_wigner(cfg, params):
     state = _wigner_state(state_block, params)
     re = im = (tg.default_grid(params.dim, points=points) if ext is None
                else np.linspace(-ext, ext, points))
-    rho = state.to_density()
     summary = {"experiment": "wigner", "mode": mode}
     files = {}
     if mode == "ideal":
         if tau_corr is not None:
-            rho = tg.kerr_correct(rho, params.K, params.Delta,
-                                  ns_to_us(tau_corr))
+            state = tg.kerr_correct(state, params.K, params.Delta,
+                                    ns_to_us(tau_corr))
             summary["kerr_correct_ns"] = tau_corr
-        wm = tg.wigner_ideal(rho, re, im)
+        wm = tg.wigner_ideal(state, re, im)
     else:
         alphas = tg.grid_points(re, im)
-        record = tg.simulate_ld_tomography(params, rho, alphas,
+        record = tg.simulate_ld_tomography(params, state, alphas,
                                            pulse_duration=dur)
-        parities = record.parities
         if sigma > 0:
-            rng = np.random.default_rng(seed)
-            parities = np.clip(parities
-                               + sigma * rng.standard_normal(parities.shape),
-                               -1.0, 1.0)
-            record = tg.MeasurementRecord(record.alphas, parities)
+            noise = np.random.default_rng(seed).standard_normal(alphas.size)
+            record = tg.MeasurementRecord(record.alphas, np.clip(
+                record.parities + sigma * noise, -1.0, 1.0))
         files["record"] = (record, None)
         wm = record.to_wigner(re, im)
         summary["pulse_duration_ns"] = us_to_ns(dur)

@@ -1,9 +1,10 @@
-"""The one map that every grid sweep runs through.
+"""Serial map over the gate times of ``dynamics.cat_ramsey_map``.
 
-Items run in input order in the calling thread, so exceptions propagate
-unchanged: the first failing item's exception is raised and no later item
-runs.  Sweeps call this function by name, rather than a plain list
-comprehension, so that an outside tracer can wrap the whole sweep.
+That loop is its one call site; the other sweeps are ``propagate_many``
+stacks.  It stays only because ``perfbench/spans.py`` wraps it by name,
+until the benchmark revision (ROADMAP direction 2).  Items run in input
+order in the calling thread, so the first failing item's exception
+propagates unchanged and no later item runs.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ of fixed Im alpha at a time, each point of a row costing O(dim²); a stack
 of states shares each row's displacement.  A simulated measurement applies
 a short, strong displacement pulse under the full nonlinear model (the Kerr
 term distorts the displacement — the effect the postprocessing correction
-removes) followed by a parity readout.  Density matrices are recovered from
-parity records by projected least squares.
+removes) followed by a parity readout.  A lossless record moves kets;
+``propagate_many`` promotes a lossy record's states to density matrices.
+Density matrices are recovered from parity records by projected least squares.
 """
 
 from __future__ import annotations
@@ -228,6 +229,10 @@ def simulate_ld_tomography(params, rho, alphas, pulse_duration=0.02):
     detuning ``params.Delta``, loss ``params.kappa``) and the number parity
     is recorded.  Each row of equal Im alpha is one
     :func:`kposim.dynamics.parity_rows` stack, which bounds its memory.
+    The state goes in as given: a lossless record moves kets, and
+    ``propagate_many`` promotes a lossy record's states to density matrices.
+    An unphysical array (a ket if 1-D, else a density matrix) or a state of
+    another dim raises :class:`UsageError` before any propagation.
     """
     al = np.asarray(alphas, dtype=complex).reshape(-1)
     if al.size == 0:
@@ -235,10 +240,8 @@ def simulate_ld_tomography(params, rho, alphas, pulse_duration=0.02):
     if pulse_duration <= 0:
         raise UsageError(f"pulse_duration must be positive, got {pulse_duration}")
     drives = -al / _linear_displacement_gain(pulse_duration, params.Delta)
-    rho_arr = fs.dm(rho)
-    if rho_arr.shape[0] != params.dim:
-        raise UsageError("state dimension does not match params.dim")
-    initial = fs.DensityMatrix(rho_arr)
+    if not isinstance(rho, (fs.StateVector, fs.DensityMatrix)):
+        rho = (fs.StateVector if np.ndim(rho) == 1 else fs.DensityMatrix)(rho)
     parities = np.empty(al.size)
     for y in np.unique(al.imag):
         row = np.flatnonzero(al.imag == y)
@@ -246,7 +249,7 @@ def simulate_ld_tomography(params, rho, alphas, pulse_duration=0.02):
             duration=pulse_duration, detuning=md.Constant(params.Delta),
             drive=md.Constant(abs(d)), drive_detuning=0.0,
             drive_phase=-np.angle(d) if d else 0.0),)) for d in drives[row]]
-        parities[row] = dyn.parity_rows(params, pulses, initial)[:, 0]
+        parities[row] = dyn.parity_rows(params, pulses, rho)[:, 0]
     return MeasurementRecord(al, np.clip(parities, -1.0, 1.0))
 
 
@@ -284,8 +287,7 @@ def kerr_correct(rho, K, Delta, tau_corr):
     if tau_corr < 0:
         raise UsageError(f"tau_corr must be >= 0, got {tau_corr}")
     rho_arr = fs.dm(rho)
-    dim = rho_arr.shape[0]
-    n = np.arange(dim)
+    n = np.arange(rho_arr.shape[0])
     phases = np.exp(-1j * (Delta * n - 0.5 * K * n * (n - 1.0)) * tau_corr)
     corrected = np.conj(phases)[:, None] * rho_arr * phases[None, :]
     return fs.DensityMatrix(corrected)

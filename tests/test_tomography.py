@@ -143,33 +143,60 @@ def test_pulse_record_converges_to_ideal_parities():
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.1])
-def test_record_rows_match_per_point_propagation(kappa):
+@pytest.mark.parametrize("form", ["ket", "density"])
+def test_record_rows_match_per_point_propagation(form, kappa):
     # the record stacks the points of equal Im alpha; scrambled points on
     # ragged rows must each come back to their own slot.  Without loss every
-    # point is exact from its own eigh, bit for bit, the origin's too; with
-    # loss the stacked DOP853 solve bounds the error of the whole row
+    # point is exact from its own eigh, bit for bit, the origin's too, and a
+    # ket stays a ket; with loss the stacked DOP853 solve bounds the error of
+    # the whole row, and a ket is promoted to exactly its density matrix
     p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=10,
                                  kappa_per_us=kappa)
-    rho = fs.DensityMatrix(orc.random_density(10, np.random.default_rng(3)))
+    rng = np.random.default_rng(3)
+    if form == "ket":
+        v = rng.normal(size=10) + 1j * rng.normal(size=10)
+        state = fs.StateVector(v / np.linalg.norm(v))
+    else:
+        state = fs.DensityMatrix(orc.random_density(10, rng))
     grid = tg.grid_points(np.linspace(-1.0, 1.0, 5), [-0.5, 0.0, 0.5])
     # rows of 5, 4, 3 and 1 points
     al = np.random.default_rng(4).permutation(
         np.append(np.delete(grid, [2, 10, 14]), 0.3 + 0.7j))
-    rec = tg.simulate_ld_tomography(p, rho, al, pulse_duration=0.02)
+    rec = tg.simulate_ld_tomography(p, state, al, pulse_duration=0.02)
     drives = -al / tg._linear_displacement_gain(0.02, p.Delta)
+    signs = np.diagonal(fs.parity_op(10)).real
     ref = []
     for d in drives:
         seg = md.Segment(duration=0.02, detuning=md.Constant(p.Delta),
                          drive=md.Constant(abs(d)), drive_detuning=0.0,
                          drive_phase=-np.angle(d) if abs(d) > 0 else 0.0)
-        out = dyn.propagate(p, md.PulseSchedule((seg,)), rho).states[-1]
-        parity = np.diagonal(out).real @ np.diagonal(fs.parity_op(10)).real
-        ref.append(np.clip(parity, -1.0, 1.0))
+        traj = dyn.propagate(p, md.PulseSchedule((seg,)), state)
+        ref.append(np.clip(traj.populations[-1] @ signs, -1.0, 1.0))
     assert 0j in al
     if kappa == 0.0:
         assert np.array_equal(rec.parities, ref)
     else:
         assert np.max(np.abs(rec.parities - ref)) < 10 * p.rtol
+    if form == "ket":
+        dens = tg.simulate_ld_tomography(p, state.to_density(), al,
+                                         pulse_duration=0.02)
+        if kappa == 0.0:
+            assert np.max(np.abs(rec.parities - dens.parities)) < 1e-13
+        else:
+            assert np.array_equal(rec.parities, dens.parities)
+
+
+@pytest.mark.parametrize("state", [
+    fs.fock_state(0, 8), np.ones(10), 2.0 * np.eye(10) / 10.0],
+    ids=["wrong-dim", "unnormalized-ket", "trace-2"])
+def test_record_rejects_bad_states_before_propagating(state, monkeypatch):
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("a segment was propagated")
+
+    monkeypatch.setattr(dyn, "_segment", no_propagation)
+    p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=10)
+    with pytest.raises(UsageError):
+        tg.simulate_ld_tomography(p, state, [0.0, 0.5j], pulse_duration=0.02)
 
 
 @pytest.mark.parametrize("duration, detuning", [
