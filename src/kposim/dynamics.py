@@ -146,29 +146,30 @@ def _segment(params, schedules, index, y0, t0, t1, ts, sampled, density):
     its frame: Δc = c(t) - c_ref for the member's coefficient row c (all
     rows from one :func:`kposim.model.coefficient_stack` evaluation) over
     the rotated operator stack Õ_i = V†O_iV (see
-    :func:`kposim.model.operator_stack`), and ã = V†aV.  A frame of members
-    with their own Δc applies its rest to the kets as one contraction,
-    (u ∘ c) @ Õᵀ weighted by each Δc, over the terms whose Δc is not zero
-    throughout; density matrices form each R̃ from one Δc @ Õ product.
-    The phases act on dim x dim operators, not on the state stack, and σG̃†
-    is taken as (G̃σ)†, which holds for Hermitian σ only, so σ is made
-    Hermitian once at the start of the segment; the right-hand side keeps
-    it so.  H_ref's spectrum, with the Fock-truncation edge, never sets the
-    step; ``params.rtol`` and ``params.atol`` bound c or σ.  A static
-    segment has R̃ ≡ 0, so without loss c and σ stay constant and the
-    result is exact (solver ``"eigh"``).  A lossy static density segment
-    without drive, a hold, conserves photon-number parity; in one frame and
-    up to ``_EXACT_HOLD_MAX_DIM`` it skips the frame and is exact, one
-    ``scipy.linalg.expm`` per parity block of the Liouvillian and sample
-    step (see :func:`_parity_blocks` and :func:`_exact_hold`; solver
-    ``"parity-block expm"``).  ``y0`` is a (B, n) stack of kets or
-    flattened density matrices, moved as one; a static member of a static
-    segment has R̃ ≡ 0.  ``ts[-1]`` is t1 or, within 1e-15 of it, the last
-    sample, and stands for the end.  Without a sample (``sampled`` false,
-    ``ts`` = [t1]) DOP853 ends on its own last step, not on its
-    interpolant.  All of ``ts`` goes back to the lab frame in one
-    transform.  Returns (the (len(ts), B, n) states at ``ts``, solver,
-    nfev).
+    :func:`kposim.model.operator_stack`), and ã = V†aV.  One rule per state
+    kind holds in every layout of frames, and both read only the live terms,
+    those whose Δc is not zero throughout (a moving term, or a drive the
+    reference leaves out): each member's Δc weights its kets, and the
+    weighted kets of each frame meet its live Õ as one product,
+    (Δc ⊗ (u ∘ c)) @ Õᵀ; a density matrix's R̃ is one Δc @ Õ product over
+    the same terms.  The phases act on dim x dim operators, not on the
+    state stack, and σG̃† is taken as (G̃σ)†, which holds for Hermitian σ
+    only, so σ is made Hermitian once at the start of the segment; the
+    right-hand side keeps it so.  H_ref's spectrum, with the Fock-truncation
+    edge, never sets the step; ``params.rtol`` and ``params.atol`` bound c
+    or σ.  A static segment has R̃ ≡ 0, so without loss c and σ stay
+    constant and the result is exact (solver ``"eigh"``).  A lossy static
+    density segment without drive, a hold, conserves photon-number parity;
+    in one frame and up to ``_EXACT_HOLD_MAX_DIM`` it skips the frame and is
+    exact, one ``scipy.linalg.expm`` per parity block of the Liouvillian and
+    sample step (see :func:`_parity_blocks` and :func:`_exact_hold`; solver
+    ``"parity-block expm"``).  ``y0`` is a (B, n) stack of kets or flattened
+    density matrices, moved as one; a static member of a static segment has
+    R̃ ≡ 0.  ``ts[-1]`` is t1 or, within 1e-15 of it, the last sample, and
+    stands for the end.  Without a sample (``sampled`` false, ``ts`` = [t1])
+    DOP853 ends on its own last step, not on its interpolant.  All of ``ts``
+    goes back to the lab frame in one transform.  Returns (the
+    (len(ts), B, n) states at ``ts``, solver, nfev).
     """
     dim, kappa, batch = params.dim, params.kappa, len(y0)
     t_mid = 0.5 * (t0 + t1)
@@ -205,18 +206,15 @@ def _segment(params, schedules, index, y0, t0, t1, ts, sampled, density):
     # the frame coordinates at ts, one row each; a constant row broadcasts
     cs, solver, nfev = c0[None], "eigh", 0
     if driven or kappa > 0.0:
+        # the rotated stack (F, 4, dim, dim); -iÕ and c_ref of the live terms
         ops = (vecs_h[..., None, :, :] @ md.operator_stack(dim)
-               @ vecs[..., None, :, :])
-        ops = ops.reshape(*ops.shape[:-2], -1)
-
-        def remainder(t):
-            """R̃ of each member: one Δc @ Õ product per frame."""
-            dc = (coefficients(t) - c_ref).reshape(frames, -1, 4)
-            return (dc @ ops).reshape(-1, dim, dim)
-
+               @ vecs[..., None, :, :]).reshape(frames, 4, dim, dim)
+        live = np.flatnonzero(moving | (c_mid != c_ref).any(axis=0))
+        ops_live, c_live = -1j * ops[:, live], c_ref[:, live]
         if density:
-            jump = np.sqrt(kappa) * ops[..., 3, :].reshape(H_ref.shape)
+            jump = np.sqrt(kappa) * ops[:, 3].reshape(H_ref.shape)
             decay = -0.5 * (jump.conj().swapaxes(-1, -2) @ jump)
+            ops_live = ops_live.reshape(frames, live.size, dim * dim)
             sigma = c0.reshape(batch, dim, dim)
             c0 = (0.5 * (sigma + sigma.conj().swapaxes(-1, -2))).reshape(-1)
 
@@ -224,36 +222,35 @@ def _segment(params, schedules, index, y0, t0, t1, ts, sampled, density):
                 u = np.exp(rate * (t - t0))
                 phi = u.conj()[..., None] * u[..., None, :]
                 sigma = y.reshape(batch, dim, dim)
-                g_sigma = (phi * (decay - 1j * remainder(t) if driven
-                                  else decay)) @ sigma
+                g = decay
+                if driven:
+                    dc = coefficients(t).take(live, axis=1) - c_live
+                    g = g + (dc.reshape(frames, -1, live.size)
+                             @ ops_live).reshape(-1, dim, dim)
+                g_sigma = (phi * g) @ sigma
                 dsigma = g_sigma + g_sigma.conj().swapaxes(-1, -2)
                 if kappa > 0.0:
                     jump_t = phi * jump
                     dsigma += jump_t @ sigma @ jump_t.conj().swapaxes(-1, -2)
                 return dsigma.reshape(-1)
-        elif len(c_ref) == frames:
-            def rhs(t, y):
-                u = np.exp(rate * (t - t0))
-                r = remainder(t).swapaxes(-1, -2)
-                return -1j * u.conj() * ((u * y).reshape(rows) @ r).reshape(-1)
         else:
-            # one frame, a Δc per member: (u∘Y) @ Õᵀ, weighted by each Δc,
-            # over the terms whose Δc is not zero throughout, -i folded into
-            # Õ.  At dim 30, one BLAS thread, a call takes 10.5, 15.8 and
-            # 18.5 us at B = 4, 9 and 13 with the two drive terms live, 13.6,
-            # 19.3 and 22.7 us with all four, and 16.3, 27.7 and 35.6 us
-            # when each member's R̃ is formed first and applied, as the
-            # branch above does for one Δc per frame
-            live = moving | (c_mid != c_ref).any(axis=0)
-            ops_t = (-1j * ops.reshape(4, dim, dim)[live]).transpose(
-                2, 0, 1).reshape(dim, -1)
-            c_live = c_ref[:, live]
+            # each member's Δc weights its kets, and each frame's weighted
+            # kets meet its live terms as one product, (Δc ⊗ (u∘Y)) @ Õᵀ
+            # with Õᵀ (F, L·dim, dim).  At dim 30, one BLAS thread, a call
+            # takes 19, 25 and 30 us at B = 4, 9 and 13 in one frame with
+            # the two drive terms live, 32, 47 and 58 us with all four, and
+            # 15, 22 and 28 us in a chirp stack's frame per member (one
+            # live term), where forming each member's R̃ and applying it
+            # took 22, 39 and 53 us; 2 kets under one ramp take 11.7 us
+            # against 13.1 us that way
+            ops_t = ops_live.swapaxes(-1, -2).reshape(frames, -1, dim)
 
             def rhs(t, y):
                 u = np.exp(rate * (t - t0))
-                z = ((u * y).reshape(batch, dim) @ ops_t).reshape(batch, -1, dim)
-                dc = coefficients(t)[:, live] - c_live
-                return u.conj() * (dc[:, None] @ z).reshape(-1)
+                dc = coefficients(t).take(live, axis=1) - c_live
+                x = dc[:, :, None] * (u * y).reshape(batch, 1, dim)
+                return u.conj() * (x.reshape(frames, -1, live.size * dim)
+                                   @ ops_t).reshape(-1)
 
         # without t_eval the solver returns its own steps, ending at t1
         sol = solve_ivp(rhs, (t0, t1), c0, method="DOP853",

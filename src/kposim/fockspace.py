@@ -143,9 +143,6 @@ class StateVector:
     def dim(self):
         return self.amplitudes.size
 
-    def to_density(self):
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:

@@ -54,7 +54,6 @@ __all__ = [
     "operator_stack",
     "hamiltonian",
     "hamiltonian_at",
-    "static_hamiltonian",
     "CatBasis",
     "cat_basis_from_model",
 ]
@@ -560,12 +559,6 @@ def hamiltonian_at(params, schedule, t, index=None):
     return hamiltonian(params.K, schedule.coefficients(index)(t), params.dim)
 
 
-def static_hamiltonian(K, P, Delta, dim):
-    """Drive-free Hamiltonian ``Delta n - (K/2) adag adag a a + (P/2)(adag^2+a^2)``."""
-    return hamiltonian(K, np.array([Delta, 0.5 * P, 0.0, 0.0],
-                                   dtype=np.complex128), dim)
-
-
 # ---------------------------------------------------------------------------
 # model cat basis
 # ---------------------------------------------------------------------------
@@ -603,20 +596,21 @@ class CatBasis:
 
 
 def _qubit_pair(K, P, Delta, dim):
-    """Parity-sector eigensystems of :func:`static_hamiltonian` and qubit pairs.
+    """Parity-sector eigensystems of the drive-free H and its qubit pairs.
 
     ``P`` and ``Delta`` broadcast to a 1-D stack of B points; one point is a
     stack of one.  Each parity sector is one (B, m, m) block stack, equal to
-    that sector of :func:`static_hamiltonian`, and one real ``eigh``: n and
-    adag^2 + a^2 are real in the Fock basis, so the eigenvectors are float64
-    (sectors as in Albert & Jiang, PRA 89, 022118 (2014)).  A sector's
-    qubit level overlaps most with the analytic cat at ``alpha_c = sqrt((P +
-    Delta)/K)`` (Fock 0 and 1 where ``alpha_c < 1e-6``); of equal overlaps
-    the higher energy wins.  Returns ``(sectors, picks, overlaps)``:
-    ``(energies, states)`` of the even, then the odd sector, energies
-    ascending (B, m) and eigenvector columns over that parity's Fock levels
-    (B, m, m); the (B, 2) sector indices of the qubit levels; and their
-    (B, 2) complex overlaps <cat|level>.
+    that sector of the drive-free H,
+    ``Delta n - (K/2) adag adag a a + (P/2)(adag^2 + a^2)``, and one real
+    ``eigh``: n and adag^2 + a^2 are real in the Fock basis, so the
+    eigenvectors are float64 (sectors as in Albert & Jiang, PRA 89, 022118
+    (2014)).  A sector's qubit level overlaps most with the analytic cat at
+    ``alpha_c = sqrt((P + Delta)/K)`` (Fock 0 and 1 where
+    ``alpha_c < 1e-6``); of equal overlaps the higher energy wins.  Returns
+    ``(sectors, picks, overlaps)``: ``(energies, states)`` of the even, then
+    the odd sector, energies ascending (B, m) and eigenvector columns over
+    that parity's Fock levels (B, m, m); the (B, 2) sector indices of the
+    qubit levels; and their (B, 2) complex overlaps <cat|level>.
     """
     P, Delta = np.broadcast_arrays(np.atleast_1d(P), np.atleast_1d(Delta))
     alpha_c = np.sqrt(np.maximum(P + Delta, 0.0) / K)

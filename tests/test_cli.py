@@ -488,8 +488,8 @@ def test_cat_size_column_equals_the_per_state_path():
     assert len(table["size"]) == deltas.size
     for d, size in zip(deltas, table["size"]):
         basis = md.cat_basis_from_model(params.with_(Delta=float(d)))
-        rho = fs.DensityMatrix(0.5 * basis.plus_cat.to_density().entries
-                               + 0.5 * basis.minus_cat.to_density().entries)
+        rho = fs.DensityMatrix(0.5 * fs.dm(basis.plus_cat)
+                               + 0.5 * fs.dm(basis.minus_cat))
         assert size == tg.cat_size(tg.wigner_ideal(rho, axis, axis))
 
 

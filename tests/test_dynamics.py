@@ -77,7 +77,7 @@ def test_single_photon_decay():
 def test_lindblad_matches_rk4_oracle():
     p = md.SystemParams.from_mhz(3.1, 2.0, 0.5, dim=12)
     sched = md.hold_schedule(1.0, p.P_max, p.Delta)
-    rho0 = fs.cat_state(1.0, "even", 12).to_density()
+    rho0 = fs.DensityMatrix(fs.dm(fs.cat_state(1.0, "even", 12)))
     out = dyn.propagate(p.with_(kappa=0.3), sched, rho0).states[-1]
     # agreement is limited by the oracle's own fixed-step error (~3e-8 here)
     ref = orc.rk4_propagate_lindblad(p, sched, rho0.entries, 0.3, n_steps=8000)
@@ -96,7 +96,8 @@ def test_exact_density_path_matches_the_ket_path_for_a_pure_state():
     psi0 = md.cat_basis_from_model(p).plus_cat
     times = np.linspace(0.0, 0.4, 6)
     kets = dyn.propagate(p, sched, psi0, sample_times=times)
-    rhos = dyn.propagate(p, sched, psi0.to_density(), sample_times=times)
+    rhos = dyn.propagate(p, sched, fs.DensityMatrix(fs.dm(psi0)),
+                         sample_times=times)
     assert rhos.meta["branch"] == "lindblad"
     assert rhos.meta["nfev"] == 0
     for ket, rho in zip(kets.states, rhos.states):
@@ -128,7 +129,8 @@ def test_mixed_static_and_driven_schedule_matches_the_ket_path():
     psi0 = fs.fock_state(0, 30)
     tight = PARAMS.with_(rtol=1e-10, atol=1e-12)
     kets = dyn.propagate(tight, sched, psi0, sample_times=times)
-    rhos = dyn.propagate(tight, sched, psi0.to_density(), sample_times=times)
+    rhos = dyn.propagate(tight, sched, fs.DensityMatrix(fs.dm(psi0)),
+                         sample_times=times)
     assert [s["solver"] for s in rhos.meta["segments"]] == \
         ["eigenframe DOP853", "eigh", "eigenframe DOP853", "eigh"]
     for ket, rho in zip(kets.states, rhos.states):
@@ -148,7 +150,7 @@ def test_lossy_static_segment_matches_liouvillian_expm(case):
         solver = "eigenframe DOP853"
     else:
         sched = md.hold_schedule(2.0, p.P_max, p.Delta)
-        rho0 = fs.cat_state(1.0, "even", 10).to_density().entries
+        rho0 = fs.dm(fs.cat_state(1.0, "even", 10))
         times = np.linspace(0.25, 2.0, 8)
         solver = "parity-block expm"
     traj = dyn.propagate(p.with_(kappa=0.2), sched, fs.DensityMatrix(rho0),
@@ -277,7 +279,7 @@ def test_holds_above_the_exact_dim_take_dop853():
         p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=dim,
                                      kappa_per_us=0.1)
         traj = dyn.propagate(p, md.hold_schedule(0.02, p.P_max, p.Delta),
-                             fs.fock_state(0, dim).to_density())
+                             fs.DensityMatrix(fs.dm(fs.fock_state(0, dim))))
         solvers.append(traj.meta["segments"][0]["solver"])
     assert solvers == ["parity-block expm", "eigenframe DOP853"]
 
@@ -287,7 +289,7 @@ def test_exact_density_path_checks_trace_and_positivity():
     # error names that earliest failing sample
     p = md.SystemParams.from_mhz(3.1, 3.13, 1.0, 0.65, dim=8)
     sched = _phased_drive_schedule(p, 0.2)
-    good = fs.fock_state(0, 8).to_density()
+    good = fs.DensityMatrix(fs.dm(fs.fock_state(0, 8)))
     heavy = 1.1 * good.entries
     with pytest.raises(AccuracyError, match=r"trace drifted to 1\.1.* "
                        r"t = 0\.100000 us"):
@@ -315,7 +317,7 @@ def test_meta_reports_the_solver_of_each_segment():
     seg = md.Segment(duration=0.02, detuning=md.Constant(p.Delta),
                      drive=md.Constant(40.0), drive_phase=-1.1)
     point = dyn.propagate(p, md.PulseSchedule((seg,)),
-                          fs.fock_state(0, 12).to_density())
+                          fs.DensityMatrix(fs.dm(fs.fock_state(0, 12))))
     assert point.meta == {"nfev": 0, "branch": "lindblad",
                           "segments": [{"solver": "eigh", "nfev": 0}]}
     ramp = md.ramp_schedule(PARAMS.P_max, 0.3, PARAMS.Delta).then(
@@ -371,7 +373,7 @@ def test_every_requested_sample_is_returned(sample_times, kappa):
     traj = dyn.propagate(p, md.hold_schedule(0.2, p.P_max, p.Delta), psi0,
                          sample_times=sample_times)
     assert len(traj.times) == len(sample_times)
-    start = psi0.amplitudes if kappa == 0.0 else psi0.to_density().entries
+    start = psi0.amplitudes if kappa == 0.0 else fs.dm(psi0)
     for t, requested, state in zip(traj.times, sample_times, traj.states):
         if requested <= 1e-15:
             assert t == 0.0
@@ -490,8 +492,7 @@ def test_purity_nonincreasing_under_loss():
     # times the purity climbs back toward 1 as everything decays to vacuum,
     # so the window stays short of that turnaround
     p = md.SystemParams.from_mhz(3.1, 0.0, 0.0, 0.0, dim=10)
-    ent = 0.6 * fs.fock_state(0, 10).to_density().entries \
-        + 0.4 * fs.fock_state(2, 10).to_density().entries
+    ent = 0.6 * fs.dm(fs.fock_state(0, 10)) + 0.4 * fs.dm(fs.fock_state(2, 10))
     rho0 = fs.DensityMatrix(ent)
     sched = md.hold_schedule(1.0, 0.0, 0.0)
     traj = dyn.propagate(p.with_(kappa=0.2), sched, rho0,
@@ -587,7 +588,7 @@ def test_batch_matches_separate_runs(case):
     assert batch.meta["segments"][0]["solver"] == solver
     for initial, states in zip(initials, batch.states):
         if density and isinstance(initial, fs.StateVector):
-            initial = initial.to_density()
+            initial = fs.DensityMatrix(fs.dm(initial))
         alone = dyn.propagate(p, sched, initial, sample_times=times)
         assert np.array_equal(batch.times, alone.times)
         for s, r in zip(states, alone.states):
@@ -627,6 +628,15 @@ def _per_state_case(case):
     if case == "eigh-density":
         return (p, [drive(0.0, 0.3), pump(1.0), drive(0.0, -1.1)], mixed,
                 times, "eigh", 1e-12)
+    # ramps to different detunings keep a frame each (F = B); the moving
+    # pump and chirp are their live terms
+    ramps = [md.ramp_schedule(p.P_max, 0.4, d)
+             for d in (-p.Delta, 0.0, 2.0 * p.Delta)]
+    if case == "ramp-ket":
+        return (p, ramps, kets, times, "eigenframe DOP853", 10 * p.rtol)
+    if case == "ramp-density":
+        return (p.with_(kappa=0.2), ramps, mixed[:2] + kets[2:], times,
+                "eigenframe DOP853", 10 * p.rtol)
     # a symmetrized drive sweep shares one frame, the drive-free midpoint H;
     # the static d = 0 column rides it with its constant drive
     cosines = [md.PulseSchedule((md.Segment(
@@ -648,7 +658,8 @@ def _per_state_case(case):
 
 @pytest.mark.parametrize("case", ["DOP853-ket", "DOP853-density", "eigh-ket",
                                   "static-and-driven", "eigh-density",
-                                  "holds", "cosine-ket", "cosine-density"])
+                                  "holds", "cosine-ket", "cosine-density",
+                                  "ramp-ket", "ramp-density"])
 def test_per_state_schedules_match_separate_runs(case):
     p, scheds, initials, times, solver, tol = _per_state_case(case)
     batch = dyn.propagate_many(p, scheds, initials, sample_times=times)

@@ -174,7 +174,7 @@ def test_state_vector_norm_flag():
 
 
 def test_density_matrix_invariants():
-    rho = fs.fock_state(2, 8).to_density()
+    rho = fs.DensityMatrix(fs.dm(fs.fock_state(2, 8)))
     assert np.trace(rho.entries).real == pytest.approx(1.0)
     assert rho.purity() == pytest.approx(1.0)
     with pytest.raises(UsageError):
@@ -185,7 +185,8 @@ def test_state_fidelity_pure_states():
     # |<a|b>|^2 = exp(-|a-b|^2)
     psi = fs.coherent_state(0.5, 20)
     phi = fs.coherent_state(-0.5, 20)
-    f = fs.state_fidelity(psi.to_density(), phi.to_density())
+    f = fs.state_fidelity(fs.DensityMatrix(fs.dm(psi)),
+                          fs.DensityMatrix(fs.dm(phi)))
     assert f == pytest.approx(np.exp(-1.0), abs=1e-8)
 
 
@@ -225,7 +226,7 @@ def _toy_basis(dim=30, alpha=1.154):
 
 def test_cardinal_populations_plus_cat():
     basis = _toy_basis()
-    rho = basis.plus_cat.to_density()
+    rho = fs.DensityMatrix(fs.dm(basis.plus_cat))
     arr = fs.cardinal_populations(rho, basis)
     assert arr[0] == pytest.approx(1.0, abs=1e-10)  # +Cat
     assert arr[1] == pytest.approx(0.0, abs=1e-10)  # -Cat
@@ -235,8 +236,8 @@ def test_cardinal_populations_plus_cat():
 
 def test_cardinal_populations_mixed_qubit():
     basis = _toy_basis()
-    rho = fs.DensityMatrix(0.5 * (basis.plus_cat.to_density().entries
-                                  + basis.minus_cat.to_density().entries))
+    rho = fs.DensityMatrix(0.5 * (fs.dm(basis.plus_cat)
+                                  + fs.dm(basis.minus_cat)))
     arr = fs.cardinal_populations(rho, basis)
     assert np.max(np.abs(arr - 0.5)) < 1e-10
 
@@ -244,7 +245,8 @@ def test_cardinal_populations_mixed_qubit():
 def test_cardinal_populations_plus_icat():
     basis = _toy_basis()
     cards = fs.cardinal_states(basis)
-    arr = fs.cardinal_populations(cards["+iCat"].to_density(), basis)
+    arr = fs.cardinal_populations(fs.DensityMatrix(fs.dm(cards["+iCat"])),
+                                  basis)
     assert arr[4] == pytest.approx(1.0, abs=1e-10)
     assert arr[5] == pytest.approx(0.0, abs=1e-10)
 

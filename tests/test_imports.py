@@ -1,8 +1,9 @@
 """Every name a package module imports is used in that module, every
 dataclass field is read somewhere, every function reads its parameters,
-every exported error class is raised somewhere, only one function opens a
-file for writing, no source uses a NumPy name newer than the declared
-floor, and every function the benchmark's tracer wraps exists."""
+every public function, class and method is referenced somewhere, every
+exported error class is raised somewhere, only one function opens a file
+for writing, no source uses a NumPy name newer than the declared floor,
+and every function the benchmark's tracer wraps exists."""
 
 import ast
 import importlib.util
@@ -12,6 +13,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "kposim"
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def unused_imports(source):
@@ -187,6 +189,85 @@ def test_checker_flags_an_unused_parameter():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_package_function_reads_every_parameter(module):
     assert unused_parameters((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def unreferenced_definitions(package, readers):
+    """``module.name`` for each public definition that no source references.
+
+    ``package`` maps module names to sources; its definitions are the
+    top-level functions and classes, and the methods of top-level classes
+    (``module.Class.method``), whose names do not start with ``_``.  A
+    definition counts as referenced when its name is loaded as a bare name
+    or an attribute, or is a string constant (such as the tracer's
+    ``(module, attribute, kind)`` targets), anywhere in ``package`` or
+    ``readers`` outside the definition itself and outside a module-level
+    ``__all__``.  The match goes by name, so a definition that shares its
+    name with another referenced one passes unseen.
+    """
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    definitions = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                definitions.append((f"{module}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                definitions += [(f"{module}.{node.name}.{n.name}", n)
+                                for n in node.body
+                                if isinstance(n, ast.FunctionDef)
+                                and not n.name.startswith("_")]
+    references = {}
+    for tree in [*trees.values(), *map(ast.parse, readers)]:
+        exported = {id(e) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)
+                    for e in ast.walk(node.value)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                name = node.attr
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and id(node) not in exported):
+                name = node.value
+            else:
+                continue
+            references.setdefault(name, []).append(id(node))
+    found = []
+    for qualified, node in definitions:
+        inside = {id(n) for n in ast.walk(node)}
+        if all(r in inside for r in references.get(node.name, [])):
+            found.append(qualified)
+    return sorted(found)
+
+
+def test_checker_flags_an_unreferenced_definition():
+    model = ("__all__ = ['used', 'exported_only', 'Box', 'traced']\n"
+             "def used():\n    return 1\n"
+             "def exported_only():\n    return exported_only\n"
+             "def traced():\n    return 0\n"
+             "def _private():\n    return 2\n"
+             "class Box:\n"
+             "    def read(self):\n        return self.write()\n"
+             "    def write(self):\n        return self.read\n"
+             "    def spare(self):\n        return self.spare()\n"
+             "    def _hidden(self):\n        return 3\n")
+    reader = ("from kposim import model as md\n"
+              "TARGETS = [('model', 'traced', 'span')]\n"
+              "def f():\n    return md.used(), md.Box().read()\n")
+    assert unreferenced_definitions({"model": model}, [reader]) == [
+        "model.Box.spare", "model.exported_only"]
+
+
+def test_every_public_definition_is_referenced():
+    package = {p.stem: p.read_text(encoding="utf-8")
+               for p in PACKAGE.glob("*.py")}
+    readers = [p.read_text(encoding="utf-8")
+               for p in [*TESTS.glob("*.py"), *PERFBENCH.glob("*.py")]]
+    assert unreferenced_definitions(package, readers) == []
 
 
 def unraised_errors(errors_source, package_sources):
@@ -409,7 +490,7 @@ def test_source_uses_no_numpy2_name(path):
 def test_every_traced_target_resolves():
     # perfbench/spans.py wraps each (module, attribute) of TARGETS by name
     # and only counts one that is gone, in the benchmark's trace record
-    path = TESTS.parent / "perfbench" / "spans.py"
+    path = PERFBENCH / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)

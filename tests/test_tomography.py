@@ -178,8 +178,8 @@ def test_record_rows_match_per_point_propagation(form, kappa):
     else:
         assert np.max(np.abs(rec.parities - ref)) < 10 * p.rtol
     if form == "ket":
-        dens = tg.simulate_ld_tomography(p, state.to_density(), al,
-                                         pulse_duration=0.02)
+        dens = tg.simulate_ld_tomography(p, fs.DensityMatrix(fs.dm(state)),
+                                         al, pulse_duration=0.02)
         if kappa == 0.0:
             assert np.max(np.abs(rec.parities - dens.parities)) < 1e-13
         else:
