@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
 from scipy.linalg import expm
 from scipy.optimize import least_squares
 
@@ -68,8 +68,8 @@ class Trajectory:
 #: Largest Fock dimension whose holds take the exact path.  The block
 #: exponentials cost O(dim**6) and hold O(dim**4) memory, a DOP853 step
 #: O(dim**3).  On the relax grid (3 holds, 46 samples over 4.5 us, one BLAS
-#: thread, median of 5) exact takes 0.43 s against 0.67 s for DOP853 at
-#: dim 30, 0.63 s against 0.64 s at dim 32 and 0.89 s against 0.80 s at 34.
+#: thread, median over 4 runs of 5) exact takes 0.47 s against 0.63 s for
+#: DOP853 at dim 30, 0.65 against 0.73 s at 32 and 0.84 against 0.74 s at 34.
 _EXACT_HOLD_MAX_DIM = 32
 
 
@@ -127,6 +127,88 @@ def _exact_hold(H, kappa, y0, t0, ts):
     return ys
 
 
+def _dop853(stages, t0, t1, y0, ts, sampled, rtol, atol):
+    """Integrate dy/dt from (t0, y0) to t1 by DOP853; returns (y at ts, nfev).
+
+    scipy's ``DOP853`` tableau (Hairer, Nørsett & Wanner, *Solving ODEs I*,
+    Sec. II) in the order of operations of ``scipy.integrate.solve_ivp``:
+    its initial step, stage sums, RMS error norm, step control, ``t_eval``
+    dense output and nfev.  ``stages(times)`` returns ``f(k, y)``, dy/dt at
+    ``times[k]``; it is called on the 2 start times one by one, then once
+    per attempted step on its 12 stage times and once per dense output on
+    its 3 extra ones.  Without ``sampled`` (``ts`` = [t1]) the state is that
+    of the last step.  A step below ten float spacings raises
+    :class:`StiffnessError` naming the time reached.
+    """
+    tab, n = DOP853, DOP853.n_stages
+    step_c = np.append(tab.C[1:], 1.0)
+    rtol, root_n = max(rtol, 100 * np.finfo(float).eps), y0.size ** 0.5
+    # the initial step of solve_ivp (scipy's select_initial_step)
+    f = stages(np.array([t0]))(0, y0)
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = (np.linalg.norm(v / scale) / root_n for v in (y0, f))
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t1 - t0)
+    f1 = stages(np.array([t0 + h0]))(0, y0 + h0 * f)
+    d2 = np.linalg.norm((f1 - f) / scale) / root_n / h0
+    exponent = -1 / (tab.error_estimator_order + 1)
+    h_abs = min(100 * h0, max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+                else (0.01 / max(d1, d2)) ** -exponent, t1 - t0)
+    K = np.empty((n + 1 + tab.C_EXTRA.size, y0.size), dtype=y0.dtype)
+    # (K[:s]ᵀ, row s) of each stage sum, the rows cast as np.dot casts them
+    step_sums, extra_sums = (
+        [(K[:s].T, a[:s].astype(K.dtype)) for s, a in enumerate(rows, start)]
+        for rows, start in ((tab.A[1:], 1), (tab.A_EXTRA, n + 1)))
+    b, e5, e3, d = (v.astype(K.dtype) for v in (tab.B, tab.E5, tab.E3, tab.D))
+    t, y, nfev, out, done = t0, y0, 2, [], 0
+    while t < t1:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                raise StiffnessError(
+                    f"integrator failed near t = {t:.6f} us: Required step "
+                    "size is less than spacing between numbers.")
+            t_new = min(t + h_abs, t1)
+            h = h_abs = t_new - t
+            f_k, K[0] = stages(t + step_c * h), f
+            for s, (k_t, a) in enumerate(step_sums, start=1):
+                K[s] = f_k(s - 1, y + np.dot(k_t, a) * h)
+            y_new = y + h * np.dot(K[:n].T, b)
+            K[n] = f_new = f_k(n - 1, y_new)
+            nfev += n
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = np.linalg.norm(np.dot(K[:n + 1].T, e5) / scale) ** 2
+            err3 = np.linalg.norm(np.dot(K[:n + 1].T, e3) / scale) ** 2
+            error = (0.0 if err5 == 0 and err3 == 0 else h_abs * err5
+                     / np.sqrt((err5 + 0.01 * err3) * len(scale)))
+            # scipy's step control: safety 0.9, factors within [0.2, 10]
+            if error < 1:
+                factor = 10 if error == 0 else min(10, 0.9 * error ** exponent)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error ** exponent)
+            rejected = True
+        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        new = np.searchsorted(ts, t, side="right") if sampled else done
+        if new > done:
+            # the dense output: three more stages, then the interpolant
+            f_k = stages(t_old + tab.C_EXTRA * h)
+            for s, (k_t, a) in enumerate(extra_sums):
+                K[n + 1 + s] = f_k(s, y_old + np.dot(k_t, a) * h)
+            nfev += tab.C_EXTRA.size
+            delta = y - y_old
+            F = [delta, h * K[0] - delta, 2 * delta - h * (f + K[0]),
+                 *(h * np.dot(d, K))]
+            x = ((ts[done:new] - t_old) / (t - t_old))[:, None]
+            ys = np.zeros((len(x), y.size), dtype=y.dtype)
+            for i, coefficient in enumerate(reversed(F)):
+                ys += coefficient
+                ys *= x if i % 2 == 0 else 1 - x
+            out.append(ys + y_old)
+            done = new
+    return (np.concatenate(out) if sampled else y[None]), nfev
+
+
 def _segment(params, schedules, index, y0, t0, t1, ts, sampled, density):
     """Propagate segment ``index``, from t0 to t1, to each time of ``ts``.
 
@@ -152,7 +234,10 @@ def _segment(params, schedules, index, y0, t0, t1, ts, sampled, density):
     reference leaves out): each member's Δc weights its kets, and the
     weighted kets of each frame meet its live Õ as one product,
     (Δc ⊗ (u ∘ c)) @ Õᵀ; a density matrix's R̃ is one Δc @ Õ product over
-    the same terms.  The phases act on dim x dim operators, not on the
+    the same terms.  Each attempted step of :func:`_dop853` evaluates the
+    coefficients and phases u of all its stages at once, with the kets'
+    Δc·u weights or the density matrices' G̃ and ã_t; a stage does only
+    the state products.  The phases act on dim x dim operators, not on the
     state stack, and σG̃† is taken as (G̃σ)†, which holds for Hermitian σ
     only, so σ is made Hermitian once at the start of the segment; the
     right-hand side keeps it so.  H_ref's spectrum, with the Fock-truncation
@@ -194,15 +279,19 @@ def _segment(params, schedules, index, y0, t0, t1, ts, sampled, density):
     evals, vecs = np.linalg.eigh(H_ref)
     vecs_t, vecs_h = vecs.swapaxes(-1, -2), vecs.conj().swapaxes(-1, -2)
     # frame coordinates stay flat, the B states end to end, as DOP853 sees
-    # them; ket phase rates -iE are tiled to match, and the kets of each
-    # frame are one (F, B/F, dim) stack
+    # them, and the kets of each frame are one (F, B/F, dim) stack; the
+    # phases u at T times are (T, F, dim), or (T, F, 1, dim) for kets
     rows = (frames, batch // frames, dim)
     if density:
-        rate = -1j * evals
+        rate = -1j * evals.reshape(frames, dim)
         c0 = (vecs_h @ y0.reshape(batch, dim, dim) @ vecs).reshape(-1)
     else:
-        rate = -1j * np.broadcast_to(evals, (batch, dim)).reshape(-1)
+        rate = -1j * evals.reshape(frames, 1, dim)
         c0 = (y0.reshape(rows) @ vecs.conj()).reshape(-1)
+
+    def phases(times):
+        return np.exp(np.multiply.outer(times - t0, rate))
+
     # the frame coordinates at ts, one row each; a constant row broadcasts
     cs, solver, nfev = c0[None], "eigh", 0
     if driven or kappa > 0.0:
@@ -211,6 +300,10 @@ def _segment(params, schedules, index, y0, t0, t1, ts, sampled, density):
                @ vecs[..., None, :, :]).reshape(frames, 4, dim, dim)
         live = np.flatnonzero(moving | (c_mid != c_ref).any(axis=0))
         ops_live, c_live = -1j * ops[:, live], c_ref[:, live]
+
+        def rest(times):  # Δc of the live terms at ``times``, (T, S, L)
+            return coefficients(times).take(live, axis=-1) - c_live
+
         if density:
             jump = np.sqrt(kappa) * ops[:, 3].reshape(H_ref.shape)
             decay = -0.5 * (jump.conj().swapaxes(-1, -2) @ jump)
@@ -218,59 +311,53 @@ def _segment(params, schedules, index, y0, t0, t1, ts, sampled, density):
             sigma = c0.reshape(batch, dim, dim)
             c0 = (0.5 * (sigma + sigma.conj().swapaxes(-1, -2))).reshape(-1)
 
-            def rhs(t, y):
-                u = np.exp(rate * (t - t0))
+            def stages(times):
+                # G̃ and ã_t of every stage, (T, S or F, dim, dim)
+                u = phases(times)
                 phi = u.conj()[..., None] * u[..., None, :]
-                sigma = y.reshape(batch, dim, dim)
                 g = decay
                 if driven:
-                    dc = coefficients(t).take(live, axis=1) - c_live
-                    g = g + (dc.reshape(frames, -1, live.size)
-                             @ ops_live).reshape(-1, dim, dim)
-                g_sigma = (phi * g) @ sigma
-                dsigma = g_sigma + g_sigma.conj().swapaxes(-1, -2)
-                if kappa > 0.0:
-                    jump_t = phi * jump
-                    dsigma += jump_t @ sigma @ jump_t.conj().swapaxes(-1, -2)
-                return dsigma.reshape(-1)
+                    dc = rest(times).reshape(len(times), frames, -1, live.size)
+                    g = g + (dc @ ops_live).reshape(len(times), -1, dim, dim)
+                g_t, jump_t = phi * g, phi * jump
+                jump_h = jump_t.conj().swapaxes(-1, -2)
+
+                def f(k, y):
+                    sigma = y.reshape(batch, dim, dim)
+                    g_sigma = g_t[k] @ sigma
+                    dsigma = g_sigma + g_sigma.conj().swapaxes(-1, -2)
+                    if kappa > 0.0:
+                        dsigma += jump_t[k] @ sigma @ jump_h[k]
+                    return dsigma.reshape(-1)
+                return f
         else:
             # each member's Δc weights its kets, and each frame's weighted
             # kets meet its live terms as one product, (Δc ⊗ (u∘Y)) @ Õᵀ
-            # with Õᵀ (F, L·dim, dim).  At dim 30, one BLAS thread, a call
-            # takes 19, 25 and 30 us at B = 4, 9 and 13 in one frame with
-            # the two drive terms live, 32, 47 and 58 us with all four, and
-            # 15, 22 and 28 us in a chirp stack's frame per member (one
-            # live term), where forming each member's R̃ and applying it
-            # took 22, 39 and 53 us; 2 kets under one ramp take 11.7 us
-            # against 13.1 us that way
+            # with Õᵀ (F, L·dim, dim).  At dim 30, one BLAS thread, a stage
+            # takes 8.4 and 11.5 us at B = 4 and 13 in one frame with the two
+            # drive terms live, 4.7 and 8.8 us in a chirp stack's frame per
+            # member; a step's weights take 41 and 79, and 64 and 174 us
             ops_t = ops_live.swapaxes(-1, -2).reshape(frames, -1, dim)
 
-            def rhs(t, y):
-                u = np.exp(rate * (t - t0))
-                dc = coefficients(t).take(live, axis=1) - c_live
-                x = dc[:, :, None] * (u * y).reshape(batch, 1, dim)
-                return u.conj() * (x.reshape(frames, -1, live.size * dim)
-                                   @ ops_t).reshape(-1)
+            def stages(times):
+                # each member's weights Δc·u of every stage, (T, S, L, dim)
+                u = phases(times)
+                weights, u_conj = rest(times)[..., None] * u, u.conj()
 
-        # without t_eval the solver returns its own steps, ending at t1
-        sol = solve_ivp(rhs, (t0, t1), c0, method="DOP853",
-                        t_eval=ts if sampled else None,
-                        rtol=params.rtol, atol=params.atol, dense_output=False)
-        if not sol.success:
-            reached = sol.t[-1] if sol.t.size else t0
-            raise StiffnessError(
-                f"integrator failed near t = {reached:.6f} us: {sol.message}")
-        cs = (sol.y if sampled else sol.y[:, -1:]).T
-        solver, nfev = "eigenframe DOP853", sol.nfev
-    dt = (ts - t0)[:, None]
+                def f(k, y):
+                    x = weights[k] * y.reshape(batch, 1, dim)
+                    return (u_conj[k] * (x.reshape(frames, -1, live.size * dim)
+                                         @ ops_t)).reshape(-1)
+                return f
+
+        solver, (cs, nfev) = "eigenframe DOP853", _dop853(
+            stages, t0, t1, c0, ts, sampled, params.rtol, params.atol)
+    u = phases(ts)
     if density:
-        u = np.exp(rate * dt[..., None])
         sigma = cs.reshape(-1, batch, dim, dim)
         ys = vecs @ (u[..., None] * sigma * u.conj()[..., None, :]) @ vecs_h
     else:
-        u = np.exp(rate * dt)
-        u *= cs  # in place: a (S, B, dim) map holds one array less
-        ys = u.reshape(-1, *rows) @ vecs_t
+        ys = (u * cs.reshape(-1, *rows)) @ vecs_t
     return ys.reshape(len(ts), batch, -1), solver, nfev
 
 
@@ -332,7 +419,8 @@ def propagate_many(params, schedule, initials, sample_times=None):
     - on every other segment DOP853 integrates, at ``params.rtol`` and
       ``params.atol``, only what the frame leaves: the rest of H(t), the
       drive included where it was left out, and the dissipator
-      (``"eigenframe DOP853"``).
+      (``"eigenframe DOP853"``), in the steps of ``solve_ivp``'s DOP853
+      with one evaluation of each step's coefficients and frame phases.
       DOP853 bounds the RMS error over the whole stack, so one state's local
       error may exceed the bound of its own solve by up to sqrt(B).
 

@@ -120,7 +120,11 @@ class SystemParams:
 # ---------------------------------------------------------------------------
 
 class Envelope:
-    """Base class for named envelope shapes (amplitudes in rad/us, times us)."""
+    """Base class for named envelope shapes (amplitudes in rad/us, times us).
+
+    ``value`` and ``integral`` are NumPy ufunc expressions: an array of
+    times gives each time's value bit for bit.
+    """
 
     def value(self, t):
         raise NotImplementedError
@@ -155,11 +159,11 @@ class SinSquaredRamp(Envelope):
     ramp_time: float
 
     def value(self, t):
-        return self.amplitude * math.sin(math.pi * t / (2.0 * self.ramp_time)) ** 2
+        return self.amplitude * np.square(np.sin(np.pi * t / (2.0 * self.ramp_time)))
 
     def integral(self, t):
         tau = self.ramp_time
-        return self.amplitude * (t / 2.0 - (tau / (2.0 * math.pi)) * math.sin(math.pi * t / tau))
+        return self.amplitude * (t / 2.0 - (tau / (2.0 * np.pi)) * np.sin(np.pi * t / tau))
 
 
 @dataclass(frozen=True)
@@ -170,11 +174,11 @@ class SinBump(Envelope):
     width: float
 
     def value(self, t):
-        return self.amplitude * math.sin(math.pi * t / self.width)
+        return self.amplitude * np.sin(np.pi * t / self.width)
 
     def integral(self, t):
         w = self.width
-        return self.amplitude * (w / math.pi) * (1.0 - math.cos(math.pi * t / w))
+        return self.amplitude * (w / np.pi) * (1.0 - np.cos(np.pi * t / w))
 
 
 @dataclass(frozen=True)
@@ -185,11 +189,11 @@ class SinSquaredBump(Envelope):
     width: float
 
     def value(self, t):
-        return self.amplitude * math.sin(math.pi * t / self.width) ** 2
+        return self.amplitude * np.square(np.sin(np.pi * t / self.width))
 
     def integral(self, t):
         w = self.width
-        return self.amplitude * (t / 2.0 - (w / (4.0 * math.pi)) * math.sin(2.0 * math.pi * t / w))
+        return self.amplitude * (t / 2.0 - (w / (4.0 * np.pi)) * np.sin(2.0 * np.pi * t / w))
 
 
 @dataclass(frozen=True)
@@ -205,13 +209,13 @@ class Cosine(Envelope):
     phase: float = 0.0
 
     def value(self, t):
-        return self.amplitude * math.cos(self.omega * t + self.phase)
+        return self.amplitude * np.cos(self.omega * t + self.phase)
 
     def integral(self, t):
         if self.omega == 0.0:
-            return self.amplitude * math.cos(self.phase) * t
+            return self.amplitude * np.cos(self.phase) * t
         return (self.amplitude / self.omega) * (
-            math.sin(self.omega * t + self.phase) - math.sin(self.phase))
+            np.sin(self.omega * t + self.phase) - np.sin(self.phase))
 
     def is_constant(self):
         return self.omega == 0.0
@@ -305,10 +309,13 @@ def _coefficient_function(seg, start, frame0):
 
 
 def _member_values(functions):
-    """t -> each of ``functions`` at t; a lone one's value as it is."""
-    if len(functions) == 1:
-        return functions[0]
-    return lambda t: np.array([f(t) for f in functions])
+    """t -> each of ``functions`` at t, stacked along a last axis."""
+    def values(t):
+        out = np.empty((*np.shape(t), len(functions)))
+        for s, f in enumerate(functions):
+            out[..., s] = f(t)
+        return out
+    return values
 
 
 #: tolerance for the pump-continuity check across segment boundaries (rad/us)
@@ -390,15 +397,16 @@ class PulseSchedule:
 
 
 def coefficient_stack(schedules, index):
-    """c(t) of segment ``index`` of each of ``schedules``, one (S, 4) array.
+    """c(t) of segment ``index`` of each of ``schedules``, (..., S, 4) rows.
 
-    The schedules have equal segment durations, so the segment starts at one
-    time in all of them.  Row s equals ``schedules[s].coefficients(index)(t)``
+    ``t`` is a time or an array of times (shape ...).  The schedules have
+    equal segment durations, so the segment starts at one time in all of
+    them.  Row s at each time equals ``schedules[s].coefficients(index)(t)``
     bit for bit (a zero may differ in sign): a term that stands still in
     every member is read once from each member's own c; a moving one is
-    evaluated once per member as a plain float, and the drive phases take
-    one array exponential.  Returns (c, the (4,) flags of the terms that
-    move in some member).
+    evaluated once per member over all times, and the drive phases take one
+    array exponential.  Returns (c, the (4,) flags of the terms that move in
+    some member).
     """
     segs = [s.segments[index] for s in schedules]
     start = float(schedules[0]._starts[index])
@@ -417,17 +425,18 @@ def coefficient_stack(schedules, index):
     phase0 = np.exp(-1j * angle(0.0)) if still else None
 
     def c(t):
-        t = t - start
-        rows = template.copy()
+        t = np.asarray(t) - start
+        rows = np.empty((*t.shape, *template.shape), dtype=template.dtype)
+        rows[...] = template
         if detuning_moves:
-            rows[:, 0] = detuning(t)
+            rows[..., 0] = detuning(t)
         if pump_moves:
-            rows[:, 1] = 0.5 * pump(t)
+            rows[..., 1] = 0.5 * pump(t)
         if drive_moves:
             b = drive(t)
             phase = phase0 if still else np.exp(-1j * angle(t))
-            rows[:, 2] = b * phase
-            rows[:, 3] = b * np.conj(phase)
+            rows[..., 2] = b * phase
+            rows[..., 3] = b * np.conj(phase)
         return rows
 
     return c, np.array([detuning_moves, pump_moves, drive_moves, drive_moves])

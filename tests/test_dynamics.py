@@ -4,13 +4,14 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from kposim import dynamics as dyn
 from kposim import fockspace as fs
 from kposim import model as md
 from kposim import units
 from kposim.errors import (AccuracyError, DegenerateDataError, FitError,
-                           UsageError)
+                           StiffnessError, UsageError)
 from kposim.parallel import parallel_map
 
 import oracles as orc
@@ -336,16 +337,69 @@ def test_meta_reports_the_solver_of_each_segment():
 
 
 def _count_solves(monkeypatch):
+    # the nfev of each DOP853 solve, in call order
     calls = []
-    real_solve_ivp = dyn.solve_ivp
+    real_dop853 = dyn._dop853
 
     def counting(*args, **kwargs):
-        sol = real_solve_ivp(*args, **kwargs)
-        calls.append(sol.nfev)
-        return sol
+        ys, nfev = real_dop853(*args, **kwargs)
+        calls.append(nfev)
+        return ys, nfev
 
-    monkeypatch.setattr(dyn, "solve_ivp", counting)
+    monkeypatch.setattr(dyn, "_dop853", counting)
     return calls
+
+
+_PULSED = np.array([[1.0, 0.3 - 0.2j], [0.3 + 0.2j, -0.5]])
+
+
+def _pulsed_rhs(t, y):
+    # a small complex linear ODE whose rate jumps 40-fold in a 30 ns pulse
+    # at t = 0.6, where the step control rejects steps
+    rate = 1.0 + 40.0 * np.exp(-((t - 0.6) / 0.03) ** 2)
+    return -1j * rate * (_PULSED @ y)
+
+
+@pytest.mark.parametrize("t1, ts, sampled", [
+    (0.5, np.array([0.1, 0.25, 0.5]), True),
+    (0.5, np.array([0.5]), False),
+    (1.0, np.array([0.3, 0.61, 0.62, 1.0 - 1e-16]), True)],
+    ids=["sampled-at-t1", "sample-free", "rejected-step"])
+def test_dop853_loop_is_solve_ivp(t1, ts, sampled):
+    # the step loop is scipy's DOP853, bit for bit, with its nfev
+    y0 = np.array([0.6 + 0.0j, 0.8j])
+
+    def stages(times):
+        return lambda k, y: _pulsed_rhs(times[k], y)
+
+    ys, nfev = dyn._dop853(stages, 0.0, t1, y0, ts, sampled, 1e-8, 1e-10)
+    sol = solve_ivp(_pulsed_rhs, (0.0, t1), y0, method="DOP853", rtol=1e-8,
+                    atol=1e-10, t_eval=ts if sampled else None)
+    assert np.array_equal(ys, (sol.y if sampled else sol.y[:, -1:]).T)
+    assert nfev == sol.nfev
+    if t1 == 1.0:
+        # 12 evaluations per attempted step, 2 to start and 3 per dense
+        # output: more attempts than accepted steps
+        steps = solve_ivp(_pulsed_rhs, (0.0, t1), y0, method="DOP853",
+                          rtol=1e-8, atol=1e-10)
+        assert (steps.nfev - 2) // 12 > steps.t.size - 1
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("sampled", [False, True])
+def test_dop853_names_where_the_right_hand_side_breaks(sampled):
+    # past t* = 0.4 every stage is NaN, so the steps shrink onto t* until
+    # they fall below the float spacing there
+    def stages(times):
+        def f(k, y):
+            return -1j * y if times[k] < 0.4 else np.full_like(y, np.nan)
+        return f
+
+    ts = np.array([0.1, 0.2, 1.0]) if sampled else np.array([1.0])
+    with pytest.raises(StiffnessError, match=r"failed near t = 0\.400000 us: "
+                       "Required step size"):
+        dyn._dop853(stages, 0.0, 1.0, np.array([1.0 + 0j, 0j]), ts, sampled,
+                    1e-8, 1e-10)
 
 
 def test_sample_free_segment_is_integrated_once(monkeypatch):

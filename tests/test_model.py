@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import trapezoid
+from scipy.integrate import DOP853, trapezoid
 
 from kposim import dynamics as dyn
 from kposim import fockspace as fs
@@ -359,20 +359,25 @@ def _stack_family(case):
                                   "envelope-classes"])
 def test_coefficient_stack_is_each_members_coefficients(case):
     # bit for bit, at both ends of every segment and inside it; a term
-    # flagged still is the same at every time
+    # flagged still is the same at every time.  An array of times, such as
+    # the stage times of a DOP853 step, gives each time's rows bit for bit.
     scheds = _stack_family(case)
     start = 0.0
     for index, seg in enumerate(scheds[0].segments):
         stack, moving = md.coefficient_stack(scheds, index)
-        first = None
-        for frac in (0.0, 0.37, 0.81, 1.0):
-            t = start + frac * seg.duration
+        fracs = np.concatenate(([0.0, 0.37, 0.81, 1.0],
+                                0.52 + 0.06 * DOP853.C[1:]))
+        times = start + fracs * seg.duration
+        at_once = stack(times)
+        assert at_once.shape == (times.size, len(scheds), 4)
+        assert stack(times.reshape(3, 5)).shape == (3, 5, len(scheds), 4)
+        for t, stacked in zip(times, at_once):
             rows = stack(t)
             assert rows.shape == (len(scheds), 4)
+            assert np.array_equal(stacked, rows)
             for row, sched in zip(rows, scheds):
                 assert np.array_equal(row, sched.coefficients(index)(t))
-            first = rows if first is None else first
-            assert np.array_equal(rows[:, ~moving], first[:, ~moving])
+            assert np.array_equal(rows[:, ~moving], at_once[0][:, ~moving])
         start += seg.duration
 
 
