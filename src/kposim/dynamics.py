@@ -333,10 +333,10 @@ def _segment(params, schedules, index, y0, t0, t1, ts, sampled, density):
         else:
             # each member's Δc weights its kets, and each frame's weighted
             # kets meet its live terms as one product, (Δc ⊗ (u∘Y)) @ Õᵀ
-            # with Õᵀ (F, L·dim, dim).  At dim 30, one BLAS thread, a stage
-            # takes 8.4 and 11.5 us at B = 4 and 13 in one frame with the two
-            # drive terms live, 4.7 and 8.8 us in a chirp stack's frame per
-            # member; a step's weights take 41 and 79, and 64 and 174 us
+            # with Õᵀ (F, L·dim, dim).  At dim 30, one BLAS thread, B = 4 and
+            # 13, a stage takes 8.4 and 11.5 us in one frame with the two
+            # drive terms live, and a step's stages call 41 and 79 us; in a
+            # chirp stack's frame per member 4.7 and 8.8 us, and 64 and 174 us
             ops_t = ops_live.swapaxes(-1, -2).reshape(frames, -1, dim)
 
             def stages(times):

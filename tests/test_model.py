@@ -365,12 +365,16 @@ def test_coefficient_stack_is_each_members_coefficients(case):
     start = 0.0
     for index, seg in enumerate(scheds[0].segments):
         stack, moving = md.coefficient_stack(scheds, index)
+        # the ends, two inner points, a step's stage times and a dense grid,
+        # on which a last-bit difference between the scalar and the array
+        # form of an envelope shows
         fracs = np.concatenate(([0.0, 0.37, 0.81, 1.0],
-                                0.52 + 0.06 * DOP853.C[1:]))
+                                0.52 + 0.06 * DOP853.C[1:],
+                                np.linspace(0.0, 1.0, 401)))
         times = start + fracs * seg.duration
         at_once = stack(times)
         assert at_once.shape == (times.size, len(scheds), 4)
-        assert stack(times.reshape(3, 5)).shape == (3, 5, len(scheds), 4)
+        assert stack(times[:15].reshape(3, 5)).shape == (3, 5, len(scheds), 4)
         for t, stacked in zip(times, at_once):
             rows = stack(t)
             assert rows.shape == (len(scheds), 4)
