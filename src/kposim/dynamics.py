@@ -131,7 +131,7 @@ def _dop853(stages, t0, t1, y0, ts, sampled, rtol, atol):
     """Integrate dy/dt from (t0, y0) to t1 by DOP853; returns (y at ts, nfev).
 
     scipy's ``DOP853`` tableau (Hairer, Nørsett & Wanner, *Solving ODEs I*,
-    Sec. II) in the order of operations of ``scipy.integrate.solve_ivp``:
+    Sec. II) in the order of operations of scipy's own DOP853 driver:
     its initial step, stage sums, RMS error norm, step control, ``t_eval``
     dense output and nfev.  ``stages(times)`` returns ``f(k, y)``, dy/dt at
     ``times[k]``; it is called on the 2 start times one by one, then once
@@ -143,7 +143,7 @@ def _dop853(stages, t0, t1, y0, ts, sampled, rtol, atol):
     tab, n = DOP853, DOP853.n_stages
     step_c = np.append(tab.C[1:], 1.0)
     rtol, root_n = max(rtol, 100 * np.finfo(float).eps), y0.size ** 0.5
-    # the initial step of solve_ivp (scipy's select_initial_step)
+    # scipy's initial step (``select_initial_step``)
     f = stages(np.array([t0]))(0, y0)
     scale = atol + np.abs(y0) * rtol
     d0, d1 = (np.linalg.norm(v / scale) / root_n for v in (y0, f))
@@ -419,7 +419,7 @@ def propagate_many(params, schedule, initials, sample_times=None):
     - on every other segment DOP853 integrates, at ``params.rtol`` and
       ``params.atol``, only what the frame leaves: the rest of H(t), the
       drive included where it was left out, and the dissipator
-      (``"eigenframe DOP853"``), in the steps of ``solve_ivp``'s DOP853
+      (``"eigenframe DOP853"``), in the steps of scipy's DOP853 driver
       with one evaluation of each step's coefficients and frame phases.
       DOP853 bounds the RMS error over the whole stack, so one state's local
       error may exceed the bound of its own solve by up to sqrt(B).
