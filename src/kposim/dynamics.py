@@ -131,7 +131,7 @@ def _dop853(stages, t0, t1, y0, ts, sampled, rtol, atol):
     """Integrate dy/dt from (t0, y0) to t1 by DOP853; returns (y at ts, nfev).
 
     scipy's ``DOP853`` tableau (Hairer, Nørsett & Wanner, *Solving ODEs I*,
-    Sec. II) in the order of operations of scipy's own DOP853 driver:
+    Sec. II) in the order of operations of scipy's own DOP853 loop:
     its initial step, stage sums, RMS error norm, step control, ``t_eval``
     dense output and nfev.  ``stages(times)`` returns ``f(k, y)``, dy/dt at
     ``times[k]``; it is called on the 2 start times one by one, then once
@@ -419,7 +419,7 @@ def propagate_many(params, schedule, initials, sample_times=None):
     - on every other segment DOP853 integrates, at ``params.rtol`` and
       ``params.atol``, only what the frame leaves: the rest of H(t), the
       drive included where it was left out, and the dissipator
-      (``"eigenframe DOP853"``), in the steps of scipy's DOP853 driver
+      (``"eigenframe DOP853"``), in the steps scipy's DOP853 would take,
       with one evaluation of each step's coefficients and frame phases.
       DOP853 bounds the RMS error over the whole stack, so one state's local
       error may exceed the bound of its own solve by up to sqrt(B).
